@@ -54,12 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help="reuse shelf files from a previous --emit-intermediate run",
     )
-    gen.add_argument(
-        "--threads",
-        type=int,
-        default=0,
-        help="0 = auto, 1 = single-threaded deterministic",
-    )
     gen.set_defaults(func=cmd_generate)
 
     val = sub.add_parser("validate", help="check every graph in a graph6 file")
@@ -74,10 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    if args.threads < 0:
-        raise UsageError("--threads must be >= 0")
-    if args.threads > 1:
-        print("min3gen: threads > 1 not implemented, running sequentially", file=sys.stderr)
     out_dir = default_out_dir(args.out)
 
     def progress(msg: str) -> None:

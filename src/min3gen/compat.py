@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .cycles import CycleSet, cycle_edges, cycle_vertex_mask
-from .graphs import Edge, Graph, edge, mask_reachable
+from .graphs import Edge, Graph, _bits, edge, mask_reachable
 
 
 @dataclass(frozen=True)
@@ -47,13 +47,6 @@ class VertexTriple:
 
 
 CompatSet = Union[VertexEdge, EdgePair, VertexTriple]
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _chording_via(

@@ -13,8 +13,10 @@ to five classes:
 The splits contract the pending edge additions away, so A1, A2, A3 entries
 are minimally 3-connected whenever the chording path gates pass; B and C
 are scaffolding for the next shelf.  Certificates deduplicate within a
-shelf across all classes.  Every cycle set rides along through the rewrite
-rules, so nothing is re-enumerated.
+shelf across all classes.  Only admitted A entries get cycle sets of their
+own, derived from their source's set by the rewrite rules, so nothing is
+re-enumerated; a B or C entry shares its A-class ancestor's set, which is
+all its chording path gate reads.
 
 Wheels and K_{3,t} are the minimally 3-connected graphs that no prism-rooted
 chain reaches; they are constructed directly and merged into the output.
@@ -37,7 +39,7 @@ from .cycles import (
     enumerate_cycles_bruteforce,
 )
 from .graphs import Graph, add_edge, bridge_edges, complete_bipartite_3, edge, prism, split_vertex, wheel
-from .records import A_TAGS, GeneratedSet, Provenance, Shelf, ShelfEntry
+from .records import A_TAGS, SCAFFOLD_TAGS, GeneratedSet, Provenance, Shelf, ShelfEntry
 
 # The 14 cycles of the prism under its fixed labeling, written as closed
 # walks and canonicalized on import.  generate_min3 re-checks them against
@@ -65,95 +67,54 @@ PRISM_CYCLES: CycleSet = frozenset(
 Progress = Callable[[str], None]
 
 
-def _entry(graph: Graph, cycles: CycleSet, prov: Provenance) -> ShelfEntry:
-    return ShelfEntry(graph, cycles, prov, certificate(graph))
+Candidate = tuple[Graph, Provenance]
 
 
-def e1(entry: ShelfEntry) -> list[ShelfEntry]:
+def e1(entry: ShelfEntry) -> list[Candidate]:
     """All single edge additions: one class B candidate per non-edge."""
-    g, cs = entry.graph, entry.cycles
-    out = []
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if not g.has_edge(u, v):
-                out.append(
-                    _entry(
-                        add_edge(g, u, v),
-                        apply_add_edge(cs, u, v),
-                        Provenance("B", ((u, v),)),
-                    )
-                )
-    return out
+    g = entry.graph
+    return [
+        (add_edge(g, u, v), Provenance("B", ((u, v),)))
+        for u in range(g.n)
+        for v in range(u + 1, g.n)
+        if not g.has_edge(u, v)
+    ]
 
 
-def e2(entry: ShelfEntry) -> list[ShelfEntry]:
+def e2(entry: ShelfEntry) -> list[Candidate]:
     """Second edge additions sharing an endpoint with the first (class C)."""
-    (u, v) = entry.provenance.added_edges[0]
-    g, cs = entry.graph, entry.cycles
-    out = []
-    for w in g.vertices:
-        if w != u and not g.has_edge(w, u):
-            out.append(
-                _entry(
-                    add_edge(g, u, w),
-                    apply_add_edge(cs, u, w),
-                    Provenance("C", ((u, v), edge(u, w))),
-                )
-            )
-        if w != v and not g.has_edge(w, v):
-            out.append(
-                _entry(
-                    add_edge(g, v, w),
-                    apply_add_edge(cs, v, w),
-                    Provenance("C", ((u, v), edge(v, w))),
-                )
-            )
-    return out
+    first = entry.provenance.added_edges[0]
+    g = entry.graph
+    return [
+        (add_edge(g, p, w), Provenance("C", (first, edge(p, w))))
+        for w in g.vertices
+        for p in first
+        if w != p and not g.has_edge(w, p)
+    ]
 
 
-def _split_and_propagate(
-    g: Graph,
-    cs: CycleSet,
-    split_v: int,
-    kept: int,
-    moved: int,
-) -> tuple[Graph, CycleSet, int]:
-    """Split split_v so the new vertex takes the edges to kept and moved.
-
-    Cycle propagation views this as subdividing the edge (split_v, kept)
-    with the new vertex, then flipping the edge (moved, split_v) to
-    (moved, new vertex).
-    """
-    g2, x = split_vertex(g, split_v, kept, moved)
-    cs2 = apply_subdivide_edge(cs, split_v, kept, x)
-    cs3 = apply_flip_edge(cs2, moved, split_v, x)
-    return g2, cs3, x
-
-
-def c1(entry: ShelfEntry) -> list[ShelfEntry]:
+def c1(entry: ShelfEntry) -> list[Candidate]:
     """Split either endpoint of a B entry's added edge (class A1).
 
     With added edge bc and a neighbour a of b, the gate requires no
     chording ca- or bc-path once bc and ba are deleted; then b is split so
     the new vertex takes c and a.  The symmetric half splits c instead.
+    The entry's cycles are its A-class ancestor's, and those avoiding ba
+    are exactly the cycles of the edge-deleted graph.
     """
     (b, c) = entry.provenance.added_edges[0]
-    g, cs = entry.graph, entry.cycles
+    g = entry.graph
     out = []
     for split_v, kept in ((b, c), (c, b)):
         for moved in g.neighbors(split_v):
-            if moved == kept:
-                continue
-            ok = no_chording_paths(
-                cs,
+            if moved != kept and no_chording_paths(
+                entry.cycles,
                 g,
                 ((kept, moved), (split_v, kept)),
                 (edge(split_v, kept), edge(split_v, moved)),
-            )
-            if ok:
-                g2, cs3, x = _split_and_propagate(g, cs, split_v, kept, moved)
-                prov = Provenance("A1", ((b, c),), ((x, edge(split_v, x)),))
-                out.append(_entry(g2, cs3, prov))
+            ):
+                g2, x = split_vertex(g, split_v, kept, moved)
+                out.append((g2, Provenance("A1", ((b, c),), ((x, edge(split_v, x)),))))
     return out
 
 
@@ -176,7 +137,7 @@ def _a1_frame(entry: ShelfEntry) -> tuple[int, int, int, int]:
     return c, b, rest.pop(), y
 
 
-def c2(entry: ShelfEntry) -> list[ShelfEntry]:
+def c2(entry: ShelfEntry) -> list[Candidate]:
     """Split the surviving endpoint of an A1 entry's edge (class A2).
 
     In the recovered frame the new vertex y is adjacent to c, b, d.  The
@@ -189,34 +150,29 @@ def c2(entry: ShelfEntry) -> list[ShelfEntry]:
     banned = (edge(b, y), edge(c, y), edge(d, y))
     candidates = [w for w in g.neighbors(b) if w not in (c, d, y)]
     out = []
+
+    def split(kept: int, moved: int) -> None:
+        g2, x = split_vertex(g, b, kept, moved)
+        prov = entry.provenance
+        out.append((g2, Provenance("A2", prov.added_edges, prov.splits + ((x, edge(b, x)),))))
+
     for a in candidates:
-        x_edges = (edge(a, b),) + banned
-        if no_chording_paths(cs, g, ((c, a), (c, b), (d, b), (d, a)), x_edges):
-            g2, cs3, x = _split_and_propagate(g, cs, b, y, a)
-            prov = Provenance(
-                "A2",
-                entry.provenance.added_edges,
-                entry.provenance.splits + ((x, edge(b, x)),),
-            )
-            out.append(_entry(g2, cs3, prov))
+        if no_chording_paths(cs, g, ((c, a), (c, b), (d, b), (d, a)), (edge(a, b),) + banned):
+            split(y, a)
     for a in candidates:
         x_edges = (edge(a, b),) + banned
         for k in candidates:
-            if k == a:
-                continue
-            if no_chording_paths(cs, g, ((k, a), (k, b)), x_edges):
-                g2, cs3, x = _split_and_propagate(g, cs, b, k, a)
-                prov = Provenance(
-                    "A2",
-                    entry.provenance.added_edges,
-                    entry.provenance.splits + ((x, edge(b, x)),),
-                )
-                out.append(_entry(g2, cs3, prov))
+            if k != a and no_chording_paths(cs, g, ((k, a), (k, b)), x_edges):
+                split(k, a)
     return out
 
 
-def c3(entry: ShelfEntry) -> list[ShelfEntry]:
-    """Split the shared endpoint of a C entry's two added edges (class A3)."""
+def c3(entry: ShelfEntry) -> list[Candidate]:
+    """Split the shared endpoint of a C entry's two added edges (class A3).
+
+    The gate deletes both added edges, which leaves the A-class ancestor
+    whose cycles the entry carries.
+    """
     (e1_edge, e2_edge) = entry.provenance.added_edges
     shared = set(e1_edge) & set(e2_edge)
     if len(shared) != 1:
@@ -224,23 +180,40 @@ def c3(entry: ShelfEntry) -> list[ShelfEntry]:
     x_v = shared.pop()
     y_v = e1_edge[0] if e1_edge[1] == x_v else e1_edge[1]
     z_v = e2_edge[0] if e2_edge[1] == x_v else e2_edge[1]
-    g, cs = entry.graph, entry.cycles
-    out = []
-    gate = no_chording_paths(
-        cs,
+    g = entry.graph
+    if not no_chording_paths(
+        entry.cycles,
         g,
         ((x_v, y_v), (x_v, z_v), (y_v, z_v)),
         (edge(x_v, y_v), edge(x_v, z_v)),
-    )
-    if gate:
-        g2, cs3, w = _split_and_propagate(g, cs, x_v, z_v, y_v)
-        prov = Provenance(
-            "A3",
-            entry.provenance.added_edges,
-            ((w, edge(x_v, w)),),
-        )
-        out.append(_entry(g2, cs3, prov))
-    return out
+    ):
+        return []
+    g2, w = split_vertex(g, x_v, z_v, y_v)
+    return [(g2, Provenance("A3", entry.provenance.added_edges, ((w, edge(x_v, w)),)))]
+
+
+def child_cycles(source: ShelfEntry, graph: Graph, prov: Provenance) -> CycleSet:
+    """The cycle set stored with a candidate built from source.
+
+    A B or C child shares its A-class ancestor's set, which is the cycle
+    set of its graph minus the pending added edges.  An A child gets the
+    cycles of its own graph: the source's pending edges are added, then
+    the last split, whose new vertex x took two neighbours of split_v, is
+    applied as subdividing (split_v, kept) by x and flipping (moved,
+    split_v) onto x.  Either naming of the two neighbours yields the same
+    graph, hence the same cycle set.
+    """
+    if prov.class_tag in SCAFFOLD_TAGS:
+        return source.cycles
+    cs = source.cycles
+    if source.provenance.class_tag in SCAFFOLD_TAGS:
+        for u, v in source.provenance.added_edges:
+            cs = apply_add_edge(cs, u, v)
+    x, split_edge = prov.splits[-1]
+    split_v = split_edge[0] if split_edge[1] == x else split_edge[1]
+    kept, moved = (w for w in graph.neighbors(x) if w != split_v)
+    cs = apply_subdivide_edge(cs, split_v, kept, x)
+    return apply_flip_edge(cs, moved, split_v, x)
 
 
 def run_shelf(
@@ -253,40 +226,35 @@ def run_shelf(
 
     Classes are filled in the order C, B, A1, A2, A3.  One certificate
     store spans the whole shelf, so a graph reached twice, by whatever
-    chain, is kept once.  Sources the state does not hold contribute
-    nothing.  When produce_intermediates is false the B and C classes are
-    skipped; that is only sound on the final column, where nothing consumes
-    them.
+    chain, is kept once; only an admitted candidate gets its cycle set.
+    Sources the state does not hold contribute nothing.  When
+    produce_intermediates is false the B and C classes are skipped; that
+    is only sound on the final column, where nothing consumes them.
     """
-    shelf = Shelf(m, n, {}, set())
+    classes: dict[str, list[ShelfEntry]] = {}
+    seen: set[bytes] = set()
 
-    def admit(tag: str, candidates: list[ShelfEntry]) -> None:
-        for cand in candidates:
-            if cand.cert not in shelf.cert_store:
-                shelf.cert_store.add(cand.cert)
-                shelf.classes.setdefault(tag, []).append(cand)
-
-    def source(key: tuple[int, int], *tags: str) -> list[ShelfEntry]:
-        src = state.get(key)
-        return src.entries(*tags) if src is not None else []
+    def admit(op: Callable[[ShelfEntry], list[Candidate]], key: tuple[int, int], *tags: str) -> None:
+        sources = state[key].entries(*tags) if key in state else []
+        for src in sources:
+            for g, prov in op(src):
+                cert = certificate(g)
+                if cert not in seen:
+                    seen.add(cert)
+                    entry = ShelfEntry(g, child_cycles(src, g, prov), prov, cert)
+                    classes.setdefault(prov.class_tag, []).append(entry)
 
     same_col = (m - 1, n)
     diag = (m - 1, n - 1)
     if produce_intermediates:
-        for ent in source(same_col, "B"):
-            admit("C", e2(ent))
-        for ent in source(same_col, *A_TAGS):
-            admit("B", e1(ent))
-    for ent in source(diag, "B"):
-        admit("A1", c1(ent))
-    for ent in source(diag, "A1"):
-        admit("A2", c2(ent))
-    for ent in source(diag, "C"):
-        admit("A3", c3(ent))
-    for bucket in shelf.classes.values():
+        admit(e2, same_col, "B")
+        admit(e1, same_col, *A_TAGS)
+    admit(c1, diag, "B")
+    admit(c2, diag, "A1")
+    admit(c3, diag, "C")
+    for bucket in classes.values():
         bucket.sort(key=lambda e: e.cert)
-    shelf.cert_store = None
-    return shelf
+    return Shelf(m, n, classes)
 
 
 def _merge_exceptional(groups: dict, n: int, m: int, g: Graph) -> None:

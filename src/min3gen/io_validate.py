@@ -17,7 +17,7 @@ from .graphs import Graph, delete_edge
 from .records import CLASS_TAGS, GeneratedSet, Provenance, Shelf, ShelfEntry
 
 SHELF_FORMAT = "min3gen-shelf"
-SHELF_VERSION = 1
+SHELF_VERSION = 2
 
 _GRAPH6_HEADER = ">>graph6<<"
 
@@ -168,7 +168,11 @@ def _parse_cycles(text: str) -> frozenset:
 
 
 def save_shelf(shelf: Shelf, path: str | Path) -> None:
-    """Write a shelf as a versioned, line-oriented, tab-separated file."""
+    """Write a shelf as a versioned, line-oriented, tab-separated file.
+
+    Each entry's line ends with its stored cycle set, so B and C lines carry
+    their A-class ancestor's cycles (format version 2).
+    """
     lines = [
         f"{SHELF_FORMAT}\t{SHELF_VERSION}",
         f"m\t{shelf.m}",

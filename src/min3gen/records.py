@@ -16,6 +16,7 @@ from .graphs import Edge, Graph
 # split-based operation chains.
 CLASS_TAGS = ("A0", "B", "C", "A1", "A2", "A3")
 A_TAGS = ("A0", "A1", "A2", "A3")
+SCAFFOLD_TAGS = ("B", "C")
 
 
 @dataclass(frozen=True)
@@ -35,7 +36,12 @@ class Provenance:
 
 @dataclass(frozen=True)
 class ShelfEntry:
-    """A graph, its maintained cycle set, its provenance, its certificate."""
+    """A graph, a maintained cycle set, its provenance, its certificate.
+
+    For an A-class entry, cycles is the cycle set of graph.  A B or C entry
+    shares its A-class ancestor's set instead: the cycles of graph minus
+    the pending added edges.
+    """
 
     graph: Graph
     cycles: frozenset[tuple[int, ...]]
@@ -47,16 +53,13 @@ class ShelfEntry:
 class Shelf:
     """All entries at a fixed (edge count m, vertex count n) position.
 
-    classes maps a class tag to its entries, certificate-sorted once the
-    shelf is complete.  cert_store is the cross-class admission set, only
-    alive while the shelf is being produced; no two entries of a finished
-    shelf share a certificate.
+    classes maps a class tag to its certificate-sorted entries; no two
+    entries of a shelf share a certificate.
     """
 
     m: int
     n: int
     classes: dict[str, list[ShelfEntry]] = field(default_factory=dict)
-    cert_store: set[bytes] | None = None
 
     def entries(self, *tags: str) -> list[ShelfEntry]:
         picked = tags if tags else CLASS_TAGS

@@ -1,4 +1,5 @@
-"""Shared test utilities: random graphs and definition-level oracles.
+"""Shared test utilities: random graphs, definition-level oracles, and
+shelf entries materialised from generator candidates.
 
 The oracles here re-derive connectivity and chording paths straight from
 their definitions with plain set arithmetic, sharing no bitmask machinery
@@ -10,7 +11,27 @@ from __future__ import annotations
 import itertools
 import random
 
-from min3gen import Graph, chords, edge
+from min3gen import Graph, ShelfEntry, certificate, chords, delete_edge, edge
+from min3gen.generator import child_cycles
+
+
+def materialize(source: ShelfEntry, candidates) -> list[ShelfEntry]:
+    """Shelf entries for (graph, provenance) candidates built from source,
+    with the cycle sets run_shelf would store on admission."""
+    return [
+        ShelfEntry(g, child_cycles(source, g, prov), prov, certificate(g))
+        for g, prov in candidates
+    ]
+
+
+def ancestor_graph(ent: ShelfEntry) -> Graph:
+    """The graph whose cycles the entry stores: its own for an A entry, its
+    graph minus the pending added edges for a B or C entry."""
+    g = ent.graph
+    if ent.provenance.class_tag in ("B", "C"):
+        for u, v in ent.provenance.added_edges:
+            g = delete_edge(g, u, v)
+    return g
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:

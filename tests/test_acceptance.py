@@ -7,13 +7,14 @@ asserts.  Expensive generator runs are shared through module fixtures.
 
 from __future__ import annotations
 
+import hashlib
 import random
 import time
 
 import pytest
 
 from conftest import record_acceptance
-from helpers import complete_graph, permuted_copy, random_graph
+from helpers import ancestor_graph, complete_graph, materialize, permuted_copy, random_graph
 from min3gen import (
     Graph,
     VertexEdge,
@@ -42,6 +43,13 @@ from min3gen.records import Provenance, ShelfEntry
 
 MIN3_CI_SECONDS = 600
 CUBIC_CI_SECONDS = 300
+
+# sha256 over the write_outputs tree, files sorted by name, each hashed as
+# name + NUL + bytes.  Re-pinned only when output bytes change by design.
+GOLDEN_DIGESTS = {
+    "min3": (21, "d04124e8730aa7a48fbe72867c2594056272b8f8504f1be0bb5d253c68b8a3f4"),
+    "cubic": (7, "b1e1e05450bcf773da38f6d00fcf211b42cd7d15471192be0ac90d02aee0071b"),
+}
 
 # the seed's cycle list, closed-walk notation, retyped from the source table
 PRISM_WALKS = (
@@ -73,6 +81,21 @@ def cubic_run():
 @pytest.fixture(scope="module")
 def shelves8():
     return generate_min3(8, keep_shelves=True)
+
+
+def _output_digest(result, out_dir) -> tuple[int, str]:
+    write_outputs(result, out_dir)
+    h = hashlib.sha256()
+    paths = sorted(out_dir.iterdir(), key=lambda p: p.name)
+    for path in paths:
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    return len(paths), h.hexdigest()
+
+
+def test_golden_output_digests(min3_run, cubic_run, tmp_path_factory):
+    for mode, run in (("min3", min3_run), ("cubic", cubic_run)):
+        digest = _output_digest(run[0], tmp_path_factory.mktemp(f"golden_{mode}"))
+        assert digest == GOLDEN_DIGESTS[mode], mode
 
 
 def test_01_min3_counts(min3_run):
@@ -114,7 +137,7 @@ def test_04_cycle_propagation_equivalence(shelves8):
     entries = 0
     for shelf in shelves8.shelves.values():
         for ent in shelf.entries():
-            ok = ok and ent.cycles == enumerate_cycles_bruteforce(ent.graph)
+            ok = ok and ent.cycles == enumerate_cycles_bruteforce(ancestor_graph(ent))
             entries += 1
     ok = ok and entries > 0
 
@@ -195,9 +218,9 @@ def test_09_recursion_worked_examples(k4, k33):
 
     seed = ShelfEntry(k33, enumerate_cycles_bruteforce(k33), Provenance("A0"), certificate(k33))
     certs = set()
-    for b in e1(seed):
-        for c in e2(b):
-            certs.update(ent.cert for ent in c3(c))
+    for b in materialize(seed, e1(seed)):
+        for c in materialize(b, e2(b)):
+            certs.update(ent.cert for ent in materialize(c, c3(c)))
     ok = ok and certificate(complete_bipartite_3(4)) in certs
     _report(9, "bridge and split worked examples", ok)
 
@@ -214,7 +237,7 @@ def test_10_determinism(tmp_path_factory):
     for mode, max_n in (("min3", "8"), ("cubic", "10")):
         first = tmp_path_factory.mktemp(f"det_{mode}_a")
         second = tmp_path_factory.mktemp(f"det_{mode}_b")
-        argv = ["generate", "--mode", mode, "--max-n", max_n, "--threads", "1"]
+        argv = ["generate", "--mode", mode, "--max-n", max_n]
         ok = ok and cli_main(argv + ["--out", str(first)]) == 0
         ok = ok and cli_main(argv + ["--out", str(second)]) == 0
         files = tree(first)

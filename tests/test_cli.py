@@ -63,7 +63,6 @@ def test_out_dir_precedence(tmp_path, capsys, monkeypatch):
         ["generate", "--mode", "cubic", "--max-n", "8", "--resume", "somewhere"],
         ["generate", "--mode", "cubic", "--max-n", "7"],
         ["generate", "--mode", "min3", "--max-n", "5"],
-        ["generate", "--mode", "min3", "--max-n", "6", "--threads", "-1"],
     ],
 )
 def test_generate_usage_errors(argv, tmp_path, capsys, monkeypatch):
@@ -77,16 +76,6 @@ def test_generate_missing_max_n(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["generate", "--mode", "min3"])
     assert exc.value.code == 2
-
-
-def test_threads_flag_note(tmp_path, capsys):
-    out = tmp_path / "t"
-    rc, _, err = run(
-        ["generate", "--mode", "cubic", "--max-n", "4", "--out", str(out), "--threads", "4"],
-        capsys,
-    )
-    assert rc == 0
-    assert "threads > 1 not implemented, running sequentially" in err
 
 
 def test_validate_good_file(tmp_path, capsys):
@@ -182,3 +171,25 @@ def test_emit_intermediate_and_resume(tmp_path, capsys):
     for name in ("min3_n6_m9.g6", "min3_n6_m10.g6", "min3_n7_m11.g6",
                  "min3_n7_m12.g6", "counts.tsv"):
         assert (second / name).read_bytes() == (first / name).read_bytes()
+
+
+def test_resume_rejects_version_1_shelves(tmp_path, capsys):
+    first = tmp_path / "first"
+    rc, _, _ = run(
+        ["generate", "--mode", "min3", "--max-n", "6", "--out", str(first),
+         "--emit-intermediate"],
+        capsys,
+    )
+    assert rc == 0
+    shelves = first / "shelves"
+    for path in shelves.iterdir():
+        lines = path.read_text().split("\n")
+        lines[0] = "min3gen-shelf\t1"
+        path.write_text("\n".join(lines))
+    rc, _, err = run(
+        ["generate", "--mode", "min3", "--max-n", "6", "--out", str(tmp_path / "second"),
+         "--resume", str(shelves)],
+        capsys,
+    )
+    assert rc == 2
+    assert "unsupported shelf version 1" in err

@@ -8,15 +8,16 @@ plumbing the counts alone would not.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+from helpers import ancestor_graph, materialize
 from min3gen import (
     GeneratedSet,
     Provenance,
     Shelf,
     ShelfEntry,
-    add_edge,
-    apply_add_edge,
     certificate,
     complete_bipartite_3,
     encode_graph6,
@@ -39,12 +40,9 @@ def _seed_entry():
 
 
 def _b_entry(u=0, v=2):
-    g = add_edge(prism(), u, v)
-    return ShelfEntry(
-        g,
-        apply_add_edge(PRISM_CYCLES, u, v),
-        Provenance("B", ((u, v),)),
-        certificate(g),
+    seed = _seed_entry()
+    return next(
+        ent for ent in materialize(seed, e1(seed)) if ent.provenance.added_edges == ((u, v),)
     )
 
 
@@ -53,13 +51,15 @@ def test_prism_cycle_table_matches_bruteforce():
 
 
 def test_e1_produces_one_entry_per_non_edge():
-    out = e1(_seed_entry())
+    seed = _seed_entry()
+    out = materialize(seed, e1(seed))
     assert len(out) == 6
     for ent in out:
         assert ent.provenance.class_tag == "B"
         assert len(ent.provenance.added_edges) == 1
         assert (ent.graph.n, ent.graph.m) == (6, 10)
-        assert ent.cycles == enumerate_cycles_bruteforce(ent.graph)
+        assert ent.cycles is seed.cycles
+        assert ent.cycles == enumerate_cycles_bruteforce(ancestor_graph(ent))
     # all six additions are equivalent up to symmetry
     assert len({ent.cert for ent in out}) == 1
 
@@ -70,7 +70,8 @@ def test_e1_on_complete_graph_is_empty(k4):
 
 
 def test_e2_adds_second_edge_sharing_an_endpoint():
-    out = e2(_b_entry())
+    b = _b_entry()
+    out = materialize(b, e2(b))
     assert len(out) == 2
     assert sorted(ent.provenance.added_edges for ent in out) == [
         ((0, 2), (0, 5)),
@@ -81,12 +82,14 @@ def test_e2_adds_second_edge_sharing_an_endpoint():
         first, second = ent.provenance.added_edges
         assert set(first) & set(second)
         assert (ent.graph.n, ent.graph.m) == (6, 11)
-        assert ent.cycles == enumerate_cycles_bruteforce(ent.graph)
+        assert ent.cycles is b.cycles
+        assert ent.cycles == enumerate_cycles_bruteforce(ancestor_graph(ent))
     assert out[0].cert == out[1].cert
 
 
 def test_c1_splits_both_endpoints():
-    out = c1(_b_entry())
+    b = _b_entry()
+    out = materialize(b, c1(b))
     assert len(out) == 6
     assert len({ent.cert for ent in out}) == 3
     for ent in out:
@@ -99,12 +102,26 @@ def test_c1_splits_both_endpoints():
 
 def test_c3_composition_reaches_complete_bipartite(k33):
     seed = ShelfEntry(k33, enumerate_cycles_bruteforce(k33), Provenance("A0"), certificate(k33))
-    b = next(ent for ent in e1(seed) if ent.provenance.added_edges == ((0, 1),))
-    c = next(ent for ent in e2(b) if ent.provenance.added_edges == ((0, 1), (0, 2)))
-    out = c3(c)
+    b = next(ent for ent in materialize(seed, e1(seed)) if ent.provenance.added_edges == ((0, 1),))
+    c = next(ent for ent in materialize(b, e2(b)) if ent.provenance.added_edges == ((0, 1), (0, 2)))
+    out = materialize(c, c3(c))
     assert len(out) == 1
     assert out[0].provenance.class_tag == "A3"
     assert out[0].cert == certificate(complete_bipartite_3(4))
+    assert out[0].cycles == enumerate_cycles_bruteforce(out[0].graph)
+
+
+def test_gates_read_only_the_ancestor_cycles():
+    # c1 and c3 must decide exactly as they would on the entry's full cycle set.
+    result = generate_min3(8, keep_shelves=True)
+    checked = 0
+    for shelf in result.shelves.values():
+        for tag, gate in (("B", c1), ("C", c3)):
+            for ent in shelf.entries(tag):
+                full = dataclasses.replace(ent, cycles=enumerate_cycles_bruteforce(ent.graph))
+                assert gate(ent) == gate(full)
+                checked += 1
+    assert checked > 0
 
 
 def test_run_shelf_first_column():
@@ -113,7 +130,6 @@ def test_run_shelf_first_column():
     assert (shelf10.m, shelf10.n) == (10, 6)
     assert len(shelf10.classes.get("B", [])) == 1
     assert not shelf10.classes.get("C")
-    assert shelf10.cert_store is None
     state[(10, 6)] = shelf10
     shelf11 = run_shelf(state, 11, 6)
     assert len(shelf11.classes.get("C", [])) == 1

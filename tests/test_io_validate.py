@@ -41,7 +41,7 @@ from min3gen import (
     wheel,
     write_outputs,
 )
-from min3gen.io_validate import default_out_dir
+from min3gen.io_validate import SHELF_VERSION, default_out_dir
 
 
 def test_graph6_fixed_strings(k4):
@@ -127,18 +127,20 @@ def test_shelf_file_validation(tmp_path):
     save_shelf(min3gen.records.Shelf(10, 6, {}), good)
     assert load_shelf(good) == min3gen.records.Shelf(10, 6, {})
 
+    v = SHELF_VERSION
     cases = {
-        "header": "something-else\t1\nm\t10\nn\t6\n",
-        "version": "min3gen-shelf\t9\nm\t10\nn\t6\n",
-        "truncated": "min3gen-shelf\t1\nm\t10\n",
-        "m-key": "min3gen-shelf\t1\nq\t10\nn\t6\n",
-        "tag": "min3gen-shelf\t1\nm\t10\nn\t6\nZZ\tC~\t-\t-\t\n",
-        "fields": "min3gen-shelf\t1\nm\t10\nn\t6\nB\tC~\t-\n",
+        "header": (f"something-else\t{v}\nm\t10\nn\t6\n", "not a shelf file"),
+        "version": ("min3gen-shelf\t9\nm\t10\nn\t6\n", "unsupported shelf version 9"),
+        "v1": ("min3gen-shelf\t1\nm\t10\nn\t6\n", "unsupported shelf version 1"),
+        "truncated": (f"min3gen-shelf\t{v}\nm\t10\n", "truncated shelf file"),
+        "m-key": (f"min3gen-shelf\t{v}\nq\t10\nn\t6\n", "expected header 'm'"),
+        "tag": (f"min3gen-shelf\t{v}\nm\t10\nn\t6\nZZ\tC~\t-\t-\t\n", "unknown class tag"),
+        "fields": (f"min3gen-shelf\t{v}\nm\t10\nn\t6\nB\tC~\t-\n", "expected 5 fields"),
     }
-    for name, text in cases.items():
+    for name, (text, message) in cases.items():
         path = tmp_path / f"{name}.tsv"
         path.write_text(text)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=message):
             load_shelf(path)
 
 
