@@ -1,6 +1,7 @@
 """Command line front end: generate, validate, cycles.
 
-Exit codes: 0 success, 1 validation failure, 2 usage error, 3 I/O error.
+Exit codes: 0 success, 1 validation failure, 2 usage error, 3 I/O error
+(including a shelf file that cannot be resumed from).
 Progress and diagnostics go to stderr; stdout stays machine-readable.
 """
 
@@ -13,6 +14,7 @@ from pathlib import Path
 from .cycles import enumerate_cycles_bruteforce
 from .generator import generate_cubic, generate_min3
 from .io_validate import (
+    ShelfFileError,
     decode_graph6,
     default_out_dir,
     is_3_connected,
@@ -92,7 +94,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
             def loader(m, n):
                 path = resume_dir / f"shelf_m{m}_n{n}.tsv"
-                return load_shelf(path) if path.exists() else None
+                return load_shelf(path, (m, n)) if path.exists() else None
 
         result = generate_min3(
             args.max_n,
@@ -162,6 +164,9 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"min3gen: {exc}", file=sys.stderr)
         return 2
+    except ShelfFileError as exc:
+        print(f"min3gen: {exc}", file=sys.stderr)
+        return 3
     except ValueError as exc:
         print(f"min3gen: {exc}", file=sys.stderr)
         return 2

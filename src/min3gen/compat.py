@@ -9,15 +9,20 @@ condition under which the bridging operations preserve minimal
 3-connectivity.
 
 All searches run on the cycle set the pipeline already maintains, so no
-cycle enumeration happens here.
+cycle enumeration happens here.  Each cycle set is compiled once into
+bitmasks over vertex pairs (pair uv, u < v, is bit v(v-1)/2 + u): a cycle
+survives the banned edges when its edge bits miss the ban, and its live
+chords are the graph's edge bits within its non-adjacent pair bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from math import isqrt
 from typing import Iterable, Union
 
-from .cycles import CycleSet, cycle_edges, cycle_vertex_mask
+from .cycles import CycleSet, cycle_vertex_mask
 from .graphs import Edge, Graph, _bits, edge, mask_reachable
 
 
@@ -56,11 +61,9 @@ def _chording_via(
 
     The cycle is given by its vertex mask; masks describe the graph with the
     banned edges already deleted.  Arms may wander anywhere off the cycle.
+    The caller guarantees that a is off the cycle or equal to s, and that b
+    is off the cycle or equal to t.
     """
-    if cmask >> a & 1 and a != s:
-        return False
-    if cmask >> b & 1 and b != t:
-        return False
     off_cycle_t = cmask & ~(1 << t)
     if a == s:
         if b == t:
@@ -84,6 +87,123 @@ def _chording_via(
     return dfs(a, 1 << a)
 
 
+def _edge_index(u: int, v: int) -> int:
+    """Bit position of the vertex pair uv in an edge bitmask."""
+    if u > v:
+        u, v = v, u
+    return v * (v - 1) // 2 + u
+
+
+def _index_pair(i: int) -> tuple[int, int]:
+    """Inverse of _edge_index, as (u, v) with u < v."""
+    v = (isqrt(8 * i + 1) + 1) // 2
+    return i - v * (v - 1) // 2, v
+
+
+def _star(a: int, n: int) -> int:
+    """Bits of every vertex pair ax with x < n."""
+    star = ((1 << a) - 1) << _edge_index(0, a)
+    for x in range(a + 1, n):
+        star |= 1 << _edge_index(a, x)
+    return star
+
+
+@lru_cache(maxsize=128)
+def _compile(cycles: CycleSet) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """Three parallel columns over the cycles that have a possible chord:
+    the vertex mask, the bits of the cycle's own edges, and the bits of its
+    cyclically non-adjacent vertex pairs (its possible chords)."""
+    vertex_masks, edge_bits, chord_bits = [], [], []
+    for cyc in cycles:
+        k = len(cyc)
+        own = chords = 0
+        for i in range(k):
+            u = cyc[i]
+            for j in range(i + 1, k):
+                v = cyc[j]
+                bit = 1 << _edge_index(u, v)
+                if j == i + 1 or (i == 0 and j == k - 1):
+                    own |= bit
+                else:
+                    chords |= bit
+        if chords:
+            vertex_masks.append(cycle_vertex_mask(cyc))
+            edge_bits.append(own)
+            chord_bits.append(chords)
+    return tuple(vertex_masks), tuple(edge_bits), tuple(chord_bits)
+
+
+def _any_chording_path(
+    cycles: CycleSet,
+    g: Graph,
+    pairs: Iterable[tuple[int, int]],
+    banned: Iterable[Edge],
+) -> bool:
+    """Does g minus the banned edges contain a chording path for some pair?
+
+    The graph, the banned edges and the compiled cycle set are reduced
+    once to the cycles avoiding the ban, each with its live chord bits;
+    each endpoint pair then runs path searches only through the chords
+    that its endpoints' positions on the cycle allow.
+    """
+    ends: dict[tuple[int, int], None] = {}
+    for a, b in pairs:
+        if a == b:
+            raise ValueError("chording path endpoints must differ")
+        for v in (a, b):
+            if not 0 <= v < g.n:
+                raise ValueError(f"vertex {v} out of range for n={g.n}")
+        ends[(a, b) if a < b else (b, a)] = None
+    masks = [g.neighbor_mask(v) for v in g.vertices]
+    ban = 0
+    for u, v in banned:
+        if not g.has_edge(u, v):
+            raise ValueError(f"banned edge ({u},{v}) not present")
+        masks[u] &= ~(1 << v)
+        masks[v] &= ~(1 << u)
+        ban |= 1 << _edge_index(u, v)
+    live = 0
+    for v, row in enumerate(masks):
+        for u in _bits(row & ((1 << v) - 1)):
+            live |= 1 << _edge_index(u, v)
+    # Cycles that avoid the ban, each with the bits of its live chords.
+    table = []
+    for cmask, own, cycle_chords in zip(*_compile(cycles)):
+        if not own & ban:
+            chords = live & cycle_chords
+            if chords:
+                table.append((cmask, chords))
+    for a, b in ends:
+        ab = 1 << _edge_index(a, b)
+        star_a = _star(a, g.n)
+        star_b = _star(b, g.n)
+        for cmask, chords in table:
+            # A chord st can only serve if a is off the cycle or a == s,
+            # and b is off the cycle or b == t.
+            if cmask >> a & 1:
+                if cmask >> b & 1:
+                    if chords & ab:
+                        return True
+                    continue
+                for i in _bits(chords & star_a):
+                    u, v = _index_pair(i)
+                    if _chording_via(masks, cmask, a, b, a, v if u == a else u):
+                        return True
+            elif cmask >> b & 1:
+                for i in _bits(chords & star_b):
+                    u, v = _index_pair(i)
+                    if _chording_via(masks, cmask, a, b, v if u == b else u, b):
+                        return True
+            else:
+                for i in _bits(chords):
+                    u, v = _index_pair(i)
+                    if _chording_via(masks, cmask, a, b, u, v) or _chording_via(
+                        masks, cmask, a, b, v, u
+                    ):
+                        return True
+    return False
+
+
 def has_chording_path(
     cycles: CycleSet,
     g: Graph,
@@ -96,39 +216,7 @@ def has_chording_path(
     The cycle set must belong to g; cycles using a banned edge are ignored,
     which leaves exactly the cycles of the edge-deleted graph.
     """
-    if a == b:
-        raise ValueError("chording path endpoints must differ")
-    for v in (a, b):
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range for n={g.n}")
-    ban = {edge(u, v) for u, v in banned}
-    masks = [g.neighbor_mask(v) for v in g.vertices]
-    for u, v in ban:
-        if not g.has_edge(u, v):
-            raise ValueError(f"banned edge ({u},{v}) not present")
-        masks[u] &= ~(1 << v)
-        masks[v] &= ~(1 << u)
-    for cyc in cycles:
-        if ban and not ban.isdisjoint(cycle_edges(cyc)):
-            continue
-        cmask = cycle_vertex_mask(cyc)
-        k = len(cyc)
-        for i in range(k):
-            u = cyc[i]
-            mu = masks[u]
-            for j in range(i + 1, k):
-                v = cyc[j]
-                if not mu >> v & 1:
-                    continue
-                d = j - i
-                if d == 1 or d == k - 1:
-                    continue
-                # uv chords cyc in the edge-deleted graph.
-                if _chording_via(masks, cmask, a, b, u, v):
-                    return True
-                if _chording_via(masks, cmask, a, b, v, u):
-                    return True
-    return False
+    return _any_chording_path(cycles, g, ((a, b),), banned)
 
 
 def no_chording_paths(
@@ -142,18 +230,7 @@ def no_chording_paths(
     Pairs are unordered for this purpose; duplicates are checked once.
     A pair with equal endpoints is a usage error.
     """
-    ban = tuple(banned)
-    seen = set()
-    for x, y in pairs:
-        if x == y:
-            raise ValueError("chording path endpoints must differ")
-        key = (x, y) if x < y else (y, x)
-        if key in seen:
-            continue
-        seen.add(key)
-        if has_chording_path(cycles, g, x, y, ban):
-            return False
-    return True
+    return not _any_chording_path(cycles, g, pairs, banned)
 
 
 def is_3_compatible(cycles: CycleSet, g: Graph, s: CompatSet) -> bool:

@@ -68,16 +68,6 @@ def cycle_uses_edge(cycle: Cycle, u: int, v: int) -> bool:
     return False
 
 
-def cycle_edges(cycle: Cycle) -> list[tuple[int, int]]:
-    """Edges of the cycle, each normalized to (min, max)."""
-    k = len(cycle)
-    out = []
-    for i in range(k):
-        a, b = cycle[i], cycle[(i + 1) % k]
-        out.append((a, b) if a < b else (b, a))
-    return out
-
-
 def enumerate_cycles_bruteforce(g: Graph) -> CycleSet:
     """All cycles of g by exhaustive path search.
 

@@ -17,7 +17,8 @@ from .graphs import Graph, delete_edge
 from .records import CLASS_TAGS, GeneratedSet, Provenance, Shelf, ShelfEntry
 
 SHELF_FORMAT = "min3gen-shelf"
-SHELF_VERSION = 2
+SHELF_VERSION = 3
+_TRAILER = "end"
 
 _GRAPH6_HEADER = ">>graph6<<"
 
@@ -167,11 +168,18 @@ def _parse_cycles(text: str) -> frozenset:
     return frozenset(tuple(int(v) for v in part.split("-")) for part in text.split(","))
 
 
+class ShelfFileError(ValueError):
+    """A shelf file that cannot be resumed from: not text, malformed,
+    truncated, of another version, or written for another (m, n)."""
+
+
 def save_shelf(shelf: Shelf, path: str | Path) -> None:
     """Write a shelf as a versioned, line-oriented, tab-separated file.
 
     Each entry's line ends with its stored cycle set, so B and C lines carry
-    their A-class ancestor's cycles (format version 2).
+    their A-class ancestor's cycles.  A trailer line gives the entry count
+    of every class, so a truncated file is detected on load (format
+    version 3).
     """
     lines = [
         f"{SHELF_FORMAT}\t{SHELF_VERSION}",
@@ -192,43 +200,79 @@ def save_shelf(shelf: Shelf, path: str | Path) -> None:
                     )
                 )
             )
+    counts = (f"{tag}={len(shelf.classes.get(tag, ()))}" for tag in CLASS_TAGS)
+    lines.append("\t".join((_TRAILER, *counts)))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_shelf(path: str | Path) -> Shelf:
-    """Read a shelf file back; entries come out bit-identical to what was saved."""
-    text = Path(path).read_text()
-    lines = text.splitlines()
+def load_shelf(path: str | Path, expected: tuple[int, int] | None = None) -> Shelf:
+    """Read a shelf file back; entries come out bit-identical to what was saved.
+
+    expected, when given, is the (m, n) the caller asked for, and the
+    header must match it.  Entries with equal cycle text share one set, as
+    B and C entries with a common ancestor did when the shelf was made.
+    Any defect raises ShelfFileError naming the file and, where there is
+    one, the line.
+    """
+    try:
+        # Not splitlines(): that also breaks at characters such as \x1c.
+        lines = Path(path).read_text().removesuffix("\n").split("\n")
+    except UnicodeDecodeError as exc:
+        raise ShelfFileError(f"{path}: not a text file ({exc})") from exc
     if len(lines) < 3:
-        raise ValueError(f"{path}: truncated shelf file")
-    fmt, version = lines[0].split("\t")
-    if fmt != SHELF_FORMAT:
-        raise ValueError(f"{path}: not a shelf file (header {fmt!r})")
-    if int(version) != SHELF_VERSION:
-        raise ValueError(f"{path}: unsupported shelf version {version}")
-    m = _header_int(lines[1], "m", path)
-    n = _header_int(lines[2], "n", path)
-    classes: dict[str, list[ShelfEntry]] = {}
-    for lineno, line in enumerate(lines[3:], start=4):
-        if not line:
-            continue
-        fields = line.split("\t")
-        if len(fields) != 5:
-            raise ValueError(f"{path}:{lineno}: expected 5 fields, got {len(fields)}")
-        tag, g6, added_text, splits_text, cycles_text = fields
-        if tag not in CLASS_TAGS:
-            raise ValueError(f"{path}:{lineno}: unknown class tag {tag!r}")
-        graph = decode_graph6(g6)
-        prov = Provenance(tag, _parse_edges(added_text), _parse_splits(splits_text))
-        entry = ShelfEntry(graph, _parse_cycles(cycles_text), prov, certificate(graph))
-        classes.setdefault(tag, []).append(entry)
+        raise ShelfFileError(f"{path}: truncated shelf file")
+    lineno = 1
+    try:
+        fmt, version = lines[0].split("\t")
+        if fmt != SHELF_FORMAT:
+            raise ValueError(f"not a shelf file (header {fmt!r})")
+        if int(version) != SHELF_VERSION:
+            raise ValueError(f"unsupported shelf version {version}")
+        lineno = 2
+        m = _header_int(lines[1], "m")
+        lineno = 3
+        n = _header_int(lines[2], "n")
+        if expected is not None and (m, n) != expected:
+            raise ValueError(f"header says (m, n) = {(m, n)}, expected {expected}")
+        classes: dict[str, list[ShelfEntry]] = {}
+        shared: dict[str, frozenset] = {}
+        trailer = None
+        for lineno, line in enumerate(lines[3:], start=4):
+            if not line:
+                continue
+            if trailer is not None:
+                raise ValueError("content after the trailer line")
+            fields = line.split("\t")
+            if fields[0] == _TRAILER:
+                trailer = fields[1:]
+                continue
+            if len(fields) != 5:
+                raise ValueError(f"expected 5 fields, got {len(fields)}")
+            tag, g6, added_text, splits_text, cycles_text = fields
+            if tag not in CLASS_TAGS:
+                raise ValueError(f"unknown class tag {tag!r}")
+            graph = decode_graph6(g6)
+            prov = Provenance(tag, _parse_edges(added_text), _parse_splits(splits_text))
+            cycles = shared.get(cycles_text)
+            if cycles is None:
+                cycles = shared[cycles_text] = _parse_cycles(cycles_text)
+            classes.setdefault(tag, []).append(ShelfEntry(graph, cycles, prov, certificate(graph)))
+        if trailer is None:
+            raise ValueError("missing trailer line (truncated shelf file?)")
+        counts = [f"{tag}={len(classes.get(tag, ()))}" for tag in CLASS_TAGS]
+        if trailer != counts:
+            raise ValueError(
+                f"trailer counts {' '.join(trailer)} do not match the entries read, {' '.join(counts)}"
+            )
+    except ValueError as exc:
+        raise ShelfFileError(f"{path}:{lineno}: {exc}") from exc
     return Shelf(m, n, classes)
 
 
-def _header_int(line: str, key: str, path: str | Path) -> int:
+def _header_int(line: str, key: str) -> int:
     name, value = line.split("\t")
     if name != key:
-        raise ValueError(f"{path}: expected header {key!r}, found {name!r}")
+        raise ValueError(f"expected header {key!r}, found {name!r}")
     return int(value)
 
 

@@ -105,6 +105,16 @@ def test_01_min3_counts(min3_run):
     _report(1, "min3 counts n=6..10", ok)
 
 
+@pytest.mark.slow
+def test_min3_n11_count_and_oracles():
+    # The next published count, 1513, beyond the tier-1 table.
+    result = generate_min3(11)
+    graphs = [g for (n, _), bucket in result.groups.items() if n == 11 for _, g in bucket]
+    assert len(graphs) == 1513
+    assert len({certificate(g) for g in graphs}) == 1513
+    assert all(is_minimally_3_connected(g) for g in graphs)
+
+
 def test_02_cubic_counts(cubic_run):
     result, elapsed = cubic_run
     counts = {n: result.count(n) for n in range(4, 15, 2)}

@@ -191,5 +191,29 @@ def test_resume_rejects_version_1_shelves(tmp_path, capsys):
          "--resume", str(shelves)],
         capsys,
     )
-    assert rc == 2
+    assert rc == 3
     assert "unsupported shelf version 1" in err
+
+
+def test_resume_rejects_a_truncated_shelf(tmp_path, capsys):
+    first = tmp_path / "first"
+    rc, _, _ = run(
+        ["generate", "--mode", "min3", "--max-n", "8", "--out", str(first),
+         "--emit-intermediate"],
+        capsys,
+    )
+    assert rc == 0
+    path = first / "shelves" / "shelf_m13_n8.tsv"
+    lines = path.read_text().splitlines(keepends=True)
+    assert len(lines) > 7
+    # The three header lines and the first three entries survive the cut.
+    path.write_text("".join(lines[:6]))
+    second = tmp_path / "second"
+    rc, _, err = run(
+        ["generate", "--mode", "min3", "--max-n", "8", "--out", str(second),
+         "--resume", str(first / "shelves")],
+        capsys,
+    )
+    assert rc == 3
+    assert f"{path}:6: missing trailer line" in err
+    assert not (second / "counts.tsv").exists()

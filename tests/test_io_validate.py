@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import ast
 import random
+import re
 from pathlib import Path
 
 import networkx as nx
@@ -41,7 +42,7 @@ from min3gen import (
     wheel,
     write_outputs,
 )
-from min3gen.io_validate import SHELF_VERSION, default_out_dir
+from min3gen.io_validate import SHELF_VERSION, ShelfFileError, default_out_dir
 
 
 def test_graph6_fixed_strings(k4):
@@ -116,32 +117,73 @@ def test_connectivity_matches_definition_scan():
 
 def test_shelf_files_round_trip(tmp_path):
     result = generate_min3(7, keep_shelves=True)
+    shared = 0
     for key, shelf in result.shelves.items():
         path = tmp_path / f"shelf_m{key[0]}_n{key[1]}.tsv"
         save_shelf(shelf, path)
-        assert load_shelf(path) == shelf
+        loaded = load_shelf(path, key)
+        assert loaded == shelf
+        # Equal cycle sets come back as one object, as the generator made them.
+        entries = loaded.entries()
+        assert len({id(e.cycles) for e in entries}) == len({e.cycles for e in entries})
+        shared += len(entries) - len({e.cycles for e in entries})
+    assert shared > 0
 
 
 def test_shelf_file_validation(tmp_path):
     good = tmp_path / "ok.tsv"
     save_shelf(min3gen.records.Shelf(10, 6, {}), good)
     assert load_shelf(good) == min3gen.records.Shelf(10, 6, {})
+    assert load_shelf(good, (10, 6)) == min3gen.records.Shelf(10, 6, {})
+    with pytest.raises(ShelfFileError, match=r"ok.tsv:3: .* expected \(11, 6\)"):
+        load_shelf(good, (11, 6))
 
     v = SHELF_VERSION
+    head = f"min3gen-shelf\t{v}\nm\t10\nn\t6\n"
+    entry = "A0\tC~\t-\t-\t0-1-2\n"
+    trailer = "end\tA0=1\tB=0\tC=0\tA1=0\tA2=0\tA3=0\n"
+    assert load_shelf(_write(tmp_path / "one.tsv", head + entry + trailer)).entries()
     cases = {
-        "header": (f"something-else\t{v}\nm\t10\nn\t6\n", "not a shelf file"),
-        "version": ("min3gen-shelf\t9\nm\t10\nn\t6\n", "unsupported shelf version 9"),
-        "v1": ("min3gen-shelf\t1\nm\t10\nn\t6\n", "unsupported shelf version 1"),
-        "truncated": (f"min3gen-shelf\t{v}\nm\t10\n", "truncated shelf file"),
-        "m-key": (f"min3gen-shelf\t{v}\nq\t10\nn\t6\n", "expected header 'm'"),
-        "tag": (f"min3gen-shelf\t{v}\nm\t10\nn\t6\nZZ\tC~\t-\t-\t\n", "unknown class tag"),
-        "fields": (f"min3gen-shelf\t{v}\nm\t10\nn\t6\nB\tC~\t-\n", "expected 5 fields"),
+        "header": (f"something-else\t{v}\nm\t10\nn\t6\n", ":1: not a shelf file"),
+        "version": ("min3gen-shelf\t9\nm\t10\nn\t6\n", ":1: unsupported shelf version 9"),
+        "v1": ("min3gen-shelf\t1\nm\t10\nn\t6\n", ":1: unsupported shelf version 1"),
+        "v2": (f"min3gen-shelf\t2\nm\t10\nn\t6\n{entry}", ":1: unsupported shelf version 2"),
+        "truncated": (f"min3gen-shelf\t{v}\nm\t10\n", ": truncated shelf file"),
+        "m-key": (f"min3gen-shelf\t{v}\nq\t10\nn\t6\n", ":2: expected header 'm'"),
+        "n-value": (f"min3gen-shelf\t{v}\nm\t10\nn\tsix\n", ":3: invalid literal"),
+        "tag": (head + "ZZ\tC~\t-\t-\t\n", ":4: unknown class tag"),
+        "fields": (head + "B\tC~\t-\n", ":4: expected 5 fields"),
+        "graph6": (head + "A0\tC!\t-\t-\t\n", ":4: invalid graph6 character"),
+        "separator": (head + "A0\tC\x1c\t-\t-\t\n", ":4: graph6 body for n=4"),
+        "no-trailer": (head + entry, ":4: missing trailer line"),
+        "empty-no-trailer": (head, ":3: missing trailer line"),
+        "count": (head + entry + trailer.replace("A0=1", "A0=2"), ":5: trailer counts"),
+        "after-trailer": (head + trailer + entry, ":5: content after the trailer"),
     }
     for name, (text, message) in cases.items():
-        path = tmp_path / f"{name}.tsv"
-        path.write_text(text)
-        with pytest.raises(ValueError, match=message):
+        path = _write(tmp_path / f"{name}.tsv", text)
+        with pytest.raises(ShelfFileError, match=re.escape(f"{name}.tsv{message}")):
             load_shelf(path)
+
+
+def test_every_cut_of_a_shelf_file_is_rejected(tmp_path):
+    result = generate_min3(7, keep_shelves=True)
+    shelf = max(result.shelves.values(), key=lambda sh: len(sh.entries()))
+    path = tmp_path / "full.tsv"
+    save_shelf(shelf, path)
+    text = path.read_text()
+    assert load_shelf(_write(tmp_path / "no_final_newline.tsv", text[:-1])) == shelf
+    # Cut at every line boundary and in the middle of every line.
+    starts = [0] + [i + 1 for i, ch in enumerate(text[:-1]) if ch == "\n"]
+    cuts = sorted({*starts, *((a + b) // 2 for a, b in zip(starts, starts[1:] + [len(text)]))})
+    for cut in cuts:
+        with pytest.raises(ShelfFileError):
+            load_shelf(_write(tmp_path / "cut.tsv", text[:cut]))
+
+
+def _write(path: Path, text: str) -> Path:
+    path.write_text(text)
+    return path
 
 
 def test_write_outputs_min3(tmp_path):
