@@ -10,7 +10,7 @@ certificates make them isomorph-free.
 
 import time
 
-from min3gen import certificate, complete_bipartite_3, generate_cubic, prism
+from min3gen import canonical_graph, certificate, complete_bipartite_3, generate_cubic, prism
 
 start = time.perf_counter()
 result = generate_cubic(12, progress=print)
@@ -21,11 +21,13 @@ for (n, m), bucket in result.groups.items():
     print(f"  n={n:2d} m={m:2d}: {len(bucket)} graphs")
 
 # The two cubic 3-connected graphs on 6 vertices are the prism and K33.
-level6 = {cert for cert, _ in result.groups[(6, 9)]}
+level6 = set(result.groups[(6, 9)])
 print("\nn=6 level is {prism, K33}:",
       level6 == {certificate(prism()), certificate(complete_bipartite_3(3))})
 
-# Every emitted graph is cubic by construction; spot-check one level.
-for cert, g in result.groups[(10, 15)][:3]:
+# Every emitted graph is cubic by construction; spot-check one level in
+# the canonical labelling its certificate encodes.
+for cert in result.groups[(10, 15)][:3]:
+    g = canonical_graph(cert)
     print("n=10 sample:", g.edges()[:6], "... degrees all 3:",
           all(g.degree(v) == 3 for v in g.vertices))

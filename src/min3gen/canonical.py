@@ -18,7 +18,7 @@ certificate machinery.
 
 from __future__ import annotations
 
-from .graphs import Graph
+from .graphs import Graph, from_triangle_bits, triangle_bits
 
 
 def _refine(masks: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
@@ -67,24 +67,13 @@ def _is_twin_cell(masks: tuple[int, ...], cell: list[int]) -> bool:
 
 
 def _encode(masks: tuple[int, ...], cells: list[list[int]]) -> bytes:
-    """Upper-triangle adjacency bits of the leaf labeling, column-major."""
-    order = [cell[0] for cell in cells]
-    n = len(order)
-    pos = [0] * n
-    for new, v in enumerate(order):
-        pos[v] = new
-    acc = 0
-    nbits = 0
-    for j in range(1, n):
-        mj = masks[order[j]]
-        col = 0
-        for i in range(j):
-            col = (col << 1) | (mj >> order[i] & 1)
-        acc = (acc << j) | col
-        nbits += j
+    """Triangle bits of the leaf labeling, packed 8 to a byte, zero-padded."""
+    n = len(cells)
+    nbits = n * (n - 1) // 2
     if nbits == 0:
         return b""
     pad = (-nbits) % 8
+    acc = triangle_bits(masks, [cell[0] for cell in cells])
     return (acc << pad).to_bytes((nbits + pad) // 8, "big")
 
 
@@ -128,6 +117,22 @@ def certificate(g: Graph) -> bytes:
     search(cells)
     assert best is not None
     return bytes([n]) + best
+
+
+def canonical_graph(cert: bytes) -> Graph:
+    """The canonical labelling a certificate encodes.
+
+    It is isomorphic to every graph with that certificate, and
+    certificate(canonical_graph(c)) == c.
+    """
+    if not cert:
+        raise ValueError("empty certificate")
+    n = cert[0]
+    nbits = n * (n - 1) // 2
+    size = 1 + (nbits + 7) // 8
+    if len(cert) != size:
+        raise ValueError(f"certificate for n={n} needs {size} bytes, got {len(cert)}")
+    return from_triangle_bits(n, int.from_bytes(cert[1:], "big") >> (-nbits % 8))
 
 
 def are_isomorphic_bruteforce(g1: Graph, g2: Graph) -> bool:

@@ -98,7 +98,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
         result = generate_min3(
             args.max_n,
-            emit_intermediate=args.emit_intermediate,
             progress=progress,
             shelf_loader=loader,
             shelf_saver=saver,
@@ -115,8 +114,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _read_graph_lines(path: str) -> list[tuple[int, str]]:
-    text = Path(path).read_text()
-    return [(i, line) for i, line in enumerate(text.splitlines(), start=1) if line.strip()]
+    # latin-1 passes any byte on to decode_graph6 to be reported by line; and
+    # not splitlines(), which also breaks at characters such as \x1c.
+    text = Path(path).read_bytes().decode("latin-1")
+    return [(i, line) for i, line in enumerate(text.split("\n"), start=1) if line.strip()]
 
 
 def cmd_validate(args: argparse.Namespace) -> int:

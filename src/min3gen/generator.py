@@ -260,16 +260,14 @@ def run_shelf(
 def _merge_exceptional(groups: dict, n: int, m: int, g: Graph) -> None:
     cert = certificate(g)
     bucket = groups.setdefault((n, m), [])
-    if any(c == cert for c, _ in bucket):
+    if cert in bucket:
         raise RuntimeError(f"exceptional graph at n={n} m={m} collided with pipeline output")
-    bucket.append((cert, g))
+    bucket.append(cert)
 
 
 def generate_min3(
     max_n: int,
     *,
-    emit_intermediate: bool = False,
-    keep_shelves: bool = False,
     progress: Progress | None = None,
     shelf_loader: Callable[[int, int], Shelf | None] | None = None,
     shelf_saver: Callable[[Shelf], None] | None = None,
@@ -277,13 +275,13 @@ def generate_min3(
     """All minimally 3-connected graphs with 6 to max_n vertices.
 
     Walks shelves column by column (n outer, m from n+4 to 3n-7), keeping
-    one column of history.  Results arrive as (n, m) groups of
-    certificate-sorted graphs: the shelf classes A1, A2, A3, the prism
-    seed, and the two direct families, wheels and K_{3,t}.
+    one column of history.  Results arrive as (n, m) groups of sorted
+    certificates: the shelf classes A1, A2, A3, the prism seed, and the two
+    direct families, wheels and K_{3,t}.
 
     shelf_loader, when given, may supply a previously saved shelf instead
-    of recomputing it; shelf_saver receives every newly computed shelf.
-    keep_shelves retains the whole pipeline on the result for inspection.
+    of recomputing it; shelf_saver receives every newly computed shelf,
+    with its B and C classes even on the final column.
     """
     if max_n < 6:
         raise ValueError("max_n must be at least 6")
@@ -291,14 +289,10 @@ def generate_min3(
     if enumerate_cycles_bruteforce(seed_graph) != PRISM_CYCLES:
         raise RuntimeError("prism cycle table failed its brute-force check")
     seed_entry = ShelfEntry(seed_graph, PRISM_CYCLES, Provenance("A0"), certificate(seed_graph))
-    seed = Shelf(9, 6, {"A0": [seed_entry]})
-    state: dict[tuple[int, int], Shelf] = {(9, 6): seed}
-    kept: dict[tuple[int, int], Shelf] | None = {(9, 6): seed} if keep_shelves else None
-    groups: dict[tuple[int, int], list[tuple[bytes, Graph]]] = {
-        (6, 9): [(seed_entry.cert, seed_graph)]
-    }
+    state: dict[tuple[int, int], Shelf] = {(9, 6): Shelf(9, 6, {"A0": [seed_entry]})}
+    groups: dict[tuple[int, int], list[bytes]] = {(6, 9): [seed_entry.cert]}
     for n in range(6, max_n + 1):
-        produce_bc = n < max_n or emit_intermediate or keep_shelves or shelf_saver is not None
+        produce_bc = n < max_n or shelf_saver is not None
         for m in range(n + 4, 3 * n - 6):
             shelf = shelf_loader(m, n) if shelf_loader is not None else None
             if shelf is None:
@@ -306,12 +300,10 @@ def generate_min3(
                 if shelf_saver is not None:
                     shelf_saver(shelf)
             state[(m, n)] = shelf
-            if kept is not None:
-                kept[(m, n)] = shelf
             for tag in ("A1", "A2", "A3"):
                 entries = shelf.classes.get(tag)
                 if entries:
-                    groups.setdefault((n, m), []).extend((e.cert, e.graph) for e in entries)
+                    groups.setdefault((n, m), []).extend(e.cert for e in entries)
             if progress is not None:
                 sizes = " ".join(
                     f"{tag}={len(shelf.classes.get(tag, ()))}" for tag in ("B", "C", "A1", "A2", "A3")
@@ -324,7 +316,7 @@ def generate_min3(
         _merge_exceptional(groups, n, 3 * n - 9, complete_bipartite_3(n - 3))
     for bucket in groups.values():
         bucket.sort()
-    return GeneratedSet("min3", dict(sorted(groups.items())), kept)
+    return GeneratedSet("min3", dict(sorted(groups.items())))
 
 
 def generate_cubic(max_n: int, *, progress: Progress | None = None) -> GeneratedSet:
@@ -340,21 +332,19 @@ def generate_cubic(max_n: int, *, progress: Progress | None = None) -> Generated
     if max_n % 2:
         raise ValueError("cubic graphs need an even vertex count")
     k4 = wheel(3)
-    levels: dict[int, list[tuple[bytes, Graph]]] = {4: [(certificate(k4), k4)]}
+    groups = {(4, 6): [certificate(k4)]}
+    level = [k4]
     for n in range(6, max_n + 1, 2):
-        store: set[bytes] = set()
-        grown: list[tuple[bytes, Graph]] = []
-        for _, g in levels[n - 2]:
+        grown: dict[bytes, Graph] = {}
+        for g in level:
             es = g.edges()
             for i in range(len(es)):
                 for j in range(i + 1, len(es)):
                     h, _, _ = bridge_edges(g, es[i], es[j])
-                    cert = certificate(h)
-                    if cert not in store:
-                        store.add(cert)
-                        grown.append((cert, h))
-        grown.sort()
-        levels[n] = grown
+                    grown.setdefault(certificate(h), h)
+        certs = sorted(grown)
+        level = [grown[c] for c in certs]
+        groups[(n, 3 * n // 2)] = certs
         if progress is not None:
-            progress(f"cubic n={n}: {len(grown)} graphs")
-    return GeneratedSet("cubic", {(n, 3 * n // 2): bucket for n, bucket in levels.items()})
+            progress(f"cubic n={n}: {len(certs)} graphs")
+    return GeneratedSet("cubic", groups)

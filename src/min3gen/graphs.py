@@ -105,6 +105,37 @@ class Graph:
         return f"Graph({self.n}, {self.edges()!r})"
 
 
+def triangle_bits(masks: tuple[int, ...], order: list[int] | range) -> int:
+    """Upper-triangle adjacency bits of the graph relabelled by order.
+
+    New vertex k is old vertex order[k].  Columns j = 1..n-1 are read in
+    turn, rows i < j within each, and the first bit read is the most
+    significant of the n(n-1)/2.  This is graph6 bit order, and certificates
+    use it too; from_triangle_bits inverts it under the identity order.
+    """
+    acc = 0
+    for j in range(1, len(order)):
+        mj = masks[order[j]]
+        col = 0
+        for i in range(j):
+            col = (col << 1) | (mj >> order[i] & 1)
+        acc = (acc << j) | col
+    return acc
+
+
+def from_triangle_bits(n: int, bits: int) -> Graph:
+    """The graph on n vertices whose triangle_bits are bits."""
+    masks = [0] * n
+    pos = n * (n - 1) // 2
+    for j in range(1, n):
+        for i in range(j):
+            pos -= 1
+            if bits >> pos & 1:
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
+    return Graph._from_masks(masks)
+
+
 def mask_reachable(masks: list[int], start: int, target: int, forbidden: int) -> bool:
     """Is target reachable from start over bitmask adjacency rows,
     avoiding the forbidden vertex set?  Start and target must not be

@@ -12,8 +12,8 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
-from .canonical import certificate
-from .graphs import Graph, delete_edge
+from .canonical import canonical_graph, certificate
+from .graphs import Graph, delete_edge, from_triangle_bits, triangle_bits
 from .records import CLASS_TAGS, GeneratedSet, Provenance, Shelf, ShelfEntry
 
 SHELF_FORMAT = "min3gen-shelf"
@@ -26,26 +26,17 @@ _GRAPH6_HEADER = ">>graph6<<"
 def encode_graph6(g: Graph) -> str:
     """Standard graph6 line for graphs on up to 62 vertices.
 
-    One byte n+63, then the upper triangle of the adjacency matrix read
-    column by column, packed six bits per byte, each offset by 63.
+    One byte n+63, then the triangle bits (graphs.triangle_bits), packed six
+    to a byte, each offset by 63, and the last zero-padded.
     """
     n = g.n
     if n > 62:
         raise ValueError("graph6 short form supports at most 62 vertices")
-    chars = [chr(n + 63)]
-    acc = 0
-    nbits = 0
-    for j in range(1, n):
-        for i in range(j):
-            acc = (acc << 1) | (1 if g.has_edge(i, j) else 0)
-            nbits += 1
-            if nbits == 6:
-                chars.append(chr(acc + 63))
-                acc = 0
-                nbits = 0
-    if nbits:
-        chars.append(chr((acc << (6 - nbits)) + 63))
-    return "".join(chars)
+    nbits = n * (n - 1) // 2
+    pad = (-nbits) % 6
+    bits = triangle_bits(tuple(g.neighbor_mask(v) for v in g.vertices), g.vertices) << pad
+    shifts = range(nbits + pad - 6, -1, -6)
+    return chr(n + 63) + "".join(chr((bits >> s & 63) + 63) for s in shifts)
 
 
 def decode_graph6(line: str) -> Graph:
@@ -74,15 +65,7 @@ def decode_graph6(line: str) -> Graph:
     pad = 6 * expected - nbits
     if pad and bits & ((1 << pad) - 1):
         raise ValueError("nonzero padding bits in graph6 body")
-    bits >>= pad
-    edges = []
-    pos = nbits
-    for j in range(1, n):
-        for i in range(j):
-            pos -= 1
-            if bits >> pos & 1:
-                edges.append((i, j))
-    return Graph(n, edges)
+    return from_triangle_bits(n, bits >> pad)
 
 
 def _connected(masks: list[int], remaining: int) -> bool:
@@ -280,7 +263,8 @@ def write_outputs(collections: GeneratedSet, out_dir: str | Path) -> list[Path]:
     """Write one graph6 file per group plus a counts.tsv summary.
 
     Group files are min3_n{n}_m{m}.g6 or cubic_n{n}.g6 depending on the
-    mode, with graphs in the certificate order the generator fixed.
+    mode.  Line k is the canonical labelling of the group's k-th certificate,
+    so the bytes depend only on the set of isomorphism classes.
     counts.tsv has header n, m, count and one row per written file, sorted.
     Returns the written paths, counts.tsv last.
     """
@@ -298,7 +282,7 @@ def write_outputs(collections: GeneratedSet, out_dir: str | Path) -> list[Path]:
         else:
             raise ValueError(f"unknown mode {collections.mode!r}")
         path = out / name
-        path.write_text("".join(encode_graph6(g) + "\n" for _, g in bucket))
+        path.write_text("".join(encode_graph6(canonical_graph(c)) + "\n" for c in bucket))
         written.append(path)
         rows.append((n, m, len(bucket)))
     counts = out / "counts.tsv"

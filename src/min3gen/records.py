@@ -73,14 +73,12 @@ class Shelf:
 class GeneratedSet:
     """Output of a generation run.
 
-    groups maps (n, m) to certificate-sorted (certificate, graph) pairs.
-    shelves is populated only when a run is asked to retain its shelf
-    pipeline for inspection.
+    groups maps (n, m) to the sorted certificates of its isomorphism
+    classes; canonical.canonical_graph turns one back into a graph.
     """
 
     mode: str
-    groups: dict[tuple[int, int], list[tuple[bytes, Graph]]]
-    shelves: dict[tuple[int, int], Shelf] | None = None
+    groups: dict[tuple[int, int], list[bytes]]
 
     def count(self, n: int | None = None) -> int:
         return sum(

@@ -11,8 +11,33 @@ from __future__ import annotations
 import itertools
 import random
 
-from min3gen import Graph, ShelfEntry, certificate, chords, delete_edge, edge
-from min3gen.generator import child_cycles
+from min3gen import (
+    Graph,
+    Provenance,
+    Shelf,
+    ShelfEntry,
+    certificate,
+    chords,
+    delete_edge,
+    edge,
+    generate_min3,
+    prism,
+)
+from min3gen.generator import PRISM_CYCLES, child_cycles
+
+
+def collect_shelves(max_n: int) -> dict[tuple[int, int], Shelf]:
+    """Every shelf a generate_min3(max_n) run computes, through its
+    shelf_saver, keyed by (m, n), plus the prism seed shelf it starts from."""
+    seed = prism()
+    seed_entry = ShelfEntry(seed, PRISM_CYCLES, Provenance("A0"), certificate(seed))
+    shelves = {(9, 6): Shelf(9, 6, {"A0": [seed_entry]})}
+
+    def save(shelf: Shelf) -> None:
+        shelves[(shelf.m, shelf.n)] = shelf
+
+    generate_min3(max_n, shelf_saver=save)
+    return shelves
 
 
 def materialize(source: ShelfEntry, candidates) -> list[ShelfEntry]:

@@ -14,7 +14,7 @@ import time
 import pytest
 
 from conftest import record_acceptance
-from helpers import ancestor_graph, complete_graph, materialize, permuted_copy, random_graph
+from helpers import ancestor_graph, collect_shelves, materialize, permuted_copy, random_graph
 from min3gen import (
     Graph,
     VertexEdge,
@@ -22,6 +22,7 @@ from min3gen import (
     are_isomorphic_bruteforce,
     bridge_vertex_edge,
     canonical_cycle,
+    canonical_graph,
     certificate,
     complete_bipartite_3,
     decode_graph6,
@@ -37,7 +38,7 @@ from min3gen import (
     wheel,
 )
 from min3gen.cli import main as cli_main
-from min3gen.generator import c3, e1, e2
+from min3gen.generator import PRISM_CYCLES, c3, e1, e2
 from min3gen.io_validate import write_outputs
 from min3gen.records import Provenance, ShelfEntry
 
@@ -47,8 +48,8 @@ CUBIC_CI_SECONDS = 300
 # sha256 over the write_outputs tree, files sorted by name, each hashed as
 # name + NUL + bytes.  Re-pinned only when output bytes change by design.
 GOLDEN_DIGESTS = {
-    "min3": (21, "d04124e8730aa7a48fbe72867c2594056272b8f8504f1be0bb5d253c68b8a3f4"),
-    "cubic": (7, "b1e1e05450bcf773da38f6d00fcf211b42cd7d15471192be0ac90d02aee0071b"),
+    "min3": (21, "59dad8d04859b3cba0601e8b38868d861e862efdc41615bf94844ddcbe3961da"),
+    "cubic": (7, "c438bd7712af813b78deaba803e1690cd0f52d1f7bec0a26de8ae373cadf8dda"),
 }
 
 # the seed's cycle list, closed-walk notation, retyped from the source table
@@ -80,7 +81,7 @@ def cubic_run():
 
 @pytest.fixture(scope="module")
 def shelves8():
-    return generate_min3(8, keep_shelves=True)
+    return collect_shelves(8)
 
 
 def _output_digest(result, out_dir) -> tuple[int, str]:
@@ -109,9 +110,11 @@ def test_01_min3_counts(min3_run):
 def test_min3_n11_count_and_oracles():
     # The next published count, 1513, beyond the tier-1 table.
     result = generate_min3(11)
-    graphs = [g for (n, _), bucket in result.groups.items() if n == 11 for _, g in bucket]
+    certs = [c for (n, _), bucket in result.groups.items() if n == 11 for c in bucket]
+    graphs = [canonical_graph(c) for c in certs]
     assert len(graphs) == 1513
-    assert len({certificate(g) for g in graphs}) == 1513
+    assert [certificate(g) for g in graphs] == certs
+    assert len(set(certs)) == 1513
     assert all(is_minimally_3_connected(g) for g in graphs)
 
 
@@ -145,7 +148,7 @@ def test_03_emitted_files_pass_oracles(min3_run, cubic_run, tmp_path_factory):
 def test_04_cycle_propagation_equivalence(shelves8):
     ok = True
     entries = 0
-    for shelf in shelves8.shelves.values():
+    for shelf in shelves8.values():
         for ent in shelf.entries():
             ok = ok and ent.cycles == enumerate_cycles_bruteforce(ancestor_graph(ent))
             entries += 1
@@ -162,13 +165,12 @@ def test_04_cycle_propagation_equivalence(shelves8):
     _report(4, "stored cycles match brute force", ok)
 
 
-def test_05_prism_seed_cycles(shelves8):
+def test_05_prism_seed_cycles():
     expected = frozenset(
         canonical_cycle(tuple(int(ch) for ch in walk[:-1])) for walk in PRISM_WALKS
     )
-    seed = shelves8.shelves[(9, 6)].classes["A0"][0]
     ok = len(expected) == 14
-    ok = ok and seed.cycles == expected
+    ok = ok and PRISM_CYCLES == expected
     ok = ok and expected == enumerate_cycles_bruteforce(prism())
     _report(5, "seed cycle set matches the 14 listed cycles", ok)
 
@@ -182,16 +184,21 @@ def test_06_pattern_worked_examples():
 def test_07_certificate_soundness(min3_run, cubic_run):
     ok = True
     pairs = 0
+    classes = 0
     for result in (min3_run[0], cubic_run[0]):
         for key, bucket in result.groups.items():
+            graphs = [canonical_graph(c) for c in bucket]
+            # Each emitted certificate is the certificate of its own labelling.
+            ok = ok and [certificate(g) for g in graphs] == bucket
+            classes += len(bucket)
             if key[0] > 7:
                 continue
             for i in range(len(bucket)):
                 for j in range(i + 1, len(bucket)):
-                    ci, gi = bucket[i]
-                    cj, gj = bucket[j]
-                    ok = ok and (ci == cj) == are_isomorphic_bruteforce(gi, gj)
+                    same = bucket[i] == bucket[j]
+                    ok = ok and same == are_isomorphic_bruteforce(graphs[i], graphs[j])
                     pairs += 1
+    ok = ok and classes == 368 + 419
     rng = random.Random(20260819)
     for i in range(10000):
         g1 = random_graph(rng, rng.randint(1, 7), rng.random())
@@ -214,7 +221,7 @@ def test_08_edge_bound_with_extremal_graphs(min3_run):
             continue
         ok = ok and m <= 3 * n - 9
         if m == 3 * n - 9:
-            ok = ok and [c for c, _ in bucket] == [certificate(complete_bipartite_3(n - 3))]
+            ok = ok and bucket == [certificate(complete_bipartite_3(n - 3))]
             seen_extremal += 1
     ok = ok and seen_extremal == 3
     _report(8, "edge bound m <= 3n-9 with unique extremal graph", ok)

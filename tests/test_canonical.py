@@ -11,17 +11,30 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import cycle_graph, permuted_copy, random_graph
 from min3gen import (
     Graph,
     are_isomorphic_bruteforce,
+    canonical_graph,
     certificate,
     complete_bipartite_3,
+    decode_graph6,
     delete_vertex,
+    encode_graph6,
     prism,
     wheel,
 )
+
+
+@st.composite
+def _graphs(draw, max_n: int) -> Graph:
+    n = draw(st.integers(0, max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    present = draw(st.integers(0, (1 << len(pairs)) - 1))
+    return Graph(n, [p for k, p in enumerate(pairs) if present >> k & 1])
 
 
 def test_eleven_classes_on_four_vertices():
@@ -103,3 +116,29 @@ def test_certificates_are_bytes_and_stable():
     assert isinstance(c1, bytes)
     assert c1 == c2
     assert c1[0] == 6
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_canonical_graph_of_a_relabelled_graph(data):
+    g = data.draw(_graphs(9))
+    perm = data.draw(st.permutations(range(g.n)))
+    h = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+    cert = certificate(g)
+    assert certificate(h) == cert
+    canon = canonical_graph(cert)
+    assert canonical_graph(certificate(h)) == canon
+    assert are_isomorphic_bruteforce(canon, g)
+    assert certificate(canon) == cert
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_graphs(20))
+def test_graph6_round_trip(g):
+    assert decode_graph6(encode_graph6(g)) == g
+
+
+def test_canonical_graph_rejects_malformed_certificates():
+    for bad in (b"", b"\x04", b"\x04\x00\x00"):
+        with pytest.raises(ValueError):
+            canonical_graph(bad)

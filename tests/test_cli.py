@@ -104,6 +104,23 @@ def test_validate_rejects_garbage(tmp_path, capsys):
     assert f"{path}:2:" in err
 
 
+@pytest.mark.parametrize(
+    "body, lineno",
+    [
+        (b"C~\x1cC~\n", 1),  # \x1c is a line break to str.splitlines()
+        (b"C~\n\xff\n", 2),  # not UTF-8
+    ],
+    ids=["separator", "non-utf8"],
+)
+def test_validate_reports_non_graph6_bytes(body, lineno, tmp_path, capsys):
+    path = tmp_path / "odd.g6"
+    path.write_bytes(body)
+    for argv in (["validate", "--mode", "cubic", str(path)], ["cycles", str(path)]):
+        rc, _, err = run(argv, capsys)
+        assert rc == 1
+        assert f"{path}:{lineno}: invalid graph6 character" in err
+
+
 def test_validate_empty_file(tmp_path, capsys):
     path = tmp_path / "empty.g6"
     path.write_text("")

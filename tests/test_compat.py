@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import min3gen.generator
-from helpers import chording_path_oracle, complete_graph, random_graph
+from helpers import chording_path_oracle, collect_shelves, complete_graph, random_graph
 from min3gen import (
     EdgePair,
     Graph,
@@ -29,6 +29,7 @@ from min3gen import (
     add_edge,
     bridge_edges,
     bridge_vertex_edge,
+    canonical_graph,
     chords,
     edge,
     generate_min3,
@@ -89,7 +90,7 @@ def _oracle_gate(g, cs, pairs, banned) -> bool:
 def test_pipeline_gate_calls_match_the_oracle(monkeypatch):
     # Every gate call c1, c2 and c3 make on the B, A1 and C entries up to
     # n = 8, against the definition scan on the graph's brute-force cycles.
-    result = generate_min3(8, keep_shelves=True)
+    shelves = collect_shelves(8)
     calls = []
 
     def recording(cycles, g, pairs, banned=()):
@@ -99,7 +100,7 @@ def test_pipeline_gate_calls_match_the_oracle(monkeypatch):
         return got
 
     monkeypatch.setattr(min3gen.generator, "no_chording_paths", recording)
-    for shelf in result.shelves.values():
+    for shelf in shelves.values():
         for tag, gate in (("B", c1), ("A1", c2), ("C", c3)):
             for ent in shelf.entries(tag):
                 gate(ent)
@@ -200,7 +201,7 @@ def test_gate_soundness_exhaustive_to_eight_vertices():
     # set of all three shapes: the gate passes exactly when the applied
     # operation yields a minimally 3-connected graph.
     emitted = generate_min3(8)
-    graphs = [g for bucket in emitted.groups.values() for _, g in bucket]
+    graphs = [canonical_graph(c) for bucket in emitted.groups.values() for c in bucket]
     assert len(graphs) == 26
     checked = 0
     for g in graphs:

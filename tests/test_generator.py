@@ -12,15 +12,15 @@ import dataclasses
 
 import pytest
 
-from helpers import ancestor_graph, materialize
+from helpers import ancestor_graph, collect_shelves, materialize
 from min3gen import (
     GeneratedSet,
     Provenance,
     Shelf,
     ShelfEntry,
+    canonical_graph,
     certificate,
     complete_bipartite_3,
-    encode_graph6,
     generate_cubic,
     generate_min3,
     is_3_connected,
@@ -113,9 +113,8 @@ def test_c3_composition_reaches_complete_bipartite(k33):
 
 def test_gates_read_only_the_ancestor_cycles():
     # c1 and c3 must decide exactly as they would on the entry's full cycle set.
-    result = generate_min3(8, keep_shelves=True)
     checked = 0
-    for shelf in result.shelves.values():
+    for shelf in collect_shelves(8).values():
         for tag, gate in (("B", c1), ("C", c3)):
             for ent in shelf.entries(tag):
                 full = dataclasses.replace(ent, cycles=enumerate_cycles_bruteforce(ent.graph))
@@ -154,14 +153,13 @@ def test_run_shelf_skips_intermediates_when_asked():
 def test_generate_min3_smallest_budget():
     result = generate_min3(6)
     assert result.mode == "min3"
-    assert result.shelves is None
     assert {k: len(v) for k, v in result.groups.items()} == {(6, 9): 2, (6, 10): 1}
     assert result.count() == 3
     assert result.count(6) == 3
-    certs_69 = [c for c, _ in result.groups[(6, 9)]]
+    certs_69 = result.groups[(6, 9)]
     assert certificate(prism()) in certs_69
     assert certificate(complete_bipartite_3(3)) in certs_69
-    assert [c for c, _ in result.groups[(6, 10)]] == [certificate(wheel(5))]
+    assert result.groups[(6, 10)] == [certificate(wheel(5))]
 
 
 def test_generate_min3_seven_vertices():
@@ -173,7 +171,7 @@ def test_generate_min3_seven_vertices():
         (7, 12): 2,
     }
     assert result.count(7) == 5
-    certs_712 = [c for c, _ in result.groups[(7, 12)]]
+    certs_712 = result.groups[(7, 12)]
     assert certificate(wheel(6)) in certs_712
     assert certificate(complete_bipartite_3(4)) in certs_712
 
@@ -185,17 +183,16 @@ def test_generate_min3_rejects_small_budget():
 
 def test_generated_buckets_are_cert_sorted_and_distinct():
     result = generate_min3(8)
-    for bucket in result.groups.values():
-        certs = [c for c, _ in bucket]
+    for certs in result.groups.values():
         assert certs == sorted(certs)
         assert len(certs) == len(set(certs))
 
 
 def test_provenance_shapes_across_shelves():
-    result = generate_min3(8, keep_shelves=True)
-    assert result.shelves
+    shelves = collect_shelves(8)
+    assert shelves
     seen_tags = set()
-    for (m, n), shelf in result.shelves.items():
+    for (m, n), shelf in shelves.items():
         assert (shelf.m, shelf.n) == (m, n)
         for tag, bucket in shelf.classes.items():
             assert tag in CLASS_TAGS
@@ -222,8 +219,7 @@ def test_provenance_shapes_across_shelves():
 
 
 def test_a_classes_are_minimal_and_intermediates_are_not():
-    result = generate_min3(8, keep_shelves=True)
-    for shelf in result.shelves.values():
+    for shelf in collect_shelves(8).values():
         for ent in shelf.entries(*A_TAGS):
             assert is_minimally_3_connected(ent.graph)
         for ent in shelf.entries("B", "C"):
@@ -232,19 +228,17 @@ def test_a_classes_are_minimal_and_intermediates_are_not():
 
 
 def test_emit_intermediate_does_not_change_outputs():
+    # A shelf_saver makes the final column keep its B and C classes too.
     plain = generate_min3(7)
-    with_bc = generate_min3(7, emit_intermediate=True)
-    assert plain.groups.keys() == with_bc.groups.keys()
-    for key in plain.groups:
-        assert [c for c, _ in plain.groups[key]] == [c for c, _ in with_bc.groups[key]]
+    saved = []
+    with_bc = generate_min3(7, shelf_saver=saved.append)
+    assert any(shelf.n == 7 and shelf.entries("B", "C") for shelf in saved)
+    assert with_bc.groups == plain.groups
 
 
 def test_generation_is_deterministic():
     def snapshot(result: GeneratedSet) -> list:
-        return [
-            (key, [(c, encode_graph6(g)) for c, g in bucket])
-            for key, bucket in result.groups.items()
-        ]
+        return list(result.groups.items())
 
     assert snapshot(generate_min3(7)) == snapshot(generate_min3(7))
     assert snapshot(generate_cubic(8)) == snapshot(generate_cubic(8))
@@ -277,9 +271,7 @@ def test_shelf_saver_and_loader_round_trip():
 
     replayed = generate_min3(7, shelf_loader=loader)
     assert loads
-    assert replayed.groups.keys() == baseline.groups.keys()
-    for key in baseline.groups:
-        assert [c for c, _ in replayed.groups[key]] == [c for c, _ in baseline.groups[key]]
+    assert replayed.groups == baseline.groups
 
 
 def test_generate_cubic_counts_and_validity():
@@ -290,11 +282,12 @@ def test_generate_cubic_counts_and_validity():
         (6, 9): 2,
         (8, 12): 4,
     }
-    for (_, _), bucket in result.groups.items():
-        for _, g in bucket:
+    for bucket in result.groups.values():
+        for c in bucket:
+            g = canonical_graph(c)
             assert all(g.degree(v) == 3 for v in g.vertices)
             assert is_3_connected(g)
-    certs6 = {c for c, _ in result.groups[(6, 9)]}
+    certs6 = set(result.groups[(6, 9)])
     assert certs6 == {certificate(prism()), certificate(complete_bipartite_3(3))}
 
 
