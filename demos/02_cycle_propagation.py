@@ -11,15 +11,14 @@ oracle on the prism.
 from min3gen import (
     add_edge,
     apply_add_edge,
-    apply_flip_edge,
+    apply_split_vertex,
     apply_subdivide_edge,
     canonical_cycle,
-    chord_cycle,
     chords,
     enumerate_cycles_bruteforce,
     extract_pattern,
-    flip_edge,
     prism,
+    split_vertex,
     subdivide_edge,
 )
 
@@ -33,10 +32,10 @@ for cyc in sorted(cycles, key=lambda c: (len(c), c)):
 # lexicographically smaller direction.
 print("\ncanonical form of 5-4-3-0:", canonical_cycle((5, 4, 3, 0)))
 
-# Adding edge 02 chords some cycles; a chord splits its cycle in two.
+# Adding edge 02 chords some cycles.  Every old cycle survives, and each
+# 0..2 path closes into a new cycle through 02.
 hexagon = (0, 1, 2, 5, 4, 3)
 print("\nchords of", hexagon, "after adding 02:", chords(hexagon, 0, 2))
-print("the two halves:", chord_cycle(hexagon, 0, 2))
 
 after_add = apply_add_edge(cycles, 0, 2)
 print("propagated cycle count:", len(after_add))
@@ -48,12 +47,14 @@ after_sub = apply_subdivide_edge(cycles, 0, 1, c)
 print("\nafter subdividing 01 by", c, ":", len(after_sub), "cycles,",
       "matches brute force:", after_sub == enumerate_cycles_bruteforce(sub))
 
-# A flip is dispatched per cycle by how the cycle meets {ab, bc, c}.  The
-# pattern string names that relationship; these are the two standard cases.
+# The pattern string names how a cycle meets three marked vertices.
 print("\npattern of (0,1,5,4,3) at a=1 b=4 c=3:", extract_pattern((0, 1, 5, 4, 3), 1, 4, 3))
 print("pattern of (0,1,2,5,4,3) at a=1 b=5 c=3:", extract_pattern((0, 1, 2, 5, 4, 3), 1, 5, 3))
 
-after_flip = apply_flip_edge(after_sub, 3, 0, c)
-target = flip_edge(sub, 3, 0, c)
-print("\nflip 30 -> 3" + str(c), "propagates", len(after_flip), "cycles,",
-      "matches brute force:", after_flip == enumerate_cycles_bruteforce(target))
+# Splitting vertex 0 so that a new vertex takes its edges to 1 and 3 is an
+# edge deletion (03), a subdivision (01) and an edge addition (new vertex
+# to 3), so its rule drops the cycles through 03 and applies the other two.
+split, x = split_vertex(g, 0, 1, 3)
+after_split = apply_split_vertex(cycles, 0, 1, 3, x)
+print("\nsplit 0 into 0 and", x, "propagates", len(after_split), "cycles,",
+      "matches brute force:", after_split == enumerate_cycles_bruteforce(split))

@@ -19,12 +19,10 @@ from .compat import (
 from .cycles import (
     Cycle,
     CycleSet,
-    PatternError,
     apply_add_edge,
-    apply_flip_edge,
+    apply_split_vertex,
     apply_subdivide_edge,
     canonical_cycle,
-    chord_cycle,
     chords,
     enumerate_cycles_bruteforce,
     extract_pattern,
@@ -79,7 +77,6 @@ __all__ = [
     "EdgePair",
     "GeneratedSet",
     "Graph",
-    "PatternError",
     "PRISM_CYCLES",
     "Provenance",
     "Shelf",
@@ -90,7 +87,7 @@ __all__ = [
     "add_degree3_vertex",
     "add_edge",
     "apply_add_edge",
-    "apply_flip_edge",
+    "apply_split_vertex",
     "apply_subdivide_edge",
     "are_isomorphic_bruteforce",
     "bridge_edges",
@@ -101,7 +98,6 @@ __all__ = [
     "canonical_cycle",
     "canonical_graph",
     "certificate",
-    "chord_cycle",
     "chords",
     "complete_bipartite_3",
     "decode_graph6",

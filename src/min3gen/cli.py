@@ -14,6 +14,7 @@ from pathlib import Path
 from .cycles import enumerate_cycles_bruteforce
 from .generator import generate_cubic, generate_min3
 from .io_validate import (
+    GRAPH6_BLANKS,
     ShelfFileError,
     decode_graph6,
     default_out_dir,
@@ -23,10 +24,6 @@ from .io_validate import (
     save_shelf,
     write_outputs,
 )
-
-
-class UsageError(ValueError):
-    pass
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -76,21 +73,19 @@ def cmd_generate(args: argparse.Namespace) -> int:
         print(msg, file=sys.stderr)
 
     if args.mode == "min3":
-        if args.max_n < 6:
-            raise UsageError("min3 mode needs --max-n >= 6")
         saver = None
         loader = None
         if args.emit_intermediate:
             shelf_dir = out_dir / "shelves"
-            shelf_dir.mkdir(parents=True, exist_ok=True)
 
             def saver(shelf):
+                shelf_dir.mkdir(parents=True, exist_ok=True)
                 save_shelf(shelf, shelf_dir / f"shelf_m{shelf.m}_n{shelf.n}.tsv")
 
         if args.resume:
             resume_dir = Path(args.resume)
             if not resume_dir.is_dir():
-                raise UsageError(f"--resume directory {resume_dir} does not exist")
+                raise ValueError(f"--resume directory {resume_dir} does not exist")
 
             def loader(m, n):
                 path = resume_dir / f"shelf_m{m}_n{n}.tsv"
@@ -103,10 +98,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
             shelf_saver=saver,
         )
     else:
-        if args.max_n < 4 or args.max_n % 2:
-            raise UsageError("cubic mode needs an even --max-n >= 4")
         if args.emit_intermediate or args.resume:
-            raise UsageError("--emit-intermediate and --resume apply to min3 mode only")
+            raise ValueError("--emit-intermediate and --resume apply to min3 mode only")
         result = generate_cubic(args.max_n, progress=progress)
     written = write_outputs(result, out_dir)
     print(f"min3gen: wrote {len(written)} files to {out_dir}", file=sys.stderr)
@@ -117,7 +110,8 @@ def _read_graph_lines(path: str) -> list[tuple[int, str]]:
     # latin-1 passes any byte on to decode_graph6 to be reported by line; and
     # not splitlines(), which also breaks at characters such as \x1c.
     text = Path(path).read_bytes().decode("latin-1")
-    return [(i, line) for i, line in enumerate(text.split("\n"), start=1) if line.strip()]
+    lines = enumerate(text.split("\n"), start=1)
+    return [(i, line) for i, line in lines if line.strip(GRAPH6_BLANKS)]
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -162,9 +156,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"min3gen: {exc}", file=sys.stderr)
-        return 2
     except ShelfFileError as exc:
         print(f"min3gen: {exc}", file=sys.stderr)
         return 3

@@ -1,10 +1,11 @@
 """Cycles as canonical vertex tuples, and cycle set propagation.
 
 The generator never re-enumerates cycles from scratch: each graph operation
-(edge addition, edge subdivision, edge flip) is paired with a rewrite that
-maps the parent's cycle set to the child's.  The brute-force enumerator
-here is the independent oracle those rewrites are tested against, and is
-also used to seed the pipeline.
+(edge addition, edge subdivision, vertex split) is paired with a rewrite
+that maps the parent's cycle set to the child's.  A split is built from the
+other two, since it deletes an edge, subdivides one and adds one.  The
+brute-force enumerator here is the independent oracle those rewrites are
+tested against, and is also used to seed the pipeline.
 
 A cycle is stored as a tuple of vertices in canonical rotation: minimum
 vertex first, then the lexicographically smaller of the two directions.
@@ -23,15 +24,6 @@ CycleSet = frozenset[Cycle]
 DIAMOND = "◇"
 TRIANGLE = "△"
 SQUARE = "□"
-
-
-class PatternError(RuntimeError):
-    """An edge flip met a cycle shape its case analysis rules out.
-
-    Raised when the cycle set under rewrite cannot belong to a graph
-    satisfying the flip preconditions (edges ab, bc present, ac absent).
-    It signals corrupted pipeline state, not a usage error.
-    """
 
 
 def canonical_cycle(vertices: Sequence[int]) -> Cycle:
@@ -110,22 +102,6 @@ def chords(cycle: Cycle, u: int, v: int) -> bool:
     return d != 1 and d != len(cycle) - 1
 
 
-def chord_cycle(cycle: Cycle, v1: int, v2: int) -> tuple[Cycle, Cycle]:
-    """Split a cycle along the chord v1 v2 into its two subcycles.
-
-    Returns (outer, inner) where inner is the v1..v2 arc closed by the
-    chord and outer is the v2..v1 arc closed by the chord, both canonical.
-    """
-    if not chords(cycle, v1, v2):
-        raise ValueError(f"({v1},{v2}) does not chord cycle {cycle!r}")
-    i = cycle.index(v1)
-    rot = cycle[i:] + cycle[:i]
-    j = rot.index(v2)
-    inner = rot[: j + 1]
-    outer = rot[j:] + (v1,)
-    return canonical_cycle(outer), canonical_cycle(inner)
-
-
 def apply_add_edge(cycles: CycleSet, a: int, b: int) -> CycleSet:
     """Cycle set after adding edge ab to a 2-connected graph.
 
@@ -186,6 +162,20 @@ def apply_subdivide_edge(cycles: CycleSet, a: int, b: int, c: int) -> CycleSet:
     return frozenset(out)
 
 
+def apply_split_vertex(cycles: CycleSet, v: int, u: int, w: int, x: int) -> CycleSet:
+    """Cycle set after splitting v so that the new vertex x takes u and w.
+
+    The split graph is (g - vw) with vu subdivided by x, plus the edge xw:
+    the cycles through vw are dropped, then the subdivision and the edge
+    addition rules apply.  Precondition: every edge of g - vw lies on a
+    cycle, which holds when g is 3-connected; apply_add_edge reads the
+    graph off the cycle set.  The cycle set of g - vw itself may be given
+    in place of g's, with the same result.
+    """
+    kept = frozenset(cyc for cyc in cycles if not cycle_uses_edge(cyc, v, w))
+    return apply_add_edge(apply_subdivide_edge(kept, v, u, x), x, w)
+
+
 def extract_pattern(cycle: Cycle, a: int, b: int, c: int) -> str:
     """Describe how a cycle meets the vertices a, b, c.
 
@@ -214,89 +204,3 @@ def extract_pattern(cycle: Cycle, a: int, b: int, c: int) -> str:
             tokens.append(next(fillers))
             in_run = True
     return "".join(tokens)
-
-
-def _orient_path(cycle: Cycle, x: int, y: int) -> Cycle:
-    """Rotate a cycle that uses edge xy into the path x..y avoiding that edge."""
-    i = cycle.index(x)
-    rot = cycle[i:] + cycle[:i]
-    if rot[1] == y:
-        rot = rot[:1] + rot[:0:-1]
-    if rot[-1] != y:
-        raise ValueError(f"cycle {cycle!r} does not use edge ({x},{y})")
-    return rot
-
-
-def _drop_vertex(cycle: Cycle, v: int) -> Cycle:
-    return tuple(w for w in cycle if w != v)
-
-
-def _insert_between(cycle: Cycle, a: int, b: int, c: int) -> Cycle:
-    k = len(cycle)
-    for i in range(k):
-        u, w = cycle[i], cycle[(i + 1) % k]
-        if (u == a and w == b) or (u == b and w == a):
-            return cycle[: i + 1] + (c,) + cycle[i + 1 :]
-    raise ValueError(f"cycle {cycle!r} does not use edge ({a},{b})")
-
-
-def apply_flip_edge(cycles: CycleSet, a: int, b: int, c: int) -> CycleSet:
-    """Cycle set after removing edge ab and adding edge ac.
-
-    Preconditions on the underlying graph: ab and bc are edges, ac is not.
-    Every cycle of the new graph either avoids ac (it survives unchanged
-    from the old set) or is P + ac for an a..c path P avoiding ab.  Each
-    old cycle through ab is rewritten by where c sits on it:
-
-    - c cyclically adjacent to b: b now hangs off the cycle, splice it out;
-    - c absent: the new path a, c, b replaces the lost edge ab;
-    - c elsewhere on the cycle: cutting ab leaves the path b..c..a, which
-      closes into two cycles, b..c by the edge cb and c..a by the new ac.
-
-    Old cycles through a and c but not b gain their two ac-chord subcycles.
-    Finally a cycle through ab (c absent) and a cycle through bc (a absent)
-    that share only the vertex b merge into one cycle through ac.  A cycle
-    with a and c cyclically adjacent is impossible under the preconditions
-    and raises PatternError.
-    """
-    if len({a, b, c}) != 3:
-        raise ValueError("flip vertices must be distinct")
-    out: set[Cycle] = set()
-    # Paths kept for the merge step, oriented a..b and b..c.
-    ab_paths: list[Cycle] = []
-    bc_paths: list[Cycle] = []
-    for cyc in cycles:
-        has_a = a in cyc
-        has_b = b in cyc
-        has_c = c in cyc
-        if has_a and has_c and not chords(cyc, a, c):
-            raise PatternError(
-                f"cycle {cyc!r} has {a} and {c} adjacent, impossible without edge ({a},{c})"
-            )
-        if has_a and has_b and cycle_uses_edge(cyc, a, b):
-            if has_c and cycle_uses_edge(cyc, b, c):
-                # b's cycle neighbours are exactly a and c; ac closes the gap.
-                out.add(canonical_cycle(_drop_vertex(cyc, b)))
-            elif not has_c:
-                out.add(canonical_cycle(_insert_between(cyc, a, b, c)))
-                ab_paths.append(_orient_path(cyc, a, b))
-            else:
-                path = _orient_path(cyc, b, a)
-                j = path.index(c)
-                out.add(canonical_cycle(path[: j + 1]))
-                out.add(canonical_cycle(path[j:]))
-        else:
-            out.add(cyc)
-            if has_a and has_c and not has_b:
-                half1, half2 = chord_cycle(cyc, a, c)
-                out.add(half1)
-                out.add(half2)
-        if has_b and has_c and not has_a and cycle_uses_edge(cyc, b, c):
-            bc_paths.append(_orient_path(cyc, b, c))
-    for p1 in ab_paths:
-        mask1 = cycle_vertex_mask(p1)
-        for p2 in bc_paths:
-            if mask1 & cycle_vertex_mask(p2) == 1 << b:
-                # p1 ends at b, p2 starts there; ac closes the concatenation.
-                out.add(canonical_cycle(p1 + p2[1:]))
-    return frozenset(out)

@@ -14,9 +14,9 @@ The splits contract the pending edge additions away, so A1, A2, A3 entries
 are minimally 3-connected whenever the chording path gates pass; B and C
 are scaffolding for the next shelf.  Certificates deduplicate within a
 shelf across all classes.  Only admitted A entries get cycle sets of their
-own, derived from their source's set by the rewrite rules, so nothing is
-re-enumerated; a B or C entry shares its A-class ancestor's set, which is
-all its chording path gate reads.
+own, derived from their source's set by the edge addition and vertex split
+rules, so nothing is re-enumerated; a B or C entry shares its A-class
+ancestor's set, which is all its chording path gate reads.
 
 Wheels and K_{3,t} are the minimally 3-connected graphs that no prism-rooted
 chain reaches; they are constructed directly and merged into the output.
@@ -33,8 +33,7 @@ from .compat import no_chording_paths
 from .cycles import (
     CycleSet,
     apply_add_edge,
-    apply_flip_edge,
-    apply_subdivide_edge,
+    apply_split_vertex,
     canonical_cycle,
     enumerate_cycles_bruteforce,
 )
@@ -197,23 +196,26 @@ def child_cycles(source: ShelfEntry, graph: Graph, prov: Provenance) -> CycleSet
 
     A B or C child shares its A-class ancestor's set, which is the cycle
     set of its graph minus the pending added edges.  An A child gets the
-    cycles of its own graph: the source's pending edges are added, then
-    the last split, whose new vertex x took two neighbours of split_v, is
-    applied as subdividing (split_v, kept) by x and flipping (moved,
-    split_v) onto x.  Either naming of the two neighbours yields the same
-    graph, hence the same cycle set.
+    cycles of its own graph.  Its last split gave the new vertex x two
+    neighbours of split_v, kept and moved, named so that moved is the one
+    whose edge to split_v is pending, if one is: the split takes that edge
+    straight off split_v again, so only the source's other pending edges
+    are added before the split rule runs.  The graph it starts from is an
+    A-class graph plus edges, 3-connected, as the split rule requires.
     """
     if prov.class_tag in SCAFFOLD_TAGS:
         return source.cycles
-    cs = source.cycles
-    if source.provenance.class_tag in SCAFFOLD_TAGS:
-        for u, v in source.provenance.added_edges:
-            cs = apply_add_edge(cs, u, v)
+    pending = source.provenance.added_edges if source.provenance.class_tag in SCAFFOLD_TAGS else ()
     x, split_edge = prov.splits[-1]
     split_v = split_edge[0] if split_edge[1] == x else split_edge[1]
     kept, moved = (w for w in graph.neighbors(x) if w != split_v)
-    cs = apply_subdivide_edge(cs, split_v, kept, x)
-    return apply_flip_edge(cs, moved, split_v, x)
+    if edge(split_v, kept) in pending:
+        kept, moved = moved, kept
+    cs = source.cycles
+    for u, v in pending:
+        if (u, v) != edge(split_v, moved):
+            cs = apply_add_edge(cs, u, v)
+    return apply_split_vertex(cs, split_v, kept, moved, x)
 
 
 def run_shelf(

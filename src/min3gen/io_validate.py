@@ -21,6 +21,9 @@ SHELF_VERSION = 3
 _TRAILER = "end"
 
 _GRAPH6_HEADER = ">>graph6<<"
+# What a graph6 line may carry around its characters; str.strip() would
+# also take characters such as \x1c and \x85, hiding them from the check.
+GRAPH6_BLANKS = " \t\r\n"
 
 
 def encode_graph6(g: Graph) -> str:
@@ -41,7 +44,7 @@ def encode_graph6(g: Graph) -> str:
 
 def decode_graph6(line: str) -> Graph:
     """Parse one graph6 line; strict about length and character range."""
-    s = line.strip()
+    s = line.strip(GRAPH6_BLANKS)
     if s.startswith(_GRAPH6_HEADER):
         s = s[len(_GRAPH6_HEADER) :]
     if not s:

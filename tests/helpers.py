@@ -1,5 +1,6 @@
-"""Shared test utilities: random graphs, definition-level oracles, and
-shelf entries materialised from generator candidates.
+"""Shared test utilities: random graphs, a Hypothesis strategy for
+2-connected graphs, definition-level oracles, and shelf entries
+materialised from generator candidates.
 
 The oracles here re-derive connectivity and chording paths straight from
 their definitions with plain set arithmetic, sharing no bitmask machinery
@@ -10,6 +11,8 @@ from __future__ import annotations
 
 import itertools
 import random
+
+from hypothesis import strategies as st
 
 from min3gen import (
     Graph,
@@ -63,6 +66,24 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     """Erdos-Renyi graph on vertex set 0..n-1."""
     es = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
     return Graph(n, es)
+
+
+@st.composite
+def two_connected_graphs(draw, max_n: int = 8) -> Graph:
+    """A random 2-connected graph on 4..max_n vertices: an open ear
+    decomposition, extra edges, then a random relabelling."""
+    n = draw(st.integers(4, max_n))
+    k = draw(st.integers(3, n))
+    es = {edge(i, (i + 1) % k) for i in range(k)}
+    while k < n:
+        inner = draw(st.integers(1, n - k))
+        x, y = draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True))
+        path = [x, *range(k, k + inner), y]
+        es.update(edge(u, v) for u, v in zip(path, path[1:]))
+        k += inner
+    es.update(draw(st.sets(st.sampled_from(list(itertools.combinations(range(n), 2))), max_size=n)))
+    perm = draw(st.permutations(range(n)))
+    return Graph(n, [(perm[u], perm[v]) for u, v in es])
 
 
 def permuted_copy(rng: random.Random, g: Graph) -> Graph:

@@ -16,9 +16,8 @@ import pytest
 from conftest import record_acceptance
 from helpers import ancestor_graph, collect_shelves, materialize, permuted_copy, random_graph
 from min3gen import (
-    Graph,
     VertexEdge,
-    apply_flip_edge,
+    apply_split_vertex,
     are_isomorphic_bruteforce,
     bridge_vertex_edge,
     canonical_cycle,
@@ -28,13 +27,13 @@ from min3gen import (
     decode_graph6,
     enumerate_cycles_bruteforce,
     extract_pattern,
-    flip_edge,
     generate_cubic,
     generate_min3,
     is_3_compatible,
     is_3_connected,
     is_minimally_3_connected,
     prism,
+    split_vertex,
     wheel,
 )
 from min3gen.cli import main as cli_main
@@ -154,14 +153,13 @@ def test_04_cycle_propagation_equivalence(shelves8):
             entries += 1
     ok = ok and entries > 0
 
-    # dedicated cycle-merge fixture: two triangles glued at b only
-    g = Graph(5, [(0, 1), (0, 3), (3, 1), (1, 2), (1, 4), (4, 2)])
-    cs = enumerate_cycles_bruteforce(g)
-    flipped = apply_flip_edge(cs, 0, 1, 2)
-    merged = canonical_cycle((0, 3, 1, 4, 2))
-    ok = ok and cs == frozenset({(0, 1, 3), (1, 2, 4)})
-    ok = ok and merged in flipped
-    ok = ok and flipped == enumerate_cycles_bruteforce(flip_edge(g, 0, 1, 2))
+    # dedicated split fixture: the prism's vertex 0 hands its edges to 1
+    # and 3 to the new vertex x, whose two new edges close the cycle x123
+    g = prism()
+    split, x = split_vertex(g, 0, 1, 3)
+    got = apply_split_vertex(enumerate_cycles_bruteforce(g), 0, 1, 3, x)
+    ok = ok and got == enumerate_cycles_bruteforce(split)
+    ok = ok and canonical_cycle((x, 1, 2, 3)) in got
     _report(4, "stored cycles match brute force", ok)
 
 

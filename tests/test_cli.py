@@ -63,13 +63,16 @@ def test_out_dir_precedence(tmp_path, capsys, monkeypatch):
         ["generate", "--mode", "cubic", "--max-n", "8", "--resume", "somewhere"],
         ["generate", "--mode", "cubic", "--max-n", "7"],
         ["generate", "--mode", "min3", "--max-n", "5"],
+        ["generate", "--mode", "min3", "--max-n", "5", "--emit-intermediate"],
     ],
 )
 def test_generate_usage_errors(argv, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("MIN3GEN_OUT", raising=False)
     rc, _, err = run(argv, capsys)
     assert rc == 2
     assert err.strip()
+    assert not any(tmp_path.iterdir())
 
 
 def test_generate_missing_max_n(capsys):
@@ -109,8 +112,11 @@ def test_validate_rejects_garbage(tmp_path, capsys):
     [
         (b"C~\x1cC~\n", 1),  # \x1c is a line break to str.splitlines()
         (b"C~\n\xff\n", 2),  # not UTF-8
+        (b"C~\x1c\n", 1),  # str.strip() removes \x1c-\x1f and \x85
+        (b"C~\x85\n", 1),
+        (b"\x1c\n", 1),
     ],
-    ids=["separator", "non-utf8"],
+    ids=["separator", "non-utf8", "trailing-separator", "trailing-nel", "separator-line"],
 )
 def test_validate_reports_non_graph6_bytes(body, lineno, tmp_path, capsys):
     path = tmp_path / "odd.g6"

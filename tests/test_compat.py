@@ -19,10 +19,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import min3gen.generator
-from helpers import chording_path_oracle, collect_shelves, complete_graph, random_graph
+from helpers import (
+    chording_path_oracle,
+    collect_shelves,
+    complete_graph,
+    random_graph,
+    two_connected_graphs,
+)
 from min3gen import (
     EdgePair,
-    Graph,
     VertexEdge,
     VertexTriple,
     add_degree3_vertex,
@@ -31,7 +36,6 @@ from min3gen import (
     bridge_vertex_edge,
     canonical_graph,
     chords,
-    edge,
     generate_min3,
     has_chording_path,
     is_3_compatible,
@@ -117,23 +121,11 @@ def test_pipeline_gate_calls_match_the_oracle(monkeypatch):
 
 @st.composite
 def _gate_queries(draw):
-    """A random 2-connected graph (an open ear decomposition plus extra
-    edges), its cycles, endpoint pairs with a repeat, and banned edges that
-    include a chord when the graph has one."""
-    n = draw(st.integers(4, 8))
-    k = draw(st.integers(3, n))
-    es = {edge(i, (i + 1) % k) for i in range(k)}
-    while k < n:
-        inner = draw(st.integers(1, n - k))
-        x, y = draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True))
-        path = [x, *range(k, k + inner), y]
-        es.update(edge(u, v) for u, v in zip(path, path[1:]))
-        k += inner
-    es.update(draw(st.sets(st.sampled_from(list(itertools.combinations(range(n), 2))), max_size=n)))
-    perm = draw(st.permutations(range(n)))
-    g = Graph(n, [(perm[u], perm[v]) for u, v in es])
+    """A random 2-connected graph, its cycles, endpoint pairs with a
+    repeat, and banned edges that include a chord when the graph has one."""
+    g = draw(two_connected_graphs())
     cs = enumerate_cycles_bruteforce(g)
-    vertex = st.integers(0, n - 1)
+    vertex = st.integers(0, g.n - 1)
     pairs = draw(
         st.lists(st.tuples(vertex, vertex).filter(lambda p: p[0] != p[1]), min_size=1, max_size=4)
     )

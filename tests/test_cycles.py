@@ -2,8 +2,8 @@
 
 The master property throughout: after any atomic edit, the rewritten cycle
 set must equal brute-force enumeration on the edited graph.  Fixed examples
-pin the documented worked cases; randomized trials cover the case analysis
-breadth the fixtures cannot.
+pin the documented worked cases; randomized trials and Hypothesis
+properties over 2-connected graphs cover the inputs the fixtures cannot.
 """
 
 from __future__ import annotations
@@ -11,26 +11,28 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from helpers import complete_graph, cycle_graph, def_2_connected, random_graph
+from helpers import complete_graph, cycle_graph, def_2_connected, random_graph, two_connected_graphs
 from min3gen import (
-    Graph,
-    PatternError,
     add_edge,
     apply_add_edge,
-    apply_flip_edge,
+    apply_split_vertex,
     apply_subdivide_edge,
     canonical_cycle,
-    chord_cycle,
     chords,
     complete_bipartite_3,
+    delete_edge,
+    edge,
     extract_pattern,
-    flip_edge,
-    prism,
+    split_vertex,
     subdivide_edge,
     wheel,
 )
 from min3gen.cycles import enumerate_cycles_bruteforce
+
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
 
 def test_canonical_cycle_rotation_and_direction():
@@ -97,14 +99,6 @@ def test_chords():
     assert not chords(c, 0, 3)  # cyclically adjacent across the wrap
     assert not chords((0, 3, 4), 1, 4)
     assert not chords(c, 4, 4)
-
-
-def test_chord_cycle():
-    assert set(chord_cycle((0, 1, 5, 4, 3), 1, 4)) == {(0, 1, 4, 3), (1, 4, 5)}
-    assert set(chord_cycle((0, 1, 2, 3), 0, 2)) == {(0, 1, 2), (0, 2, 3)}
-    assert set(chord_cycle((0, 1, 2, 3, 4, 5), 0, 3)) == {(0, 1, 2, 3), (0, 3, 4, 5)}
-    with pytest.raises(ValueError):
-        chord_cycle((0, 1, 2, 3), 0, 1)
 
 
 def test_apply_add_edge_prism_chord(prism_graph, prism_cycles):
@@ -203,66 +197,6 @@ def test_extract_pattern_two_of_three():
         extract_pattern((0, 1, 2), 0, 0, 1)
 
 
-def test_apply_flip_edge_single_insertion_case():
-    # One cycle through edge ab with c absent: c splices in between.
-    g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (1, 4)])
-    cs = enumerate_cycles_bruteforce(g)
-    assert cs == {(0, 1, 2, 3)}
-    got = apply_flip_edge(cs, 0, 1, 4)
-    assert got == enumerate_cycles_bruteforce(flip_edge(g, 0, 1, 4))
-    assert got == {canonical_cycle((0, 4, 1, 2, 3))}
-
-
-def test_apply_flip_edge_case6_merge():
-    # Two triangles sharing only b, with edges ab and bc: the flip must
-    # stitch their open halves into one 5-cycle.
-    a, b, c, x, y = 0, 1, 2, 3, 4
-    g = Graph(5, [(a, b), (a, x), (x, b), (b, c), (b, y), (y, c)])
-    cs = enumerate_cycles_bruteforce(g)
-    assert cs == {(0, 1, 3), (1, 2, 4)}
-    got = apply_flip_edge(cs, a, b, c)
-    assert got == enumerate_cycles_bruteforce(flip_edge(g, a, b, c))
-    assert canonical_cycle((a, x, b, y, c)) in got
-
-
-def test_apply_flip_edge_split_step_on_subdivided_prism(prism_graph, prism_cycles):
-    # One split step: subdivide rung 01, then flip a neighbour edge over
-    # to the fresh vertex.  All four valid neighbour choices must agree
-    # with brute force on the resulting graph.
-    sub_cycles = apply_subdivide_edge(prism_cycles, 0, 1, 6)
-    sub, _ = subdivide_edge(prism_graph, 0, 1)
-    for a, b in ((3, 0), (4, 0), (2, 1), (5, 1)):
-        got = apply_flip_edge(sub_cycles, a, b, 6)
-        assert got == enumerate_cycles_bruteforce(flip_edge(sub, a, b, 6))
-
-
-def test_apply_flip_edge_matches_bruteforce_randomized():
-    rng = random.Random(53)
-    done = 0
-    while done < 250:
-        g = random_graph(rng, rng.randint(4, 8), 0.5)
-        configs = []
-        for b in g.vertices:
-            nbrs = g.neighbors(b)
-            for a in nbrs:
-                for c in nbrs:
-                    if a != c and not g.has_edge(a, c):
-                        configs.append((a, b, c))
-        if not configs:
-            continue
-        a, b, c = rng.choice(configs)
-        got = apply_flip_edge(enumerate_cycles_bruteforce(g), a, b, c)
-        assert got == enumerate_cycles_bruteforce(flip_edge(g, a, b, c))
-        done += 1
-
-
-def test_apply_flip_edge_defect_detection():
-    # A cycle where a and c are cyclically adjacent cannot come from a
-    # graph without the edge ac, so the rewrite refuses it.
-    with pytest.raises(PatternError):
-        apply_flip_edge(frozenset({(0, 1, 2)}), 0, 3, 2)
-
-
 def test_rewrites_are_orientation_independent():
     # Feeding rotated or reflected copies of a cycle is impossible by
     # construction: canonicalization collapses them all first.
@@ -277,13 +211,84 @@ def test_rewrites_are_orientation_independent():
 
 
 def test_complete_graph_cycles_survive_edit_chain():
-    # Chain several rewrites and compare once at the end.
+    # Chain several rewrites and compare once at the end.  The split meets
+    # its precondition: K5 subdivided, minus edge 20, is still 2-connected.
     g = complete_graph(5)
     cs = enumerate_cycles_bruteforce(g)
     g1, c = subdivide_edge(g, 0, 1)
     cs = apply_subdivide_edge(cs, 0, 1, c)
-    g2 = flip_edge(g1, 2, 0, c)
-    cs = apply_flip_edge(cs, 2, 0, c)
+    g2, x = split_vertex(g1, 2, 3, 0)
+    cs = apply_split_vertex(cs, 2, 3, 0, x)
     g3 = add_edge(g2, 0, 2)
     cs = apply_add_edge(cs, 0, 2)
     assert cs == enumerate_cycles_bruteforce(g3)
+
+
+def _splits(g):
+    """Every (v, u, w) that split_vertex accepts on g."""
+    return [
+        (v, u, w)
+        for v in g.vertices
+        if g.degree(v) >= 3
+        for u in g.neighbors(v)
+        for w in g.neighbors(v)
+        if u != w
+    ]
+
+
+def test_apply_split_vertex_every_prism_split(prism_graph, prism_cycles):
+    splits = _splits(prism_graph)
+    assert len(splits) == 36
+    for v, u, w in splits:
+        g2, x = split_vertex(prism_graph, v, u, w)
+        assert apply_split_vertex(prism_cycles, v, u, w, x) == enumerate_cycles_bruteforce(g2)
+
+
+def test_apply_split_vertex_accepts_the_edge_deleted_set(prism_graph, prism_cycles):
+    # The cycles of g - vw are those of g that avoid vw, so either set may
+    # be given; the generator passes g - vw when vw is a pending edge.
+    for v, u, w in _splits(prism_graph):
+        without = enumerate_cycles_bruteforce(delete_edge(prism_graph, v, w))
+        assert without < prism_cycles
+        assert apply_split_vertex(without, v, u, w, 6) == apply_split_vertex(
+            prism_cycles, v, u, w, 6
+        )
+
+
+def _edges_on_cycles(g) -> bool:
+    cs = enumerate_cycles_bruteforce(g)
+    return {edge(c[i - 1], c[i]) for c in cs for i in range(len(c))} == set(g.edges())
+
+
+@PROPERTY
+@given(st.data())
+def test_apply_add_edge_property(data):
+    g = data.draw(two_connected_graphs())
+    non_edges = [(u, v) for u in g.vertices for v in range(u + 1, g.n) if not g.has_edge(u, v)]
+    assume(non_edges)
+    a, b = data.draw(st.sampled_from(non_edges))
+    got = apply_add_edge(enumerate_cycles_bruteforce(g), a, b)
+    assert got == enumerate_cycles_bruteforce(add_edge(g, a, b))
+
+
+@PROPERTY
+@given(st.data())
+def test_apply_subdivide_edge_property(data):
+    g = data.draw(two_connected_graphs())
+    a, b = data.draw(st.sampled_from(g.edges()))
+    g2, c = subdivide_edge(g, a, b)
+    got = apply_subdivide_edge(enumerate_cycles_bruteforce(g), a, b, c)
+    assert got == enumerate_cycles_bruteforce(g2)
+
+
+@PROPERTY
+@given(st.data())
+def test_apply_split_vertex_property(data):
+    g = data.draw(two_connected_graphs())
+    splits = _splits(g)
+    assume(splits)
+    v, u, w = data.draw(st.sampled_from(splits))
+    assume(_edges_on_cycles(delete_edge(g, v, w)))
+    g2, x = split_vertex(g, v, u, w)
+    got = apply_split_vertex(enumerate_cycles_bruteforce(g), v, u, w, x)
+    assert got == enumerate_cycles_bruteforce(g2)

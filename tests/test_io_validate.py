@@ -155,7 +155,7 @@ def test_shelf_file_validation(tmp_path):
         "tag": (head + "ZZ\tC~\t-\t-\t\n", ":4: unknown class tag"),
         "fields": (head + "B\tC~\t-\n", ":4: expected 5 fields"),
         "graph6": (head + "A0\tC!\t-\t-\t\n", ":4: invalid graph6 character"),
-        "separator": (head + "A0\tC\x1c\t-\t-\t\n", ":4: graph6 body for n=4"),
+        "separator": (head + "A0\tC\x1c\t-\t-\t\n", ":4: invalid graph6 character"),
         "no-trailer": (head + entry, ":4: missing trailer line"),
         "empty-no-trailer": (head, ":3: missing trailer line"),
         "count": (head + entry + trailer.replace("A0=1", "A0=2"), ":5: trailer counts"),
