@@ -13,7 +13,6 @@ from min3gen import (
     bridge_vertex_edge,
     complete_bipartite_3,
     delete_edge,
-    flip_edge,
     prism,
     split_vertex,
     subdivide_edge,
@@ -40,10 +39,6 @@ print("\nsubdivide_edge(0,2) adds vertex", c, "with neighbors", sub.neighbors(c)
 # keeps 1 on the old side, and joins the halves by a new edge.
 split, vp = split_vertex(g, 0, 2, 3)
 print("split_vertex(0; 2, 3) gives", vp, "adjacent to", split.neighbors(vp))
-
-# An edge flip rewires ab to ac where bc is an edge and ac is not.
-flipped = flip_edge(g, 1, 2, 3)
-print("flip_edge(1,2,3):", flipped.edges())
 
 # The three named seeds of the generator.
 print("\nprism:", prism().edges())

@@ -49,7 +49,6 @@ from .graphs import (
     delete_edge,
     delete_vertex,
     edge,
-    flip_edge,
     prism,
     split_vertex,
     subdivide_edge,
@@ -109,7 +108,6 @@ __all__ = [
     "encode_graph6",
     "enumerate_cycles_bruteforce",
     "extract_pattern",
-    "flip_edge",
     "generate_cubic",
     "generate_min3",
     "has_chording_path",

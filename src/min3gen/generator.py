@@ -16,7 +16,8 @@ are scaffolding for the next shelf.  Certificates deduplicate within a
 shelf across all classes.  Only admitted A entries get cycle sets of their
 own, derived from their source's set by the edge addition and vertex split
 rules, so nothing is re-enumerated; a B or C entry shares its A-class
-ancestor's set, which is all its chording path gate reads.
+ancestor's set, which is all its chording path gate reads.  A final shelf,
+one that nothing reads, gets no B or C class and no cycle sets at all.
 
 Wheels and K_{3,t} are the minimally 3-connected graphs that no prism-rooted
 chain reaches; they are constructed directly and merged into the output.
@@ -218,20 +219,15 @@ def child_cycles(source: ShelfEntry, graph: Graph, prov: Provenance) -> CycleSet
     return apply_split_vertex(cs, split_v, kept, moved, x)
 
 
-def run_shelf(
-    state: dict[tuple[int, int], Shelf],
-    m: int,
-    n: int,
-    produce_intermediates: bool = True,
-) -> Shelf:
-    """Produce the shelf at (m, n) from the shelves it depends on.
+def run_shelf(state: dict[tuple[int, int], Shelf], m: int, n: int, final: bool = False) -> Shelf:
+    """Produce the shelf at (m, n) from the row m-1 shelves in state.
 
     Classes are filled in the order C, B, A1, A2, A3.  One certificate
     store spans the whole shelf, so a graph reached twice, by whatever
     chain, is kept once; only an admitted candidate gets its cycle set.
-    Sources the state does not hold contribute nothing.  When
-    produce_intermediates is false the B and C classes are skipped; that
-    is only sound on the final column, where nothing consumes them.
+    Sources the state does not hold contribute nothing.  A final shelf is
+    one that nothing reads: it gets no B or C class, and its A entries get
+    cycles=None, which fails loudly where an empty set would pass a gate.
     """
     classes: dict[str, list[ShelfEntry]] = {}
     seen: set[bytes] = set()
@@ -243,12 +239,12 @@ def run_shelf(
                 cert = certificate(g)
                 if cert not in seen:
                     seen.add(cert)
-                    entry = ShelfEntry(g, child_cycles(src, g, prov), prov, cert)
-                    classes.setdefault(prov.class_tag, []).append(entry)
+                    cycles = None if final else child_cycles(src, g, prov)
+                    classes.setdefault(prov.class_tag, []).append(ShelfEntry(g, cycles, prov, cert))
 
     same_col = (m - 1, n)
     diag = (m - 1, n - 1)
-    if produce_intermediates:
+    if not final:
         admit(e2, same_col, "B")
         admit(e1, same_col, *A_TAGS)
     admit(c1, diag, "B")
@@ -276,14 +272,18 @@ def generate_min3(
 ) -> GeneratedSet:
     """All minimally 3-connected graphs with 6 to max_n vertices.
 
-    Walks shelves column by column (n outer, m from n+4 to 3n-7), keeping
-    one column of history.  Results arrive as (n, m) groups of sorted
+    Walks the bookshelf row by row (m outer, n from max(6, (m+9)//3) to
+    min(max_n, m-4)), since shelf (m, n) reads only row m-1: shelves
+    (m-1, n) and (m-1, n-1).  Only the previous row is kept, and of it only
+    the shelves something reads.  Results arrive as (n, m) groups of sorted
     certificates: the shelf classes A1, A2, A3, the prism seed, and the two
     direct families, wheels and K_{3,t}.
 
     shelf_loader, when given, may supply a previously saved shelf instead
     of recomputing it; shelf_saver receives every newly computed shelf,
-    with its B and C classes even on the final column.
+    B and C classes and cycle sets included.  Without a saver nothing reads
+    the final column (n = max_n), so its shelves are run as final and are
+    dropped once their certificates are taken.
     """
     if max_n < 6:
         raise ValueError("max_n must be at least 6")
@@ -293,15 +293,17 @@ def generate_min3(
     seed_entry = ShelfEntry(seed_graph, PRISM_CYCLES, Provenance("A0"), certificate(seed_graph))
     state: dict[tuple[int, int], Shelf] = {(9, 6): Shelf(9, 6, {"A0": [seed_entry]})}
     groups: dict[tuple[int, int], list[bytes]] = {(6, 9): [seed_entry.cert]}
-    for n in range(6, max_n + 1):
-        produce_bc = n < max_n or shelf_saver is not None
-        for m in range(n + 4, 3 * n - 6):
+    for m in range(10, 3 * max_n - 6):
+        row: dict[tuple[int, int], Shelf] = {}
+        for n in range(max(6, (m + 9) // 3), min(max_n, m - 4) + 1):
+            final = n == max_n and shelf_saver is None
             shelf = shelf_loader(m, n) if shelf_loader is not None else None
             if shelf is None:
-                shelf = run_shelf(state, m, n, produce_intermediates=produce_bc)
+                shelf = run_shelf(state, m, n, final)
                 if shelf_saver is not None:
                     shelf_saver(shelf)
-            state[(m, n)] = shelf
+            if not final:
+                row[(m, n)] = shelf
             for tag in ("A1", "A2", "A3"):
                 entries = shelf.classes.get(tag)
                 if entries:
@@ -311,8 +313,7 @@ def generate_min3(
                     f"{tag}={len(shelf.classes.get(tag, ()))}" for tag in ("B", "C", "A1", "A2", "A3")
                 )
                 progress(f"min3 shelf n={n} m={m}: {sizes}")
-        for key in [k for k in state if k[1] < n]:
-            del state[key]
+        state = row
     for n in range(6, max_n + 1):
         _merge_exceptional(groups, n, 2 * (n - 1), wheel(n - 1))
         _merge_exceptional(groups, n, 3 * n - 9, complete_bipartite_3(n - 3))

@@ -6,8 +6,8 @@ neighbourhood queries cheap at the scales this package targets.  Every edit
 returns a fresh Graph; nothing here mutates in place, so graph values can be
 shared freely between pipeline stages.
 
-The atomic edits (edge addition, edge subdivision, vertex split, edge flip)
-are the building blocks of the generator.  The composite operations
+The atomic edits (edge addition, edge subdivision, vertex split) are the
+building blocks of the generator.  The composite operations
 (bridging a vertex and an edge, bridging two edges, adding a degree 3
 vertex) are provided for the cubic generation mode and for validation
 against the one-shot definitions.
@@ -244,26 +244,6 @@ def split_vertex(g: Graph, v: int, u: int, w: int) -> tuple[Graph, int]:
     masks[w] = (masks[w] & ~(1 << v)) | (1 << vp)
     masks.append((1 << v) | (1 << u) | (1 << w))
     return Graph._from_masks(masks), vp
-
-
-def flip_edge(g: Graph, a: int, b: int, c: int) -> Graph:
-    """Return (g - ab) + ac.  Requires edges ab and bc and non-edge ac."""
-    _require_vertex(g, a)
-    _require_vertex(g, b)
-    _require_vertex(g, c)
-    if len({a, b, c}) != 3:
-        raise ValueError("flip vertices must be distinct")
-    if not g.has_edge(a, b):
-        raise ValueError(f"edge ({a},{b}) not present")
-    if not g.has_edge(b, c):
-        raise ValueError(f"edge ({b},{c}) not present")
-    if g.has_edge(a, c):
-        raise ValueError(f"edge ({a},{c}) already present")
-    masks = list(g._adj)
-    masks[a] = (masks[a] & ~(1 << b)) | (1 << c)
-    masks[b] &= ~(1 << a)
-    masks[c] |= 1 << a
-    return Graph._from_masks(masks)
 
 
 def prism() -> Graph:

@@ -195,8 +195,9 @@ def load_shelf(path: str | Path, expected: tuple[int, int] | None = None) -> She
     """Read a shelf file back; entries come out bit-identical to what was saved.
 
     expected, when given, is the (m, n) the caller asked for, and the
-    header must match it.  Entries with equal cycle text share one set, as
-    B and C entries with a common ancestor did when the shelf was made.
+    header must match it, and so must every entry's graph.  Entries with
+    equal cycle text share one set, as B and C entries with a common
+    ancestor did when the shelf was made.
     Any defect raises ShelfFileError naming the file and, where there is
     one, the line.
     """
@@ -238,6 +239,8 @@ def load_shelf(path: str | Path, expected: tuple[int, int] | None = None) -> She
             if tag not in CLASS_TAGS:
                 raise ValueError(f"unknown class tag {tag!r}")
             graph = decode_graph6(g6)
+            if (graph.m, graph.n) != (m, n):
+                raise ValueError(f"graph has (m, n) = {(graph.m, graph.n)}, not the shelf's {(m, n)}")
             prov = Provenance(tag, _parse_edges(added_text), _parse_splits(splits_text))
             cycles = shared.get(cycles_text)
             if cycles is None:

@@ -40,11 +40,12 @@ class ShelfEntry:
 
     For an A-class entry, cycles is the cycle set of graph.  A B or C entry
     shares its A-class ancestor's set instead: the cycles of graph minus
-    the pending added edges.
+    the pending added edges.  An entry of a final shelf, which nothing
+    reads, has cycles=None.
     """
 
     graph: Graph
-    cycles: frozenset[tuple[int, ...]]
+    cycles: frozenset[tuple[int, ...]] | None
     provenance: Provenance
     cert: bytes
 

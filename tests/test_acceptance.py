@@ -50,6 +50,8 @@ GOLDEN_DIGESTS = {
     "min3": (21, "59dad8d04859b3cba0601e8b38868d861e862efdc41615bf94844ddcbe3961da"),
     "cubic": (7, "c438bd7712af813b78deaba803e1690cd0f52d1f7bec0a26de8ae373cadf8dda"),
 }
+# The same hash over the shelves/ tree of `generate --max-n 9 --emit-intermediate`.
+GOLDEN_SHELF_DIGEST = (20, "7091a992a7e33e6525f80497e4c8688656f05fb7a713d42e363292be4abfc279")
 
 # the seed's cycle list, closed-walk notation, retyped from the source table
 PRISM_WALKS = (
@@ -83,8 +85,7 @@ def shelves8():
     return collect_shelves(8)
 
 
-def _output_digest(result, out_dir) -> tuple[int, str]:
-    write_outputs(result, out_dir)
+def _tree_digest(out_dir) -> tuple[int, str]:
     h = hashlib.sha256()
     paths = sorted(out_dir.iterdir(), key=lambda p: p.name)
     for path in paths:
@@ -94,8 +95,14 @@ def _output_digest(result, out_dir) -> tuple[int, str]:
 
 def test_golden_output_digests(min3_run, cubic_run, tmp_path_factory):
     for mode, run in (("min3", min3_run), ("cubic", cubic_run)):
-        digest = _output_digest(run[0], tmp_path_factory.mktemp(f"golden_{mode}"))
-        assert digest == GOLDEN_DIGESTS[mode], mode
+        out_dir = tmp_path_factory.mktemp(f"golden_{mode}")
+        write_outputs(run[0], out_dir)
+        assert _tree_digest(out_dir) == GOLDEN_DIGESTS[mode], mode
+
+
+def test_golden_shelf_digest(tmp_path):
+    assert cli_main(["generate", "--max-n", "9", "--emit-intermediate", "--out", str(tmp_path)]) == 0
+    assert _tree_digest(tmp_path / "shelves") == GOLDEN_SHELF_DIGEST
 
 
 def test_01_min3_counts(min3_run):
@@ -106,14 +113,15 @@ def test_01_min3_counts(min3_run):
 
 
 @pytest.mark.slow
-def test_min3_n11_count_and_oracles():
-    # The next published count, 1513, beyond the tier-1 table.
-    result = generate_min3(11)
-    certs = [c for (n, _), bucket in result.groups.items() if n == 11 for c in bucket]
+@pytest.mark.parametrize("max_n, published", [(11, 1513), (12, 9824)])
+def test_min3_published_count_and_oracles(max_n, published):
+    # The next published counts beyond the tier-1 table.
+    result = generate_min3(max_n)
+    certs = [c for (n, _), bucket in result.groups.items() if n == max_n for c in bucket]
     graphs = [canonical_graph(c) for c in certs]
-    assert len(graphs) == 1513
+    assert len(graphs) == published
     assert [certificate(g) for g in graphs] == certs
-    assert len(set(certs)) == 1513
+    assert len(set(certs)) == published
     assert all(is_minimally_3_connected(g) for g in graphs)
 
 

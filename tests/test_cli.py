@@ -240,3 +240,33 @@ def test_resume_rejects_a_truncated_shelf(tmp_path, capsys):
     assert rc == 3
     assert f"{path}:6: missing trailer line" in err
     assert not (second / "counts.tsv").exists()
+
+
+def test_resume_rejects_an_entry_from_another_shelf(tmp_path, capsys):
+    # A line moved in from shelf (13, 8) keeps the trailer counts right;
+    # resumed from without the graph check, (9, 15) gets 32 graphs, not 30.
+    first = tmp_path / "first"
+    rc, _, _ = run(
+        ["generate", "--mode", "min3", "--max-n", "9", "--out", str(first),
+         "--emit-intermediate"],
+        capsys,
+    )
+    assert rc == 0
+    shelves = first / "shelves"
+    donor = (shelves / "shelf_m13_n8.tsv").read_text().split("\n")
+    path = shelves / "shelf_m14_n8.tsv"
+    lines = path.read_text().split("\n")
+    b_lines = [i for i, line in enumerate(lines) if line.startswith("B\t")]
+    lines[b_lines[5]] = next(line for line in donor if line.startswith("B\t"))
+    path.write_text("\n".join(lines))
+    for stale in shelves.glob("shelf_m*_n9.tsv"):
+        stale.unlink()
+    second = tmp_path / "second"
+    rc, _, err = run(
+        ["generate", "--mode", "min3", "--max-n", "9", "--out", str(second),
+         "--resume", str(shelves)],
+        capsys,
+    )
+    assert rc == 3
+    assert f"{path}:{b_lines[5] + 1}: graph has (m, n) = (13, 8)" in err
+    assert not (second / "counts.tsv").exists()

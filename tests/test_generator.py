@@ -12,6 +12,7 @@ import dataclasses
 
 import pytest
 
+import min3gen.generator
 from helpers import ancestor_graph, collect_shelves, materialize
 from min3gen import (
     GeneratedSet,
@@ -30,7 +31,7 @@ from min3gen import (
     wheel,
 )
 from min3gen.cycles import enumerate_cycles_bruteforce
-from min3gen.generator import PRISM_CYCLES, c1, c2, c3, e1, e2
+from min3gen.generator import PRISM_CYCLES, c1, c2, c3, child_cycles, e1, e2
 from min3gen.records import A_TAGS, CLASS_TAGS
 
 
@@ -144,10 +145,34 @@ def test_run_shelf_dedups_across_classes():
         assert [e.cert for e in bucket] == sorted(e.cert for e in bucket)
 
 
-def test_run_shelf_skips_intermediates_when_asked():
-    state = {(9, 6): Shelf(9, 6, {"A0": [_seed_entry()]})}
-    shelf = run_shelf(state, 10, 6, produce_intermediates=False)
-    assert shelf.entries() == []
+def test_final_shelf_has_no_scaffolding_and_no_cycle_sets():
+    shelves = collect_shelves(8)
+    checked = 0
+    for (m, n), full in shelves.items():
+        if n != 8:
+            continue
+        shelf = run_shelf(shelves, m, n, final=True)
+        assert not shelf.entries("B", "C")
+        for tag in ("A1", "A2", "A3"):
+            assert [e.cert for e in shelf.entries(tag)] == [e.cert for e in full.entries(tag)]
+        assert all(e.cycles is None for e in shelf.entries())
+        checked += len(shelf.entries())
+    assert checked == 16
+
+
+def test_final_column_derives_cycle_sets_only_for_a_saver(monkeypatch):
+    derived_for = []
+
+    def counting(source, graph, prov):
+        derived_for.append(graph.n)
+        return child_cycles(source, graph, prov)
+
+    monkeypatch.setattr(min3gen.generator, "child_cycles", counting)
+    generate_min3(8)
+    assert 8 not in derived_for and 7 in derived_for
+    derived_for.clear()
+    generate_min3(8, shelf_saver=lambda shelf: None)
+    assert 8 in derived_for
 
 
 def test_generate_min3_smallest_budget():

@@ -18,7 +18,6 @@ from min3gen import (
     delete_edge,
     delete_vertex,
     edge,
-    flip_edge,
     prism,
     split_vertex,
     subdivide_edge,
@@ -117,17 +116,6 @@ def test_split_then_contract_recovers_input():
         back = add_edge(add_edge(delete_vertex(h, vp), v, u), v, w)
         assert back == g
         done += 1
-
-
-def test_flip_edge():
-    g = prism()
-    h = flip_edge(g, 3, 0, 1)
-    assert h.n == g.n and h.m == g.m
-    assert not h.has_edge(3, 0) and h.has_edge(3, 1)
-    with pytest.raises(ValueError):
-        flip_edge(g, 2, 0, 5)
-    with pytest.raises(ValueError):
-        flip_edge(g, 3, 0, 4)
 
 
 def test_edit_bookkeeping_properties():

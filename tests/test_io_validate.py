@@ -141,7 +141,7 @@ def test_shelf_file_validation(tmp_path):
 
     v = SHELF_VERSION
     head = f"min3gen-shelf\t{v}\nm\t10\nn\t6\n"
-    entry = "A0\tC~\t-\t-\t0-1-2\n"
+    entry = "A0\tEhfw\t-\t-\t0-1-2\n"  # the wheel W5: 6 vertices, 10 edges
     trailer = "end\tA0=1\tB=0\tC=0\tA1=0\tA2=0\tA3=0\n"
     assert load_shelf(_write(tmp_path / "one.tsv", head + entry + trailer)).entries()
     cases = {
@@ -156,6 +156,10 @@ def test_shelf_file_validation(tmp_path):
         "fields": (head + "B\tC~\t-\n", ":4: expected 5 fields"),
         "graph6": (head + "A0\tC!\t-\t-\t\n", ":4: invalid graph6 character"),
         "separator": (head + "A0\tC\x1c\t-\t-\t\n", ":4: invalid graph6 character"),
+        "other-shelf": (
+            head + "A0\tC~\t-\t-\t\n",
+            ":4: graph has (m, n) = (6, 4), not the shelf's (10, 6)",
+        ),
         "no-trailer": (head + entry, ":4: missing trailer line"),
         "empty-no-trailer": (head, ":3: missing trailer line"),
         "count": (head + entry + trailer.replace("A0=1", "A0=2"), ":5: trailer counts"),
