@@ -1,9 +1,23 @@
 """Isomorphism certificates by individualization and refinement.
 
 certificate(g) returns bytes equal for two graphs exactly when they are
-isomorphic.  It refines an ordered degree partition to equitability, then
-branches on the smallest non-singleton cell, and takes the lexicographically
-least adjacency encoding over all explored leaf labelings.
+isomorphic.  It refines an ordered degree partition to equitability.  If
+that leaves a tied cell, as it always does for a regular graph, each tied
+cell is split by a vertex invariant (the sizes of the BFS layers around
+the vertex) and refined again.  The search then branches on the smallest
+non-singleton cell and takes the lexicographically least adjacency
+encoding over all explored leaf labelings.
+
+Refinement counts the members of each cell against one splitter cell at a
+time, taken from a queue of cells that changed, so a search node that
+individualizes vertex v refines against {v} alone rather than recounting
+every cell against every cell (McKay and Piperno, "Practical graph
+isomorphism, II", J. Symb. Comput. 2014).
+
+A partition is a vertex order plus the end of each cell, indexed by the
+cell's first position, so a cell keeps its position when it splits.
+Every step decides by positions and neighbour counts only, never by
+vertex labels, which is what makes the least leaf canonical.
 
 Cells whose members are pairwise twins (identical open neighbourhoods, or
 identical closed neighbourhoods) are branched only once: transposing two
@@ -18,43 +32,88 @@ certificate machinery.
 
 from __future__ import annotations
 
+from collections import deque
+
 from .graphs import Graph, from_triangle_bits, triangle_bits
 
 
-def _refine(masks: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
-    """Split cells by neighbour counts into other cells until stable.
+def _split(order: list[int], ends: list[int], start: int, groups: dict) -> list[int]:
+    """Replace the cell at start by the groups' members, in increasing key
+    order, and return the start of each part."""
+    starts = []
+    pos = start
+    for key in sorted(groups):
+        end = pos + len(groups[key])
+        order[pos:end] = groups[key]
+        ends[pos] = end
+        starts.append(pos)
+        pos = end
+    return starts
 
-    Cell order is deterministic: a split replaces a cell by its parts in
-    increasing signature order, and signatures are tuples of counts against
-    the current cell list.
+
+def _refine(
+    masks: tuple[int, ...], order: list[int], ends: list[int], queue: list[int], cells: int
+) -> int:
+    """Split cells by neighbour counts into splitter cells until stable.
+
+    The partition (order, ends) of the given number of cells is refined in
+    place, and its new cell count is returned.  queue holds the starts of
+    the splitter cells, taken first in first out; each cell's members are
+    counted against one splitter at a time, and a cell with more than one
+    count splits into parts in increasing count order.  The parts join the
+    queue: all of them if the split cell was queued, otherwise all but the
+    first largest, since counts against the whole cell already agree
+    within every cell.
     """
+    n = len(order)
+    queued = set(queue)
+    queue = deque(queue)
+    while queue and cells < n:
+        s = queue.popleft()
+        queued.discard(s)
+        smask = 0
+        for v in order[s : ends[s]]:
+            smask |= 1 << v
+        c = 0
+        while c < n:
+            e = ends[c]
+            if e - c > 1:
+                groups: dict[int, list[int]] = {}
+                for v in order[c:e]:
+                    groups.setdefault((masks[v] & smask).bit_count(), []).append(v)
+                if len(groups) > 1:
+                    starts = _split(order, ends, c, groups)
+                    cells += len(starts) - 1
+                    if c in queued:
+                        fresh = starts[1:]
+                    else:
+                        big = 0
+                        for p in starts:
+                            if ends[p] - p > big:
+                                big, keep = ends[p] - p, p
+                        fresh = [p for p in starts if p != keep]
+                    queue.extend(fresh)
+                    queued.update(fresh)
+            c = e
+    return cells
+
+
+def _layer_sizes(masks: tuple[int, ...], v: int) -> tuple[int, ...]:
+    """Sizes of the BFS layers around v: its degree first, then the number
+    of vertices at each further distance."""
+    sizes = []
+    seen = frontier = 1 << v
     while True:
-        cellmasks = []
-        for cell in cells:
-            cm = 0
-            for v in cell:
-                cm |= 1 << v
-            cellmasks.append(cm)
-        out: list[list[int]] = []
-        changed = False
-        for cell in cells:
-            if len(cell) == 1:
-                out.append(cell)
-                continue
-            groups: dict[tuple[int, ...], list[int]] = {}
-            for v in cell:
-                mv = masks[v]
-                sig = tuple((mv & cm).bit_count() for cm in cellmasks)
-                groups.setdefault(sig, []).append(v)
-            if len(groups) == 1:
-                out.append(cell)
-            else:
-                changed = True
-                for sig in sorted(groups):
-                    out.append(sorted(groups[sig]))
-        cells = out
-        if not changed:
-            return cells
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= masks[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reach & ~seen
+        if not frontier:
+            return tuple(sizes)
+        seen |= frontier
+        sizes.append(frontier.bit_count())
 
 
 def _is_twin_cell(masks: tuple[int, ...], cell: list[int]) -> bool:
@@ -66,14 +125,14 @@ def _is_twin_cell(masks: tuple[int, ...], cell: list[int]) -> bool:
     return all(masks[v] | (1 << v) == closed0 for v in cell[1:])
 
 
-def _encode(masks: tuple[int, ...], cells: list[list[int]]) -> bytes:
+def _encode(masks: tuple[int, ...], order: list[int]) -> bytes:
     """Triangle bits of the leaf labeling, packed 8 to a byte, zero-padded."""
-    n = len(cells)
+    n = len(order)
     nbits = n * (n - 1) // 2
     if nbits == 0:
         return b""
     pad = (-nbits) % 8
-    acc = triangle_bits(masks, [cell[0] for cell in cells])
+    acc = triangle_bits(masks, order)
     return (acc << pad).to_bytes((nbits + pad) // 8, "big")
 
 
@@ -90,31 +149,51 @@ def certificate(g: Graph) -> bytes:
     if n == 0:
         return b"\x00"
     masks = tuple(g.neighbor_mask(v) for v in range(n))
-    by_degree: dict[int, list[int]] = {}
-    for v in range(n):
-        by_degree.setdefault(masks[v].bit_count(), []).append(v)
-    cells = _refine(masks, [by_degree[d] for d in sorted(by_degree)])
+    # One cell of all vertices, its own first splitter: counts against it
+    # are degrees, so it splits into the ordered degree partition.
+    order = list(range(n))
+    ends = [0] * n
+    ends[0] = n
+    cells = _refine(masks, order, ends, [0], 1)
+    if cells < n:
+        # Refinement stalled: split the tied cells by the BFS layer profile.
+        queue = []
+        for s in [s for s in range(n) if ends[s] - s > 1]:
+            groups: dict[tuple[int, ...], list[int]] = {}
+            for v in order[s : ends[s]]:
+                groups.setdefault(_layer_sizes(masks, v), []).append(v)
+            if len(groups) > 1:
+                starts = _split(order, ends, s, groups)
+                cells += len(starts) - 1
+                queue += starts
+        if queue:
+            cells = _refine(masks, order, ends, queue, cells)
     best: bytes | None = None
 
-    def search(cells: list[list[int]]) -> None:
+    def search(order: list[int], ends: list[int], cells: int) -> None:
         nonlocal best
-        target = -1
-        for idx, cell in enumerate(cells):
-            if len(cell) > 1 and (target < 0 or len(cell) < len(cells[target])):
-                target = idx
-        if target < 0:
-            enc = _encode(masks, cells)
+        if cells == n:
+            enc = _encode(masks, order)
             if best is None or enc < best:
                 best = enc
             return
-        cell = cells[target]
+        target = -1
+        for s in range(n):
+            if ends[s] - s > 1 and (target < 0 or ends[s] - s < ends[target] - target):
+                target = s
+        end = ends[target]
+        cell = order[target:end]
         members = cell[:1] if _is_twin_cell(masks, cell) else cell
         for v in members:
-            rest = [w for w in cell if w != v]
-            child = cells[:target] + [[v], rest] + cells[target + 1 :]
-            search(_refine(masks, child))
+            child = order[:]
+            child[target] = v
+            child[target + 1 : end] = [w for w in cell if w != v]
+            child_ends = ends[:]
+            child_ends[target] = target + 1
+            child_ends[target + 1] = end
+            search(child, child_ends, _refine(masks, child, child_ends, [target], cells + 1))
 
-    search(cells)
+    search(order, ends, cells)
     assert best is not None
     return bytes([n]) + best
 

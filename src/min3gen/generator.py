@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Callable
 
 from .canonical import certificate
-from .compat import no_chording_paths
+from .compat import _compile, no_chording_paths
 from .cycles import (
     CycleSet,
     apply_add_edge,
@@ -140,30 +140,25 @@ def _a1_frame(entry: ShelfEntry) -> tuple[int, int, int, int]:
 def c2(entry: ShelfEntry) -> list[Candidate]:
     """Split the surviving endpoint of an A1 entry's edge (class A2).
 
-    In the recovered frame the new vertex y is adjacent to c, b, d.  The
-    first loop pairs each remaining neighbour a of b with y itself; the
-    second pairs two distinct remaining neighbours a, k of b.  Both delete
-    the edges {ab, by, cy, dy} for their gates.
+    In the recovered frame the new vertex y is adjacent to c, b, d: the
+    entry is its A-class ancestor A with edge cd bridged to b.  Splitting b
+    so that a second new vertex takes y and a neighbour a bridges the edges
+    ab and cd of A, and a = d, an adjacent pair, is included.  The gate is
+    their 3-compatibility in A: no chording ac-, bc-, ad- or bd-path once
+    ab and y's edges are deleted, a pair with equal ends being vacuous.
     """
     c, b, d, y = _a1_frame(entry)
-    g, cs = entry.graph, entry.cycles
+    g = entry.graph
     banned = (edge(b, y), edge(c, y), edge(d, y))
-    candidates = [w for w in g.neighbors(b) if w not in (c, d, y)]
     out = []
-
-    def split(kept: int, moved: int) -> None:
-        g2, x = split_vertex(g, b, kept, moved)
-        prov = entry.provenance
-        out.append((g2, Provenance("A2", prov.added_edges, prov.splits + ((x, edge(b, x)),))))
-
-    for a in candidates:
-        if no_chording_paths(cs, g, ((c, a), (c, b), (d, b), (d, a)), (edge(a, b),) + banned):
-            split(y, a)
-    for a in candidates:
-        x_edges = (edge(a, b),) + banned
-        for k in candidates:
-            if k != a and no_chording_paths(cs, g, ((k, a), (k, b)), x_edges):
-                split(k, a)
+    for a in g.neighbors(b):
+        if a == y:
+            continue
+        pairs = [(p, q) for p, q in ((c, a), (c, b), (d, b), (d, a)) if p != q]
+        if no_chording_paths(entry.cycles, g, pairs, (edge(a, b),) + banned):
+            g2, x = split_vertex(g, b, y, a)
+            prov = entry.provenance
+            out.append((g2, Provenance("A2", prov.added_edges, prov.splits + ((x, edge(b, x)),))))
     return out
 
 
@@ -314,6 +309,8 @@ def generate_min3(
                 )
                 progress(f"min3 shelf n={n} m={m}: {sizes}")
         state = row
+    # No gate runs after the last row: keep no dead cycle sets alive.
+    _compile.cache_clear()
     for n in range(6, max_n + 1):
         _merge_exceptional(groups, n, 2 * (n - 1), wheel(n - 1))
         _merge_exceptional(groups, n, 3 * n - 9, complete_bipartite_3(n - 3))

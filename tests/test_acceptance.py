@@ -47,11 +47,11 @@ CUBIC_CI_SECONDS = 300
 # sha256 over the write_outputs tree, files sorted by name, each hashed as
 # name + NUL + bytes.  Re-pinned only when output bytes change by design.
 GOLDEN_DIGESTS = {
-    "min3": (21, "59dad8d04859b3cba0601e8b38868d861e862efdc41615bf94844ddcbe3961da"),
-    "cubic": (7, "c438bd7712af813b78deaba803e1690cd0f52d1f7bec0a26de8ae373cadf8dda"),
+    "min3": (21, "56d2c949a62a76a7c730f2b6c46956af3d934b04c6794ecf7e73297ee23ea1c6"),
+    "cubic": (7, "f596a6a671591f3bc45f150cfe7c759550a8a2b752041982806b7e99c3615198"),
 }
 # The same hash over the shelves/ tree of `generate --max-n 9 --emit-intermediate`.
-GOLDEN_SHELF_DIGEST = (20, "7091a992a7e33e6525f80497e4c8688656f05fb7a713d42e363292be4abfc279")
+GOLDEN_SHELF_DIGEST = (20, "cd8d7b65c9465dcc81dee273d67cf5ef74d5ed260e87d66c9fecff25b51116c5")
 
 # the seed's cycle list, closed-walk notation, retyped from the source table
 PRISM_WALKS = (
@@ -112,17 +112,29 @@ def test_01_min3_counts(min3_run):
     _report(1, "min3 counts n=6..10", ok)
 
 
+def _is_cubic_3_connected(g) -> bool:
+    return all(g.degree(v) == 3 for v in g.vertices) and is_3_connected(g)
+
+
 @pytest.mark.slow
-@pytest.mark.parametrize("max_n, published", [(11, 1513), (12, 9824)])
-def test_min3_published_count_and_oracles(max_n, published):
-    # The next published counts beyond the tier-1 table.
-    result = generate_min3(max_n)
+@pytest.mark.parametrize(
+    "generate, max_n, published, oracle",
+    [
+        (generate_min3, 11, 1513, is_minimally_3_connected),
+        (generate_min3, 12, 9824, is_minimally_3_connected),
+        (generate_cubic, 16, 2828, _is_cubic_3_connected),  # OEIS A204198
+    ],
+    ids=["min3-11-1513", "min3-12-9824", "cubic-16-2828"],
+)
+def test_published_count_and_oracles(generate, max_n, published, oracle):
+    # The next published counts beyond the tier-1 tables.
+    result = generate(max_n)
     certs = [c for (n, _), bucket in result.groups.items() if n == max_n for c in bucket]
     graphs = [canonical_graph(c) for c in certs]
     assert len(graphs) == published
     assert [certificate(g) for g in graphs] == certs
     assert len(set(certs)) == published
-    assert all(is_minimally_3_connected(g) for g in graphs)
+    assert all(oracle(g) for g in graphs)
 
 
 def test_02_cubic_counts(cubic_run):
@@ -206,6 +218,11 @@ def test_07_certificate_soundness(min3_run, cubic_run):
                     pairs += 1
     ok = ok and classes == 368 + 419
     rng = random.Random(20260819)
+    # Cubic n=14 classes are regular, so their certificates rest on the
+    # invariant split and the search: each relabelling must give it back.
+    for cert in cubic_run[0].groups[(14, 21)]:
+        g = canonical_graph(cert)
+        ok = ok and all(certificate(permuted_copy(rng, g)) == cert for _ in range(3))
     for i in range(10000):
         g1 = random_graph(rng, rng.randint(1, 7), rng.random())
         if i % 3 == 0:

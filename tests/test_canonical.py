@@ -14,10 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import cycle_graph, permuted_copy, random_graph
+from helpers import cycle_graph, permuted_copy, petersen, random_graph
 from min3gen import (
     Graph,
     are_isomorphic_bruteforce,
+    bridge_edges,
     canonical_graph,
     certificate,
     complete_bipartite_3,
@@ -27,6 +28,7 @@ from min3gen import (
     prism,
     wheel,
 )
+from min3gen.canonical import _layer_sizes
 
 
 @st.composite
@@ -74,6 +76,87 @@ def test_prism_is_vertex_transitive():
     dels = {certificate(delete_vertex(prism(), v)) for v in range(6)}
     assert len(dels) == 1
     assert certificate(prism()) == certificate(permuted_copy(random.Random(3), prism()))
+
+
+def _torus_graph(steps) -> Graph:
+    """Cayley graph on Z4 x Z4 whose generators are steps and their negatives."""
+    gens = {((a * s) % 4, (b * s) % 4) for a, b in steps for s in (1, -1)}
+    return Graph(16, {
+        tuple(sorted((4 * x + y, 4 * ((x + a) % 4) + (y + b) % 4)))
+        for x in range(4) for y in range(4) for a, b in gens
+    })
+
+
+def _generalized_petersen(n: int, k: int) -> Graph:
+    outer = [(i, (i + 1) % n) for i in range(n)]
+    spokes = [(i, n + i) for i in range(n)]
+    inner = [(n + i, n + (i + k) % n) for i in range(n)]
+    return Graph(2 * n, outer + spokes + inner)
+
+
+def _heawood() -> Graph:
+    """LCF notation [5, -5]^7: a 14-cycle, each even vertex joined 5 ahead."""
+    ring = [(i, (i + 1) % 14) for i in range(14)]
+    return Graph(14, ring + [(i, (i + 5) % 14) for i in range(0, 14, 2)])
+
+
+def _layer_profiles(g: Graph) -> set[tuple[int, ...]]:
+    masks = tuple(g.neighbor_mask(v) for v in g.vertices)
+    return {_layer_sizes(masks, v) for v in g.vertices}
+
+
+def test_strongly_regular_twins_are_told_apart():
+    # Shrikhande and the 4x4 rook's graph are both SRG(16, 6, 2, 2): every
+    # vertex of either has layer profile (6, 9), so the certificate rests on
+    # the search alone.
+    rook = _torus_graph([(0, 1), (0, 2), (0, 3), (1, 0), (2, 0), (3, 0)])
+    shrikhande = _torus_graph([(0, 1), (1, 0), (1, 1)])
+    assert _layer_profiles(rook) == _layer_profiles(shrikhande) == {(6, 9)}
+    rng = random.Random(79)
+    certs = []
+    for g in (rook, shrikhande):
+        cert = certificate(g)
+        assert certificate(permuted_copy(rng, g)) == cert
+        assert certificate(canonical_graph(cert)) == cert
+        certs.append(cert)
+    assert certs[0] != certs[1]
+
+
+@pytest.mark.parametrize(
+    "g",
+    [petersen(), _heawood(), _generalized_petersen(8, 3)],
+    ids=["petersen", "heawood", "moebius-kantor"],
+)
+def test_symmetric_cubic_graphs_keep_their_certificate(g):
+    # Vertex-transitive cubic graphs: every vertex ties on the invariant.
+    assert len(_layer_profiles(g)) == 1
+    rng = random.Random(83)
+    cert = certificate(g)
+    for _ in range(20):
+        assert certificate(permuted_copy(rng, g)) == cert
+    assert certificate(canonical_graph(cert)) == cert
+
+
+@st.composite
+def _cubic_graphs(draw, max_n: int) -> Graph:
+    """A random 3-connected cubic graph: K4, then random edge-pair bridges."""
+    g = wheel(3)
+    for _ in range(draw(st.integers(0, (max_n - 4) // 2))):
+        es = g.edges()
+        i, j = draw(st.lists(st.integers(0, len(es) - 1), min_size=2, max_size=2, unique=True))
+        g, _, _ = bridge_edges(g, es[i], es[j])
+    return g
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_cubic_certificates_are_permutation_invariant(data):
+    g = data.draw(_cubic_graphs(20))
+    perm = data.draw(st.permutations(range(g.n)))
+    h = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+    cert = certificate(g)
+    assert certificate(h) == cert
+    assert certificate(canonical_graph(cert)) == cert
 
 
 def test_twin_heavy_graphs():

@@ -15,23 +15,29 @@ import pytest
 import min3gen.generator
 from helpers import ancestor_graph, collect_shelves, materialize
 from min3gen import (
+    EdgePair,
     GeneratedSet,
+    Graph,
     Provenance,
     Shelf,
     ShelfEntry,
+    add_edge,
+    bridge_edges,
     canonical_graph,
     certificate,
     complete_bipartite_3,
+    delete_vertex,
     generate_cubic,
     generate_min3,
     is_3_connected,
+    is_3_compatible,
     is_minimally_3_connected,
     prism,
     run_shelf,
     wheel,
 )
 from min3gen.cycles import enumerate_cycles_bruteforce
-from min3gen.generator import PRISM_CYCLES, c1, c2, c3, child_cycles, e1, e2
+from min3gen.generator import PRISM_CYCLES, _a1_frame, c1, c2, c3, child_cycles, e1, e2
 from min3gen.records import A_TAGS, CLASS_TAGS
 
 
@@ -175,6 +181,11 @@ def test_final_column_derives_cycle_sets_only_for_a_saver(monkeypatch):
     assert 8 in derived_for
 
 
+def test_generate_min3_keeps_no_compiled_cycle_sets():
+    generate_min3(8)
+    assert min3gen.compat._compile.cache_info().currsize == 0
+
+
 def test_generate_min3_smallest_budget():
     result = generate_min3(6)
     assert result.mode == "min3"
@@ -241,6 +252,51 @@ def test_provenance_shapes_across_shelves():
                 elif tag == "A3":
                     assert len(prov.added_edges) == 2 and len(prov.splits) == 1
     assert {"A0", "B", "C", "A1", "A2", "A3"} <= seen_tags
+
+
+def _c2_by_definition(entry: ShelfEntry) -> set[bytes]:
+    """Certificates of the edge-pair bridgings c2 must build from an A1 entry.
+
+    The entry is A with edge cd bridged to vertex b by the new vertex y, so
+    c2 bridges cd with each edge ab of A, adjacent pairs (a = d) included,
+    whenever {ab, cd} is 3-compatible in A.
+    """
+    c, b, d, y = _a1_frame(entry)
+    assert y == entry.graph.n - 1  # so deleting y keeps every other label
+    base = delete_vertex(entry.graph, y)
+    a_graph = add_edge(base, c, d)
+    cycles = enumerate_cycles_bruteforce(a_graph)
+    return {
+        certificate(bridge_edges(a_graph, (a, b), (c, d))[0])
+        for a in a_graph.neighbors(b)
+        if is_3_compatible(cycles, a_graph, EdgePair((a, b), (c, d)))
+    }
+
+
+def test_c2_builds_exactly_the_compatible_edge_pair_bridgings():
+    checked = 0
+    for shelf in collect_shelves(9).values():
+        for ent in shelf.entries("A1"):
+            assert {certificate(g) for g, _ in c2(ent)} == _c2_by_definition(ent), ent.graph.edges()
+            checked += 1
+    assert checked > 50
+
+
+def test_c2_rejects_an_incompatible_pair_reached_through_another_neighbour():
+    # An A1 entry (b = 0, c = 2, d = 5, y = 10) whose A-graph vertex b has
+    # degree 3.  Splitting b so that the new vertex takes two of b's three
+    # A-neighbours is the bridging of cd with b's third edge, which is not
+    # 3-compatible here: both such splits have the removable edge 2-7.
+    g = Graph(11, [
+        (0, 6), (0, 8), (0, 9), (0, 10), (1, 2), (1, 5), (1, 8), (2, 7), (2, 8),
+        (2, 10), (3, 4), (3, 7), (3, 9), (4, 5), (4, 6), (5, 10), (6, 7), (7, 9),
+    ])
+    prov = Provenance("A1", ((0, 2),), ((10, (2, 10)),))
+    entry = ShelfEntry(g, enumerate_cycles_bruteforce(g), prov, certificate(g))
+    assert _a1_frame(entry) == (2, 0, 5, 10)
+    candidates = c2(entry)
+    assert {certificate(h) for h, _ in candidates} == _c2_by_definition(entry)
+    assert all(is_minimally_3_connected(h) for h, _ in candidates)
 
 
 def test_a_classes_are_minimal_and_intermediates_are_not():
