@@ -18,9 +18,9 @@ from min3gen import (
     complete_bipartite_3,
     bridge_vertex_edge,
     enumerate_cycles_bruteforce,
-    has_chording_path,
     is_3_compatible,
     is_minimally_3_connected,
+    no_chording_paths,
     prism,
     wheel,
 )
@@ -30,10 +30,11 @@ from min3gen import (
 # chord 34's mate: 3 and 5 are joined through paths avoiding the square.
 g = add_edge(prism(), 0, 2)
 cycles = enumerate_cycles_bruteforce(g)
-print("prism+02: chording path between 3 and 5:", has_chording_path(cycles, g, 3, 5))
+# no_chording_paths asks it for a list of endpoint pairs at once.
+print("prism+02: chording path between 3 and 5:", not no_chording_paths(cycles, g, ((3, 5),)))
 
 # Banned edges model "after this edge is deleted" without rebuilding.
-print("same query with edge 01 banned:", has_chording_path(cycles, g, 3, 5, banned=((0, 1),)))
+print("same query with edge 01 banned:", not no_chording_paths(cycles, g, ((3, 5),), ((0, 1),)))
 
 # Gate shape 1: {x, ab} guards bridging vertex x to edge ab (operation D1).
 k4 = wheel(3)

@@ -3,9 +3,11 @@ Canonical certificates and isomorph rejection
 =============================================
 
 Two graphs get the same certificate exactly when they are isomorphic, so
-deduplicating a batch is set membership on bytes.  The labeler is
-partition refinement with individualization, plus a twin collapse that
-keeps highly symmetric graphs (wheels, K_{3,t}) cheap.
+deduplicating a batch is set membership on strings.  A certificate is the
+graph6 line of the graph's canonical labelling, so it is also the line an
+output file holds for that class.  The labeler is partition refinement
+with individualization, plus a twin collapse that keeps highly symmetric
+graphs (wheels, K_{3,t}) cheap.
 """
 
 import random
@@ -15,12 +17,13 @@ from min3gen import (
     are_isomorphic_bruteforce,
     certificate,
     complete_bipartite_3,
+    decode_graph6,
     prism,
     wheel,
 )
 
 g = prism()
-print("prism certificate:", certificate(g).hex())
+print("prism certificate:", certificate(g))
 
 # Relabeling does not change the certificate.
 rng = random.Random(7)
@@ -34,7 +37,7 @@ print("brute-force agrees:", are_isomorphic_bruteforce(relabeled, g))
 # Non-isomorphic graphs of the same size separate: prism vs K_{3,3} are the
 # two cubic graphs on 6 vertices.
 k33 = complete_bipartite_3(3)
-print("\nK33 certificate:", certificate(k33).hex())
+print("\nK33 certificate:", certificate(k33))
 print("distinct from prism:", certificate(k33) != certificate(g))
 
 # Batch dedup: all 6 one-vertex-deleted subgraphs of the prism are
@@ -48,7 +51,13 @@ print("\ndistinct certificates among prism vertex deletions:", len(certs))
 # K_{3,8} are interchangeable, which naive branching would explore 8! ways.
 for name, h in (("wheel(8)", wheel(8)), ("K_{3,8}", complete_bipartite_3(8))):
     c = certificate(h)
-    print(f"{name}: n={h.n} cert={len(c)} bytes, leading byte {c[0]}")
+    print(f"{name}: n={h.n} cert={c}, leading character {c[0]!r} = chr(n + 63)")
+
+# decode_graph6 turns a certificate back into the canonical labelling,
+# which certifies to itself.
+canon = decode_graph6(certificate(g))
+print("\ncanonical prism:", canon.edges())
+print("certifies to itself:", certificate(canon) == certificate(g))
 
 # Certificates order each output bucket, which is what makes generator
 # runs byte-for-byte reproducible.

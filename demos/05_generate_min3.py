@@ -9,7 +9,7 @@ minimally 3-connected graph up to the requested vertex count, grouped by
 
 import time
 
-from min3gen import canonical_graph, certificate, complete_bipartite_3, generate_min3, wheel
+from min3gen import certificate, complete_bipartite_3, decode_graph6, generate_min3, wheel
 
 start = time.perf_counter()
 result = generate_min3(8, progress=print)
@@ -23,21 +23,23 @@ for (n, m), bucket in result.groups.items():
     print(f"  n={n} m={m}: {len(bucket)}")
 
 # Each bucket is a sorted list of certificates, one per isomorphism class.
+# A certificate is the graph6 line of the class's canonical labelling.
 # The edge counts stop at 3n-9 (for n >= 8), and the unique graph on that
 # boundary is K_{3,n-3}.
 boundary = result.groups[(8, 15)]
 print("\nextremal bucket at (8,15):", len(boundary), "graph,",
       "is K_{3,5}:", boundary[0] == certificate(complete_bipartite_3(5)))
 
-# canonical_graph turns a certificate back into its canonical labelling,
-# the graph write_outputs puts on that certificate's line.
-print("that graph, canonically labelled:", canonical_graph(boundary[0]))
+# write_outputs writes each certificate as its line, and decode_graph6
+# turns one back into its canonical labelling.
+print("its line:", boundary[0], "decodes to", decode_graph6(boundary[0]))
 
 # Wheels always show up: W7 sits in the n=8, m=14 bucket.
 print("wheel(7) emitted at (8,14):", certificate(wheel(7)) in result.groups[(8, 14)])
 
 # A shelf_saver sees the pipeline itself: every shelf holds its classes
 # with full provenance (which edges were added, which vertices split).
+# Only the A1, A2, A3 entries it adds to the result keep certificates.
 shelves = {}
 generate_min3(7, shelf_saver=lambda sh: shelves.setdefault((sh.m, sh.n), sh))
 shelf = shelves[(11, 7)]
@@ -47,3 +49,4 @@ entry = shelf.classes["A1"][0]
 print("one A1 entry:", entry.graph)
 print("  provenance:", entry.provenance)
 print("  cycles carried:", len(entry.cycles))
+print("  certificates kept:", len(shelf.certs))

@@ -5,12 +5,14 @@ Generating all 3-connected cubic graphs
 The cubic mode grows K4 by bridging pairs of edges: subdivide both, join
 the two new vertices.  Every 3-connected cubic graph on n+2 vertices
 arises this way from one on n, so levels are complete by induction and
-certificates make them isomorph-free.
+certificates make them isomorph-free.  A level is kept as its
+certificates only, the graph6 lines of canonical labellings, and decoded
+to grow the next.
 """
 
 import time
 
-from min3gen import canonical_graph, certificate, complete_bipartite_3, generate_cubic, prism
+from min3gen import certificate, complete_bipartite_3, decode_graph6, generate_cubic, prism
 
 start = time.perf_counter()
 result = generate_cubic(12, progress=print)
@@ -28,6 +30,6 @@ print("\nn=6 level is {prism, K33}:",
 # Every emitted graph is cubic by construction; spot-check one level in
 # the canonical labelling its certificate encodes.
 for cert in result.groups[(10, 15)][:3]:
-    g = canonical_graph(cert)
+    g = decode_graph6(cert)
     print("n=10 sample:", g.edges()[:6], "... degrees all 3:",
           all(g.degree(v) == 3 for v in g.vertices))

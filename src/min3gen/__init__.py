@@ -6,13 +6,12 @@ two generators, and graph6 plus shelf serialization with independent
 connectivity oracles.
 """
 
-from .canonical import are_isomorphic_bruteforce, canonical_graph, certificate
+from .canonical import are_isomorphic_bruteforce, certificate
 from .compat import (
     CompatSet,
     EdgePair,
     VertexEdge,
     VertexTriple,
-    has_chording_path,
     is_3_compatible,
     no_chording_paths,
 )
@@ -95,7 +94,6 @@ __all__ = [
     "c2",
     "c3",
     "canonical_cycle",
-    "canonical_graph",
     "certificate",
     "chords",
     "complete_bipartite_3",
@@ -110,7 +108,6 @@ __all__ = [
     "extract_pattern",
     "generate_cubic",
     "generate_min3",
-    "has_chording_path",
     "is_3_compatible",
     "is_3_connected",
     "is_minimally_3_connected",

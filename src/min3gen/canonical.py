@@ -1,12 +1,12 @@
 """Isomorphism certificates by individualization and refinement.
 
-certificate(g) returns bytes equal for two graphs exactly when they are
-isomorphic.  It refines an ordered degree partition to equitability.  If
-that leaves a tied cell, as it always does for a regular graph, each tied
-cell is split by a vertex invariant (the sizes of the BFS layers around
-the vertex) and refined again.  The search then branches on the smallest
-non-singleton cell and takes the lexicographically least adjacency
-encoding over all explored leaf labelings.
+certificate(g) returns a string equal for two graphs exactly when they
+are isomorphic: the graph6 line of g's canonical labelling.  It refines
+an ordered degree partition to equitability.  If that leaves a tied cell,
+as it always does for a regular graph, each tied cell is split by a
+vertex invariant (the sizes of the BFS layers around the vertex) and
+refined again.  The search then branches on the smallest non-singleton
+cell, compares the leaf labelings' triangle_bits, and packs the least.
 
 Refinement counts the members of each cell against one splitter cell at a
 time, taken from a queue of cells that changed, so a search node that
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .graphs import Graph, from_triangle_bits, triangle_bits
+from .graphs import Graph, graph6_line, triangle_bits
 
 
 def _split(order: list[int], ends: list[int], start: int, groups: dict) -> list[int]:
@@ -125,29 +125,17 @@ def _is_twin_cell(masks: tuple[int, ...], cell: list[int]) -> bool:
     return all(masks[v] | (1 << v) == closed0 for v in cell[1:])
 
 
-def _encode(masks: tuple[int, ...], order: list[int]) -> bytes:
-    """Triangle bits of the leaf labeling, packed 8 to a byte, zero-padded."""
-    n = len(order)
-    nbits = n * (n - 1) // 2
-    if nbits == 0:
-        return b""
-    pad = (-nbits) % 8
-    acc = triangle_bits(masks, order)
-    return (acc << pad).to_bytes((nbits + pad) // 8, "big")
+def certificate(g: Graph) -> str:
+    """The graph6 line of g's canonical labelling.
 
-
-def certificate(g: Graph) -> bytes:
-    """Canonical byte string: vertex count then canonical adjacency bits.
-
-    certificate(g1) == certificate(g2) iff g1 and g2 are isomorphic.
-    Single-byte count limits inputs to n <= 255, far above anything the
+    certificate(g1) == certificate(g2) iff g1 and g2 are isomorphic, and
+    io_validate.decode_graph6 turns a certificate into that labelling.
+    graph6's short form limits inputs to n <= 62, far above anything the
     generator produces.
     """
     n = g.n
-    if n > 255:
-        raise ValueError("certificate supports at most 255 vertices")
     if n == 0:
-        return b"\x00"
+        return graph6_line(0, 0)
     masks = tuple(g.neighbor_mask(v) for v in range(n))
     # One cell of all vertices, its own first splitter: counts against it
     # are degrees, so it splits into the ordered degree partition.
@@ -168,14 +156,14 @@ def certificate(g: Graph) -> bytes:
                 queue += starts
         if queue:
             cells = _refine(masks, order, ends, queue, cells)
-    best: bytes | None = None
+    best = -1
 
     def search(order: list[int], ends: list[int], cells: int) -> None:
         nonlocal best
         if cells == n:
-            enc = _encode(masks, order)
-            if best is None or enc < best:
-                best = enc
+            bits = triangle_bits(masks, order)
+            if best < 0 or bits < best:
+                best = bits
             return
         target = -1
         for s in range(n):
@@ -194,24 +182,7 @@ def certificate(g: Graph) -> bytes:
             search(child, child_ends, _refine(masks, child, child_ends, [target], cells + 1))
 
     search(order, ends, cells)
-    assert best is not None
-    return bytes([n]) + best
-
-
-def canonical_graph(cert: bytes) -> Graph:
-    """The canonical labelling a certificate encodes.
-
-    It is isomorphic to every graph with that certificate, and
-    certificate(canonical_graph(c)) == c.
-    """
-    if not cert:
-        raise ValueError("empty certificate")
-    n = cert[0]
-    nbits = n * (n - 1) // 2
-    size = 1 + (nbits + 7) // 8
-    if len(cert) != size:
-        raise ValueError(f"certificate for n={n} needs {size} bytes, got {len(cert)}")
-    return from_triangle_bits(n, int.from_bytes(cert[1:], "big") >> (-nbits % 8))
+    return graph6_line(n, best)
 
 
 def are_isomorphic_bruteforce(g1: Graph, g2: Graph) -> bool:

@@ -133,18 +133,19 @@ def _compile(cycles: CycleSet) -> tuple[tuple[int, ...], tuple[int, ...], tuple[
     return tuple(vertex_masks), tuple(edge_bits), tuple(chord_bits)
 
 
-def _any_chording_path(
+def no_chording_paths(
     cycles: CycleSet,
     g: Graph,
     pairs: Iterable[tuple[int, int]],
-    banned: Iterable[Edge],
+    banned: Iterable[Edge] = (),
 ) -> bool:
-    """Does g minus the banned edges contain a chording path for some pair?
+    """True when no endpoint pair has a chording path in g minus the banned edges.
 
-    The graph, the banned edges and the compiled cycle set are reduced
-    once to the cycles avoiding the ban, each with its live chord bits;
-    each endpoint pair then runs path searches only through the chords
-    that its endpoints' positions on the cycle allow.
+    Pairs are unordered; duplicates are checked once, and equal endpoints
+    are a usage error.  The cycle set must belong to g; dropping the cycles
+    through a banned edge leaves those of the edge-deleted graph, each kept
+    with its live chord bits.  Each pair then searches paths only through
+    the chords its endpoints' positions on the cycle allow.
     """
     ends: dict[tuple[int, int], None] = {}
     for a, b in pairs:
@@ -183,54 +184,25 @@ def _any_chording_path(
             if cmask >> a & 1:
                 if cmask >> b & 1:
                     if chords & ab:
-                        return True
+                        return False
                     continue
                 for i in _bits(chords & star_a):
                     u, v = _index_pair(i)
                     if _chording_via(masks, cmask, a, b, a, v if u == a else u):
-                        return True
+                        return False
             elif cmask >> b & 1:
                 for i in _bits(chords & star_b):
                     u, v = _index_pair(i)
                     if _chording_via(masks, cmask, a, b, v if u == b else u, b):
-                        return True
+                        return False
             else:
                 for i in _bits(chords):
                     u, v = _index_pair(i)
                     if _chording_via(masks, cmask, a, b, u, v) or _chording_via(
                         masks, cmask, a, b, v, u
                     ):
-                        return True
-    return False
-
-
-def has_chording_path(
-    cycles: CycleSet,
-    g: Graph,
-    a: int,
-    b: int,
-    banned: Iterable[Edge] = (),
-) -> bool:
-    """Does g minus the banned edges contain a chording ab-path?
-
-    The cycle set must belong to g; cycles using a banned edge are ignored,
-    which leaves exactly the cycles of the edge-deleted graph.
-    """
-    return _any_chording_path(cycles, g, ((a, b),), banned)
-
-
-def no_chording_paths(
-    cycles: CycleSet,
-    g: Graph,
-    pairs: Iterable[tuple[int, int]],
-    banned: Iterable[Edge] = (),
-) -> bool:
-    """True when none of the endpoint pairs admits a chording path.
-
-    Pairs are unordered for this purpose; duplicates are checked once.
-    A pair with equal endpoints is a usage error.
-    """
-    return not _any_chording_path(cycles, g, pairs, banned)
+                        return False
+    return True
 
 
 def is_3_compatible(cycles: CycleSet, g: Graph, s: CompatSet) -> bool:

@@ -39,7 +39,8 @@ from .cycles import (
     enumerate_cycles_bruteforce,
 )
 from .graphs import Graph, add_edge, bridge_edges, complete_bipartite_3, edge, prism, split_vertex, wheel
-from .records import A_TAGS, SCAFFOLD_TAGS, GeneratedSet, Provenance, Shelf, ShelfEntry
+from .io_validate import decode_graph6
+from .records import A_TAGS, RESULT_TAGS, SCAFFOLD_TAGS, GeneratedSet, Provenance, Shelf, ShelfEntry
 
 # The 14 cycles of the prism under its fixed labeling, written as closed
 # walks and canonicalized on import.  generate_min3 re-checks them against
@@ -220,12 +221,14 @@ def run_shelf(state: dict[tuple[int, int], Shelf], m: int, n: int, final: bool =
     Classes are filled in the order C, B, A1, A2, A3.  One certificate
     store spans the whole shelf, so a graph reached twice, by whatever
     chain, is kept once; only an admitted candidate gets its cycle set.
-    Sources the state does not hold contribute nothing.  A final shelf is
-    one that nothing reads: it gets no B or C class, and its A entries get
-    cycles=None, which fails loudly where an empty set would pass a gate.
+    Certificates also order each class, and only those of the A1, A2, A3
+    entries are kept, as Shelf.certs.  Sources the state does not hold
+    contribute nothing.  A final shelf is one that nothing reads: it gets
+    no B or C class, and its A entries get cycles=None, which fails loudly
+    where an empty set would pass a gate.
     """
-    classes: dict[str, list[ShelfEntry]] = {}
-    seen: set[bytes] = set()
+    classes: dict[str, dict[str, ShelfEntry]] = {}
+    seen: set[str] = set()
 
     def admit(op: Callable[[ShelfEntry], list[Candidate]], key: tuple[int, int], *tags: str) -> None:
         sources = state[key].entries(*tags) if key in state else []
@@ -235,7 +238,7 @@ def run_shelf(state: dict[tuple[int, int], Shelf], m: int, n: int, final: bool =
                 if cert not in seen:
                     seen.add(cert)
                     cycles = None if final else child_cycles(src, g, prov)
-                    classes.setdefault(prov.class_tag, []).append(ShelfEntry(g, cycles, prov, cert))
+                    classes.setdefault(prov.class_tag, {})[cert] = ShelfEntry(g, cycles, prov)
 
     same_col = (m - 1, n)
     diag = (m - 1, n - 1)
@@ -245,9 +248,8 @@ def run_shelf(state: dict[tuple[int, int], Shelf], m: int, n: int, final: bool =
     admit(c1, diag, "B")
     admit(c2, diag, "A1")
     admit(c3, diag, "C")
-    for bucket in classes.values():
-        bucket.sort(key=lambda e: e.cert)
-    return Shelf(m, n, classes)
+    entries = {tag: [bucket[c] for c in sorted(bucket)] for tag, bucket in classes.items()}
+    return Shelf(m, n, entries, sorted(c for tag in RESULT_TAGS for c in classes.get(tag, ())))
 
 
 def _merge_exceptional(groups: dict, n: int, m: int, g: Graph) -> None:
@@ -275,19 +277,19 @@ def generate_min3(
     direct families, wheels and K_{3,t}.
 
     shelf_loader, when given, may supply a previously saved shelf instead
-    of recomputing it; shelf_saver receives every newly computed shelf,
-    B and C classes and cycle sets included.  Without a saver nothing reads
-    the final column (n = max_n), so its shelves are run as final and are
-    dropped once their certificates are taken.
+    of recomputing it; shelf_saver receives every shelf, loaded or
+    computed, B and C classes and cycle sets included.  Without a saver
+    nothing reads the final column (n = max_n), so its shelves are run as
+    final and are dropped once their certificates are taken.
     """
     if max_n < 6:
         raise ValueError("max_n must be at least 6")
     seed_graph = prism()
     if enumerate_cycles_bruteforce(seed_graph) != PRISM_CYCLES:
         raise RuntimeError("prism cycle table failed its brute-force check")
-    seed_entry = ShelfEntry(seed_graph, PRISM_CYCLES, Provenance("A0"), certificate(seed_graph))
+    seed_entry = ShelfEntry(seed_graph, PRISM_CYCLES, Provenance("A0"))
     state: dict[tuple[int, int], Shelf] = {(9, 6): Shelf(9, 6, {"A0": [seed_entry]})}
-    groups: dict[tuple[int, int], list[bytes]] = {(6, 9): [seed_entry.cert]}
+    groups: dict[tuple[int, int], list[str]] = {(6, 9): [certificate(seed_graph)]}
     for m in range(10, 3 * max_n - 6):
         row: dict[tuple[int, int], Shelf] = {}
         for n in range(max(6, (m + 9) // 3), min(max_n, m - 4) + 1):
@@ -295,18 +297,15 @@ def generate_min3(
             shelf = shelf_loader(m, n) if shelf_loader is not None else None
             if shelf is None:
                 shelf = run_shelf(state, m, n, final)
-                if shelf_saver is not None:
-                    shelf_saver(shelf)
+            if shelf_saver is not None:
+                shelf_saver(shelf)
             if not final:
                 row[(m, n)] = shelf
-            for tag in ("A1", "A2", "A3"):
-                entries = shelf.classes.get(tag)
-                if entries:
-                    groups.setdefault((n, m), []).extend(e.cert for e in entries)
+            if shelf.certs:
+                groups.setdefault((n, m), []).extend(shelf.certs)
             if progress is not None:
-                sizes = " ".join(
-                    f"{tag}={len(shelf.classes.get(tag, ()))}" for tag in ("B", "C", "A1", "A2", "A3")
-                )
+                tags = SCAFFOLD_TAGS + RESULT_TAGS
+                sizes = " ".join(f"{tag}={len(shelf.classes.get(tag, ()))}" for tag in tags)
                 progress(f"min3 shelf n={n} m={m}: {sizes}")
         state = row
     # No gate runs after the last row: keep no dead cycle sets alive.
@@ -324,27 +323,24 @@ def generate_cubic(max_n: int, *, progress: Progress | None = None) -> Generated
 
     Starting from K4, every unordered pair of distinct edges (adjacent
     pairs included) is bridged: both edges are subdivided and the two new
-    vertices joined.  Certificates deduplicate each level.  Cycle sets are
-    not needed here, so none are carried.
+    vertices joined.  A level is kept as its sorted certificates only, which
+    are decoded when the next level is grown from them.  Cycle sets are not
+    needed here, so none are carried.
     """
     if max_n < 4:
         raise ValueError("max_n must be at least 4")
     if max_n % 2:
         raise ValueError("cubic graphs need an even vertex count")
-    k4 = wheel(3)
-    groups = {(4, 6): [certificate(k4)]}
-    level = [k4]
+    level = [certificate(wheel(3))]
+    groups = {(4, 6): level}
     for n in range(6, max_n + 1, 2):
-        grown: dict[bytes, Graph] = {}
-        for g in level:
+        grown: set[str] = set()
+        for g in map(decode_graph6, level):
             es = g.edges()
             for i in range(len(es)):
                 for j in range(i + 1, len(es)):
-                    h, _, _ = bridge_edges(g, es[i], es[j])
-                    grown.setdefault(certificate(h), h)
-        certs = sorted(grown)
-        level = [grown[c] for c in certs]
-        groups[(n, 3 * n // 2)] = certs
+                    grown.add(certificate(bridge_edges(g, es[i], es[j])[0]))
+        level = groups[(n, 3 * n // 2)] = sorted(grown)
         if progress is not None:
-            progress(f"cubic n={n}: {len(certs)} graphs")
+            progress(f"cubic n={n}: {len(level)} graphs")
     return GeneratedSet("cubic", groups)

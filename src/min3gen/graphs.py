@@ -15,6 +15,7 @@ against the one-shot definitions.
 
 from __future__ import annotations
 
+import binascii
 from typing import Iterable, Iterator
 
 Edge = tuple[int, int]
@@ -121,6 +122,26 @@ def triangle_bits(masks: tuple[int, ...], order: list[int] | range) -> int:
             col = (col << 1) | (mj >> order[i] & 1)
         acc = (acc << j) | col
     return acc
+
+
+# base64 packs six bits to a character as graph6 does; graph6 offsets them by 63.
+_BASE64_TO_GRAPH6 = bytes.maketrans(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/", bytes(range(63, 127))
+)
+
+
+def graph6_line(n: int, bits: int) -> str:
+    """chr(n + 63), then the triangle_bits six to a character, zero-padded:
+    the graph6 line of a graph on n <= 62 vertices.  Lines of equal n sort
+    as their bits do."""
+    if n > 62:
+        raise ValueError("graph6 short form supports at most 62 vertices")
+    nbits = n * (n - 1) // 2
+    chars = (nbits + 5) // 6
+    groups = (chars + 3) // 4  # of 24 bits, base64's unit; the rest is padding
+    packed = (bits << (24 * groups - nbits)).to_bytes(3 * groups, "big")
+    body = binascii.b2a_base64(packed, newline=False).translate(_BASE64_TO_GRAPH6)
+    return chr(n + 63) + body[:chars].decode("ascii")
 
 
 def from_triangle_bits(n: int, bits: int) -> Graph:

@@ -12,9 +12,9 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
-from .canonical import canonical_graph, certificate
-from .graphs import Graph, delete_edge, from_triangle_bits, triangle_bits
-from .records import CLASS_TAGS, GeneratedSet, Provenance, Shelf, ShelfEntry
+from .canonical import certificate
+from .graphs import Graph, delete_edge, from_triangle_bits, graph6_line, triangle_bits
+from .records import CLASS_TAGS, RESULT_TAGS, GeneratedSet, Provenance, Shelf, ShelfEntry
 
 SHELF_FORMAT = "min3gen-shelf"
 SHELF_VERSION = 3
@@ -27,19 +27,10 @@ GRAPH6_BLANKS = " \t\r\n"
 
 
 def encode_graph6(g: Graph) -> str:
-    """Standard graph6 line for graphs on up to 62 vertices.
-
-    One byte n+63, then the triangle bits (graphs.triangle_bits), packed six
-    to a byte, each offset by 63, and the last zero-padded.
-    """
-    n = g.n
-    if n > 62:
-        raise ValueError("graph6 short form supports at most 62 vertices")
-    nbits = n * (n - 1) // 2
-    pad = (-nbits) % 6
-    bits = triangle_bits(tuple(g.neighbor_mask(v) for v in g.vertices), g.vertices) << pad
-    shifts = range(nbits + pad - 6, -1, -6)
-    return chr(n + 63) + "".join(chr((bits >> s & 63) + 63) for s in shifts)
+    """Standard graph6 line for graphs on up to 62 vertices, packed by
+    graphs.graph6_line as certificates are."""
+    masks = tuple(g.neighbor_mask(v) for v in g.vertices)
+    return graph6_line(g.n, triangle_bits(masks, g.vertices))
 
 
 def decode_graph6(line: str) -> Graph:
@@ -197,7 +188,9 @@ def load_shelf(path: str | Path, expected: tuple[int, int] | None = None) -> She
     expected, when given, is the (m, n) the caller asked for, and the
     header must match it, and so must every entry's graph.  Entries with
     equal cycle text share one set, as B and C entries with a common
-    ancestor did when the shelf was made.
+    ancestor did when the shelf was made.  Only the A1, A2, A3 entries are
+    certified, for Shelf.certs; no two entry lines may repeat a graph6
+    field, and no two of those entries a certificate.
     Any defect raises ShelfFileError naming the file and, where there is
     one, the line.
     """
@@ -223,6 +216,8 @@ def load_shelf(path: str | Path, expected: tuple[int, int] | None = None) -> She
             raise ValueError(f"header says (m, n) = {(m, n)}, expected {expected}")
         classes: dict[str, list[ShelfEntry]] = {}
         shared: dict[str, frozenset] = {}
+        g6_lines: dict[str, int] = {}  # graph6 field -> its line
+        cert_lines: dict[str, int] = {}  # A1/A2/A3 certificate -> its line
         trailer = None
         for lineno, line in enumerate(lines[3:], start=4):
             if not line:
@@ -238,14 +233,22 @@ def load_shelf(path: str | Path, expected: tuple[int, int] | None = None) -> She
             tag, g6, added_text, splits_text, cycles_text = fields
             if tag not in CLASS_TAGS:
                 raise ValueError(f"unknown class tag {tag!r}")
+            if g6 in g6_lines:
+                raise ValueError(f"graph {g6} repeats line {g6_lines[g6]}")
+            g6_lines[g6] = lineno
             graph = decode_graph6(g6)
             if (graph.m, graph.n) != (m, n):
                 raise ValueError(f"graph has (m, n) = {(graph.m, graph.n)}, not the shelf's {(m, n)}")
+            if tag in RESULT_TAGS:
+                cert = certificate(graph)
+                if cert in cert_lines:
+                    raise ValueError(f"graph is isomorphic to line {cert_lines[cert]}'s")
+                cert_lines[cert] = lineno
             prov = Provenance(tag, _parse_edges(added_text), _parse_splits(splits_text))
             cycles = shared.get(cycles_text)
             if cycles is None:
                 cycles = shared[cycles_text] = _parse_cycles(cycles_text)
-            classes.setdefault(tag, []).append(ShelfEntry(graph, cycles, prov, certificate(graph)))
+            classes.setdefault(tag, []).append(ShelfEntry(graph, cycles, prov))
         if trailer is None:
             raise ValueError("missing trailer line (truncated shelf file?)")
         counts = [f"{tag}={len(classes.get(tag, ()))}" for tag in CLASS_TAGS]
@@ -255,7 +258,7 @@ def load_shelf(path: str | Path, expected: tuple[int, int] | None = None) -> She
             )
     except ValueError as exc:
         raise ShelfFileError(f"{path}:{lineno}: {exc}") from exc
-    return Shelf(m, n, classes)
+    return Shelf(m, n, classes, sorted(cert_lines))
 
 
 def _header_int(line: str, key: str) -> int:
@@ -269,8 +272,9 @@ def write_outputs(collections: GeneratedSet, out_dir: str | Path) -> list[Path]:
     """Write one graph6 file per group plus a counts.tsv summary.
 
     Group files are min3_n{n}_m{m}.g6 or cubic_n{n}.g6 depending on the
-    mode.  Line k is the canonical labelling of the group's k-th certificate,
-    so the bytes depend only on the set of isomorphism classes.
+    mode.  Line k is the group's k-th certificate, the graph6 line of a
+    canonical labelling, so the bytes depend only on the set of
+    isomorphism classes.
     counts.tsv has header n, m, count and one row per written file, sorted.
     Returns the written paths, counts.tsv last.
     """
@@ -288,7 +292,7 @@ def write_outputs(collections: GeneratedSet, out_dir: str | Path) -> list[Path]:
         else:
             raise ValueError(f"unknown mode {collections.mode!r}")
         path = out / name
-        path.write_text("".join(encode_graph6(canonical_graph(c)) + "\n" for c in bucket))
+        path.write_text("".join(c + "\n" for c in bucket))
         written.append(path)
         rows.append((n, m, len(bucket)))
     counts = out / "counts.tsv"

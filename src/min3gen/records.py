@@ -17,6 +17,8 @@ from .graphs import Edge, Graph
 CLASS_TAGS = ("A0", "B", "C", "A1", "A2", "A3")
 A_TAGS = ("A0", "A1", "A2", "A3")
 SCAFFOLD_TAGS = ("B", "C")
+# The classes a shelf adds to the result, and so keeps certificates of.
+RESULT_TAGS = ("A1", "A2", "A3")
 
 
 @dataclass(frozen=True)
@@ -36,7 +38,7 @@ class Provenance:
 
 @dataclass(frozen=True)
 class ShelfEntry:
-    """A graph, a maintained cycle set, its provenance, its certificate.
+    """A graph, a maintained cycle set, and its provenance.
 
     For an A-class entry, cycles is the cycle set of graph.  A B or C entry
     shares its A-class ancestor's set instead: the cycles of graph minus
@@ -47,7 +49,6 @@ class ShelfEntry:
     graph: Graph
     cycles: frozenset[tuple[int, ...]] | None
     provenance: Provenance
-    cert: bytes
 
 
 @dataclass
@@ -55,12 +56,14 @@ class Shelf:
     """All entries at a fixed (edge count m, vertex count n) position.
 
     classes maps a class tag to its certificate-sorted entries; no two
-    entries of a shelf share a certificate.
+    entries of a shelf share a certificate, but only the RESULT_TAGS
+    entries keep theirs, sorted, as certs.
     """
 
     m: int
     n: int
     classes: dict[str, list[ShelfEntry]] = field(default_factory=dict)
+    certs: list[str] = field(default_factory=list)
 
     def entries(self, *tags: str) -> list[ShelfEntry]:
         picked = tags if tags else CLASS_TAGS
@@ -75,11 +78,13 @@ class GeneratedSet:
     """Output of a generation run.
 
     groups maps (n, m) to the sorted certificates of its isomorphism
-    classes; canonical.canonical_graph turns one back into a graph.
+    classes.  A certificate is the graph6 line of its class's canonical
+    labelling, so it is also the class's output line, and
+    io_validate.decode_graph6 turns it back into a graph.
     """
 
     mode: str
-    groups: dict[tuple[int, int], list[bytes]]
+    groups: dict[tuple[int, int], list[str]]
 
     def count(self, n: int | None = None) -> int:
         return sum(

@@ -19,7 +19,6 @@ from min3gen import (
     Provenance,
     Shelf,
     ShelfEntry,
-    certificate,
     chords,
     delete_edge,
     edge,
@@ -33,7 +32,7 @@ def collect_shelves(max_n: int) -> dict[tuple[int, int], Shelf]:
     """Every shelf a generate_min3(max_n) run computes, through its
     shelf_saver, keyed by (m, n), plus the prism seed shelf it starts from."""
     seed = prism()
-    seed_entry = ShelfEntry(seed, PRISM_CYCLES, Provenance("A0"), certificate(seed))
+    seed_entry = ShelfEntry(seed, PRISM_CYCLES, Provenance("A0"))
     shelves = {(9, 6): Shelf(9, 6, {"A0": [seed_entry]})}
 
     def save(shelf: Shelf) -> None:
@@ -46,10 +45,7 @@ def collect_shelves(max_n: int) -> dict[tuple[int, int], Shelf]:
 def materialize(source: ShelfEntry, candidates) -> list[ShelfEntry]:
     """Shelf entries for (graph, provenance) candidates built from source,
     with the cycle sets run_shelf would store on admission."""
-    return [
-        ShelfEntry(g, child_cycles(source, g, prov), prov, certificate(g))
-        for g, prov in candidates
-    ]
+    return [ShelfEntry(g, child_cycles(source, g, prov), prov) for g, prov in candidates]
 
 
 def ancestor_graph(ent: ShelfEntry) -> Graph:

@@ -21,7 +21,6 @@ from min3gen import (
     are_isomorphic_bruteforce,
     bridge_vertex_edge,
     canonical_cycle,
-    canonical_graph,
     certificate,
     complete_bipartite_3,
     decode_graph6,
@@ -130,7 +129,7 @@ def test_published_count_and_oracles(generate, max_n, published, oracle):
     # The next published counts beyond the tier-1 tables.
     result = generate(max_n)
     certs = [c for (n, _), bucket in result.groups.items() if n == max_n for c in bucket]
-    graphs = [canonical_graph(c) for c in certs]
+    graphs = [decode_graph6(c) for c in certs]
     assert len(graphs) == published
     assert [certificate(g) for g in graphs] == certs
     assert len(set(certs)) == published
@@ -205,7 +204,7 @@ def test_07_certificate_soundness(min3_run, cubic_run):
     classes = 0
     for result in (min3_run[0], cubic_run[0]):
         for key, bucket in result.groups.items():
-            graphs = [canonical_graph(c) for c in bucket]
+            graphs = [decode_graph6(c) for c in bucket]
             # Each emitted certificate is the certificate of its own labelling.
             ok = ok and [certificate(g) for g in graphs] == bucket
             classes += len(bucket)
@@ -221,7 +220,7 @@ def test_07_certificate_soundness(min3_run, cubic_run):
     # Cubic n=14 classes are regular, so their certificates rest on the
     # invariant split and the search: each relabelling must give it back.
     for cert in cubic_run[0].groups[(14, 21)]:
-        g = canonical_graph(cert)
+        g = decode_graph6(cert)
         ok = ok and all(certificate(permuted_copy(rng, g)) == cert for _ in range(3))
     for i in range(10000):
         g1 = random_graph(rng, rng.randint(1, 7), rng.random())
@@ -256,11 +255,11 @@ def test_09_recursion_worked_examples(k4, k33):
     bridged, _ = bridge_vertex_edge(k4, 3, 0, 1)
     ok = ok and certificate(bridged) == certificate(wheel(4))
 
-    seed = ShelfEntry(k33, enumerate_cycles_bruteforce(k33), Provenance("A0"), certificate(k33))
+    seed = ShelfEntry(k33, enumerate_cycles_bruteforce(k33), Provenance("A0"))
     certs = set()
     for b in materialize(seed, e1(seed)):
         for c in materialize(b, e2(b)):
-            certs.update(ent.cert for ent in materialize(c, c3(c)))
+            certs.update(certificate(ent.graph) for ent in materialize(c, c3(c)))
     ok = ok and certificate(complete_bipartite_3(4)) in certs
     _report(9, "bridge and split worked examples", ok)
 

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import shutil
+
 import pytest
 
+import min3gen.io_validate
 from min3gen import encode_graph6, prism, wheel
 from min3gen.cli import main
 
@@ -242,17 +245,24 @@ def test_resume_rejects_a_truncated_shelf(tmp_path, capsys):
     assert not (second / "counts.tsv").exists()
 
 
-def test_resume_rejects_an_entry_from_another_shelf(tmp_path, capsys):
+@pytest.fixture(scope="module")
+def emitted9(tmp_path_factory):
+    """The tree of `generate --max-n 9 --emit-intermediate`, made once; a
+    test that edits it works on a copy."""
+    tree = tmp_path_factory.mktemp("emitted9")
+    assert main(["generate", "--max-n", "9", "--out", str(tree), "--emit-intermediate"]) == 0
+    return tree
+
+
+def _files(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_resume_rejects_an_entry_from_another_shelf(emitted9, tmp_path, capsys):
     # A line moved in from shelf (13, 8) keeps the trailer counts right;
     # resumed from without the graph check, (9, 15) gets 32 graphs, not 30.
-    first = tmp_path / "first"
-    rc, _, _ = run(
-        ["generate", "--mode", "min3", "--max-n", "9", "--out", str(first),
-         "--emit-intermediate"],
-        capsys,
-    )
-    assert rc == 0
-    shelves = first / "shelves"
+    shelves = tmp_path / "shelves"
+    shutil.copytree(emitted9 / "shelves", shelves)
     donor = (shelves / "shelf_m13_n8.tsv").read_text().split("\n")
     path = shelves / "shelf_m14_n8.tsv"
     lines = path.read_text().split("\n")
@@ -270,3 +280,63 @@ def test_resume_rejects_an_entry_from_another_shelf(tmp_path, capsys):
     assert rc == 3
     assert f"{path}:{b_lines[5] + 1}: graph has (m, n) = (13, 8)" in err
     assert not (second / "counts.tsv").exists()
+
+
+def test_resume_rejects_a_repeated_a_line(emitted9, tmp_path, capsys):
+    # The trailer counts stay right; resumed from without the check,
+    # min3_n8_m13.g6 repeats a graph, misses a class and still counts 11.
+    shelves = tmp_path / "shelves"
+    shutil.copytree(emitted9 / "shelves", shelves)
+    path = shelves / "shelf_m13_n8.tsv"
+    lines = path.read_text().split("\n")
+    a1_lines = [i for i, line in enumerate(lines) if line.startswith("A1\t")]
+    lines[a1_lines[1]] = lines[a1_lines[0]]
+    path.write_text("\n".join(lines))
+    second = tmp_path / "second"
+    rc, _, err = run(
+        ["generate", "--max-n", "9", "--out", str(second), "--resume", str(shelves)], capsys
+    )
+    assert rc == 3
+    assert f"{path}:{a1_lines[1] + 1}: graph " in err
+    assert f"repeats line {a1_lines[0] + 1}" in err
+    assert not (second / "counts.tsv").exists()
+
+
+def test_resume_certifies_only_the_result_lines(emitted9, tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return certificate(g)
+
+    certificate = min3gen.io_validate.certificate
+    monkeypatch.setattr(min3gen.io_validate, "certificate", counting)
+    second = tmp_path / "second"
+    rc, _, _ = run(
+        ["generate", "--max-n", "9", "--out", str(second), "--resume", str(emitted9 / "shelves")],
+        capsys,
+    )
+    assert rc == 0
+    result_lines = sum(
+        line.split("\t")[0] in ("A1", "A2", "A3")
+        for path in (emitted9 / "shelves").iterdir()
+        for line in path.read_text().split("\n")
+    )
+    assert len(calls) == result_lines == 74
+    first = {k: v for k, v in _files(emitted9).items() if k.parts[0] != "shelves"}
+    assert _files(second) == first
+
+
+def test_resume_with_emit_intermediate_saves_every_shelf(emitted9, tmp_path, capsys):
+    small = tmp_path / "small"
+    rc, _, _ = run(["generate", "--max-n", "8", "--out", str(small), "--emit-intermediate"], capsys)
+    assert rc == 0
+    resumed = tmp_path / "resumed"
+    rc, _, _ = run(
+        ["generate", "--max-n", "9", "--out", str(resumed), "--emit-intermediate",
+         "--resume", str(small / "shelves")],
+        capsys,
+    )
+    assert rc == 0
+    assert len(list((resumed / "shelves").iterdir())) == 20
+    assert _files(resumed) == _files(emitted9)

@@ -1,7 +1,7 @@
 """Chording path detection and the three 3-compatibility gates.
 
 Two independent oracles anchor this module.  A definition-level scan over
-all simple paths re-derives has_chording_path from scratch, on random graphs
+all simple paths re-derives no_chording_paths from scratch, on random graphs
 and on every gate call the pipeline makes up to eight vertices.  The gates
 are then held to the operational standard they exist for: applying the
 matching operation must yield a minimally 3-connected graph exactly when
@@ -34,10 +34,9 @@ from min3gen import (
     add_edge,
     bridge_edges,
     bridge_vertex_edge,
-    canonical_graph,
     chords,
+    decode_graph6,
     generate_min3,
-    has_chording_path,
     is_3_compatible,
     no_chording_paths,
     prism,
@@ -51,22 +50,22 @@ from min3gen.io_validate import is_minimally_3_connected
 def test_has_chording_path_fixed_cases(k4):
     k5 = complete_graph(5)
     cs5 = enumerate_cycles_bruteforce(k5)
-    assert has_chording_path(cs5, k5, 0, 3)
+    assert not no_chording_paths(cs5, k5, ((0, 3),))
 
     cs4 = enumerate_cycles_bruteforce(k4)
-    assert not has_chording_path(cs4, k4, 3, 0, ((0, 1),))
-    assert not has_chording_path(cs4, k4, 3, 1, ((0, 1),))
+    assert no_chording_paths(cs4, k4, ((3, 0),), ((0, 1),))
+    assert no_chording_paths(cs4, k4, ((3, 1),), ((0, 1),))
 
     g02 = add_edge(prism(), 0, 2)
     cs02 = enumerate_cycles_bruteforce(g02)
-    assert has_chording_path(cs02, g02, 3, 5)
+    assert not no_chording_paths(cs02, g02, ((3, 5),))
 
 
 def test_has_chording_path_validation(prism_graph, prism_cycles):
     with pytest.raises(ValueError):
-        has_chording_path(prism_cycles, prism_graph, 2, 2)
+        no_chording_paths(prism_cycles, prism_graph, ((2, 2),))
     with pytest.raises(ValueError):
-        has_chording_path(prism_cycles, prism_graph, 0, 2, ((0, 2),))
+        no_chording_paths(prism_cycles, prism_graph, ((0, 2),), ((0, 2),))
 
 
 def test_has_chording_path_matches_definition_scan():
@@ -81,7 +80,7 @@ def test_has_chording_path_matches_definition_scan():
             continue
         a, b = rng.sample(range(g.n), 2)
         banned = tuple(rng.sample(g.edges(), rng.randint(0, min(2, g.m))))
-        got = has_chording_path(cs, g, a, b, banned)
+        got = not no_chording_paths(cs, g, ((a, b),), banned)
         want = chording_path_oracle(g, cs, a, b, banned)
         assert got == want, (g.edges(), a, b, banned)
         done += 1
@@ -143,7 +142,7 @@ def test_no_chording_paths_matches_the_oracle(query):
     g, cs, pairs, banned = query
     assert no_chording_paths(cs, g, pairs, banned) == _oracle_gate(g, cs, pairs, banned)
     a, b = pairs[0]
-    assert has_chording_path(cs, g, a, b, banned) == chording_path_oracle(g, cs, a, b, banned)
+    assert no_chording_paths(cs, g, ((a, b),), banned) != chording_path_oracle(g, cs, a, b, banned)
 
 
 def test_no_chording_paths_deduplicates_pairs(prism_graph, prism_cycles):
@@ -193,7 +192,7 @@ def test_gate_soundness_exhaustive_to_eight_vertices():
     # set of all three shapes: the gate passes exactly when the applied
     # operation yields a minimally 3-connected graph.
     emitted = generate_min3(8)
-    graphs = [canonical_graph(c) for bucket in emitted.groups.values() for c in bucket]
+    graphs = [decode_graph6(c) for bucket in emitted.groups.values() for c in bucket]
     assert len(graphs) == 26
     checked = 0
     for g in graphs:

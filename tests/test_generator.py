@@ -23,9 +23,9 @@ from min3gen import (
     ShelfEntry,
     add_edge,
     bridge_edges,
-    canonical_graph,
     certificate,
     complete_bipartite_3,
+    decode_graph6,
     delete_vertex,
     generate_cubic,
     generate_min3,
@@ -38,12 +38,12 @@ from min3gen import (
 )
 from min3gen.cycles import enumerate_cycles_bruteforce
 from min3gen.generator import PRISM_CYCLES, _a1_frame, c1, c2, c3, child_cycles, e1, e2
-from min3gen.records import A_TAGS, CLASS_TAGS
+from min3gen.records import A_TAGS, CLASS_TAGS, RESULT_TAGS
 
 
 def _seed_entry():
     g = prism()
-    return ShelfEntry(g, PRISM_CYCLES, Provenance("A0"), certificate(g))
+    return ShelfEntry(g, PRISM_CYCLES, Provenance("A0"))
 
 
 def _b_entry(u=0, v=2):
@@ -68,11 +68,11 @@ def test_e1_produces_one_entry_per_non_edge():
         assert ent.cycles is seed.cycles
         assert ent.cycles == enumerate_cycles_bruteforce(ancestor_graph(ent))
     # all six additions are equivalent up to symmetry
-    assert len({ent.cert for ent in out}) == 1
+    assert len({certificate(ent.graph) for ent in out}) == 1
 
 
 def test_e1_on_complete_graph_is_empty(k4):
-    entry = ShelfEntry(k4, enumerate_cycles_bruteforce(k4), Provenance("A0"), certificate(k4))
+    entry = ShelfEntry(k4, enumerate_cycles_bruteforce(k4), Provenance("A0"))
     assert e1(entry) == []
 
 
@@ -91,14 +91,14 @@ def test_e2_adds_second_edge_sharing_an_endpoint():
         assert (ent.graph.n, ent.graph.m) == (6, 11)
         assert ent.cycles is b.cycles
         assert ent.cycles == enumerate_cycles_bruteforce(ancestor_graph(ent))
-    assert out[0].cert == out[1].cert
+    assert certificate(out[0].graph) == certificate(out[1].graph)
 
 
 def test_c1_splits_both_endpoints():
     b = _b_entry()
     out = materialize(b, c1(b))
     assert len(out) == 6
-    assert len({ent.cert for ent in out}) == 3
+    assert len({certificate(ent.graph) for ent in out}) == 3
     for ent in out:
         assert ent.provenance.class_tag == "A1"
         assert len(ent.provenance.splits) == 1
@@ -108,13 +108,13 @@ def test_c1_splits_both_endpoints():
 
 
 def test_c3_composition_reaches_complete_bipartite(k33):
-    seed = ShelfEntry(k33, enumerate_cycles_bruteforce(k33), Provenance("A0"), certificate(k33))
+    seed = ShelfEntry(k33, enumerate_cycles_bruteforce(k33), Provenance("A0"))
     b = next(ent for ent in materialize(seed, e1(seed)) if ent.provenance.added_edges == ((0, 1),))
     c = next(ent for ent in materialize(b, e2(b)) if ent.provenance.added_edges == ((0, 1), (0, 2)))
     out = materialize(c, c3(c))
     assert len(out) == 1
     assert out[0].provenance.class_tag == "A3"
-    assert out[0].cert == certificate(complete_bipartite_3(4))
+    assert certificate(out[0].graph) == certificate(complete_bipartite_3(4))
     assert out[0].cycles == enumerate_cycles_bruteforce(out[0].graph)
 
 
@@ -143,12 +143,14 @@ def test_run_shelf_first_column():
 
 
 def test_run_shelf_dedups_across_classes():
-    state = {(9, 6): Shelf(9, 6, {"A0": [_seed_entry()]})}
-    shelf = run_shelf(state, 10, 6)
-    certs = [ent.cert for ent in shelf.entries()]
-    assert len(certs) == len(set(certs))
-    for bucket in shelf.classes.values():
-        assert [e.cert for e in bucket] == sorted(e.cert for e in bucket)
+    for shelf in collect_shelves(8).values():
+        certs = [certificate(ent.graph) for ent in shelf.entries()]
+        assert len(certs) == len(set(certs))
+        for bucket in shelf.classes.values():
+            bucket_certs = [certificate(e.graph) for e in bucket]
+            assert bucket_certs == sorted(bucket_certs)
+        # Only the classes the shelf adds to the result keep certificates.
+        assert shelf.certs == sorted(certificate(e.graph) for e in shelf.entries(*RESULT_TAGS))
 
 
 def test_final_shelf_has_no_scaffolding_and_no_cycle_sets():
@@ -159,8 +161,9 @@ def test_final_shelf_has_no_scaffolding_and_no_cycle_sets():
             continue
         shelf = run_shelf(shelves, m, n, final=True)
         assert not shelf.entries("B", "C")
-        for tag in ("A1", "A2", "A3"):
-            assert [e.cert for e in shelf.entries(tag)] == [e.cert for e in full.entries(tag)]
+        for tag in RESULT_TAGS:
+            assert [e.graph for e in shelf.entries(tag)] == [e.graph for e in full.entries(tag)]
+        assert shelf.certs == full.certs
         assert all(e.cycles is None for e in shelf.entries())
         checked += len(shelf.entries())
     assert checked == 16
@@ -254,7 +257,7 @@ def test_provenance_shapes_across_shelves():
     assert {"A0", "B", "C", "A1", "A2", "A3"} <= seen_tags
 
 
-def _c2_by_definition(entry: ShelfEntry) -> set[bytes]:
+def _c2_by_definition(entry: ShelfEntry) -> set[str]:
     """Certificates of the edge-pair bridgings c2 must build from an A1 entry.
 
     The entry is A with edge cd bridged to vertex b by the new vertex y, so
@@ -292,7 +295,7 @@ def test_c2_rejects_an_incompatible_pair_reached_through_another_neighbour():
         (2, 10), (3, 4), (3, 7), (3, 9), (4, 5), (4, 6), (5, 10), (6, 7), (7, 9),
     ])
     prov = Provenance("A1", ((0, 2),), ((10, (2, 10)),))
-    entry = ShelfEntry(g, enumerate_cycles_bruteforce(g), prov, certificate(g))
+    entry = ShelfEntry(g, enumerate_cycles_bruteforce(g), prov)
     assert _a1_frame(entry) == (2, 0, 5, 10)
     candidates = c2(entry)
     assert {certificate(h) for h, _ in candidates} == _c2_by_definition(entry)
@@ -365,7 +368,7 @@ def test_generate_cubic_counts_and_validity():
     }
     for bucket in result.groups.values():
         for c in bucket:
-            g = canonical_graph(c)
+            g = decode_graph6(c)
             assert all(g.degree(v) == 3 for v in g.vertices)
             assert is_3_connected(g)
     certs6 = set(result.groups[(6, 9)])

@@ -30,7 +30,6 @@ from helpers import (
 )
 from min3gen import (
     Graph,
-    canonical_graph,
     certificate,
     decode_graph6,
     encode_graph6,
@@ -164,6 +163,16 @@ def test_shelf_file_validation(tmp_path):
         "empty-no-trailer": (head, ":3: missing trailer line"),
         "count": (head + entry + trailer.replace("A0=1", "A0=2"), ":5: trailer counts"),
         "after-trailer": (head + trailer + entry, ":5: content after the trailer"),
+        "repeated-line": (
+            head + entry + entry + trailer.replace("A0=1", "A0=2"),
+            ":5: graph Ehfw repeats line 4",
+        ),
+        # W5 and W5 relabelled by v -> 5 - v: two lines of one class.
+        "repeated-class": (
+            head + "A1\tEhfw\t-\t-\t\nA1\tE|fG\t-\t-\t\n"
+            + trailer.replace("A0=1", "A0=0").replace("A1=0", "A1=2"),
+            ":5: graph is isomorphic to line 4's",
+        ),
     }
     for name, (text, message) in cases.items():
         path = _write(tmp_path / f"{name}.tsv", text)
@@ -203,11 +212,11 @@ def test_write_outputs_min3(tmp_path):
     assert (tmp_path / "counts.tsv").read_text() == (
         "n\tm\tcount\n6\t9\t2\n6\t10\t1\n7\t11\t3\n7\t12\t2\n"
     )
-    # line k is the canonical labelling of the group's k-th certificate
+    # line k is the group's k-th certificate, the graph6 of a canonical labelling
     for key, bucket in result.groups.items():
         n, m = key
         lines = (tmp_path / f"min3_n{n}_m{m}.g6").read_text().splitlines()
-        assert [decode_graph6(line) for line in lines] == [canonical_graph(c) for c in bucket]
+        assert lines == bucket
         assert [certificate(decode_graph6(line)) for line in lines] == bucket
 
 
@@ -216,6 +225,8 @@ def test_write_outputs_cubic(tmp_path):
     written = write_outputs(result, tmp_path)
     assert [p.name for p in written] == ["cubic_n4.g6", "cubic_n6.g6", "counts.tsv"]
     assert (tmp_path / "counts.tsv").read_text() == "n\tm\tcount\n4\t6\t1\n6\t9\t2\n"
+    for (n, _), bucket in result.groups.items():
+        assert (tmp_path / f"cubic_n{n}.g6").read_text().splitlines() == bucket
 
 
 def test_default_out_dir(monkeypatch):
