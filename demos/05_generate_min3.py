@@ -38,7 +38,7 @@ print("its line:", boundary[0], "decodes to", decode_graph6(boundary[0]))
 print("wheel(7) emitted at (8,14):", certificate(wheel(7)) in result.groups[(8, 14)])
 
 # A shelf_saver sees the pipeline itself: every shelf holds its classes
-# with full provenance (which edges were added, which vertices split).
+# with their provenance (the edges still pending, the vertex last split).
 # Only the A1, A2, A3 entries it adds to the result keep certificates.
 shelves = {}
 generate_min3(7, shelf_saver=lambda sh: shelves.setdefault((sh.m, sh.n), sh))

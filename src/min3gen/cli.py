@@ -84,8 +84,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
         if args.resume:
             resume_dir = Path(args.resume)
-            if not resume_dir.is_dir():
-                raise ValueError(f"--resume directory {resume_dir} does not exist")
+            if not any(resume_dir.glob("shelf_m*_n*.tsv")):
+                raise ValueError(f"--resume directory {resume_dir} holds no shelf_m*_n*.tsv files")
 
             def loader(m, n):
                 path = resume_dir / f"shelf_m{m}_n{n}.tsv"

@@ -18,6 +18,9 @@ own, derived from their source's set by the edge addition and vertex split
 rules, so nothing is re-enumerated; a B or C entry shares its A-class
 ancestor's set, which is all its chording path gate reads.  A final shelf,
 one that nothing reads, gets no B or C class and no cycle sets at all.
+Shelf files store no cycle sets: derive_cycles enumerates a loaded A
+entry's set, and a loaded B or C entry shares the set of its ancestor,
+which it finds among the ancestors of shelf (m-1, n).
 
 Wheels and K_{3,t} are the minimally 3-connected graphs that no prism-rooted
 chain reaches; they are constructed directly and merged into the output.
@@ -31,39 +34,13 @@ from typing import Callable
 
 from .canonical import certificate
 from .compat import _compile, no_chording_paths
-from .cycles import (
-    CycleSet,
-    apply_add_edge,
-    apply_split_vertex,
-    canonical_cycle,
-    enumerate_cycles_bruteforce,
-)
+from .cycles import CycleSet, apply_add_edge, apply_split_vertex, enumerate_cycles_bruteforce
 from .graphs import Graph, add_edge, bridge_edges, complete_bipartite_3, edge, prism, split_vertex, wheel
-from .io_validate import decode_graph6
+from .io_validate import ShelfFileError, decode_graph6, encode_graph6
 from .records import A_TAGS, RESULT_TAGS, SCAFFOLD_TAGS, GeneratedSet, Provenance, Shelf, ShelfEntry
 
-# The 14 cycles of the prism under its fixed labeling, written as closed
-# walks and canonicalized on import.  generate_min3 re-checks them against
-# the brute-force enumerator before seeding the pipeline.
-PRISM_CYCLE_WALKS = (
-    "015430",
-    "0125430",
-    "0152340",
-    "0321540",
-    "123451",
-    "012540",
-    "015230",
-    "012340",
-    "23452",
-    "1251",
-    "032540",
-    "01540",
-    "0340",
-    "01230",
-)
-PRISM_CYCLES: CycleSet = frozenset(
-    canonical_cycle(tuple(int(ch) for ch in walk[:-1])) for walk in PRISM_CYCLE_WALKS
-)
+# The seed's 14 cycles, under prism()'s fixed labelling.
+PRISM_CYCLES: CycleSet = enumerate_cycles_bruteforce(prism())
 
 Progress = Callable[[str], None]
 
@@ -114,28 +91,23 @@ def c1(entry: ShelfEntry) -> list[Candidate]:
                 ((kept, moved), (split_v, kept)),
                 (edge(split_v, kept), edge(split_v, moved)),
             ):
-                g2, x = split_vertex(g, split_v, kept, moved)
-                out.append((g2, Provenance("A1", ((b, c),), ((x, edge(split_v, x)),))))
+                g2 = split_vertex(g, split_v, kept, moved)[0]
+                out.append((g2, Provenance("A1", ((b, c),), split_v)))
     return out
 
 
 def _a1_frame(entry: ShelfEntry) -> tuple[int, int, int, int]:
     """Recover (c, b, d, y) from an A1 entry.
 
-    y is the vertex the first split created, c the vertex it split off
-    from, b the surviving endpoint of the added edge, d the neighbour the
-    split pulled over.  N(y) is exactly {c, b, d}.
+    y is the vertex the split created, the graph's last, c the vertex it
+    split off from, b the surviving endpoint of the added edge, d the
+    neighbour the split pulled over.  N(y) is exactly {c, b, d}.
     """
-    (y, split_edge) = entry.provenance.splits[0]
-    c = split_edge[0] if split_edge[1] == y else split_edge[1]
-    added = entry.provenance.added_edges[0]
-    if c not in added:
-        raise RuntimeError(f"split vertex {c} not on added edge {added}")
-    b = added[0] if added[1] == c else added[1]
-    rest = set(entry.graph.neighbors(y)) - {b, c}
-    if len(rest) != 1:
-        raise RuntimeError(f"new vertex {y} should have one loose neighbour, got {rest}")
-    return c, b, rest.pop(), y
+    y = entry.graph.n - 1
+    c = entry.provenance.split
+    (b,) = set(entry.provenance.added_edges[0]) - {c}
+    (d,) = set(entry.graph.neighbors(y)) - {b, c}
+    return c, b, d, y
 
 
 def c2(entry: ShelfEntry) -> list[Candidate]:
@@ -157,9 +129,7 @@ def c2(entry: ShelfEntry) -> list[Candidate]:
             continue
         pairs = [(p, q) for p, q in ((c, a), (c, b), (d, b), (d, a)) if p != q]
         if no_chording_paths(entry.cycles, g, pairs, (edge(a, b),) + banned):
-            g2, x = split_vertex(g, b, y, a)
-            prov = entry.provenance
-            out.append((g2, Provenance("A2", prov.added_edges, prov.splits + ((x, edge(b, x)),))))
+            out.append((split_vertex(g, b, y, a)[0], Provenance("A2", entry.provenance.added_edges, b)))
     return out
 
 
@@ -170,10 +140,7 @@ def c3(entry: ShelfEntry) -> list[Candidate]:
     whose cycles the entry carries.
     """
     (e1_edge, e2_edge) = entry.provenance.added_edges
-    shared = set(e1_edge) & set(e2_edge)
-    if len(shared) != 1:
-        raise RuntimeError(f"C entry edges {e1_edge}, {e2_edge} must share one endpoint")
-    x_v = shared.pop()
+    (x_v,) = set(e1_edge) & set(e2_edge)
     y_v = e1_edge[0] if e1_edge[1] == x_v else e1_edge[1]
     z_v = e2_edge[0] if e2_edge[1] == x_v else e2_edge[1]
     g = entry.graph
@@ -184,8 +151,7 @@ def c3(entry: ShelfEntry) -> list[Candidate]:
         (edge(x_v, y_v), edge(x_v, z_v)),
     ):
         return []
-    g2, w = split_vertex(g, x_v, z_v, y_v)
-    return [(g2, Provenance("A3", entry.provenance.added_edges, ((w, edge(x_v, w)),)))]
+    return [(split_vertex(g, x_v, z_v, y_v)[0], Provenance("A3", entry.provenance.added_edges, x_v))]
 
 
 def child_cycles(source: ShelfEntry, graph: Graph, prov: Provenance) -> CycleSet:
@@ -193,18 +159,19 @@ def child_cycles(source: ShelfEntry, graph: Graph, prov: Provenance) -> CycleSet
 
     A B or C child shares its A-class ancestor's set, which is the cycle
     set of its graph minus the pending added edges.  An A child gets the
-    cycles of its own graph.  Its last split gave the new vertex x two
-    neighbours of split_v, kept and moved, named so that moved is the one
-    whose edge to split_v is pending, if one is: the split takes that edge
-    straight off split_v again, so only the source's other pending edges
-    are added before the split rule runs.  The graph it starts from is an
-    A-class graph plus edges, 3-connected, as the split rule requires.
+    cycles of its own graph.  Its last split gave the new vertex x, the
+    graph's last, two neighbours of split_v, kept and moved, named so that
+    moved is the one whose edge to split_v is pending, if one is: the split
+    takes that edge straight off split_v again, so only the source's other
+    pending edges are added before the split rule runs.  The graph it
+    starts from is an A-class graph plus edges, 3-connected, as the split
+    rule requires.
     """
     if prov.class_tag in SCAFFOLD_TAGS:
         return source.cycles
     pending = source.provenance.added_edges if source.provenance.class_tag in SCAFFOLD_TAGS else ()
-    x, split_edge = prov.splits[-1]
-    split_v = split_edge[0] if split_edge[1] == x else split_edge[1]
+    x = graph.n - 1
+    split_v = prov.split
     kept, moved = (w for w in graph.neighbors(x) if w != split_v)
     if edge(split_v, kept) in pending:
         kept, moved = moved, kept
@@ -213,6 +180,29 @@ def child_cycles(source: ShelfEntry, graph: Graph, prov: Provenance) -> CycleSet
         if (u, v) != edge(split_v, moved):
             cs = apply_add_edge(cs, u, v)
     return apply_split_vertex(cs, split_v, kept, moved, x)
+
+
+def derive_cycles(shelf: Shelf, state: dict[tuple[int, int], Shelf]) -> None:
+    """Give the entries of a loaded shelf the cycle sets run_shelf stores.
+
+    An A entry's set is enumerated from its graph.  A B or C entry's
+    ancestor (ShelfEntry.ancestor), as a labelled graph, is also the
+    ancestor of an entry of shelf (m-1, n) in state, whose set object it
+    shares, as in a fresh run.  A B or C entry with no such ancestor is no entry a run makes,
+    so it raises ShelfFileError.
+    """
+    prev = state.get((shelf.m - 1, shelf.n))
+    ancestors = {ent.ancestor(): ent.cycles for ent in prev.entries()} if prev else {}
+    for tag, bucket in shelf.classes.items():
+        for i, ent in enumerate(bucket):
+            if tag not in SCAFFOLD_TAGS:
+                cycles = enumerate_cycles_bruteforce(ent.graph)
+            elif (cycles := ancestors.get(ent.ancestor())) is None:
+                raise ShelfFileError(
+                    f"shelf (m, n) = {(shelf.m, shelf.n)}: {tag} entry {encode_graph6(ent.graph)} minus"
+                    f" its pending edges is no entry's ancestor on shelf {(shelf.m - 1, shelf.n)}"
+                )
+            bucket[i] = ShelfEntry(ent.graph, cycles, ent.provenance)
 
 
 def run_shelf(state: dict[tuple[int, int], Shelf], m: int, n: int, final: bool = False) -> Shelf:
@@ -277,16 +267,15 @@ def generate_min3(
     direct families, wheels and K_{3,t}.
 
     shelf_loader, when given, may supply a previously saved shelf instead
-    of recomputing it; shelf_saver receives every shelf, loaded or
-    computed, B and C classes and cycle sets included.  Without a saver
-    nothing reads the final column (n = max_n), so its shelves are run as
-    final and are dropped once their certificates are taken.
+    of recomputing it; a loaded shelf that is not final gets its cycle
+    sets from derive_cycles.  shelf_saver receives every shelf, loaded or
+    computed, B and C classes included.  Without a saver nothing reads the
+    final column (n = max_n), so its shelves are run as final and are
+    dropped once their certificates are taken.
     """
     if max_n < 6:
         raise ValueError("max_n must be at least 6")
     seed_graph = prism()
-    if enumerate_cycles_bruteforce(seed_graph) != PRISM_CYCLES:
-        raise RuntimeError("prism cycle table failed its brute-force check")
     seed_entry = ShelfEntry(seed_graph, PRISM_CYCLES, Provenance("A0"))
     state: dict[tuple[int, int], Shelf] = {(9, 6): Shelf(9, 6, {"A0": [seed_entry]})}
     groups: dict[tuple[int, int], list[str]] = {(6, 9): [certificate(seed_graph)]}
@@ -297,6 +286,8 @@ def generate_min3(
             shelf = shelf_loader(m, n) if shelf_loader is not None else None
             if shelf is None:
                 shelf = run_shelf(state, m, n, final)
+            elif not final:
+                derive_cycles(shelf, state)
             if shelf_saver is not None:
                 shelf_saver(shelf)
             if not final:

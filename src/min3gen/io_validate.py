@@ -4,7 +4,9 @@ The validation oracles here are deliberately naive: 3-connectivity by
 deleting every vertex pair and checking connectedness, minimality by
 re-checking after every single edge deletion.  They share no machinery
 with the generator's compatibility gates (no cycle sets, no chording
-paths), so agreement between the two is evidence, not tautology.
+paths), so agreement between the two is evidence, not tautology.  A
+shelf file holds no cycle sets either: the generator derives them when
+it loads one.
 """
 
 from __future__ import annotations
@@ -14,10 +16,10 @@ from pathlib import Path
 
 from .canonical import certificate
 from .graphs import Graph, delete_edge, from_triangle_bits, graph6_line, triangle_bits
-from .records import CLASS_TAGS, RESULT_TAGS, GeneratedSet, Provenance, Shelf, ShelfEntry
+from .records import CLASS_TAGS, RESULT_TAGS, SCAFFOLD_TAGS, GeneratedSet, Provenance, Shelf, ShelfEntry
 
 SHELF_FORMAT = "min3gen-shelf"
-SHELF_VERSION = 3
+SHELF_VERSION = 4
 _TRAILER = "end"
 
 _GRAPH6_HEADER = ">>graph6<<"
@@ -110,39 +112,44 @@ def _fmt_edges(pairs: tuple) -> str:
     return ";".join(f"{u}-{v}" for u, v in pairs) if pairs else "-"
 
 
-def _parse_edges(text: str) -> tuple:
+def _parse_edges(text: str, n: int) -> tuple:
     if text == "-":
         return ()
     out = []
     for part in text.split(";"):
-        u, v = part.split("-")
-        out.append((int(u), int(v)))
+        u, v = map(int, part.split("-"))
+        if not 0 <= u < v < n:
+            raise ValueError(f"pending edge {part} is not a pair u < v of vertices below {n}")
+        out.append((u, v))
     return tuple(out)
 
 
-def _fmt_splits(splits: tuple) -> str:
-    return ";".join(f"{x}:{u}-{v}" for x, (u, v) in splits) if splits else "-"
+# How many pending edge additions a line of each class holds.
+_PENDING = {"A0": 0, "B": 1, "C": 2, "A1": 1, "A2": 1, "A3": 2}
 
 
-def _parse_splits(text: str) -> tuple:
-    if text == "-":
-        return ()
-    out = []
-    for part in text.split(";"):
-        x, edge_part = part.split(":")
-        u, v = edge_part.split("-")
-        out.append((int(x), (int(u), int(v))))
-    return tuple(out)
+def _check_provenance(g: Graph, prov: Provenance) -> None:
+    """Raise ValueError unless prov has a shape the generator gives g.
 
-
-def _fmt_cycles(cycles: frozenset) -> str:
-    return ",".join("-".join(str(v) for v in cyc) for cyc in sorted(cycles))
-
-
-def _parse_cycles(text: str) -> frozenset:
-    if not text:
-        return frozenset()
-    return frozenset(tuple(int(v) for v in part.split("-")) for part in text.split(","))
+    B and C pending edges are edges of g, C's two sharing one endpoint.
+    The last split of an A1, A2 or A3 entry made the last vertex, of degree
+    3, next to the split vertex; an A1 entry split an endpoint of its added
+    edge and gave the new vertex the other.
+    """
+    tag, pending, split, last = prov.class_tag, prov.added_edges, prov.split, g.n - 1
+    if len(pending) != _PENDING[tag]:
+        raise ValueError(f"class {tag} holds {_PENDING[tag]} pending edge(s), not {len(pending)}")
+    if tag not in RESULT_TAGS and split is not None:
+        raise ValueError(f"class {tag} has no split vertex, got {split}")
+    if tag in SCAFFOLD_TAGS and not all(g.has_edge(u, v) for u, v in pending):
+        raise ValueError(f"pending edges {_fmt_edges(pending)} are not all edges of the graph")
+    if tag == "C" and len(set(pending[0]) & set(pending[1])) != 1:
+        raise ValueError(f"pending edges {_fmt_edges(pending)} do not share one endpoint")
+    split_made_last = split in range(last) and g.has_edge(split, last) and g.degree(last) == 3
+    if tag in RESULT_TAGS and not split_made_last:
+        raise ValueError(f"split vertex {split} does not neighbour the last vertex {last} of degree 3")
+    if tag == "A1" and not (split in pending[0] and all(g.has_edge(w, last) for w in pending[0])):
+        raise ValueError(f"split vertex {split} and added edge {_fmt_edges(pending)} must meet {last}")
 
 
 class ShelfFileError(ValueError):
@@ -153,10 +160,11 @@ class ShelfFileError(ValueError):
 def save_shelf(shelf: Shelf, path: str | Path) -> None:
     """Write a shelf as a versioned, line-oriented, tab-separated file.
 
-    Each entry's line ends with its stored cycle set, so B and C lines carry
-    their A-class ancestor's cycles.  A trailer line gives the entry count
-    of every class, so a truncated file is detected on load (format
-    version 3).
+    Each entry's line holds only what its graph cannot tell: class tag,
+    graph6, pending edge additions and split vertex.  Cycle sets are left
+    out, for generator.derive_cycles derives them on load.  A trailer line
+    gives the entry count of every class, so a truncated file is detected
+    on load (format version 4).
     """
     lines = [
         f"{SHELF_FORMAT}\t{SHELF_VERSION}",
@@ -166,31 +174,22 @@ def save_shelf(shelf: Shelf, path: str | Path) -> None:
     for tag in CLASS_TAGS:
         for ent in shelf.classes.get(tag, ()):
             prov = ent.provenance
-            lines.append(
-                "\t".join(
-                    (
-                        tag,
-                        encode_graph6(ent.graph),
-                        _fmt_edges(prov.added_edges),
-                        _fmt_splits(prov.splits),
-                        _fmt_cycles(ent.cycles),
-                    )
-                )
-            )
+            split = "-" if prov.split is None else str(prov.split)
+            lines.append("\t".join((tag, encode_graph6(ent.graph), _fmt_edges(prov.added_edges), split)))
     counts = (f"{tag}={len(shelf.classes.get(tag, ()))}" for tag in CLASS_TAGS)
     lines.append("\t".join((_TRAILER, *counts)))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def load_shelf(path: str | Path, expected: tuple[int, int] | None = None) -> Shelf:
-    """Read a shelf file back; entries come out bit-identical to what was saved.
+    """Read a shelf file back; entries come out as saved, with cycles=None.
 
     expected, when given, is the (m, n) the caller asked for, and the
-    header must match it, and so must every entry's graph.  Entries with
-    equal cycle text share one set, as B and C entries with a common
-    ancestor did when the shelf was made.  Only the A1, A2, A3 entries are
-    certified, for Shelf.certs; no two entry lines may repeat a graph6
-    field, and no two of those entries a certificate.
+    header must match it, and so must every entry's graph.  Each line's
+    provenance must have a shape the generator makes (_check_provenance).
+    Only the A1, A2, A3 entries are certified, for Shelf.certs; no two
+    entry lines may repeat a graph6 field, and no two of those entries a
+    certificate.
     Any defect raises ShelfFileError naming the file and, where there is
     one, the line.
     """
@@ -215,7 +214,6 @@ def load_shelf(path: str | Path, expected: tuple[int, int] | None = None) -> She
         if expected is not None and (m, n) != expected:
             raise ValueError(f"header says (m, n) = {(m, n)}, expected {expected}")
         classes: dict[str, list[ShelfEntry]] = {}
-        shared: dict[str, frozenset] = {}
         g6_lines: dict[str, int] = {}  # graph6 field -> its line
         cert_lines: dict[str, int] = {}  # A1/A2/A3 certificate -> its line
         trailer = None
@@ -228,9 +226,9 @@ def load_shelf(path: str | Path, expected: tuple[int, int] | None = None) -> She
             if fields[0] == _TRAILER:
                 trailer = fields[1:]
                 continue
-            if len(fields) != 5:
-                raise ValueError(f"expected 5 fields, got {len(fields)}")
-            tag, g6, added_text, splits_text, cycles_text = fields
+            if len(fields) != 4:
+                raise ValueError(f"expected 4 fields, got {len(fields)}")
+            tag, g6, added_text, split_text = fields
             if tag not in CLASS_TAGS:
                 raise ValueError(f"unknown class tag {tag!r}")
             if g6 in g6_lines:
@@ -239,16 +237,15 @@ def load_shelf(path: str | Path, expected: tuple[int, int] | None = None) -> She
             graph = decode_graph6(g6)
             if (graph.m, graph.n) != (m, n):
                 raise ValueError(f"graph has (m, n) = {(graph.m, graph.n)}, not the shelf's {(m, n)}")
+            split = None if split_text == "-" else int(split_text)
+            prov = Provenance(tag, _parse_edges(added_text, n), split)
+            _check_provenance(graph, prov)
             if tag in RESULT_TAGS:
                 cert = certificate(graph)
                 if cert in cert_lines:
                     raise ValueError(f"graph is isomorphic to line {cert_lines[cert]}'s")
                 cert_lines[cert] = lineno
-            prov = Provenance(tag, _parse_edges(added_text), _parse_splits(splits_text))
-            cycles = shared.get(cycles_text)
-            if cycles is None:
-                cycles = shared[cycles_text] = _parse_cycles(cycles_text)
-            classes.setdefault(tag, []).append(ShelfEntry(graph, cycles, prov))
+            classes.setdefault(tag, []).append(ShelfEntry(graph, None, prov))
         if trailer is None:
             raise ValueError("missing trailer line (truncated shelf file?)")
         counts = [f"{tag}={len(classes.get(tag, ()))}" for tag in CLASS_TAGS]

@@ -1,6 +1,6 @@
 """Plain data shapes shared by the generator and the serialization layer.
 
-This module deliberately imports nothing beyond the graph type, so that
+This module deliberately imports nothing beyond the graph module, so that
 readers and writers of these records stay independent of the cycle and
 compatibility machinery.
 """
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graphs import Edge, Graph
+from .graphs import Edge, Graph, delete_edge
 
 # Construction classes.  A0 is the seed, B and C carry one and two extra
 # edges, A1, A2, A3 are the minimally 3-connected results of the three
@@ -27,13 +27,13 @@ class Provenance:
 
     added_edges lists the edge additions still pending contraction (one for
     class B, two for class C, inherited by the splits that consume them).
-    splits lists vertex splits as (new_vertex, new_edge) pairs in the order
-    applied.
+    split, for A1, A2 and A3, is the vertex the last vertex split acted
+    on; the vertex that split created is always the graph's last.
     """
 
     class_tag: str
     added_edges: tuple[Edge, ...] = ()
-    splits: tuple[tuple[int, Edge], ...] = ()
+    split: int | None = None
 
 
 @dataclass(frozen=True)
@@ -43,12 +43,22 @@ class ShelfEntry:
     For an A-class entry, cycles is the cycle set of graph.  A B or C entry
     shares its A-class ancestor's set instead: the cycles of graph minus
     the pending added edges.  An entry of a final shelf, which nothing
-    reads, has cycles=None.
+    reads, has cycles=None, and so has an entry loaded from a shelf file
+    until generator.derive_cycles gives it its set.
     """
 
     graph: Graph
     cycles: frozenset[tuple[int, ...]] | None
     provenance: Provenance
+
+    def ancestor(self) -> Graph:
+        """The graph whose cycles the entry stores: its own graph, less the
+        pending added edges of a B or C entry."""
+        g = self.graph
+        if self.provenance.class_tag in SCAFFOLD_TAGS:
+            for u, v in self.provenance.added_edges:
+                g = delete_edge(g, u, v)
+        return g
 
 
 @dataclass

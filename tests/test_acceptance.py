@@ -50,7 +50,7 @@ GOLDEN_DIGESTS = {
     "cubic": (7, "f596a6a671591f3bc45f150cfe7c759550a8a2b752041982806b7e99c3615198"),
 }
 # The same hash over the shelves/ tree of `generate --max-n 9 --emit-intermediate`.
-GOLDEN_SHELF_DIGEST = (20, "cd8d7b65c9465dcc81dee273d67cf5ef74d5ed260e87d66c9fecff25b51116c5")
+GOLDEN_SHELF_DIGEST = (20, "3a814cb9cb768df36d746c03d8fb544b3b39754c99f31784fa6482be27f81826")
 
 # the seed's cycle list, closed-walk notation, retyped from the source table
 PRISM_WALKS = (
@@ -134,6 +134,20 @@ def test_published_count_and_oracles(generate, max_n, published, oracle):
     assert [certificate(g) for g in graphs] == certs
     assert len(set(certs)) == published
     assert all(oracle(g) for g in graphs)
+
+
+@pytest.mark.slow
+def test_resume_from_an_n10_checkpoint_matches_a_fresh_n11_run(tmp_path):
+    # Every shelf up to n = 10 is loaded, so every B/C cycle set of the
+    # n = 11 shelves comes from derive_cycles, none from a fresh run.
+    emitted, resumed, fresh = tmp_path / "emitted", tmp_path / "resumed", tmp_path / "fresh"
+    assert cli_main(["generate", "--max-n", "10", "--emit-intermediate", "--out", str(emitted)]) == 0
+    resume = ["--resume", str(emitted / "shelves")]
+    assert cli_main(["generate", "--max-n", "11", "--out", str(resumed), *resume]) == 0
+    assert cli_main(["generate", "--max-n", "11", "--out", str(fresh)]) == 0
+    files = sorted(p.name for p in fresh.iterdir())
+    assert sorted(p.name for p in resumed.iterdir()) == files
+    assert all((resumed / name).read_bytes() == (fresh / name).read_bytes() for name in files)
 
 
 def test_02_cubic_counts(cubic_run):

@@ -282,6 +282,55 @@ def test_resume_rejects_an_entry_from_another_shelf(emitted9, tmp_path, capsys):
     assert not (second / "counts.tsv").exists()
 
 
+@pytest.mark.parametrize(
+    "lineno, old, new, message",
+    [
+        # The split vertex of an A1 line must neighbour the last vertex ...
+        (17, "A1\tGLDnDO\t0-2\t0", "A1\tGLDnDO\t0-2\t1", ":17: split vertex 1 does not neighbour"),
+        # ... and be an endpoint of the added edge.
+        (17, "A1\tGLDnDO\t0-2\t0", "A1\tGLDnDO\t0-2\t4", ":17: split vertex 4 and added edge 0-2"),
+        # A B line's pending edge must be an edge of its graph ...
+        (4, "B\tGpdkbC\t0-2\t-", "B\tGpdkbC\t0-3\t-", ":4: pending edges 0-3 are not all edges"),
+        # ... and its graph without it an entry of shelf (12, 8).
+        (4, "B\tGpdkbC\t0-2\t-", "B\tGpdkbC\t0-1\t-", "B entry GpdkbC minus its pending edges"),
+    ],
+)
+def test_resume_rejects_a_corrupt_provenance_field(
+    emitted9, lineno, old, new, message, tmp_path, capsys
+):
+    # Without the n = 9 files, shelf (13, 8) is a source of the resumed run.
+    shelves = tmp_path / "shelves"
+    shutil.copytree(emitted9 / "shelves", shelves)
+    for stale in shelves.glob("shelf_m*_n9.tsv"):
+        stale.unlink()
+    path = shelves / "shelf_m13_n8.tsv"
+    lines = path.read_text().split("\n")
+    assert lines[lineno - 1] == old
+    lines[lineno - 1] = new
+    path.write_text("\n".join(lines))
+    second = tmp_path / "second"
+    argv = ["generate", "--max-n", "9", "--out", str(second), "--resume", str(shelves)]
+    rc, _, err = run(argv, capsys)
+    assert rc == 3
+    assert message in err
+    if message.startswith(":"):
+        assert f"{path}{message}" in err
+    else:
+        assert "shelf (m, n) = (13, 8)" in err
+    assert not (second / "counts.tsv").exists()
+
+
+@pytest.mark.parametrize("name", ["", "missing"])
+def test_resume_rejects_a_directory_without_shelf_files(emitted9, name, tmp_path, capsys):
+    # The output directory, not its shelves/ subdirectory; or no directory.
+    resume = emitted9 / name if name else emitted9
+    out = tmp_path / "second"
+    rc, _, err = run(["generate", "--max-n", "9", "--out", str(out), "--resume", str(resume)], capsys)
+    assert rc == 2
+    assert f"--resume directory {resume} holds no shelf_m*_n*.tsv files" in err
+    assert not out.exists()
+
+
 def test_resume_rejects_a_repeated_a_line(emitted9, tmp_path, capsys):
     # The trailer counts stay right; resumed from without the check,
     # min3_n8_m13.g6 repeats a graph, misses a class and still counts 11.

@@ -32,12 +32,24 @@ from min3gen import (
     is_3_connected,
     is_3_compatible,
     is_minimally_3_connected,
+    load_shelf,
     prism,
     run_shelf,
+    save_shelf,
     wheel,
 )
 from min3gen.cycles import enumerate_cycles_bruteforce
-from min3gen.generator import PRISM_CYCLES, _a1_frame, c1, c2, c3, child_cycles, e1, e2
+from min3gen.generator import (
+    PRISM_CYCLES,
+    _a1_frame,
+    c1,
+    c2,
+    c3,
+    child_cycles,
+    derive_cycles,
+    e1,
+    e2,
+)
 from min3gen.records import A_TAGS, CLASS_TAGS, RESULT_TAGS
 
 
@@ -55,6 +67,7 @@ def _b_entry(u=0, v=2):
 
 def test_prism_cycle_table_matches_bruteforce():
     assert PRISM_CYCLES == enumerate_cycles_bruteforce(prism())
+    assert len(PRISM_CYCLES) == 14
 
 
 def test_e1_produces_one_entry_per_non_edge():
@@ -101,7 +114,8 @@ def test_c1_splits_both_endpoints():
     assert len({certificate(ent.graph) for ent in out}) == 3
     for ent in out:
         assert ent.provenance.class_tag == "A1"
-        assert len(ent.provenance.splits) == 1
+        assert ent.provenance.split in ent.provenance.added_edges[0]
+        assert ent.graph.has_edge(ent.provenance.split, ent.graph.n - 1)
         assert (ent.graph.n, ent.graph.m) == (7, 11)
         assert ent.cycles == enumerate_cycles_bruteforce(ent.graph)
         assert is_minimally_3_connected(ent.graph)
@@ -240,20 +254,26 @@ def test_provenance_shapes_across_shelves():
                 assert ent.graph.m == m and ent.graph.n == n
                 prov = ent.provenance
                 assert prov.class_tag == tag
+                if tag in RESULT_TAGS:
+                    # The last split made the last vertex, of degree 3.
+                    assert ent.graph.has_edge(prov.split, n - 1)
+                    assert ent.graph.degree(n - 1) == 3
                 if tag == "A0":
-                    assert prov.added_edges == () and prov.splits == ()
+                    assert prov.added_edges == () and prov.split is None
                 elif tag == "B":
-                    assert len(prov.added_edges) == 1 and not prov.splits
+                    assert len(prov.added_edges) == 1 and prov.split is None
                 elif tag == "C":
                     e_first, e_second = prov.added_edges
                     assert set(e_first) & set(e_second)
-                    assert not prov.splits
+                    assert prov.split is None
                 elif tag == "A1":
-                    assert len(prov.added_edges) == 1 and len(prov.splits) == 1
+                    assert len(prov.added_edges) == 1 and prov.split in prov.added_edges[0]
                 elif tag == "A2":
-                    assert len(prov.added_edges) == 1 and len(prov.splits) == 2
+                    # c2 splits the A1 entry's surviving endpoint, b.
+                    assert len(prov.added_edges) == 1 and prov.split in prov.added_edges[0]
                 elif tag == "A3":
-                    assert len(prov.added_edges) == 2 and len(prov.splits) == 1
+                    e_first, e_second = prov.added_edges
+                    assert {prov.split} == set(e_first) & set(e_second)
     assert {"A0", "B", "C", "A1", "A2", "A3"} <= seen_tags
 
 
@@ -294,7 +314,7 @@ def test_c2_rejects_an_incompatible_pair_reached_through_another_neighbour():
         (0, 6), (0, 8), (0, 9), (0, 10), (1, 2), (1, 5), (1, 8), (2, 7), (2, 8),
         (2, 10), (3, 4), (3, 7), (3, 9), (4, 5), (4, 6), (5, 10), (6, 7), (7, 9),
     ])
-    prov = Provenance("A1", ((0, 2),), ((10, (2, 10)),))
+    prov = Provenance("A1", ((0, 2),), 2)
     entry = ShelfEntry(g, enumerate_cycles_bruteforce(g), prov)
     assert _a1_frame(entry) == (2, 0, 5, 10)
     candidates = c2(entry)
@@ -356,6 +376,47 @@ def test_shelf_saver_and_loader_round_trip():
     replayed = generate_min3(7, shelf_loader=loader)
     assert loads
     assert replayed.groups == baseline.groups
+
+
+def test_loaded_shelves_derive_the_cycle_sets_a_run_stores(tmp_path):
+    # Loaded and derived in walk order, row by row, each shelf reads the
+    # derived shelf (m-1, n) before it, as in a resumed run.
+    shelves = collect_shelves(8)
+    derived = {}
+    shared = 0
+    for (m, n), shelf in sorted(shelves.items()):
+        path = tmp_path / f"shelf_m{m}_n{n}.tsv"
+        save_shelf(shelf, path)
+        loaded = load_shelf(path, (m, n))
+        derive_cycles(loaded, derived)
+        prev = derived.get((m - 1, n))
+        prev_sets = {id(ent.cycles) for ent in prev.entries()} if prev else set()
+        for tag in CLASS_TAGS:
+            stored = shelf.classes.get(tag, [])
+            got = loaded.classes.get(tag, [])
+            assert [e.graph for e in got] == [e.graph for e in stored]
+            for ent, ref in zip(got, stored):
+                assert ent.cycles == ref.cycles
+                if tag in ("B", "C"):
+                    assert id(ent.cycles) in prev_sets
+                    shared += 1
+        derived[(m, n)] = loaded
+    assert shared > 200
+
+
+def test_derive_cycles_rejects_a_scaffold_entry_without_an_ancestor():
+    shelves = collect_shelves(7)
+    state = {(10, 6): shelves[(10, 6)]}
+    shelf = shelves[(11, 6)]
+    c_entry = shelf.entries("C")[0]
+    # Another second edge from the same first: the graph minus both pending
+    # edges is no longer the B entry's ancestor.
+    first, second = c_entry.provenance.added_edges
+    other = next(e for e in c_entry.graph.edges() if e not in (first, second) and set(e) & set(first))
+    moved = ShelfEntry(c_entry.graph, None, Provenance("C", (first, other)))
+    with pytest.raises(min3gen.ShelfFileError, match=r"shelf \(m, n\) = \(11, 6\): C entry"):
+        derive_cycles(Shelf(11, 6, {"C": [moved]}), state)
+    derive_cycles(Shelf(11, 6, {"C": [dataclasses.replace(c_entry, cycles=None)]}), state)
 
 
 def test_generate_cubic_counts_and_validity():
