@@ -38,10 +38,13 @@ print("its line:", boundary[0], "decodes to", decode_graph6(boundary[0]))
 print("wheel(7) emitted at (8,14):", certificate(wheel(7)) in result.groups[(8, 14)])
 
 # A shelf_saver sees the pipeline itself: every shelf holds its classes
-# with their provenance (the edges still pending, the vertex last split).
-# Only the A1, A2, A3 entries it adds to the result keep certificates.
+# with their provenance, the edges a later operation reads (B's pending
+# edge, C's two, and for A1 what the split made of B's edge).  Only the
+# A1, A2, A3 entries it adds to the result keep certificates.  Shelves of
+# the last column (n = max_n) feed no gate and carry no cycle sets, so
+# this looks at n = 7 of a run to n = 8.
 shelves = {}
-generate_min3(7, shelf_saver=lambda sh: shelves.setdefault((sh.m, sh.n), sh))
+generate_min3(8, shelf_saver=lambda sh: shelves.setdefault((sh.m, sh.n), sh))
 shelf = shelves[(11, 7)]
 print(f"\nshelf (m=11, n=7) classes: " +
       " ".join(f"{tag}={len(entries)}" for tag, entries in shelf.classes.items()))

@@ -13,14 +13,15 @@ to five classes:
 The splits contract the pending edge additions away, so A1, A2, A3 entries
 are minimally 3-connected whenever the chording path gates pass; B and C
 are scaffolding for the next shelf.  Certificates deduplicate within a
-shelf across all classes.  Only admitted A entries get cycle sets of their
-own, derived from their source's set by the edge addition and vertex split
-rules, so nothing is re-enumerated; a B or C entry shares its A-class
-ancestor's set, which is all its chording path gate reads.  A final shelf,
-one that nothing reads, gets no B or C class and no cycle sets at all.
-Shelf files store no cycle sets: derive_cycles enumerates a loaded A
-entry's set, and a loaded B or C entry shares the set of its ancestor,
-which it finds among the ancestors of shelf (m-1, n).
+shelf across all classes.  Each operation hands every candidate the rule
+that maps its source's cycle set to the candidate's, the edge addition and
+vertex split rules, so nothing is re-enumerated; only an admitted
+candidate's rule runs.  A B or C entry shares its A-class ancestor's set,
+which is all its chording path gate reads.  The shelves of the final
+column (n = max_n) feed no gate and get no cycle sets at all.  Shelf files
+store no cycle sets: derive_cycles enumerates a loaded A entry's set, and
+a loaded B or C entry shares the set of its ancestor, which it finds among
+the ancestors of shelf (m-1, n).
 
 Wheels and K_{3,t} are the minimally 3-connected graphs that no prism-rooted
 chain reaches; they are constructed directly and merged into the output.
@@ -30,6 +31,7 @@ distinct edges, starting from K4.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 from .canonical import certificate
@@ -44,15 +46,24 @@ PRISM_CYCLES: CycleSet = enumerate_cycles_bruteforce(prism())
 
 Progress = Callable[[str], None]
 
+# A candidate is its graph, its provenance, and its rule: the source's
+# cycle set mapped to the candidate's, bound when the candidate is built
+# and called only when it is admitted to a shelf that is not final.
+Rule = Callable[[], CycleSet]
+Candidate = tuple[Graph, Provenance, Rule]
 
-Candidate = tuple[Graph, Provenance]
+
+def _shared(cycles: CycleSet) -> CycleSet:
+    """The rule of an edge addition: the child keeps its source's set."""
+    return cycles
 
 
 def e1(entry: ShelfEntry) -> list[Candidate]:
     """All single edge additions: one class B candidate per non-edge."""
     g = entry.graph
+    rule = partial(_shared, entry.cycles)
     return [
-        (add_edge(g, u, v), Provenance("B", ((u, v),)))
+        (add_edge(g, u, v), Provenance("B", ((u, v),)), rule)
         for u in range(g.n)
         for v in range(u + 1, g.n)
         if not g.has_edge(u, v)
@@ -63,8 +74,9 @@ def e2(entry: ShelfEntry) -> list[Candidate]:
     """Second edge additions sharing an endpoint with the first (class C)."""
     first = entry.provenance.added_edges[0]
     g = entry.graph
+    rule = partial(_shared, entry.cycles)
     return [
-        (add_edge(g, p, w), Provenance("C", (first, edge(p, w))))
+        (add_edge(g, p, w), Provenance("C", (first, edge(p, w))), rule)
         for w in g.vertices
         for p in first
         if w != p and not g.has_edge(w, p)
@@ -76,9 +88,12 @@ def c1(entry: ShelfEntry) -> list[Candidate]:
 
     With added edge bc and a neighbour a of b, the gate requires no
     chording ca- or bc-path once bc and ba are deleted; then b is split so
-    the new vertex takes c and a.  The symmetric half splits c instead.
-    The entry's cycles are its A-class ancestor's, and those avoiding ba
-    are exactly the cycles of the edge-deleted graph.
+    the new vertex x takes c and a, and the A1 entry keeps cx, what the
+    split made of bc.  The symmetric half splits c instead.  The entry's
+    cycles are its A-class ancestor's, the graph minus bc, and those
+    avoiding ba are exactly the cycles of the edge-deleted graph.  The
+    rule passes c as apply_split_vertex's w, the vertex whose edge to b it
+    deletes first, so the set of the graph minus bc serves as it is.
     """
     (b, c) = entry.provenance.added_edges[0]
     g = entry.graph
@@ -91,37 +106,27 @@ def c1(entry: ShelfEntry) -> list[Candidate]:
                 ((kept, moved), (split_v, kept)),
                 (edge(split_v, kept), edge(split_v, moved)),
             ):
-                g2 = split_vertex(g, split_v, kept, moved)[0]
-                out.append((g2, Provenance("A1", ((b, c),), split_v)))
+                g2, x = split_vertex(g, split_v, kept, moved)
+                rule = partial(apply_split_vertex, entry.cycles, split_v, moved, kept, x)
+                out.append((g2, Provenance("A1", ((kept, x),)), rule))
     return out
-
-
-def _a1_frame(entry: ShelfEntry) -> tuple[int, int, int, int]:
-    """Recover (c, b, d, y) from an A1 entry.
-
-    y is the vertex the split created, the graph's last, c the vertex it
-    split off from, b the surviving endpoint of the added edge, d the
-    neighbour the split pulled over.  N(y) is exactly {c, b, d}.
-    """
-    y = entry.graph.n - 1
-    c = entry.provenance.split
-    (b,) = set(entry.provenance.added_edges[0]) - {c}
-    (d,) = set(entry.graph.neighbors(y)) - {b, c}
-    return c, b, d, y
 
 
 def c2(entry: ShelfEntry) -> list[Candidate]:
     """Split the surviving endpoint of an A1 entry's edge (class A2).
 
-    In the recovered frame the new vertex y is adjacent to c, b, d: the
-    entry is its A-class ancestor A with edge cd bridged to b.  Splitting b
-    so that a second new vertex takes y and a neighbour a bridges the edges
-    ab and cd of A, and a = d, an adjacent pair, is included.  The gate is
-    their 3-compatibility in A: no chording ac-, bc-, ad- or bd-path once
-    ab and y's edges are deleted, a pair with equal ends being vacuous.
+    An A1 entry holds the edge by, y its last vertex, and N(y) is b plus
+    the two ends c, d of an edge cd of its A-class ancestor A: the entry is
+    A with cd bridged to b.  Splitting b so that a second new vertex takes y
+    and a neighbour a bridges the edges ab and cd of A, and a = d, an
+    adjacent pair, is included.  The gate is their 3-compatibility in A:
+    no chording ac-, bc-, ad- or bd-path once ab and y's edges are
+    deleted, a pair with equal ends being vacuous.  Gate pairs and ban are
+    symmetric in c and d, so their order does not matter.
     """
-    c, b, d, y = _a1_frame(entry)
+    ((b, y),) = entry.provenance.added_edges
     g = entry.graph
+    c, d = (w for w in g.neighbors(y) if w != b)
     banned = (edge(b, y), edge(c, y), edge(d, y))
     out = []
     for a in g.neighbors(b):
@@ -129,15 +134,18 @@ def c2(entry: ShelfEntry) -> list[Candidate]:
             continue
         pairs = [(p, q) for p, q in ((c, a), (c, b), (d, b), (d, a)) if p != q]
         if no_chording_paths(entry.cycles, g, pairs, (edge(a, b),) + banned):
-            out.append((split_vertex(g, b, y, a)[0], Provenance("A2", entry.provenance.added_edges, b)))
+            g2, x = split_vertex(g, b, y, a)
+            out.append((g2, Provenance("A2"), partial(apply_split_vertex, entry.cycles, b, a, y, x)))
     return out
 
 
 def c3(entry: ShelfEntry) -> list[Candidate]:
     """Split the shared endpoint of a C entry's two added edges (class A3).
 
-    The gate deletes both added edges, which leaves the A-class ancestor
-    whose cycles the entry carries.
+    With added edges xy and xz, the gate deletes both, which leaves the
+    A-class ancestor whose cycles the entry carries.  The split gives the
+    new vertex y and z.  Its rule adds xy to the ancestor's set, which
+    gives the set of the graph minus xz, all the split rule needs.
     """
     (e1_edge, e2_edge) = entry.provenance.added_edges
     (x_v,) = set(e1_edge) & set(e2_edge)
@@ -151,35 +159,13 @@ def c3(entry: ShelfEntry) -> list[Candidate]:
         (edge(x_v, y_v), edge(x_v, z_v)),
     ):
         return []
-    return [(split_vertex(g, x_v, z_v, y_v)[0], Provenance("A3", entry.provenance.added_edges, x_v))]
+    g2, w = split_vertex(g, x_v, z_v, y_v)
+    return [(g2, Provenance("A3"), partial(_add_then_split, entry.cycles, x_v, y_v, z_v, w))]
 
 
-def child_cycles(source: ShelfEntry, graph: Graph, prov: Provenance) -> CycleSet:
-    """The cycle set stored with a candidate built from source.
-
-    A B or C child shares its A-class ancestor's set, which is the cycle
-    set of its graph minus the pending added edges.  An A child gets the
-    cycles of its own graph.  Its last split gave the new vertex x, the
-    graph's last, two neighbours of split_v, kept and moved, named so that
-    moved is the one whose edge to split_v is pending, if one is: the split
-    takes that edge straight off split_v again, so only the source's other
-    pending edges are added before the split rule runs.  The graph it
-    starts from is an A-class graph plus edges, 3-connected, as the split
-    rule requires.
-    """
-    if prov.class_tag in SCAFFOLD_TAGS:
-        return source.cycles
-    pending = source.provenance.added_edges if source.provenance.class_tag in SCAFFOLD_TAGS else ()
-    x = graph.n - 1
-    split_v = prov.split
-    kept, moved = (w for w in graph.neighbors(x) if w != split_v)
-    if edge(split_v, kept) in pending:
-        kept, moved = moved, kept
-    cs = source.cycles
-    for u, v in pending:
-        if (u, v) != edge(split_v, moved):
-            cs = apply_add_edge(cs, u, v)
-    return apply_split_vertex(cs, split_v, kept, moved, x)
+def _add_then_split(cycles: CycleSet, x: int, y: int, z: int, w: int) -> CycleSet:
+    """The rule of c3: add xy back, then split x so that w takes y and z."""
+    return apply_split_vertex(apply_add_edge(cycles, x, y), x, y, z, w)
 
 
 def derive_cycles(shelf: Shelf, state: dict[tuple[int, int], Shelf]) -> None:
@@ -210,12 +196,12 @@ def run_shelf(state: dict[tuple[int, int], Shelf], m: int, n: int, final: bool =
 
     Classes are filled in the order C, B, A1, A2, A3.  One certificate
     store spans the whole shelf, so a graph reached twice, by whatever
-    chain, is kept once; only an admitted candidate gets its cycle set.
-    Certificates also order each class, and only those of the A1, A2, A3
-    entries are kept, as Shelf.certs.  Sources the state does not hold
-    contribute nothing.  A final shelf is one that nothing reads: it gets
-    no B or C class, and its A entries get cycles=None, which fails loudly
-    where an empty set would pass a gate.
+    chain, is kept once; only an admitted candidate's rule runs, giving its
+    cycle set.  Certificates also order each class, and only those of the
+    A1, A2, A3 entries are kept, as Shelf.certs.  Sources the state does
+    not hold contribute nothing.  A final shelf is one whose sets nothing
+    reads: its entries get cycles=None, which fails loudly where an empty
+    set would pass a gate.
     """
     classes: dict[str, dict[str, ShelfEntry]] = {}
     seen: set[str] = set()
@@ -223,18 +209,17 @@ def run_shelf(state: dict[tuple[int, int], Shelf], m: int, n: int, final: bool =
     def admit(op: Callable[[ShelfEntry], list[Candidate]], key: tuple[int, int], *tags: str) -> None:
         sources = state[key].entries(*tags) if key in state else []
         for src in sources:
-            for g, prov in op(src):
+            for g, prov, rule in op(src):
                 cert = certificate(g)
                 if cert not in seen:
                     seen.add(cert)
-                    cycles = None if final else child_cycles(src, g, prov)
+                    cycles = None if final else rule()
                     classes.setdefault(prov.class_tag, {})[cert] = ShelfEntry(g, cycles, prov)
 
     same_col = (m - 1, n)
     diag = (m - 1, n - 1)
-    if not final:
-        admit(e2, same_col, "B")
-        admit(e1, same_col, *A_TAGS)
+    admit(e2, same_col, "B")
+    admit(e1, same_col, *A_TAGS)
     admit(c1, diag, "B")
     admit(c2, diag, "A1")
     admit(c3, diag, "C")
@@ -266,12 +251,13 @@ def generate_min3(
     certificates: the shelf classes A1, A2, A3, the prism seed, and the two
     direct families, wheels and K_{3,t}.
 
-    shelf_loader, when given, may supply a previously saved shelf instead
-    of recomputing it; a loaded shelf that is not final gets its cycle
-    sets from derive_cycles.  shelf_saver receives every shelf, loaded or
-    computed, B and C classes included.  Without a saver nothing reads the
-    final column (n = max_n), so its shelves are run as final and are
-    dropped once their certificates are taken.
+    The final column (n = max_n) feeds no gate, so its shelves are final,
+    with no cycle sets.  shelf_loader, when given, may supply a previously
+    saved shelf instead of recomputing it; a loaded shelf that is not final
+    gets its cycle sets from derive_cycles.  shelf_saver receives every
+    shelf, loaded or computed, B and C classes included; only for a saver
+    is a final shelf kept in the row, as the B and C source of the next.
+    Otherwise it is dropped once its certificates are taken.
     """
     if max_n < 6:
         raise ValueError("max_n must be at least 6")
@@ -282,7 +268,7 @@ def generate_min3(
     for m in range(10, 3 * max_n - 6):
         row: dict[tuple[int, int], Shelf] = {}
         for n in range(max(6, (m + 9) // 3), min(max_n, m - 4) + 1):
-            final = n == max_n and shelf_saver is None
+            final = n == max_n
             shelf = shelf_loader(m, n) if shelf_loader is not None else None
             if shelf is None:
                 shelf = run_shelf(state, m, n, final)
@@ -290,7 +276,7 @@ def generate_min3(
                 derive_cycles(shelf, state)
             if shelf_saver is not None:
                 shelf_saver(shelf)
-            if not final:
+            if not final or shelf_saver is not None:
                 row[(m, n)] = shelf
             if shelf.certs:
                 groups.setdefault((n, m), []).extend(shelf.certs)

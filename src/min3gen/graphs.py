@@ -271,8 +271,8 @@ def prism() -> Graph:
     """The triangular prism with the fixed labeling used throughout.
 
     Triangles {0,3,4} and {1,2,5}, joined by the rungs 01, 23, 45.  This is
-    the generation seed; its 14 cycles are hard-coded next to the generator
-    and re-checked against brute force at startup.
+    the generation seed; generator.PRISM_CYCLES enumerates its 14 cycles by
+    brute force.
     """
     return Graph(
         6,

@@ -16,10 +16,10 @@ from pathlib import Path
 
 from .canonical import certificate
 from .graphs import Graph, delete_edge, from_triangle_bits, graph6_line, triangle_bits
-from .records import CLASS_TAGS, RESULT_TAGS, SCAFFOLD_TAGS, GeneratedSet, Provenance, Shelf, ShelfEntry
+from .records import CLASS_TAGS, RESULT_TAGS, GeneratedSet, Provenance, Shelf, ShelfEntry
 
 SHELF_FORMAT = "min3gen-shelf"
-SHELF_VERSION = 4
+SHELF_VERSION = 5
 _TRAILER = "end"
 
 _GRAPH6_HEADER = ">>graph6<<"
@@ -119,37 +119,34 @@ def _parse_edges(text: str, n: int) -> tuple:
     for part in text.split(";"):
         u, v = map(int, part.split("-"))
         if not 0 <= u < v < n:
-            raise ValueError(f"pending edge {part} is not a pair u < v of vertices below {n}")
+            raise ValueError(f"edge {part} is not a pair u < v of vertices below {n}")
         out.append((u, v))
     return tuple(out)
 
 
-# How many pending edge additions a line of each class holds.
-_PENDING = {"A0": 0, "B": 1, "C": 2, "A1": 1, "A2": 1, "A3": 2}
+# How many edges a line of each class holds.
+_EDGES = {"A0": 0, "B": 1, "C": 2, "A1": 1, "A2": 0, "A3": 0}
 
 
 def _check_provenance(g: Graph, prov: Provenance) -> None:
     """Raise ValueError unless prov has a shape the generator gives g.
 
-    B and C pending edges are edges of g, C's two sharing one endpoint.
-    The last split of an A1, A2 or A3 entry made the last vertex, of degree
-    3, next to the split vertex; an A1 entry split an endpoint of its added
-    edge and gave the new vertex the other.
+    Each class holds its number of edges, and each is an edge of g.  C's
+    two share one endpoint.  An A1 entry's edge ends at the last vertex,
+    of degree 3, which the last split made.  An A1, A2 or A3 graph must be
+    minimally 3-connected.
     """
-    tag, pending, split, last = prov.class_tag, prov.added_edges, prov.split, g.n - 1
-    if len(pending) != _PENDING[tag]:
-        raise ValueError(f"class {tag} holds {_PENDING[tag]} pending edge(s), not {len(pending)}")
-    if tag not in RESULT_TAGS and split is not None:
-        raise ValueError(f"class {tag} has no split vertex, got {split}")
-    if tag in SCAFFOLD_TAGS and not all(g.has_edge(u, v) for u, v in pending):
-        raise ValueError(f"pending edges {_fmt_edges(pending)} are not all edges of the graph")
-    if tag == "C" and len(set(pending[0]) & set(pending[1])) != 1:
-        raise ValueError(f"pending edges {_fmt_edges(pending)} do not share one endpoint")
-    split_made_last = split in range(last) and g.has_edge(split, last) and g.degree(last) == 3
-    if tag in RESULT_TAGS and not split_made_last:
-        raise ValueError(f"split vertex {split} does not neighbour the last vertex {last} of degree 3")
-    if tag == "A1" and not (split in pending[0] and all(g.has_edge(w, last) for w in pending[0])):
-        raise ValueError(f"split vertex {split} and added edge {_fmt_edges(pending)} must meet {last}")
+    tag, edges, last = prov.class_tag, prov.added_edges, g.n - 1
+    if len(edges) != _EDGES[tag]:
+        raise ValueError(f"class {tag} holds {_EDGES[tag]} edge(s), not {len(edges)}")
+    if not all(g.has_edge(u, v) for u, v in edges):
+        raise ValueError(f"edges {_fmt_edges(edges)} are not all edges of the graph")
+    if tag == "C" and len(set(edges[0]) & set(edges[1])) != 1:
+        raise ValueError(f"edges {_fmt_edges(edges)} do not share one endpoint")
+    if tag == "A1" and not (edges[0][1] == last and g.degree(last) == 3):
+        raise ValueError(f"edge {_fmt_edges(edges)} does not end at the last vertex {last} of degree 3")
+    if tag in RESULT_TAGS and not is_minimally_3_connected(g):
+        raise ValueError("graph is not minimally 3-connected")
 
 
 class ShelfFileError(ValueError):
@@ -160,11 +157,11 @@ class ShelfFileError(ValueError):
 def save_shelf(shelf: Shelf, path: str | Path) -> None:
     """Write a shelf as a versioned, line-oriented, tab-separated file.
 
-    Each entry's line holds only what its graph cannot tell: class tag,
-    graph6, pending edge additions and split vertex.  Cycle sets are left
-    out, for generator.derive_cycles derives them on load.  A trailer line
-    gives the entry count of every class, so a truncated file is detected
-    on load (format version 4).
+    Each entry's line holds only what its graph cannot tell and a later
+    operation reads: class tag, graph6 and Provenance.added_edges.  Cycle
+    sets are left out, for generator.derive_cycles derives them on load.
+    A trailer line gives the entry count of every class, so a truncated
+    file is detected on load (format version 5).
     """
     lines = [
         f"{SHELF_FORMAT}\t{SHELF_VERSION}",
@@ -173,9 +170,7 @@ def save_shelf(shelf: Shelf, path: str | Path) -> None:
     ]
     for tag in CLASS_TAGS:
         for ent in shelf.classes.get(tag, ()):
-            prov = ent.provenance
-            split = "-" if prov.split is None else str(prov.split)
-            lines.append("\t".join((tag, encode_graph6(ent.graph), _fmt_edges(prov.added_edges), split)))
+            lines.append("\t".join((tag, encode_graph6(ent.graph), _fmt_edges(ent.provenance.added_edges))))
     counts = (f"{tag}={len(shelf.classes.get(tag, ()))}" for tag in CLASS_TAGS)
     lines.append("\t".join((_TRAILER, *counts)))
     Path(path).write_text("\n".join(lines) + "\n")
@@ -186,8 +181,9 @@ def load_shelf(path: str | Path, expected: tuple[int, int] | None = None) -> She
 
     expected, when given, is the (m, n) the caller asked for, and the
     header must match it, and so must every entry's graph.  Each line's
-    provenance must have a shape the generator makes (_check_provenance).
-    Only the A1, A2, A3 entries are certified, for Shelf.certs; no two
+    provenance must have a shape the generator makes, and an A1, A2 or A3
+    graph must be minimally 3-connected (_check_provenance).  Only the A1,
+    A2, A3 entries are certified, for Shelf.certs; no two
     entry lines may repeat a graph6 field, and no two of those entries a
     certificate.
     Any defect raises ShelfFileError naming the file and, where there is
@@ -226,9 +222,9 @@ def load_shelf(path: str | Path, expected: tuple[int, int] | None = None) -> She
             if fields[0] == _TRAILER:
                 trailer = fields[1:]
                 continue
-            if len(fields) != 4:
-                raise ValueError(f"expected 4 fields, got {len(fields)}")
-            tag, g6, added_text, split_text = fields
+            if len(fields) != 3:
+                raise ValueError(f"expected 3 fields, got {len(fields)}")
+            tag, g6, edges_text = fields
             if tag not in CLASS_TAGS:
                 raise ValueError(f"unknown class tag {tag!r}")
             if g6 in g6_lines:
@@ -237,8 +233,7 @@ def load_shelf(path: str | Path, expected: tuple[int, int] | None = None) -> She
             graph = decode_graph6(g6)
             if (graph.m, graph.n) != (m, n):
                 raise ValueError(f"graph has (m, n) = {(graph.m, graph.n)}, not the shelf's {(m, n)}")
-            split = None if split_text == "-" else int(split_text)
-            prov = Provenance(tag, _parse_edges(added_text, n), split)
+            prov = Provenance(tag, _parse_edges(edges_text, n))
             _check_provenance(graph, prov)
             if tag in RESULT_TAGS:
                 cert = certificate(graph)

@@ -23,17 +23,17 @@ RESULT_TAGS = ("A1", "A2", "A3")
 
 @dataclass(frozen=True)
 class Provenance:
-    """How an entry was produced: its class and the edits that led to it.
+    """How an entry was produced: its class and the edges a later operation reads.
 
-    added_edges lists the edge additions still pending contraction (one for
-    class B, two for class C, inherited by the splits that consume them).
-    split, for A1, A2 and A3, is the vertex the last vertex split acted
-    on; the vertex that split created is always the graph's last.
+    added_edges holds the edge additions still pending contraction, one for
+    class B and two, sharing an endpoint, for class C.  An A1 entry holds
+    one edge (b, y): what its split made of the B entry's pending edge,
+    with y the split's new vertex, the graph's last.  c2 reads it.  A0, A2
+    and A3 entries hold none.
     """
 
     class_tag: str
     added_edges: tuple[Edge, ...] = ()
-    split: int | None = None
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,7 @@ class ShelfEntry:
 
     For an A-class entry, cycles is the cycle set of graph.  A B or C entry
     shares its A-class ancestor's set instead: the cycles of graph minus
-    the pending added edges.  An entry of a final shelf, which nothing
+    the pending added edges.  An entry of a final shelf, whose set no gate
     reads, has cycles=None, and so has an entry loaded from a shelf file
     until generator.derive_cycles gives it its set.
     """

@@ -25,27 +25,29 @@ from min3gen import (
     generate_min3,
     prism,
 )
-from min3gen.generator import PRISM_CYCLES, child_cycles
+from min3gen.generator import PRISM_CYCLES
 
 
 def collect_shelves(max_n: int) -> dict[tuple[int, int], Shelf]:
-    """Every shelf a generate_min3(max_n) run computes, through its
-    shelf_saver, keyed by (m, n), plus the prism seed shelf it starts from."""
+    """Every shelf with n <= max_n, keyed by (m, n), plus the prism seed
+    shelf, as the shelf_saver of a generate_min3(max_n + 1) run receives
+    them.  None of them is final, so each carries its cycle sets."""
     seed = prism()
     seed_entry = ShelfEntry(seed, PRISM_CYCLES, Provenance("A0"))
     shelves = {(9, 6): Shelf(9, 6, {"A0": [seed_entry]})}
 
     def save(shelf: Shelf) -> None:
-        shelves[(shelf.m, shelf.n)] = shelf
+        if shelf.n <= max_n:
+            shelves[(shelf.m, shelf.n)] = shelf
 
-    generate_min3(max_n, shelf_saver=save)
+    generate_min3(max_n + 1, shelf_saver=save)
     return shelves
 
 
 def materialize(source: ShelfEntry, candidates) -> list[ShelfEntry]:
-    """Shelf entries for (graph, provenance) candidates built from source,
-    with the cycle sets run_shelf would store on admission."""
-    return [ShelfEntry(g, child_cycles(source, g, prov), prov) for g, prov in candidates]
+    """Shelf entries for (graph, provenance, rule) candidates, with the
+    cycle sets run_shelf would store on admission: what each rule gives."""
+    return [ShelfEntry(g, rule(), prov) for g, prov, rule in candidates]
 
 
 def ancestor_graph(ent: ShelfEntry) -> Graph:

@@ -285,15 +285,16 @@ def test_resume_rejects_an_entry_from_another_shelf(emitted9, tmp_path, capsys):
 @pytest.mark.parametrize(
     "lineno, old, new, message",
     [
-        # The split vertex of an A1 line must neighbour the last vertex ...
-        (17, "A1\tGLDnDO\t0-2\t0", "A1\tGLDnDO\t0-2\t1", ":17: split vertex 1 does not neighbour"),
-        # ... and be an endpoint of the added edge.
-        (17, "A1\tGLDnDO\t0-2\t0", "A1\tGLDnDO\t0-2\t4", ":17: split vertex 4 and added edge 0-2"),
+        # An A1 line's edge must end at the last vertex ...
+        (17, "A1\tGLDnDO\t2-7", "A1\tGLDnDO\t2-3", ":17: edge 2-3 does not end at the last vertex 7"),
+        # ... and be an edge of its graph.
+        (17, "A1\tGLDnDO\t2-7", "A1\tGLDnDO\t1-7", ":17: edges 1-7 are not all edges"),
         # A B line's pending edge must be an edge of its graph ...
-        (4, "B\tGpdkbC\t0-2\t-", "B\tGpdkbC\t0-3\t-", ":4: pending edges 0-3 are not all edges"),
+        (4, "B\tGpdkbC\t0-2", "B\tGpdkbC\t0-3", ":4: edges 0-3 are not all edges"),
         # ... and its graph without it an entry of shelf (12, 8).
-        (4, "B\tGpdkbC\t0-2\t-", "B\tGpdkbC\t0-1\t-", "B entry GpdkbC minus its pending edges"),
+        (4, "B\tGpdkbC\t0-2", "B\tGpdkbC\t0-1", "B entry GpdkbC minus its pending edges"),
     ],
+    ids=["a1-edge-off-last", "a1-edge-non-edge", "b-edge-non-edge", "b-edge-no-ancestor"],
 )
 def test_resume_rejects_a_corrupt_provenance_field(
     emitted9, lineno, old, new, message, tmp_path, capsys
@@ -317,6 +318,25 @@ def test_resume_rejects_a_corrupt_provenance_field(
         assert f"{path}{message}" in err
     else:
         assert "shelf (m, n) = (13, 8)" in err
+    assert not (second / "counts.tsv").exists()
+
+
+def test_resume_rejects_an_a_line_that_is_not_minimally_3_connected(emitted9, tmp_path, capsys):
+    # The A1 graph with its edge 0-3 moved to 0-1 keeps the line's shape:
+    # its edge 5-8 is an edge, and the last vertex has degree 3.  Nothing
+    # loaded descends from a final-column line, so without the check the
+    # resume exits 0 and min3_n9_m15.g6 holds a graph that is not minimal.
+    shelves = tmp_path / "shelves"
+    shutil.copytree(emitted9 / "shelves", shelves)
+    path = shelves / "shelf_m15_n9.tsv"
+    lines = path.read_text().split("\n")
+    assert lines[177] == "A1\tHLdN@ID\t5-8"
+    lines[177] = "A1\tHhdN@ID\t5-8"
+    path.write_text("\n".join(lines))
+    second = tmp_path / "second"
+    rc, _, err = run(["generate", "--max-n", "9", "--out", str(second), "--resume", str(shelves)], capsys)
+    assert rc == 3
+    assert f"{path}:178: graph is not minimally 3-connected" in err
     assert not (second / "counts.tsv").exists()
 
 

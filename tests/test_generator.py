@@ -9,6 +9,7 @@ plumbing the counts alone would not.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import pytest
 
@@ -38,14 +39,13 @@ from min3gen import (
     save_shelf,
     wheel,
 )
+from min3gen.cli import main
 from min3gen.cycles import enumerate_cycles_bruteforce
 from min3gen.generator import (
     PRISM_CYCLES,
-    _a1_frame,
     c1,
     c2,
     c3,
-    child_cycles,
     derive_cycles,
     e1,
     e2,
@@ -114,8 +114,10 @@ def test_c1_splits_both_endpoints():
     assert len({certificate(ent.graph) for ent in out}) == 3
     for ent in out:
         assert ent.provenance.class_tag == "A1"
-        assert ent.provenance.split in ent.provenance.added_edges[0]
-        assert ent.graph.has_edge(ent.provenance.split, ent.graph.n - 1)
+        # (b, y): what the split made of the pending edge 0-2, y the new vertex.
+        ((b, y),) = ent.provenance.added_edges
+        assert y == ent.graph.n - 1 and b in (0, 2)
+        assert ent.graph.has_edge(b, y) and ent.graph.has_edge(2 - b, y)
         assert (ent.graph.n, ent.graph.m) == (7, 11)
         assert ent.cycles == enumerate_cycles_bruteforce(ent.graph)
         assert is_minimally_3_connected(ent.graph)
@@ -127,7 +129,7 @@ def test_c3_composition_reaches_complete_bipartite(k33):
     c = next(ent for ent in materialize(b, e2(b)) if ent.provenance.added_edges == ((0, 1), (0, 2)))
     out = materialize(c, c3(c))
     assert len(out) == 1
-    assert out[0].provenance.class_tag == "A3"
+    assert out[0].provenance == Provenance("A3")
     assert certificate(out[0].graph) == certificate(complete_bipartite_3(4))
     assert out[0].cycles == enumerate_cycles_bruteforce(out[0].graph)
 
@@ -139,7 +141,7 @@ def test_gates_read_only_the_ancestor_cycles():
         for tag, gate in (("B", c1), ("C", c3)):
             for ent in shelf.entries(tag):
                 full = dataclasses.replace(ent, cycles=enumerate_cycles_bruteforce(ent.graph))
-                assert gate(ent) == gate(full)
+                assert [c[:2] for c in gate(ent)] == [c[:2] for c in gate(full)]
                 checked += 1
     assert checked > 0
 
@@ -168,12 +170,15 @@ def test_run_shelf_dedups_across_classes():
 
 
 def test_final_shelf_has_no_scaffolding_and_no_cycle_sets():
+    # Without a saver the final column is not kept, so a final shelf's
+    # state holds no shelf (m-1, max_n) and B and C get no source.
     shelves = collect_shelves(8)
+    state = {key: shelf for key, shelf in shelves.items() if key[1] != 8}
     checked = 0
     for (m, n), full in shelves.items():
         if n != 8:
             continue
-        shelf = run_shelf(shelves, m, n, final=True)
+        shelf = run_shelf(state, m, n, final=True)
         assert not shelf.entries("B", "C")
         for tag in RESULT_TAGS:
             assert [e.graph for e in shelf.entries(tag)] == [e.graph for e in full.entries(tag)]
@@ -183,19 +188,47 @@ def test_final_shelf_has_no_scaffolding_and_no_cycle_sets():
     assert checked == 16
 
 
-def test_final_column_derives_cycle_sets_only_for_a_saver(monkeypatch):
+def _traced_rule(ruled, n, rule):
+    ruled.append(n)
+    return rule()
+
+
+def test_final_column_derives_no_cycle_sets(monkeypatch, tmp_path):
+    # With or without a saver, no rule runs for a candidate of the column
+    # n = max_n, and every entry there has cycles=None.
+    ruled = []
+
+    def tracing(op):
+        def traced(entry):
+            return [
+                (g, prov, functools.partial(_traced_rule, ruled, g.n, rule)) for g, prov, rule in op(entry)
+            ]
+
+        return traced
+
+    for name in ("e1", "e2", "c1", "c2", "c3"):
+        monkeypatch.setattr(min3gen.generator, name, tracing(getattr(min3gen.generator, name)))
+    saved = []
+    for saver in (None, saved.append):
+        ruled.clear()
+        generate_min3(8, shelf_saver=saver)
+        assert 7 in ruled and 8 not in ruled
+    final = [shelf for shelf in saved if shelf.n == 8]
+    assert final and any(shelf.entries("B", "C") for shelf in final)
+    assert all(ent.cycles is None for shelf in final for ent in shelf.entries())
+    # A resume that saves every shelf derives sets for no loaded final shelf.
     derived_for = []
 
-    def counting(source, graph, prov):
-        derived_for.append(graph.n)
-        return child_cycles(source, graph, prov)
+    def recording(shelf, state):
+        derived_for.append(shelf.n)
+        return derive_cycles(shelf, state)
 
-    monkeypatch.setattr(min3gen.generator, "child_cycles", counting)
-    generate_min3(8)
-    assert 8 not in derived_for and 7 in derived_for
-    derived_for.clear()
-    generate_min3(8, shelf_saver=lambda shelf: None)
-    assert 8 in derived_for
+    monkeypatch.setattr(min3gen.generator, "derive_cycles", recording)
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["generate", "--max-n", "8", "--out", str(first), "--emit-intermediate"]) == 0
+    resume = ["--resume", str(first / "shelves"), "--emit-intermediate"]
+    assert main(["generate", "--max-n", "8", "--out", str(second), *resume]) == 0
+    assert 7 in derived_for and 8 not in derived_for
 
 
 def test_generate_min3_keeps_no_compiled_cycle_sets():
@@ -256,24 +289,24 @@ def test_provenance_shapes_across_shelves():
                 assert prov.class_tag == tag
                 if tag in RESULT_TAGS:
                     # The last split made the last vertex, of degree 3.
-                    assert ent.graph.has_edge(prov.split, n - 1)
                     assert ent.graph.degree(n - 1) == 3
-                if tag == "A0":
-                    assert prov.added_edges == () and prov.split is None
-                elif tag == "B":
-                    assert len(prov.added_edges) == 1 and prov.split is None
+                if tag == "B":
+                    (e_first,) = prov.added_edges
+                    assert ent.graph.has_edge(*e_first)
                 elif tag == "C":
                     e_first, e_second = prov.added_edges
-                    assert set(e_first) & set(e_second)
-                    assert prov.split is None
+                    assert len(set(e_first) & set(e_second)) == 1
+                    assert ent.graph.has_edge(*e_first) and ent.graph.has_edge(*e_second)
                 elif tag == "A1":
-                    assert len(prov.added_edges) == 1 and prov.split in prov.added_edges[0]
+                    # (b, y): the split's new vertex y keeps the B entry's edge.
+                    ((b, y),) = prov.added_edges
+                    assert y == n - 1 and ent.graph.has_edge(b, y)
                 elif tag == "A2":
-                    # c2 splits the A1 entry's surviving endpoint, b.
-                    assert len(prov.added_edges) == 1 and prov.split in prov.added_edges[0]
-                elif tag == "A3":
-                    e_first, e_second = prov.added_edges
-                    assert {prov.split} == set(e_first) & set(e_second)
+                    # c2 splits the A1 entry's b so that the new vertex takes its y.
+                    assert prov.added_edges == ()
+                    assert ent.graph.has_edge(n - 2, n - 1)
+                else:
+                    assert prov.added_edges == ()
     assert {"A0", "B", "C", "A1", "A2", "A3"} <= seen_tags
 
 
@@ -284,7 +317,8 @@ def _c2_by_definition(entry: ShelfEntry) -> set[str]:
     c2 bridges cd with each edge ab of A, adjacent pairs (a = d) included,
     whenever {ab, cd} is 3-compatible in A.
     """
-    c, b, d, y = _a1_frame(entry)
+    ((b, y),) = entry.provenance.added_edges
+    c, d = (w for w in entry.graph.neighbors(y) if w != b)
     assert y == entry.graph.n - 1  # so deleting y keeps every other label
     base = delete_vertex(entry.graph, y)
     a_graph = add_edge(base, c, d)
@@ -300,7 +334,7 @@ def test_c2_builds_exactly_the_compatible_edge_pair_bridgings():
     checked = 0
     for shelf in collect_shelves(9).values():
         for ent in shelf.entries("A1"):
-            assert {certificate(g) for g, _ in c2(ent)} == _c2_by_definition(ent), ent.graph.edges()
+            assert {certificate(g) for g, *_ in c2(ent)} == _c2_by_definition(ent), ent.graph.edges()
             checked += 1
     assert checked > 50
 
@@ -314,12 +348,12 @@ def test_c2_rejects_an_incompatible_pair_reached_through_another_neighbour():
         (0, 6), (0, 8), (0, 9), (0, 10), (1, 2), (1, 5), (1, 8), (2, 7), (2, 8),
         (2, 10), (3, 4), (3, 7), (3, 9), (4, 5), (4, 6), (5, 10), (6, 7), (7, 9),
     ])
-    prov = Provenance("A1", ((0, 2),), 2)
+    prov = Provenance("A1", ((0, 10),))
     entry = ShelfEntry(g, enumerate_cycles_bruteforce(g), prov)
-    assert _a1_frame(entry) == (2, 0, 5, 10)
+    assert set(g.neighbors(10)) == {0, 2, 5}
     candidates = c2(entry)
-    assert {certificate(h) for h, _ in candidates} == _c2_by_definition(entry)
-    assert all(is_minimally_3_connected(h) for h, _ in candidates)
+    assert {certificate(h) for h, *_ in candidates} == _c2_by_definition(entry)
+    assert all(is_minimally_3_connected(h) for h, *_ in candidates)
 
 
 def test_a_classes_are_minimal_and_intermediates_are_not():

@@ -143,14 +143,18 @@ def test_shelf_file_validation(tmp_path):
 
     v = SHELF_VERSION
     head = f"min3gen-shelf\t{v}\nm\t10\nn\t6\n"
-    entry = "A0\tEhfw\t-\t-\n"  # the wheel W5: 6 vertices, 10 edges, hub 5
+    entry = "A0\tEhfw\t-\n"  # the wheel W5: 6 vertices, 10 edges, hub 5
     trailer = "end\tA0=1\tB=0\tC=0\tA1=0\tA2=0\tA3=0\n"
     assert load_shelf(_write(tmp_path / "one.tsv", head + entry + trailer)).entries()
     # W5 with hub 0: its last vertex 5 has degree 3 and neighbours 0, 1 and 4.
-    a1 = "A1\tE|fG\t0-1\t0\n"
+    a1 = "A1\tE|fG\t1-5\n"
     a1_trailer = trailer.replace("A0=1", "A0=0").replace("A1=0", "A1=1")
     loaded = load_shelf(_write(tmp_path / "a1.tsv", head + a1 + a1_trailer))
-    assert [e.provenance for e in loaded.entries()] == [min3gen.records.Provenance("A1", ((0, 1),), 0)]
+    assert [e.provenance for e in loaded.entries()] == [min3gen.records.Provenance("A1", ((1, 5),))]
+    for tag in ("A2", "A3"):
+        text = head + f"{tag}\tE|fG\t-\n" + trailer.replace("A0=1", "A0=0").replace(f"{tag}=0", f"{tag}=1")
+        loaded = load_shelf(_write(tmp_path / f"{tag}.tsv", text))
+        assert [e.provenance for e in loaded.entries()] == [min3gen.records.Provenance(tag)]
     cases = {
         "header": (f"something-else\t{v}\nm\t10\nn\t6\n", ":1: not a shelf file"),
         "version": ("min3gen-shelf\t9\nm\t10\nn\t6\n", ":1: unsupported shelf version 9"),
@@ -160,16 +164,21 @@ def test_shelf_file_validation(tmp_path):
             "min3gen-shelf\t3\nm\t10\nn\t6\nA0\tEhfw\t-\t-\t0-1-5\n" + trailer,
             ":1: unsupported shelf version 3",
         ),
+        "v4": (
+            "min3gen-shelf\t4\nm\t10\nn\t6\nA1\tE|fG\t0-1\t0\n" + a1_trailer,
+            ":1: unsupported shelf version 4",
+        ),
         "truncated": (f"min3gen-shelf\t{v}\nm\t10\n", ": truncated shelf file"),
         "m-key": (f"min3gen-shelf\t{v}\nq\t10\nn\t6\n", ":2: expected header 'm'"),
         "n-value": (f"min3gen-shelf\t{v}\nm\t10\nn\tsix\n", ":3: invalid literal"),
-        "tag": (head + "ZZ\tC~\t-\t-\n", ":4: unknown class tag"),
-        "fields": (head + "B\tC~\t-\n", ":4: expected 4 fields"),
-        "cycle-field": (head + "A0\tEhfw\t-\t-\t0-1-5\n", ":4: expected 4 fields, got 5"),
-        "graph6": (head + "A0\tC!\t-\t-\n", ":4: invalid graph6 character"),
-        "separator": (head + "A0\tC\x1c\t-\t-\n", ":4: invalid graph6 character"),
+        "tag": (head + "ZZ\tC~\t-\n", ":4: unknown class tag"),
+        "fields": (head + "B\tC~\n", ":4: expected 3 fields, got 2"),
+        "split-field": (head + "A1\tE|fG\t0-1\t0\n", ":4: expected 3 fields, got 4"),
+        "cycle-field": (head + "A0\tEhfw\t-\t-\t0-1-5\n", ":4: expected 3 fields, got 5"),
+        "graph6": (head + "A0\tC!\t-\n", ":4: invalid graph6 character"),
+        "separator": (head + "A0\tC\x1c\t-\n", ":4: invalid graph6 character"),
         "other-shelf": (
-            head + "A0\tC~\t-\t-\n",
+            head + "A0\tC~\t-\n",
             ":4: graph has (m, n) = (6, 4), not the shelf's (10, 6)",
         ),
         "no-trailer": (head + entry, ":4: missing trailer line"),
@@ -182,30 +191,33 @@ def test_shelf_file_validation(tmp_path):
         ),
         # W5 with hub 0, and relabelled by swapping 1 and 4: two lines of one class.
         "repeated-class": (
-            head + a1 + "A1\tEvjG\t0-1\t0\n" + a1_trailer.replace("A1=1", "A1=2"),
+            head + a1 + "A1\tEvjG\t1-5\n" + a1_trailer.replace("A1=1", "A1=2"),
             ":5: graph is isomorphic to line 4's",
         ),
         # Provenance fields of a shape the generator never makes.
-        "pending-count": (head + "B\tEhfw\t-\t-\n", ":4: class B holds 1 pending edge(s), not 0"),
-        "pending-range": (head + "B\tEhfw\t0-6\t-\n", ":4: pending edge 0-6 is not a pair u < v"),
-        "pending-order": (head + "B\tEhfw\t1-0\t-\n", ":4: pending edge 1-0 is not a pair u < v"),
-        "pending-syntax": (head + "B\tEhfw\t0-1-2\t-\n", ":4: too many values to unpack"),
-        "pending-non-edge": (head + "B\tEhfw\t0-2\t-\n", ":4: pending edges 0-2 are not all edges"),
-        "c-apart": (head + "C\tEhfw\t0-1;2-3\t-\n", ":4: pending edges 0-1;2-3 do not share one"),
-        "c-same": (head + "C\tEhfw\t0-1;0-1\t-\n", ":4: pending edges 0-1;0-1 do not share one"),
-        "b-split": (head + "B\tEhfw\t0-1\t5\n", ":4: class B has no split vertex, got 5"),
-        "a0-split": (head + "A0\tEhfw\t-\t5\n", ":4: class A0 has no split vertex, got 5"),
-        "split-syntax": (head + "A2\tE|fG\t0-1\tx\n", ":4: invalid literal"),
-        "split-missing": (head + "A3\tE|fG\t0-1;0-4\t-\n", ":4: split vertex None does not neighbour"),
-        "split-far": (head + "A2\tE|fG\t0-1\t2\n", ":4: split vertex 2 does not neighbour the last"),
-        "split-range": (head + "A2\tE|fG\t0-1\t9\n", ":4: split vertex 9 does not neighbour"),
-        "split-last": (head + "A2\tE|fG\t0-1\t5\n", ":4: split vertex 5 does not neighbour"),
-        "split-degree": (
-            head + "A2\tEhfw\t0-1\t0\n",
-            ":4: split vertex 0 does not neighbour the last vertex 5 of degree 3",
-        ),
-        "a1-off-edge": (head + "A1\tE|fG\t0-1\t4\n", ":4: split vertex 4 and added edge 0-1 must meet 5"),
-        "a1-far-end": (head + "A1\tE|fG\t0-2\t0\n", ":4: split vertex 0 and added edge 0-2 must meet 5"),
+        "pending-count": (head + "B\tEhfw\t-\n", ":4: class B holds 1 edge(s), not 0"),
+        "pending-range": (head + "B\tEhfw\t0-6\n", ":4: edge 0-6 is not a pair u < v"),
+        "pending-order": (head + "B\tEhfw\t1-0\n", ":4: edge 1-0 is not a pair u < v"),
+        "pending-syntax": (head + "B\tEhfw\t0-1-2\n", ":4: too many values to unpack"),
+        "pending-non-edge": (head + "B\tEhfw\t0-2\n", ":4: edges 0-2 are not all edges"),
+        "c-count": (head + "C\tEhfw\t0-1\n", ":4: class C holds 2 edge(s), not 1"),
+        "c-non-edge": (head + "C\tEhfw\t0-1;0-2\n", ":4: edges 0-1;0-2 are not all edges"),
+        "c-apart": (head + "C\tEhfw\t0-1;2-3\n", ":4: edges 0-1;2-3 do not share one"),
+        "c-same": (head + "C\tEhfw\t0-1;0-1\n", ":4: edges 0-1;0-1 do not share one"),
+        "a0-edge": (head + "A0\tEhfw\t0-1\n", ":4: class A0 holds 0 edge(s), not 1"),
+        # An A1 line holds one edge of its graph, ending at the last vertex,
+        # of degree 3; an A2 or A3 line holds none.
+        "a1-none": (head + "A1\tE|fG\t-\n", ":4: class A1 holds 1 edge(s), not 0"),
+        "a1-two": (head + "A1\tE|fG\t0-5;1-5\n", ":4: class A1 holds 1 edge(s), not 2"),
+        "a1-non-edge": (head + "A1\tE|fG\t2-5\n", ":4: edges 2-5 are not all edges"),
+        "a1-off-last": (head + "A1\tE|fG\t0-1\n", ":4: edge 0-1 does not end at the last vertex 5"),
+        "a1-degree": (head + "A1\tEhfw\t0-5\n", ":4: edge 0-5 does not end at the last vertex 5 of degree 3"),
+        "a2-edge": (head + "A2\tE|fG\t1-5\n", ":4: class A2 holds 0 edge(s), not 1"),
+        "a3-edges": (head + "A3\tE|fG\t0-5;1-5\n", ":4: class A3 holds 0 edge(s), not 2"),
+        # The prism plus the edge 0-2: 3-connected, not minimally so.
+        "a1-not-minimal": (head + "A1\tE|dg\t1-5\n", ":4: graph is not minimally 3-connected"),
+        "a2-not-minimal": (head + "A2\tE|dg\t-\n", ":4: graph is not minimally 3-connected"),
+        "a3-not-minimal": (head + "A3\tE|dg\t-\n", ":4: graph is not minimally 3-connected"),
     }
     for name, (text, message) in cases.items():
         path = _write(tmp_path / f"{name}.tsv", text)
