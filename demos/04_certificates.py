@@ -7,7 +7,8 @@ deduplicating a batch is set membership on strings.  A certificate is the
 graph6 line of the graph's canonical labelling, so it is also the line an
 output file holds for that class.  The labeler is partition refinement
 with individualization, plus a twin collapse that keeps highly symmetric
-graphs (wheels, K_{3,t}) cheap.
+graphs (wheels, K_{3,t}) cheap.  The same search also reports generators
+of the automorphism group.
 """
 
 import random
@@ -58,6 +59,20 @@ for name, h in (("wheel(8)", wheel(8)), ("K_{3,8}", complete_bipartite_3(8))):
 canon = decode_graph6(certificate(g))
 print("\ncanonical prism:", canon.edges())
 print("certifies to itself:", certificate(canon) == certificate(g))
+
+# The same search yields generators of the automorphism group: the prism
+# has 12 automorphisms (the 6 symmetries of a triangle, times swapping the
+# two triangles).  Closing the generators under composition counts them.
+from min3gen import automorphisms
+
+gens = automorphisms(g)
+group = {tuple(g.vertices)}
+frontier = list(group)
+while frontier:
+    frontier = [q for p in frontier for s in gens if (q := tuple(s[v] for v in p)) not in group]
+    group.update(frontier)
+print("\nprism automorphism generators:", gens)
+print("|Aut(prism)| =", len(group))
 
 # Certificates order each output bucket, which is what makes generator
 # runs byte-for-byte reproducible.

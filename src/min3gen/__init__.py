@@ -1,12 +1,12 @@
 """Exhaustive isomorph-free generation of minimally 3-connected graphs.
 
 The public surface: the Graph value type with its edit operations, cycle
-set maintenance, the 3-compatibility gates, isomorphism certificates, the
-two generators, and graph6 plus shelf serialization with independent
-connectivity oracles.
+set maintenance, the 3-compatibility gates, isomorphism certificates and
+automorphism group generators, the two generators, and graph6 plus shelf
+serialization with independent connectivity oracles.
 """
 
-from .canonical import are_isomorphic_bruteforce, certificate
+from .canonical import are_isomorphic_bruteforce, automorphisms, certificate
 from .compat import (
     CompatSet,
     EdgePair,
@@ -88,6 +88,7 @@ __all__ = [
     "apply_split_vertex",
     "apply_subdivide_edge",
     "are_isomorphic_bruteforce",
+    "automorphisms",
     "bridge_edges",
     "bridge_vertex_edge",
     "c1",

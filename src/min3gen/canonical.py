@@ -25,6 +25,14 @@ twins is an automorphism, so every branch of such a cell leads to the same
 minimum.  This keeps twin-heavy families like complete bipartite graphs
 from exploding factorially.
 
+automorphisms(g) runs the same search and records what it meets on the
+way: at a leaf whose triangle_bits equal the least so far, the map from
+the least leaf's labelling to this one (best_order[k] -> order[k]), and at
+a collapsed twin cell, the transposition of its first member with each
+other member.  The search visits every branch but twin ones, so these
+permutations generate the whole automorphism group.  certificate records
+nothing.
+
 are_isomorphic_bruteforce is the independent oracle: a direct backtracking
 search for an edge-preserving bijection, sharing nothing with the
 certificate machinery.
@@ -125,17 +133,13 @@ def _is_twin_cell(masks: tuple[int, ...], cell: list[int]) -> bool:
     return all(masks[v] | (1 << v) == closed0 for v in cell[1:])
 
 
-def certificate(g: Graph) -> str:
-    """The graph6 line of g's canonical labelling.
+def _least_leaf(g: Graph, gens: list[tuple[int, ...]] | None) -> int:
+    """The least leaf triangle_bits of g's search tree (g.n >= 1).
 
-    certificate(g1) == certificate(g2) iff g1 and g2 are isomorphic, and
-    io_validate.decode_graph6 turns a certificate into that labelling.
-    graph6's short form limits inputs to n <= 62, far above anything the
-    generator produces.
+    When gens is a list, every automorphism the search meets is appended
+    to it as a permutation p, vertex v mapping to p[v].
     """
     n = g.n
-    if n == 0:
-        return graph6_line(0, 0)
     masks = tuple(g.neighbor_mask(v) for v in range(n))
     # One cell of all vertices, its own first splitter: counts against it
     # are degrees, so it splits into the ordered degree partition.
@@ -157,13 +161,19 @@ def certificate(g: Graph) -> str:
         if queue:
             cells = _refine(masks, order, ends, queue, cells)
     best = -1
+    best_order = order
 
     def search(order: list[int], ends: list[int], cells: int) -> None:
-        nonlocal best
+        nonlocal best, best_order
         if cells == n:
             bits = triangle_bits(masks, order)
             if best < 0 or bits < best:
-                best = bits
+                best, best_order = bits, order
+            elif bits == best and gens is not None:
+                perm = [0] * n
+                for k in range(n):
+                    perm[best_order[k]] = order[k]
+                gens.append(tuple(perm))
             return
         target = -1
         for s in range(n):
@@ -171,7 +181,15 @@ def certificate(g: Graph) -> str:
                 target = s
         end = ends[target]
         cell = order[target:end]
-        members = cell[:1] if _is_twin_cell(masks, cell) else cell
+        if _is_twin_cell(masks, cell):
+            members = cell[:1]
+            if gens is not None:
+                for w in cell[1:]:
+                    perm = list(range(n))
+                    perm[cell[0]], perm[w] = w, cell[0]
+                    gens.append(tuple(perm))
+        else:
+            members = cell
         for v in members:
             child = order[:]
             child[target] = v
@@ -182,7 +200,33 @@ def certificate(g: Graph) -> str:
             search(child, child_ends, _refine(masks, child, child_ends, [target], cells + 1))
 
     search(order, ends, cells)
-    return graph6_line(n, best)
+    return best
+
+
+def certificate(g: Graph) -> str:
+    """The graph6 line of g's canonical labelling.
+
+    certificate(g1) == certificate(g2) iff g1 and g2 are isomorphic, and
+    io_validate.decode_graph6 turns a certificate into that labelling.
+    graph6's short form limits inputs to n <= 62, far above anything the
+    generator produces.
+    """
+    if g.n == 0:
+        return graph6_line(0, 0)
+    return graph6_line(g.n, _least_leaf(g, None))
+
+
+def automorphisms(g: Graph) -> list[tuple[int, ...]]:
+    """Generators of g's automorphism group, each a permutation p that maps
+    vertex v to p[v], without repeats, in the order the search found them.
+
+    An empty list means the group is trivial.  This is certificate's
+    search, recording as it goes (see the module docstring).
+    """
+    gens: list[tuple[int, ...]] = []
+    if g.n:
+        _least_leaf(g, gens)
+    return list(dict.fromkeys(gens))
 
 
 def are_isomorphic_bruteforce(g1: Graph, g2: Graph) -> bool:

@@ -25,8 +25,9 @@ the ancestors of shelf (m-1, n).
 
 Wheels and K_{3,t} are the minimally 3-connected graphs that no prism-rooted
 chain reaches; they are constructed directly and merged into the output.
-The cubic mode is separate and far simpler: it bridges every pair of
-distinct edges, starting from K4.
+The cubic mode is separate and far simpler: starting from K4, it bridges
+one pair of distinct edges from each orbit of its source's automorphism
+group on edge pairs.
 """
 
 from __future__ import annotations
@@ -34,10 +35,10 @@ from __future__ import annotations
 from functools import partial
 from typing import Callable
 
-from .canonical import certificate
+from .canonical import automorphisms, certificate
 from .compat import _compile, no_chording_paths
 from .cycles import CycleSet, apply_add_edge, apply_split_vertex, enumerate_cycles_bruteforce
-from .graphs import Graph, add_edge, bridge_edges, complete_bipartite_3, edge, prism, split_vertex, wheel
+from .graphs import Edge, Graph, add_edge, bridge_edges, complete_bipartite_3, edge, prism, split_vertex, wheel
 from .io_validate import ShelfFileError, decode_graph6, encode_graph6
 from .records import A_TAGS, RESULT_TAGS, SCAFFOLD_TAGS, GeneratedSet, Provenance, Shelf, ShelfEntry
 
@@ -295,14 +296,45 @@ def generate_min3(
     return GeneratedSet("min3", dict(sorted(groups.items())))
 
 
+def _edge_pair_representatives(g: Graph) -> list[tuple[Edge, Edge]]:
+    """The least unordered pair of distinct edges of each orbit of Aut(g).
+
+    Pairs are ordered by their positions in g.edges(), and an orbit is
+    found by union-find over pair indices under automorphisms(g)'s
+    generators.  Two pairs of one orbit bridge to isomorphic graphs.
+    """
+    es = g.edges()
+    m = len(es)
+    index = {e: i for i, e in enumerate(es)}
+    # Pair (i, j), i < j, is i * m + j; a root is the least pair of its set.
+    parent = list(range(m * m))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for p in automorphisms(g):
+        image = [index[edge(p[u], p[v])] for u, v in es]
+        for i in range(m):
+            for j in range(i + 1, m):
+                a, b = image[i], image[j]
+                ra, rb = find(i * m + j), find(min(a, b) * m + max(a, b))
+                if ra != rb:
+                    parent[max(ra, rb)] = min(ra, rb)
+    return [(es[i], es[j]) for i in range(m) for j in range(i + 1, m) if find(i * m + j) == i * m + j]
+
+
 def generate_cubic(max_n: int, *, progress: Progress | None = None) -> GeneratedSet:
     """All 3-connected cubic graphs with 4 to max_n (even) vertices.
 
-    Starting from K4, every unordered pair of distinct edges (adjacent
-    pairs included) is bridged: both edges are subdivided and the two new
-    vertices joined.  A level is kept as its sorted certificates only, which
-    are decoded when the next level is grown from them.  Cycle sets are not
-    needed here, so none are carried.
+    Starting from K4, unordered pairs of distinct edges (adjacent pairs
+    included) are bridged: both edges are subdivided and the two new
+    vertices joined.  Of each source only one pair per orbit of its
+    automorphism group is bridged, since the pairs of an orbit give
+    isomorphic graphs.  A level is kept as its sorted certificates only,
+    which are decoded when the next level is grown from them.  Cycle sets
+    are not needed here, so none are carried.
     """
     if max_n < 4:
         raise ValueError("max_n must be at least 4")
@@ -313,10 +345,8 @@ def generate_cubic(max_n: int, *, progress: Progress | None = None) -> Generated
     for n in range(6, max_n + 1, 2):
         grown: set[str] = set()
         for g in map(decode_graph6, level):
-            es = g.edges()
-            for i in range(len(es)):
-                for j in range(i + 1, len(es)):
-                    grown.add(certificate(bridge_edges(g, es[i], es[j])[0]))
+            for e, f in _edge_pair_representatives(g):
+                grown.add(certificate(bridge_edges(g, e, f)[0]))
         level = groups[(n, 3 * n // 2)] = sorted(grown)
         if progress is not None:
             progress(f"cubic n={n}: {len(level)} graphs")

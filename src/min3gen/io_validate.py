@@ -149,6 +149,27 @@ def _check_provenance(g: Graph, prov: Provenance) -> None:
         raise ValueError("graph is not minimally 3-connected")
 
 
+def _direct_family(g: Graph) -> str | None:
+    """The name of minimally 3-connected g if it is a graph generate_min3
+    builds directly, the wheel W_{n-1} or K_{3,n-3}, and None otherwise.
+
+    With m = 2(n-1), a vertex of degree n-1 leaves n-1 edges on the other
+    n-1 vertices, each of degree 3, so they form a cycle and g is the
+    wheel.  With m = 3(n-3), three vertices sharing a neighbourhood of
+    n-3 vertices already hold every edge, so g is K_{3,n-3}.  Deciding by
+    degrees and neighbourhoods spares a certificate per shelf.
+    """
+    n, m = g.n, g.m
+    masks = [g.neighbor_mask(v) for v in range(n)]
+    if m == 2 * (n - 1) and any(mask.bit_count() == n - 1 for mask in masks):
+        return f"the wheel W_{n - 1}"
+    if m == 3 * (n - 3):
+        sides = [mask for mask in masks if mask.bit_count() == n - 3]
+        if any(sides.count(mask) >= 3 for mask in sides):
+            return f"K_{{3,{n - 3}}}"
+    return None
+
+
 class ShelfFileError(ValueError):
     """A shelf file that cannot be resumed from: not text, malformed,
     truncated, of another version, or written for another (m, n)."""
@@ -185,7 +206,8 @@ def load_shelf(path: str | Path, expected: tuple[int, int] | None = None) -> She
     graph must be minimally 3-connected (_check_provenance).  Only the A1,
     A2, A3 entries are certified, for Shelf.certs; no two
     entry lines may repeat a graph6 field, and no two of those entries a
-    certificate.
+    certificate, and none may be a wheel or K_{3,t}, which generate_min3
+    adds to the output itself.
     Any defect raises ShelfFileError naming the file and, where there is
     one, the line.
     """
@@ -239,6 +261,8 @@ def load_shelf(path: str | Path, expected: tuple[int, int] | None = None) -> She
                 cert = certificate(graph)
                 if cert in cert_lines:
                     raise ValueError(f"graph is isomorphic to line {cert_lines[cert]}'s")
+                if family := _direct_family(graph):
+                    raise ValueError(f"graph is {family}, which no shelf holds")
                 cert_lines[cert] = lineno
             classes.setdefault(tag, []).append(ShelfEntry(graph, None, prov))
         if trailer is None:

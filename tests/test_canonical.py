@@ -10,20 +10,25 @@ from __future__ import annotations
 import itertools
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from networkx.algorithms.isomorphism import GraphMatcher
 
 from helpers import cycle_graph, permuted_copy, petersen, random_graph
 from min3gen import (
     Graph,
     are_isomorphic_bruteforce,
+    automorphisms,
     bridge_edges,
     certificate,
     complete_bipartite_3,
     decode_graph6,
     delete_vertex,
     encode_graph6,
+    generate_cubic,
+    generate_min3,
     prism,
     wheel,
 )
@@ -156,6 +161,70 @@ def test_cubic_certificates_are_permutation_invariant(data):
     cert = certificate(g)
     assert certificate(h) == cert
     assert certificate(decode_graph6(cert)) == cert
+
+
+def _is_automorphism(g: Graph, p) -> bool:
+    """p is a permutation of g's vertices that maps g's edges onto g's edges."""
+    return sorted(p) == list(g.vertices) and Graph(g.n, [(p[u], p[v]) for u, v in g.edges()]) == g
+
+
+def _group_order(gens, n: int) -> int:
+    """The order of the group the permutations generate, by closing the
+    identity under composition with each generator."""
+    seen = {tuple(range(n))}
+    frontier = list(seen)
+    while frontier:
+        fresh = []
+        for p in frontier:
+            for s in gens:
+                q = tuple(s[v] for v in p)
+                if q not in seen:
+                    seen.add(q)
+                    fresh.append(q)
+        frontier = fresh
+    return len(seen)
+
+
+def _aut_order_networkx(g: Graph) -> int:
+    nx_graph = nx.Graph()
+    nx_graph.add_nodes_from(g.vertices)
+    nx_graph.add_edges_from(g.edges())
+    return sum(1 for _ in GraphMatcher(nx_graph, nx_graph).isomorphisms_iter())
+
+
+def test_automorphism_generators_generate_the_whole_group():
+    # Every min3 output with n <= 8 and every cubic one with n <= 10,
+    # wheels, K_{3,t} and the Petersen graph among them.
+    certs = [c for bucket in generate_min3(8).groups.values() for c in bucket]
+    certs += [c for bucket in generate_cubic(10).groups.values() for c in bucket]
+    assert len(certs) == 26 + 21
+    for cert in certs:
+        g = decode_graph6(cert)
+        gens = automorphisms(g)
+        assert all(_is_automorphism(g, p) for p in gens), cert
+        assert _group_order(gens, g.n) == _aut_order_networkx(g), cert
+
+
+def test_automorphisms_of_known_groups():
+    assert automorphisms(Graph(0, [])) == []
+    assert _group_order(automorphisms(prism()), 6) == 12
+    assert _group_order(automorphisms(petersen()), 10) == 120
+    assert _group_order(automorphisms(complete_bipartite_3(5)), 8) == 6 * 120
+    assert _group_order(automorphisms(wheel(8)), 9) == 16
+    # A path on three vertices swaps its ends and nothing else.
+    assert automorphisms(Graph(3, [(0, 1), (1, 2)])) == [(2, 1, 0)]
+    assert automorphisms(Graph(4, [(0, 1), (1, 2), (2, 3), (1, 3)])) == [(0, 1, 3, 2)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_cubic_automorphisms_are_automorphisms(data):
+    g = data.draw(_cubic_graphs(20))
+    cert = certificate(g)
+    gens = automorphisms(g)
+    assert all(_is_automorphism(g, p) for p in gens)
+    assert len(set(gens)) == len(gens)
+    assert certificate(g) == cert
 
 
 def test_twin_heavy_graphs():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import shutil
 
 import pytest
@@ -337,6 +338,36 @@ def test_resume_rejects_an_a_line_that_is_not_minimally_3_connected(emitted9, tm
     rc, _, err = run(["generate", "--max-n", "9", "--out", str(second), "--resume", str(shelves)], capsys)
     assert rc == 3
     assert f"{path}:178: graph is not minimally 3-connected" in err
+    assert not (second / "counts.tsv").exists()
+
+
+@pytest.mark.parametrize(
+    "shelf, line, family",
+    [
+        # W_8 with hub 0 and rim vertex 8 last.
+        ("shelf_m16_n9.tsv", "A1\tH|eKKF@\t0-8", "the wheel W_8"),
+        # K_{3,5} with vertex 7 on the 5-side.
+        ("shelf_m15_n8.tsv", "A1\tGFzfF?\t0-7", "K_{3,5}"),
+    ],
+    ids=["wheel", "k3t"],
+)
+def test_resume_rejects_an_a_line_holding_a_directly_built_graph(emitted9, shelf, line, family, tmp_path, capsys):
+    # The line is added before the trailer, whose A1 count follows.  Either
+    # graph is minimally 3-connected and passes every other check; without
+    # this one, generate_min3 meets it again when it adds the wheels and
+    # K_{3,t} to the output and stops with a traceback, exit 1.
+    shelves = tmp_path / "shelves"
+    shutil.copytree(emitted9 / "shelves", shelves)
+    path = shelves / shelf
+    lines = path.read_text().split("\n")
+    i = next(i for i, text in enumerate(lines) if text.startswith("end\t"))
+    lines[i] = re.sub(r"\tA1=(\d+)", lambda count: f"\tA1={int(count[1]) + 1}", lines[i])
+    lines.insert(i, line)
+    path.write_text("\n".join(lines))
+    second = tmp_path / "second"
+    rc, _, err = run(["generate", "--max-n", "9", "--out", str(second), "--resume", str(shelves)], capsys)
+    assert rc == 3
+    assert f"{path}:{i + 1}: graph is {family}, which no shelf holds" in err
     assert not (second / "counts.tsv").exists()
 
 

@@ -46,6 +46,7 @@ from min3gen.generator import (
     c1,
     c2,
     c3,
+    _edge_pair_representatives,
     derive_cycles,
     e1,
     e2,
@@ -468,6 +469,24 @@ def test_generate_cubic_counts_and_validity():
             assert is_3_connected(g)
     certs6 = set(result.groups[(6, 9)])
     assert certs6 == {certificate(prism()), certificate(complete_bipartite_3(3))}
+
+
+def test_orbit_representatives_bridge_to_the_classes_of_all_edge_pairs():
+    # Every cubic source with n <= 12, the sources of levels up to n = 14.
+    sources = [c for (n, _), bucket in generate_cubic(12).groups.items() for c in bucket]
+    assert len(sources) == 78
+    pruned = 0
+    for cert in sources:
+        g = decode_graph6(cert)
+        es = g.edges()
+        pairs = [(es[i], es[j]) for i in range(len(es)) for j in range(i + 1, len(es))]
+        reps = _edge_pair_representatives(g)
+        assert set(reps) <= set(pairs) and len(set(reps)) == len(reps)
+        assert {certificate(bridge_edges(g, e, f)[0]) for e, f in reps} == {
+            certificate(bridge_edges(g, e, f)[0]) for e, f in pairs
+        }, cert
+        pruned += len(pairs) - len(reps)
+    assert pruned > 0
 
 
 def test_generate_cubic_rejects_bad_budgets():

@@ -26,12 +26,14 @@ from helpers import (
     cycle_graph,
     def_3_connected,
     def_minimally_3_connected,
+    permuted_copy,
     petersen,
     random_graph,
 )
 from min3gen import (
     Graph,
     certificate,
+    complete_bipartite_3,
     decode_graph6,
     encode_graph6,
     generate_cubic,
@@ -44,7 +46,7 @@ from min3gen import (
     wheel,
     write_outputs,
 )
-from min3gen.io_validate import SHELF_VERSION, ShelfFileError, default_out_dir
+from min3gen.io_validate import SHELF_VERSION, ShelfFileError, _direct_family, default_out_dir
 
 
 def test_graph6_fixed_strings(k4):
@@ -149,10 +151,15 @@ def test_shelf_file_validation(tmp_path):
     # W5 with hub 0: its last vertex 5 has degree 3 and neighbours 0, 1 and 4.
     a1 = "A1\tE|fG\t1-5\n"
     a1_trailer = trailer.replace("A0=1", "A0=0").replace("A1=0", "A1=1")
-    loaded = load_shelf(_write(tmp_path / "a1.tsv", head + a1 + a1_trailer))
-    assert [e.provenance for e in loaded.entries()] == [min3gen.records.Provenance("A1", ((1, 5),))]
+    # W5 is the only minimally 3-connected graph of shelf (10, 6), and no
+    # shelf holds a wheel, so the A lines that load are of shelf (11, 7):
+    # its last vertex 6 has degree 3 and neighbours 0, 2 and 4.
+    head7 = f"min3gen-shelf\t{v}\nm\t11\nn\t7\n"
+    a1_7 = "A1\tFlDlO\t2-6\n"
+    loaded = load_shelf(_write(tmp_path / "a1.tsv", head7 + a1_7 + a1_trailer))
+    assert [e.provenance for e in loaded.entries()] == [min3gen.records.Provenance("A1", ((2, 6),))]
     for tag in ("A2", "A3"):
-        text = head + f"{tag}\tE|fG\t-\n" + trailer.replace("A0=1", "A0=0").replace(f"{tag}=0", f"{tag}=1")
+        text = head7 + f"{tag}\tFlDlO\t-\n" + trailer.replace("A0=1", "A0=0").replace(f"{tag}=0", f"{tag}=1")
         loaded = load_shelf(_write(tmp_path / f"{tag}.tsv", text))
         assert [e.provenance for e in loaded.entries()] == [min3gen.records.Provenance(tag)]
     cases = {
@@ -189,10 +196,16 @@ def test_shelf_file_validation(tmp_path):
             head + entry + entry + trailer.replace("A0=1", "A0=2"),
             ":5: graph Ehfw repeats line 4",
         ),
-        # W5 with hub 0, and relabelled by swapping 1 and 4: two lines of one class.
+        # The (11, 7) graph, and relabelled by swapping 0 and 1: two lines of one class.
         "repeated-class": (
-            head + a1 + "A1\tEvjG\t1-5\n" + a1_trailer.replace("A1=1", "A1=2"),
+            head7 + a1_7 + "A1\tFrEjO\t2-6\n" + a1_trailer.replace("A1=1", "A1=2"),
             ":5: graph is isomorphic to line 4's",
+        ),
+        # generate_min3 adds the wheels and K_{3,t} to the output itself.
+        "a1-wheel": (head + a1 + a1_trailer, ":4: graph is the wheel W_5, which no shelf holds"),
+        "a2-k33": (
+            f"min3gen-shelf\t{v}\nm\t9\nn\t6\nA2\tEFz_\t-\n",
+            ":4: graph is K_{3,3}, which no shelf holds",
         ),
         # Provenance fields of a shape the generator never makes.
         "pending-count": (head + "B\tEhfw\t-\n", ":4: class B holds 1 edge(s), not 0"),
@@ -223,6 +236,21 @@ def test_shelf_file_validation(tmp_path):
         path = _write(tmp_path / f"{name}.tsv", text)
         with pytest.raises(ShelfFileError, match=re.escape(f"{name}.tsv{message}")):
             load_shelf(path)
+
+
+def test_direct_family_names_exactly_the_wheels_and_k3t():
+    # The check load_shelf makes by degrees and neighbourhoods agrees with
+    # certificate equality on every min3 output with n <= 9.
+    rng = random.Random(89)
+    names = {}
+    for n in range(6, 12):
+        for g, name in ((wheel(n - 1), f"the wheel W_{n - 1}"), (complete_bipartite_3(n - 3), f"K_{{3,{n - 3}}}")):
+            assert _direct_family(permuted_copy(rng, g)) == name
+            names[certificate(g)] = name
+    outputs = [c for bucket in generate_min3(9).groups.values() for c in bucket]
+    assert sum(c in names for c in outputs) == 8
+    for cert in outputs:
+        assert _direct_family(decode_graph6(cert)) == names.get(cert), cert
 
 
 def test_every_cut_of_a_shelf_file_is_rejected(tmp_path):
