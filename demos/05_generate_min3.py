@@ -2,7 +2,7 @@
 Generating all minimally 3-connected graphs
 ===========================================
 
-One call walks the shelf pipeline from the prism seed and returns every
+One call walks the bookshelf from the prism seed and returns every
 minimally 3-connected graph up to the requested vertex count, grouped by
 (n, m), isomorph-free, in a deterministic order.
 """
@@ -37,19 +37,19 @@ print("its line:", boundary[0], "decodes to", decode_graph6(boundary[0]))
 # Wheels always show up: W7 sits in the n=8, m=14 bucket.
 print("wheel(7) emitted at (8,14):", certificate(wheel(7)) in result.groups[(8, 14)])
 
-# A shelf_saver sees the pipeline itself: every shelf holds its classes
-# with their provenance, the edges a later operation reads (B's pending
-# edge, C's two, and for A1 what the split made of B's edge).  Only the
-# A1, A2, A3 entries it adds to the result keep certificates.  Shelves of
-# the last column (n = max_n) feed no gate and carry no cycle sets, so
-# this looks at n = 7 of a run to n = 8.
+# A shelf_saver sees the bookshelf itself.  Shelf (m, n) holds the graphs
+# that Dawes' bridgings d1, d2 and d3 reach from the shelves of columns
+# n-1 and n-2, every class of (n, m) except the wheel and K_{3,t}.  Each
+# entry carries its cycle set, which the gates of the next shelves read,
+# and the shelf keeps its entries' certificates.  Shelves of the last
+# column (n = max_n) feed no gate and carry no cycle sets, so this looks at
+# n = 7 of a run to n = 8.
 shelves = {}
 generate_min3(8, shelf_saver=lambda sh: shelves.setdefault((sh.m, sh.n), sh))
+print("\nshelves saved:", sorted(shelves))
 shelf = shelves[(11, 7)]
-print(f"\nshelf (m=11, n=7) classes: " +
-      " ".join(f"{tag}={len(entries)}" for tag, entries in shelf.classes.items()))
-entry = shelf.classes["A1"][0]
-print("one A1 entry:", entry.graph)
-print("  provenance:", entry.provenance)
+print(f"shelf (m=11, n=7): {len(shelf.entries)} graphs")
+entry = shelf.entries[0]
+print("one entry:", entry.graph)
 print("  cycles carried:", len(entry.cycles))
-print("  certificates kept:", len(shelf.certs))
+print("  its certificate:", shelf.certs[0])

@@ -28,11 +28,9 @@ from .cycles import (
 )
 from .generator import (
     PRISM_CYCLES,
-    c1,
-    c2,
-    c3,
-    e1,
-    e2,
+    d1,
+    d2,
+    d3,
     generate_cubic,
     generate_min3,
     run_shelf,
@@ -63,7 +61,7 @@ from .io_validate import (
     save_shelf,
     write_outputs,
 )
-from .records import GeneratedSet, Provenance, Shelf, ShelfEntry
+from .records import GeneratedSet, Shelf, ShelfEntry
 
 __version__ = "0.1.0"
 
@@ -76,7 +74,6 @@ __all__ = [
     "GeneratedSet",
     "Graph",
     "PRISM_CYCLES",
-    "Provenance",
     "Shelf",
     "ShelfEntry",
     "ShelfFileError",
@@ -91,18 +88,16 @@ __all__ = [
     "automorphisms",
     "bridge_edges",
     "bridge_vertex_edge",
-    "c1",
-    "c2",
-    "c3",
     "canonical_cycle",
     "certificate",
     "chords",
     "complete_bipartite_3",
+    "d1",
+    "d2",
+    "d3",
     "decode_graph6",
     "delete_edge",
     "delete_vertex",
-    "e1",
-    "e2",
     "edge",
     "encode_graph6",
     "enumerate_cycles_bruteforce",

@@ -45,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument(
         "--emit-intermediate",
         action="store_true",
-        help="also save every shelf (including B and C classes) under <out>/shelves",
+        help="also save every shelf under <out>/shelves, to resume from",
     )
     gen.add_argument(
         "--resume",

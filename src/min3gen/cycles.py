@@ -1,11 +1,12 @@
 """Cycles as canonical vertex tuples, and cycle set propagation.
 
-The generator never re-enumerates cycles from scratch: each graph operation
-(edge addition, edge subdivision, vertex split) is paired with a rewrite
-that maps the parent's cycle set to the child's.  A split is built from the
-other two, since it deletes an edge, subdivides one and adds one.  The
+The generator never re-enumerates the cycles of a graph it builds: each
+graph operation (edge addition, edge subdivision, vertex split) is paired
+with a rewrite that maps the parent's cycle set to the child's, and Dawes'
+bridgings compose the first two.  A split is built from the other two as
+well, since it deletes an edge, subdivides one and adds one.  The
 brute-force enumerator here is the independent oracle those rewrites are
-tested against, and is also used to seed the pipeline.
+tested against, and also gives the sets of the seed and of loaded shelves.
 
 A cycle is stored as a tuple of vertices in canonical rotation: minimum
 vertex first, then the lexicographically smaller of the two directions.

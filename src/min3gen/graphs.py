@@ -4,13 +4,14 @@ Vertices are dense integers 0..n-1.  Adjacency is stored as one bitmask per
 vertex (bit u of mask v is set when uv is an edge), which keeps copies and
 neighbourhood queries cheap at the scales this package targets.  Every edit
 returns a fresh Graph; nothing here mutates in place, so graph values can be
-shared freely between pipeline stages.
+shared freely between generation stages.
 
-The atomic edits (edge addition, edge subdivision, vertex split) are the
-building blocks of the generator.  The composite operations
-(bridging a vertex and an edge, bridging two edges, adding a degree 3
-vertex) are provided for the cubic generation mode and for validation
-against the one-shot definitions.
+The composite operations (bridging a vertex and an edge, bridging two
+edges, adding a degree 3 vertex) are Dawes' D1, D2 and D3, the operations
+of the generator; bridging two edges is also the cubic mode's step.  They
+are built from the atomic edits (edge addition, edge subdivision), whose
+cycle set rules the generator composes.  The vertex split is kept for the
+split rule's tests and demos.
 """
 
 from __future__ import annotations
@@ -299,8 +300,7 @@ def complete_bipartite_3(t: int) -> Graph:
 def bridge_vertex_edge(g: Graph, x: int, a: int, b: int) -> tuple[Graph, int]:
     """Bridge vertex x and edge ab: subdivide ab by y, add xy.
 
-    This is operation D1 as a single graph edit (the generator reaches the
-    same graphs through an edge addition and a vertex split).
+    This is operation D1; y is the new vertex n.
     """
     if x == a or x == b:
         raise ValueError("bridge vertex must avoid the edge endpoints")
@@ -311,8 +311,9 @@ def bridge_vertex_edge(g: Graph, x: int, a: int, b: int) -> tuple[Graph, int]:
 def bridge_edges(g: Graph, e1: Edge, e2: Edge) -> tuple[Graph, int, int]:
     """Bridge two distinct edges: subdivide both, join the new vertices.
 
-    This is operation D2 as a single graph edit; it is also the expansion
-    step of the cubic generation mode.  Adjacent edge pairs are allowed.
+    This is operation D2, and also the expansion step of the cubic
+    generation mode; the new vertices are n, on e1, and n + 1, on e2.
+    Adjacent edge pairs are allowed.
     """
     if edge(*e1) == edge(*e2):
         raise ValueError("bridged edges must be distinct")

@@ -5,8 +5,10 @@ deleting every vertex pair and checking connectedness, minimality by
 re-checking after every single edge deletion.  They share no machinery
 with the generator's compatibility gates (no cycle sets, no chording
 paths), so agreement between the two is evidence, not tautology.  A
-shelf file holds no cycle sets either: the generator derives them when
-it loads one.
+shelf file is its graphs' certificates, one graph6 line each, and holds
+no cycle sets: the generator derives them when it loads one.  Loading
+checks every line with the oracles and certifies it, so a line that is
+not minimally 3-connected, or repeats a class, stops a resume.
 """
 
 from __future__ import annotations
@@ -16,10 +18,10 @@ from pathlib import Path
 
 from .canonical import certificate
 from .graphs import Graph, delete_edge, from_triangle_bits, graph6_line, triangle_bits
-from .records import CLASS_TAGS, RESULT_TAGS, GeneratedSet, Provenance, Shelf, ShelfEntry
+from .records import GeneratedSet, Shelf, ShelfEntry
 
 SHELF_FORMAT = "min3gen-shelf"
-SHELF_VERSION = 5
+SHELF_VERSION = 6
 _TRAILER = "end"
 
 _GRAPH6_HEADER = ">>graph6<<"
@@ -108,47 +110,6 @@ def is_minimally_3_connected(g: Graph) -> bool:
     return all(not is_3_connected(delete_edge(g, u, v)) for u, v in g.edges())
 
 
-def _fmt_edges(pairs: tuple) -> str:
-    return ";".join(f"{u}-{v}" for u, v in pairs) if pairs else "-"
-
-
-def _parse_edges(text: str, n: int) -> tuple:
-    if text == "-":
-        return ()
-    out = []
-    for part in text.split(";"):
-        u, v = map(int, part.split("-"))
-        if not 0 <= u < v < n:
-            raise ValueError(f"edge {part} is not a pair u < v of vertices below {n}")
-        out.append((u, v))
-    return tuple(out)
-
-
-# How many edges a line of each class holds.
-_EDGES = {"A0": 0, "B": 1, "C": 2, "A1": 1, "A2": 0, "A3": 0}
-
-
-def _check_provenance(g: Graph, prov: Provenance) -> None:
-    """Raise ValueError unless prov has a shape the generator gives g.
-
-    Each class holds its number of edges, and each is an edge of g.  C's
-    two share one endpoint.  An A1 entry's edge ends at the last vertex,
-    of degree 3, which the last split made.  An A1, A2 or A3 graph must be
-    minimally 3-connected.
-    """
-    tag, edges, last = prov.class_tag, prov.added_edges, g.n - 1
-    if len(edges) != _EDGES[tag]:
-        raise ValueError(f"class {tag} holds {_EDGES[tag]} edge(s), not {len(edges)}")
-    if not all(g.has_edge(u, v) for u, v in edges):
-        raise ValueError(f"edges {_fmt_edges(edges)} are not all edges of the graph")
-    if tag == "C" and len(set(edges[0]) & set(edges[1])) != 1:
-        raise ValueError(f"edges {_fmt_edges(edges)} do not share one endpoint")
-    if tag == "A1" and not (edges[0][1] == last and g.degree(last) == 3):
-        raise ValueError(f"edge {_fmt_edges(edges)} does not end at the last vertex {last} of degree 3")
-    if tag in RESULT_TAGS and not is_minimally_3_connected(g):
-        raise ValueError("graph is not minimally 3-connected")
-
-
 def _direct_family(g: Graph) -> str | None:
     """The name of minimally 3-connected g if it is a graph generate_min3
     builds directly, the wheel W_{n-1} or K_{3,n-3}, and None otherwise.
@@ -176,40 +137,29 @@ class ShelfFileError(ValueError):
 
 
 def save_shelf(shelf: Shelf, path: str | Path) -> None:
-    """Write a shelf as a versioned, line-oriented, tab-separated file.
+    """Write a shelf as a versioned, line-oriented file (format version 6).
 
-    Each entry's line holds only what its graph cannot tell and a later
-    operation reads: class tag, graph6 and Provenance.added_edges.  Cycle
+    Three header lines are followed by one line per entry, its
+    certificate, which is the graph6 of its class's canonical labelling,
+    so the bytes depend only on the shelf's isomorphism classes.  Cycle
     sets are left out, for generator.derive_cycles derives them on load.
-    A trailer line gives the entry count of every class, so a truncated
-    file is detected on load (format version 5).
+    A trailer line gives the entry count, so a truncated file is detected
+    on load.
     """
-    lines = [
-        f"{SHELF_FORMAT}\t{SHELF_VERSION}",
-        f"m\t{shelf.m}",
-        f"n\t{shelf.n}",
-    ]
-    for tag in CLASS_TAGS:
-        for ent in shelf.classes.get(tag, ()):
-            lines.append("\t".join((tag, encode_graph6(ent.graph), _fmt_edges(ent.provenance.added_edges))))
-    counts = (f"{tag}={len(shelf.classes.get(tag, ()))}" for tag in CLASS_TAGS)
-    lines.append("\t".join((_TRAILER, *counts)))
+    lines = [f"{SHELF_FORMAT}\t{SHELF_VERSION}", f"m\t{shelf.m}", f"n\t{shelf.n}", *shelf.certs]
+    lines.append(f"{_TRAILER}\t{len(shelf.certs)}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def load_shelf(path: str | Path, expected: tuple[int, int] | None = None) -> Shelf:
-    """Read a shelf file back; entries come out as saved, with cycles=None.
+    """Read a shelf file back; entries come out with cycles=None.
 
     expected, when given, is the (m, n) the caller asked for, and the
-    header must match it, and so must every entry's graph.  Each line's
-    provenance must have a shape the generator makes, and an A1, A2 or A3
-    graph must be minimally 3-connected (_check_provenance).  Only the A1,
-    A2, A3 entries are certified, for Shelf.certs; no two
-    entry lines may repeat a graph6 field, and no two of those entries a
-    certificate, and none may be a wheel or K_{3,t}, which generate_min3
-    adds to the output itself.
-    Any defect raises ShelfFileError naming the file and, where there is
-    one, the line.
+    header must match it, and so must every line's graph.  Every graph
+    must be minimally 3-connected, and none may be a wheel or K_{3,t},
+    which generate_min3 adds to the output itself.  No two lines may
+    repeat a graph6 string, and no two a certificate.  Any defect raises
+    ShelfFileError naming the file and, where there is one, the line.
     """
     try:
         # Not splitlines(): that also breaks at characters such as \x1c.
@@ -231,9 +181,8 @@ def load_shelf(path: str | Path, expected: tuple[int, int] | None = None) -> She
         n = _header_int(lines[2], "n")
         if expected is not None and (m, n) != expected:
             raise ValueError(f"header says (m, n) = {(m, n)}, expected {expected}")
-        classes: dict[str, list[ShelfEntry]] = {}
-        g6_lines: dict[str, int] = {}  # graph6 field -> its line
-        cert_lines: dict[str, int] = {}  # A1/A2/A3 certificate -> its line
+        g6_lines: dict[str, int] = {}  # graph6 line -> its line number
+        found: dict[str, tuple[int, Graph]] = {}  # certificate -> its line number and graph
         trailer = None
         for lineno, line in enumerate(lines[3:], start=4):
             if not line:
@@ -244,37 +193,28 @@ def load_shelf(path: str | Path, expected: tuple[int, int] | None = None) -> She
             if fields[0] == _TRAILER:
                 trailer = fields[1:]
                 continue
-            if len(fields) != 3:
-                raise ValueError(f"expected 3 fields, got {len(fields)}")
-            tag, g6, edges_text = fields
-            if tag not in CLASS_TAGS:
-                raise ValueError(f"unknown class tag {tag!r}")
-            if g6 in g6_lines:
-                raise ValueError(f"graph {g6} repeats line {g6_lines[g6]}")
-            g6_lines[g6] = lineno
-            graph = decode_graph6(g6)
+            if line in g6_lines:
+                raise ValueError(f"graph {line} repeats line {g6_lines[line]}")
+            g6_lines[line] = lineno
+            graph = decode_graph6(line)
             if (graph.m, graph.n) != (m, n):
                 raise ValueError(f"graph has (m, n) = {(graph.m, graph.n)}, not the shelf's {(m, n)}")
-            prov = Provenance(tag, _parse_edges(edges_text, n))
-            _check_provenance(graph, prov)
-            if tag in RESULT_TAGS:
-                cert = certificate(graph)
-                if cert in cert_lines:
-                    raise ValueError(f"graph is isomorphic to line {cert_lines[cert]}'s")
-                if family := _direct_family(graph):
-                    raise ValueError(f"graph is {family}, which no shelf holds")
-                cert_lines[cert] = lineno
-            classes.setdefault(tag, []).append(ShelfEntry(graph, None, prov))
+            if not is_minimally_3_connected(graph):
+                raise ValueError("graph is not minimally 3-connected")
+            if family := _direct_family(graph):
+                raise ValueError(f"graph is {family}, which no shelf holds")
+            cert = certificate(graph)
+            if cert in found:
+                raise ValueError(f"graph is isomorphic to line {found[cert][0]}'s")
+            found[cert] = (lineno, graph)
         if trailer is None:
             raise ValueError("missing trailer line (truncated shelf file?)")
-        counts = [f"{tag}={len(classes.get(tag, ()))}" for tag in CLASS_TAGS]
-        if trailer != counts:
-            raise ValueError(
-                f"trailer counts {' '.join(trailer)} do not match the entries read, {' '.join(counts)}"
-            )
+        if trailer != [str(len(found))]:
+            raise ValueError(f"trailer count {' '.join(trailer)} does not match the {len(found)} lines read")
     except ValueError as exc:
         raise ShelfFileError(f"{path}:{lineno}: {exc}") from exc
-    return Shelf(m, n, classes, sorted(cert_lines))
+    certs = sorted(found)
+    return Shelf(m, n, [ShelfEntry(found[c][1], None) for c in certs], certs)
 
 
 def _header_int(line: str, key: str) -> int:

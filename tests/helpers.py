@@ -15,12 +15,17 @@ import random
 from hypothesis import strategies as st
 
 from min3gen import (
+    EdgePair,
     Graph,
-    Provenance,
     Shelf,
     ShelfEntry,
+    VertexEdge,
+    VertexTriple,
+    add_degree3_vertex,
+    bridge_edges,
+    bridge_vertex_edge,
+    certificate,
     chords,
-    delete_edge,
     edge,
     generate_min3,
     prism,
@@ -33,8 +38,7 @@ def collect_shelves(max_n: int) -> dict[tuple[int, int], Shelf]:
     shelf, as the shelf_saver of a generate_min3(max_n + 1) run receives
     them.  None of them is final, so each carries its cycle sets."""
     seed = prism()
-    seed_entry = ShelfEntry(seed, PRISM_CYCLES, Provenance("A0"))
-    shelves = {(9, 6): Shelf(9, 6, {"A0": [seed_entry]})}
+    shelves = {(9, 6): Shelf(9, 6, [ShelfEntry(seed, PRISM_CYCLES)], [certificate(seed)])}
 
     def save(shelf: Shelf) -> None:
         if shelf.n <= max_n:
@@ -44,20 +48,23 @@ def collect_shelves(max_n: int) -> dict[tuple[int, int], Shelf]:
     return shelves
 
 
-def materialize(source: ShelfEntry, candidates) -> list[ShelfEntry]:
-    """Shelf entries for (graph, provenance, rule) candidates, with the
-    cycle sets run_shelf would store on admission: what each rule gives."""
-    return [ShelfEntry(g, rule(), prov) for g, prov, rule in candidates]
+def materialize(candidates) -> list[ShelfEntry]:
+    """Shelf entries for (graph, rule) candidates, with the cycle sets
+    run_shelf would store on admission: what each rule gives."""
+    return [ShelfEntry(g, rule()) for g, rule in candidates]
 
 
-def ancestor_graph(ent: ShelfEntry) -> Graph:
-    """The graph whose cycles the entry stores: its own for an A entry, its
-    graph minus the pending added edges for a B or C entry."""
-    g = ent.graph
-    if ent.provenance.class_tag in ("B", "C"):
-        for u, v in ent.provenance.added_edges:
-            g = delete_edge(g, u, v)
-    return g
+def candidate_sets(g: Graph):
+    """Every vertex/edge, edge/edge and vertex triple set of g, each with a
+    thunk that applies its bridging (D1, D2 or D3) to g."""
+    for x in g.vertices:
+        for e in g.edges():
+            if x not in e:
+                yield VertexEdge(x, e), lambda g=g, x=x, e=e: bridge_vertex_edge(g, x, *e)[0]
+    for e1, e2 in itertools.combinations(g.edges(), 2):
+        yield EdgePair(e1, e2), lambda g=g, e1=e1, e2=e2: bridge_edges(g, e1, e2)[0]
+    for x, y, z in itertools.combinations(g.vertices, 3):
+        yield VertexTriple(x, y, z), lambda g=g, x=x, y=y, z=z: add_degree3_vertex(g, x, y, z)[0]
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:

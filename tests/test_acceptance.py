@@ -14,7 +14,7 @@ import time
 import pytest
 
 from conftest import record_acceptance
-from helpers import ancestor_graph, collect_shelves, materialize, permuted_copy, random_graph
+from helpers import collect_shelves, materialize, permuted_copy, random_graph
 from min3gen import (
     VertexEdge,
     apply_split_vertex,
@@ -36,9 +36,9 @@ from min3gen import (
     wheel,
 )
 from min3gen.cli import main as cli_main
-from min3gen.generator import PRISM_CYCLES, c3, e1, e2
+from min3gen.generator import PRISM_CYCLES, d3
 from min3gen.io_validate import write_outputs
-from min3gen.records import Provenance, ShelfEntry
+from min3gen.records import ShelfEntry
 
 MIN3_CI_SECONDS = 600
 CUBIC_CI_SECONDS = 300
@@ -50,7 +50,7 @@ GOLDEN_DIGESTS = {
     "cubic": (7, "f596a6a671591f3bc45f150cfe7c759550a8a2b752041982806b7e99c3615198"),
 }
 # The same hash over the shelves/ tree of `generate --max-n 9 --emit-intermediate`.
-GOLDEN_SHELF_DIGEST = (20, "416012141b6c80596e8701368040feef937eb944a42e8681002032b795b6823b")
+GOLDEN_SHELF_DIGEST = (11, "f46e4ee600c079fbe4a3cb87173e143ae2befb6e833e271f7f7dfdb1203404fa")
 
 # the seed's cycle list, closed-walk notation, retyped from the source table
 PRISM_WALKS = (
@@ -138,8 +138,8 @@ def test_published_count_and_oracles(generate, max_n, published, oracle):
 
 @pytest.mark.slow
 def test_resume_from_an_n10_checkpoint_matches_a_fresh_n11_run(tmp_path):
-    # Every shelf up to n = 10 is loaded, so every B/C cycle set of the
-    # n = 11 shelves comes from derive_cycles, none from a fresh run.
+    # Every shelf up to n = 10 is loaded, so every source of the n = 11
+    # shelves has its cycle set from derive_cycles, none from a fresh run.
     emitted, resumed, fresh = tmp_path / "emitted", tmp_path / "resumed", tmp_path / "fresh"
     assert cli_main(["generate", "--max-n", "10", "--emit-intermediate", "--out", str(emitted)]) == 0
     resume = ["--resume", str(emitted / "shelves")]
@@ -181,8 +181,8 @@ def test_04_cycle_propagation_equivalence(shelves8):
     ok = True
     entries = 0
     for shelf in shelves8.values():
-        for ent in shelf.entries():
-            ok = ok and ent.cycles == enumerate_cycles_bruteforce(ancestor_graph(ent))
+        for ent in shelf.entries:
+            ok = ok and ent.cycles == enumerate_cycles_bruteforce(ent.graph)
             entries += 1
     ok = ok and entries > 0
 
@@ -269,13 +269,10 @@ def test_09_recursion_worked_examples(k4, k33):
     bridged, _ = bridge_vertex_edge(k4, 3, 0, 1)
     ok = ok and certificate(bridged) == certificate(wheel(4))
 
-    seed = ShelfEntry(k33, enumerate_cycles_bruteforce(k33), Provenance("A0"))
-    certs = set()
-    for b in materialize(seed, e1(seed)):
-        for c in materialize(b, e2(b)):
-            certs.update(certificate(ent.graph) for ent in materialize(c, c3(c)))
-    ok = ok and certificate(complete_bipartite_3(4)) in certs
-    _report(9, "bridge and split worked examples", ok)
+    seed = ShelfEntry(k33, enumerate_cycles_bruteforce(k33))
+    certs = {certificate(ent.graph) for ent in materialize(d3(seed))}
+    ok = ok and certs == {certificate(complete_bipartite_3(4))}
+    _report(9, "D1 and D3 worked examples", ok)
 
 
 def test_10_determinism(tmp_path_factory):

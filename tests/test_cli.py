@@ -2,13 +2,21 @@
 
 from __future__ import annotations
 
-import re
 import shutil
 
 import pytest
 
 import min3gen.io_validate
-from min3gen import encode_graph6, prism, wheel
+from min3gen import (
+    Graph,
+    add_edge,
+    decode_graph6,
+    delete_edge,
+    encode_graph6,
+    is_minimally_3_connected,
+    prism,
+    wheel,
+)
 from min3gen.cli import main
 
 
@@ -25,7 +33,7 @@ def test_generate_min3(tmp_path, capsys):
     assert (out / "counts.tsv").read_text() == (
         "n\tm\tcount\n6\t9\t2\n6\t10\t1\n7\t11\t3\n7\t12\t2\n"
     )
-    assert "min3 shelf n=6" in err
+    assert "min3 shelf n=7 m=11: 3 graphs" in err
     assert f"min3gen: wrote 5 files to {out}" in err
     assert not (out / "shelves").exists()
 
@@ -179,14 +187,7 @@ def test_emit_intermediate_and_resume(tmp_path, capsys):
     assert rc == 0
     shelves = first / "shelves"
     names = sorted(p.name for p in shelves.iterdir())
-    assert names == [
-        "shelf_m10_n6.tsv",
-        "shelf_m11_n6.tsv",
-        "shelf_m11_n7.tsv",
-        "shelf_m12_n7.tsv",
-        "shelf_m13_n7.tsv",
-        "shelf_m14_n7.tsv",
-    ]
+    assert names == ["shelf_m11_n7.tsv", "shelf_m12_n7.tsv"]
 
     second = tmp_path / "second"
     rc, _, _ = run(
@@ -203,7 +204,7 @@ def test_emit_intermediate_and_resume(tmp_path, capsys):
 def test_resume_rejects_version_1_shelves(tmp_path, capsys):
     first = tmp_path / "first"
     rc, _, _ = run(
-        ["generate", "--mode", "min3", "--max-n", "6", "--out", str(first),
+        ["generate", "--mode", "min3", "--max-n", "7", "--out", str(first),
          "--emit-intermediate"],
         capsys,
     )
@@ -214,7 +215,7 @@ def test_resume_rejects_version_1_shelves(tmp_path, capsys):
         lines[0] = "min3gen-shelf\t1"
         path.write_text("\n".join(lines))
     rc, _, err = run(
-        ["generate", "--mode", "min3", "--max-n", "6", "--out", str(tmp_path / "second"),
+        ["generate", "--mode", "min3", "--max-n", "7", "--out", str(tmp_path / "second"),
          "--resume", str(shelves)],
         capsys,
     )
@@ -259,100 +260,81 @@ def _files(root):
     return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
+def _resume9(shelves, tmp_path, capsys):
+    second = tmp_path / "second"
+    rc, _, err = run(["generate", "--max-n", "9", "--out", str(second), "--resume", str(shelves)], capsys)
+    assert not (second / "counts.tsv").exists()
+    return rc, err
+
+
 def test_resume_rejects_an_entry_from_another_shelf(emitted9, tmp_path, capsys):
-    # A line moved in from shelf (13, 8) keeps the trailer counts right;
-    # resumed from without the graph check, (9, 15) gets 32 graphs, not 30.
+    # A line moved in from shelf (13, 8) keeps the trailer count right;
+    # resumed from without the graph check, the n = 9 shelves would grow
+    # from a graph of the wrong size.
     shelves = tmp_path / "shelves"
     shutil.copytree(emitted9 / "shelves", shelves)
     donor = (shelves / "shelf_m13_n8.tsv").read_text().split("\n")
     path = shelves / "shelf_m14_n8.tsv"
     lines = path.read_text().split("\n")
-    b_lines = [i for i, line in enumerate(lines) if line.startswith("B\t")]
-    lines[b_lines[5]] = next(line for line in donor if line.startswith("B\t"))
+    lines[3] = donor[3]
     path.write_text("\n".join(lines))
     for stale in shelves.glob("shelf_m*_n9.tsv"):
         stale.unlink()
-    second = tmp_path / "second"
-    rc, _, err = run(
-        ["generate", "--mode", "min3", "--max-n", "9", "--out", str(second),
-         "--resume", str(shelves)],
-        capsys,
-    )
+    rc, err = _resume9(shelves, tmp_path, capsys)
     assert rc == 3
-    assert f"{path}:{b_lines[5] + 1}: graph has (m, n) = (13, 8)" in err
-    assert not (second / "counts.tsv").exists()
+    assert f"{path}:4: graph has (m, n) = (13, 8)" in err
 
 
-@pytest.mark.parametrize(
-    "lineno, old, new, message",
-    [
-        # An A1 line's edge must end at the last vertex ...
-        (17, "A1\tGLDnDO\t2-7", "A1\tGLDnDO\t2-3", ":17: edge 2-3 does not end at the last vertex 7"),
-        # ... and be an edge of its graph.
-        (17, "A1\tGLDnDO\t2-7", "A1\tGLDnDO\t1-7", ":17: edges 1-7 are not all edges"),
-        # A B line's pending edge must be an edge of its graph ...
-        (4, "B\tGpdkbC\t0-2", "B\tGpdkbC\t0-3", ":4: edges 0-3 are not all edges"),
-        # ... and its graph without it an entry of shelf (12, 8).
-        (4, "B\tGpdkbC\t0-2", "B\tGpdkbC\t0-1", "B entry GpdkbC minus its pending edges"),
-    ],
-    ids=["a1-edge-off-last", "a1-edge-non-edge", "b-edge-non-edge", "b-edge-no-ancestor"],
-)
-def test_resume_rejects_a_corrupt_provenance_field(
-    emitted9, lineno, old, new, message, tmp_path, capsys
-):
-    # Without the n = 9 files, shelf (13, 8) is a source of the resumed run.
+def test_resume_rejects_a_line_swapped_for_another_class(emitted9, tmp_path, capsys):
+    # A shelf holds every class of its (n, m) but the wheel and K_{3,t}, so
+    # any other minimally 3-connected graph of that (n, m) put in place of
+    # a line repeats the class of another line.  Here line 5 becomes line
+    # 4's graph with its vertex order reversed.
     shelves = tmp_path / "shelves"
     shutil.copytree(emitted9 / "shelves", shelves)
-    for stale in shelves.glob("shelf_m*_n9.tsv"):
-        stale.unlink()
     path = shelves / "shelf_m13_n8.tsv"
     lines = path.read_text().split("\n")
-    assert lines[lineno - 1] == old
-    lines[lineno - 1] = new
+    g = decode_graph6(lines[3])
+    swapped = encode_graph6(Graph(g.n, [(g.n - 1 - u, g.n - 1 - v) for u, v in g.edges()]))
+    assert swapped not in lines and is_minimally_3_connected(decode_graph6(swapped))
+    lines[4] = swapped
     path.write_text("\n".join(lines))
-    second = tmp_path / "second"
-    argv = ["generate", "--max-n", "9", "--out", str(second), "--resume", str(shelves)]
-    rc, _, err = run(argv, capsys)
+    rc, err = _resume9(shelves, tmp_path, capsys)
     assert rc == 3
-    assert message in err
-    if message.startswith(":"):
-        assert f"{path}{message}" in err
-    else:
-        assert "shelf (m, n) = (13, 8)" in err
-    assert not (second / "counts.tsv").exists()
+    assert f"{path}:5: graph is isomorphic to line 4's" in err
 
 
 def test_resume_rejects_an_a_line_that_is_not_minimally_3_connected(emitted9, tmp_path, capsys):
-    # The A1 graph with its edge 0-3 moved to 0-1 keeps the line's shape:
-    # its edge 5-8 is an edge, and the last vertex has degree 3.  Nothing
-    # loaded descends from a final-column line, so without the check the
-    # resume exits 0 and min3_n9_m15.g6 holds a graph that is not minimal.
+    # A line's graph with one edge uv, v of degree 3, moved to uw keeps the
+    # shelf's (n, m), but v is left with degree 2.  Nothing loaded descends
+    # from a final-column line, so without the check the resume exits 0
+    # and min3_n9_m15.g6 holds a graph that is not minimal.
     shelves = tmp_path / "shelves"
     shutil.copytree(emitted9 / "shelves", shelves)
     path = shelves / "shelf_m15_n9.tsv"
     lines = path.read_text().split("\n")
-    assert lines[177] == "A1\tHLdN@ID\t5-8"
-    lines[177] = "A1\tHhdN@ID\t5-8"
+    g = decode_graph6(lines[20])
+    u, v = next((u, v) for u, v in g.edges() if g.degree(v) == 3)
+    w = next(w for w in g.vertices if w not in (u, v) and not g.has_edge(u, w))
+    lines[20] = encode_graph6(add_edge(delete_edge(g, u, v), u, w))
     path.write_text("\n".join(lines))
-    second = tmp_path / "second"
-    rc, _, err = run(["generate", "--max-n", "9", "--out", str(second), "--resume", str(shelves)], capsys)
+    rc, err = _resume9(shelves, tmp_path, capsys)
     assert rc == 3
-    assert f"{path}:178: graph is not minimally 3-connected" in err
-    assert not (second / "counts.tsv").exists()
+    assert f"{path}:21: graph is not minimally 3-connected" in err
 
 
 @pytest.mark.parametrize(
     "shelf, line, family",
     [
         # W_8 with hub 0 and rim vertex 8 last.
-        ("shelf_m16_n9.tsv", "A1\tH|eKKF@\t0-8", "the wheel W_8"),
+        ("shelf_m16_n9.tsv", "H|eKKF@", "the wheel W_8"),
         # K_{3,5} with vertex 7 on the 5-side.
-        ("shelf_m15_n8.tsv", "A1\tGFzfF?\t0-7", "K_{3,5}"),
+        ("shelf_m15_n8.tsv", "GFzfF?", "K_{3,5}"),
     ],
     ids=["wheel", "k3t"],
 )
 def test_resume_rejects_an_a_line_holding_a_directly_built_graph(emitted9, shelf, line, family, tmp_path, capsys):
-    # The line is added before the trailer, whose A1 count follows.  Either
+    # The line is added before the trailer, whose count follows.  Either
     # graph is minimally 3-connected and passes every other check; without
     # this one, generate_min3 meets it again when it adds the wheels and
     # K_{3,t} to the output and stops with a traceback, exit 1.
@@ -361,14 +343,12 @@ def test_resume_rejects_an_a_line_holding_a_directly_built_graph(emitted9, shelf
     path = shelves / shelf
     lines = path.read_text().split("\n")
     i = next(i for i, text in enumerate(lines) if text.startswith("end\t"))
-    lines[i] = re.sub(r"\tA1=(\d+)", lambda count: f"\tA1={int(count[1]) + 1}", lines[i])
+    lines[i] = f"end\t{int(lines[i].split()[1]) + 1}"
     lines.insert(i, line)
     path.write_text("\n".join(lines))
-    second = tmp_path / "second"
-    rc, _, err = run(["generate", "--max-n", "9", "--out", str(second), "--resume", str(shelves)], capsys)
+    rc, err = _resume9(shelves, tmp_path, capsys)
     assert rc == 3
     assert f"{path}:{i + 1}: graph is {family}, which no shelf holds" in err
-    assert not (second / "counts.tsv").exists()
 
 
 @pytest.mark.parametrize("name", ["", "missing"])
@@ -383,23 +363,16 @@ def test_resume_rejects_a_directory_without_shelf_files(emitted9, name, tmp_path
 
 
 def test_resume_rejects_a_repeated_a_line(emitted9, tmp_path, capsys):
-    # The trailer counts stay right; resumed from without the check,
-    # min3_n8_m13.g6 repeats a graph, misses a class and still counts 11.
+    # The trailer count stays right, but line 5's class is lost.
     shelves = tmp_path / "shelves"
     shutil.copytree(emitted9 / "shelves", shelves)
     path = shelves / "shelf_m13_n8.tsv"
     lines = path.read_text().split("\n")
-    a1_lines = [i for i, line in enumerate(lines) if line.startswith("A1\t")]
-    lines[a1_lines[1]] = lines[a1_lines[0]]
+    lines[4] = lines[3]
     path.write_text("\n".join(lines))
-    second = tmp_path / "second"
-    rc, _, err = run(
-        ["generate", "--max-n", "9", "--out", str(second), "--resume", str(shelves)], capsys
-    )
+    rc, err = _resume9(shelves, tmp_path, capsys)
     assert rc == 3
-    assert f"{path}:{a1_lines[1] + 1}: graph " in err
-    assert f"repeats line {a1_lines[0] + 1}" in err
-    assert not (second / "counts.tsv").exists()
+    assert f"{path}:5: graph {lines[3]} repeats line 4" in err
 
 
 def test_resume_certifies_only_the_result_lines(emitted9, tmp_path, capsys, monkeypatch):
@@ -417,11 +390,8 @@ def test_resume_certifies_only_the_result_lines(emitted9, tmp_path, capsys, monk
         capsys,
     )
     assert rc == 0
-    result_lines = sum(
-        line.split("\t")[0] in ("A1", "A2", "A3")
-        for path in (emitted9 / "shelves").iterdir()
-        for line in path.read_text().split("\n")
-    )
+    # Every line but the three header lines and the trailer holds a graph.
+    result_lines = sum(len(path.read_text().splitlines()) - 4 for path in (emitted9 / "shelves").iterdir())
     assert len(calls) == result_lines == 74
     first = {k: v for k, v in _files(emitted9).items() if k.parts[0] != "shelves"}
     assert _files(second) == first
@@ -438,5 +408,5 @@ def test_resume_with_emit_intermediate_saves_every_shelf(emitted9, tmp_path, cap
         capsys,
     )
     assert rc == 0
-    assert len(list((resumed / "shelves").iterdir())) == 20
+    assert len(list((resumed / "shelves").iterdir())) == 11
     assert _files(resumed) == _files(emitted9)

@@ -2,11 +2,11 @@
 
 Two independent oracles anchor this module.  A definition-level scan over
 all simple paths re-derives no_chording_paths from scratch, on random graphs
-and on every gate call the pipeline makes up to eight vertices.  The gates
-are then held to the operational standard they exist for: applying the
-matching operation must yield a minimally 3-connected graph exactly when
-the gate passes, checked exhaustively over every minimally 3-connected graph
-with at most eight vertices.
+and on every gate call the generator makes on sources up to eight
+vertices.  The gates are then held to the operational standard they exist
+for: applying the matching operation must yield a minimally 3-connected
+graph exactly when the gate passes, checked exhaustively over every
+minimally 3-connected graph with at most eight vertices.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import min3gen.generator
 from helpers import (
+    candidate_sets,
     chording_path_oracle,
     collect_shelves,
     complete_graph,
@@ -30,10 +31,7 @@ from min3gen import (
     EdgePair,
     VertexEdge,
     VertexTriple,
-    add_degree3_vertex,
     add_edge,
-    bridge_edges,
-    bridge_vertex_edge,
     chords,
     decode_graph6,
     generate_min3,
@@ -43,7 +41,7 @@ from min3gen import (
     wheel,
 )
 from min3gen.cycles import enumerate_cycles_bruteforce
-from min3gen.generator import c1, c2, c3
+from min3gen.generator import d1, d2, d3
 from min3gen.io_validate import is_minimally_3_connected
 
 
@@ -91,8 +89,8 @@ def _oracle_gate(g, cs, pairs, banned) -> bool:
 
 
 def test_pipeline_gate_calls_match_the_oracle(monkeypatch):
-    # Every gate call c1, c2 and c3 make on the B, A1 and C entries up to
-    # n = 8, against the definition scan on the graph's brute-force cycles.
+    # Every gate call d1, d2 and d3 make on the shelf entries up to n = 8,
+    # against the definition scan on the graph's brute-force cycles.
     shelves = collect_shelves(8)
     calls = []
 
@@ -104,9 +102,9 @@ def test_pipeline_gate_calls_match_the_oracle(monkeypatch):
 
     monkeypatch.setattr(min3gen.generator, "no_chording_paths", recording)
     for shelf in shelves.values():
-        for tag, gate in (("B", c1), ("A1", c2), ("C", c3)):
-            for ent in shelf.entries(tag):
-                gate(ent)
+        for ent in shelf.entries:
+            for op in (d1, d2, d3):
+                op(ent)
     cycle_sets = {}
     for g, pairs, banned, got in calls:
         if g not in cycle_sets:
@@ -176,17 +174,6 @@ def test_every_vertex_edge_set_of_k4_is_compatible(k4):
                 assert is_3_compatible(cs, k4, VertexEdge(x, (a, b)))
 
 
-def _candidate_sets(g):
-    for x in g.vertices:
-        for e in g.edges():
-            if x not in e:
-                yield VertexEdge(x, e), lambda g=g, x=x, e=e: bridge_vertex_edge(g, x, *e)[0]
-    for e1, e2 in itertools.combinations(g.edges(), 2):
-        yield EdgePair(e1, e2), lambda g=g, e1=e1, e2=e2: bridge_edges(g, e1, e2)[0]
-    for x, y, z in itertools.combinations(g.vertices, 3):
-        yield VertexTriple(x, y, z), lambda g=g, x=x, y=y, z=z: add_degree3_vertex(g, x, y, z)[0]
-
-
 def test_gate_soundness_exhaustive_to_eight_vertices():
     # For every minimally 3-connected graph up to n = 8 and every candidate
     # set of all three shapes: the gate passes exactly when the applied
@@ -197,7 +184,7 @@ def test_gate_soundness_exhaustive_to_eight_vertices():
     checked = 0
     for g in graphs:
         cs = enumerate_cycles_bruteforce(g)
-        for s, apply_op in _candidate_sets(g):
+        for s, apply_op in candidate_sets(g):
             assert is_3_compatible(cs, g, s) == is_minimally_3_connected(apply_op()), (
                 g.edges(),
                 s,
@@ -206,9 +193,25 @@ def test_gate_soundness_exhaustive_to_eight_vertices():
     assert checked > 4000
 
 
+def test_d3_gate_rejects_every_triple_with_an_adjacent_pair():
+    # d3 tries only pairwise non-adjacent triples.  For an edge xy of a
+    # 3-connected graph, x and y lie on a cycle of the graph minus xy, so
+    # the edge xy is a chording xy-path; checked here on every minimally
+    # 3-connected graph up to n = 8.
+    emitted = generate_min3(8)
+    checked = 0
+    for g in (decode_graph6(c) for bucket in emitted.groups.values() for c in bucket):
+        cs = enumerate_cycles_bruteforce(g)
+        for t in itertools.combinations(g.vertices, 3):
+            if any(g.has_edge(u, v) for u, v in itertools.combinations(t, 2)):
+                assert not is_3_compatible(cs, g, VertexTriple(*t)), (g.edges(), t)
+                checked += 1
+    assert checked == 1108
+
+
 def test_gate_soundness_on_wheels():
     for k in (3, 4, 5):
         g = wheel(k)
         cs = enumerate_cycles_bruteforce(g)
-        for s, apply_op in _candidate_sets(g):
+        for s, apply_op in candidate_sets(g):
             assert is_3_compatible(cs, g, s) == is_minimally_3_connected(apply_op())

@@ -9,7 +9,6 @@ it is supposed to validate.
 from __future__ import annotations
 
 import ast
-import dataclasses
 import random
 import re
 from pathlib import Path
@@ -120,12 +119,10 @@ def test_connectivity_matches_definition_scan():
 
 
 def _as_loaded(shelf):
-    """The shelf as load_shelf gives it back: no entry holds a cycle set."""
-    classes = {
-        tag: [dataclasses.replace(ent, cycles=None) for ent in bucket]
-        for tag, bucket in shelf.classes.items()
-    }
-    return min3gen.records.Shelf(shelf.m, shelf.n, classes, shelf.certs)
+    """The shelf as load_shelf gives it back: each entry is its class's
+    canonical labelling, the graph of its certificate, with no cycle set."""
+    entries = [min3gen.records.ShelfEntry(decode_graph6(c), None) for c in shelf.certs]
+    return min3gen.records.Shelf(shelf.m, shelf.n, entries, shelf.certs)
 
 
 def test_shelf_files_round_trip(tmp_path):
@@ -137,100 +134,51 @@ def test_shelf_files_round_trip(tmp_path):
 
 def test_shelf_file_validation(tmp_path):
     good = tmp_path / "ok.tsv"
-    save_shelf(min3gen.records.Shelf(10, 6, {}), good)
-    assert load_shelf(good) == min3gen.records.Shelf(10, 6, {})
-    assert load_shelf(good, (10, 6)) == min3gen.records.Shelf(10, 6, {})
+    save_shelf(min3gen.records.Shelf(10, 6), good)
+    assert load_shelf(good) == min3gen.records.Shelf(10, 6)
+    assert load_shelf(good, (10, 6)) == min3gen.records.Shelf(10, 6)
     with pytest.raises(ShelfFileError, match=r"ok.tsv:3: .* expected \(11, 6\)"):
         load_shelf(good, (11, 6))
 
     v = SHELF_VERSION
+    # W5 is the only minimally 3-connected graph of (n, m) = (6, 10), and no
+    # shelf holds a wheel, so the lines that load are of shelf (11, 7).
     head = f"min3gen-shelf\t{v}\nm\t10\nn\t6\n"
-    entry = "A0\tEhfw\t-\n"  # the wheel W5: 6 vertices, 10 edges, hub 5
-    trailer = "end\tA0=1\tB=0\tC=0\tA1=0\tA2=0\tA3=0\n"
-    assert load_shelf(_write(tmp_path / "one.tsv", head + entry + trailer)).entries()
-    # W5 with hub 0: its last vertex 5 has degree 3 and neighbours 0, 1 and 4.
-    a1 = "A1\tE|fG\t1-5\n"
-    a1_trailer = trailer.replace("A0=1", "A0=0").replace("A1=0", "A1=1")
-    # W5 is the only minimally 3-connected graph of shelf (10, 6), and no
-    # shelf holds a wheel, so the A lines that load are of shelf (11, 7):
-    # its last vertex 6 has degree 3 and neighbours 0, 2 and 4.
     head7 = f"min3gen-shelf\t{v}\nm\t11\nn\t7\n"
-    a1_7 = "A1\tFlDlO\t2-6\n"
-    loaded = load_shelf(_write(tmp_path / "a1.tsv", head7 + a1_7 + a1_trailer))
-    assert [e.provenance for e in loaded.entries()] == [min3gen.records.Provenance("A1", ((2, 6),))]
-    for tag in ("A2", "A3"):
-        text = head7 + f"{tag}\tFlDlO\t-\n" + trailer.replace("A0=1", "A0=0").replace(f"{tag}=0", f"{tag}=1")
-        loaded = load_shelf(_write(tmp_path / f"{tag}.tsv", text))
-        assert [e.provenance for e in loaded.entries()] == [min3gen.records.Provenance(tag)]
+    entry = "FlDlO\n"
+    trailer = "end\t1\n"
+    loaded = load_shelf(_write(tmp_path / "one.tsv", head7 + entry + trailer))
+    assert loaded.entries == [min3gen.records.ShelfEntry(decode_graph6("FlDlO"), None)]
+    assert loaded.certs == [certificate(decode_graph6("FlDlO"))]
     cases = {
         "header": (f"something-else\t{v}\nm\t10\nn\t6\n", ":1: not a shelf file"),
         "version": ("min3gen-shelf\t9\nm\t10\nn\t6\n", ":1: unsupported shelf version 9"),
         "v1": ("min3gen-shelf\t1\nm\t10\nn\t6\n", ":1: unsupported shelf version 1"),
-        "v2": (f"min3gen-shelf\t2\nm\t10\nn\t6\n{entry}", ":1: unsupported shelf version 2"),
-        "v3": (
-            "min3gen-shelf\t3\nm\t10\nn\t6\nA0\tEhfw\t-\t-\t0-1-5\n" + trailer,
-            ":1: unsupported shelf version 3",
-        ),
-        "v4": (
-            "min3gen-shelf\t4\nm\t10\nn\t6\nA1\tE|fG\t0-1\t0\n" + a1_trailer,
-            ":1: unsupported shelf version 4",
+        "v4": ("min3gen-shelf\t4\nm\t11\nn\t7\nA1\tFlDlO\t2-6\t0\n", ":1: unsupported shelf version 4"),
+        "v5": (
+            "min3gen-shelf\t5\nm\t11\nn\t7\nA1\tFlDlO\t2-6\nend\tA0=0\tB=0\tC=0\tA1=1\tA2=0\tA3=0\n",
+            ":1: unsupported shelf version 5",
         ),
         "truncated": (f"min3gen-shelf\t{v}\nm\t10\n", ": truncated shelf file"),
         "m-key": (f"min3gen-shelf\t{v}\nq\t10\nn\t6\n", ":2: expected header 'm'"),
         "n-value": (f"min3gen-shelf\t{v}\nm\t10\nn\tsix\n", ":3: invalid literal"),
-        "tag": (head + "ZZ\tC~\t-\n", ":4: unknown class tag"),
-        "fields": (head + "B\tC~\n", ":4: expected 3 fields, got 2"),
-        "split-field": (head + "A1\tE|fG\t0-1\t0\n", ":4: expected 3 fields, got 4"),
-        "cycle-field": (head + "A0\tEhfw\t-\t-\t0-1-5\n", ":4: expected 3 fields, got 5"),
-        "graph6": (head + "A0\tC!\t-\n", ":4: invalid graph6 character"),
-        "separator": (head + "A0\tC\x1c\t-\n", ":4: invalid graph6 character"),
-        "other-shelf": (
-            head + "A0\tC~\t-\n",
-            ":4: graph has (m, n) = (6, 4), not the shelf's (10, 6)",
-        ),
-        "no-trailer": (head + entry, ":4: missing trailer line"),
-        "empty-no-trailer": (head, ":3: missing trailer line"),
-        "count": (head + entry + trailer.replace("A0=1", "A0=2"), ":5: trailer counts"),
-        "after-trailer": (head + trailer + entry, ":5: content after the trailer"),
-        "repeated-line": (
-            head + entry + entry + trailer.replace("A0=1", "A0=2"),
-            ":5: graph Ehfw repeats line 4",
-        ),
+        # A line of format 5: class tag, graph6 and edges.
+        "fields": (head7 + "A1\tFlDlO\t2-6\n" + trailer, ":4: invalid graph6 character '1'"),
+        "graph6": (head + "C!\n", ":4: invalid graph6 character"),
+        "separator": (head7 + "FlDlO\x1c\n", ":4: invalid graph6 character"),
+        "other-shelf": (head + "C~\n", ":4: graph has (m, n) = (6, 4), not the shelf's (10, 6)"),
+        "no-trailer": (head7 + entry, ":4: missing trailer line"),
+        "empty-no-trailer": (head7, ":3: missing trailer line"),
+        "count": (head7 + entry + "end\t2\n", ":5: trailer count 2 does not match the 1 lines read"),
+        "after-trailer": (head7 + trailer + entry, ":5: content after the trailer"),
+        "repeated-line": (head7 + entry + entry + "end\t2\n", ":5: graph FlDlO repeats line 4"),
         # The (11, 7) graph, and relabelled by swapping 0 and 1: two lines of one class.
-        "repeated-class": (
-            head7 + a1_7 + "A1\tFrEjO\t2-6\n" + a1_trailer.replace("A1=1", "A1=2"),
-            ":5: graph is isomorphic to line 4's",
-        ),
+        "repeated-class": (head7 + entry + "FrEjO\n" + "end\t2\n", ":5: graph is isomorphic to line 4's"),
         # generate_min3 adds the wheels and K_{3,t} to the output itself.
-        "a1-wheel": (head + a1 + a1_trailer, ":4: graph is the wheel W_5, which no shelf holds"),
-        "a2-k33": (
-            f"min3gen-shelf\t{v}\nm\t9\nn\t6\nA2\tEFz_\t-\n",
-            ":4: graph is K_{3,3}, which no shelf holds",
-        ),
-        # Provenance fields of a shape the generator never makes.
-        "pending-count": (head + "B\tEhfw\t-\n", ":4: class B holds 1 edge(s), not 0"),
-        "pending-range": (head + "B\tEhfw\t0-6\n", ":4: edge 0-6 is not a pair u < v"),
-        "pending-order": (head + "B\tEhfw\t1-0\n", ":4: edge 1-0 is not a pair u < v"),
-        "pending-syntax": (head + "B\tEhfw\t0-1-2\n", ":4: too many values to unpack"),
-        "pending-non-edge": (head + "B\tEhfw\t0-2\n", ":4: edges 0-2 are not all edges"),
-        "c-count": (head + "C\tEhfw\t0-1\n", ":4: class C holds 2 edge(s), not 1"),
-        "c-non-edge": (head + "C\tEhfw\t0-1;0-2\n", ":4: edges 0-1;0-2 are not all edges"),
-        "c-apart": (head + "C\tEhfw\t0-1;2-3\n", ":4: edges 0-1;2-3 do not share one"),
-        "c-same": (head + "C\tEhfw\t0-1;0-1\n", ":4: edges 0-1;0-1 do not share one"),
-        "a0-edge": (head + "A0\tEhfw\t0-1\n", ":4: class A0 holds 0 edge(s), not 1"),
-        # An A1 line holds one edge of its graph, ending at the last vertex,
-        # of degree 3; an A2 or A3 line holds none.
-        "a1-none": (head + "A1\tE|fG\t-\n", ":4: class A1 holds 1 edge(s), not 0"),
-        "a1-two": (head + "A1\tE|fG\t0-5;1-5\n", ":4: class A1 holds 1 edge(s), not 2"),
-        "a1-non-edge": (head + "A1\tE|fG\t2-5\n", ":4: edges 2-5 are not all edges"),
-        "a1-off-last": (head + "A1\tE|fG\t0-1\n", ":4: edge 0-1 does not end at the last vertex 5"),
-        "a1-degree": (head + "A1\tEhfw\t0-5\n", ":4: edge 0-5 does not end at the last vertex 5 of degree 3"),
-        "a2-edge": (head + "A2\tE|fG\t1-5\n", ":4: class A2 holds 0 edge(s), not 1"),
-        "a3-edges": (head + "A3\tE|fG\t0-5;1-5\n", ":4: class A3 holds 0 edge(s), not 2"),
+        "wheel": (head + "E|fG\n" + trailer, ":4: graph is the wheel W_5, which no shelf holds"),
+        "k33": (f"min3gen-shelf\t{v}\nm\t9\nn\t6\nEFz_\n", ":4: graph is K_{3,3}, which no shelf holds"),
         # The prism plus the edge 0-2: 3-connected, not minimally so.
-        "a1-not-minimal": (head + "A1\tE|dg\t1-5\n", ":4: graph is not minimally 3-connected"),
-        "a2-not-minimal": (head + "A2\tE|dg\t-\n", ":4: graph is not minimally 3-connected"),
-        "a3-not-minimal": (head + "A3\tE|dg\t-\n", ":4: graph is not minimally 3-connected"),
+        "not-minimal": (head + "E|dg\n" + trailer, ":4: graph is not minimally 3-connected"),
     }
     for name, (text, message) in cases.items():
         path = _write(tmp_path / f"{name}.tsv", text)
@@ -254,7 +202,7 @@ def test_direct_family_names_exactly_the_wheels_and_k3t():
 
 
 def test_every_cut_of_a_shelf_file_is_rejected(tmp_path):
-    shelf = max(collect_shelves(7).values(), key=lambda sh: len(sh.entries()))
+    shelf = max(collect_shelves(7).values(), key=lambda sh: len(sh.entries))
     path = tmp_path / "full.tsv"
     save_shelf(shelf, path)
     text = path.read_text()
