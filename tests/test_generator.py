@@ -237,13 +237,26 @@ def test_generated_buckets_are_cert_sorted_and_distinct():
         assert len(certs) == len(set(certs))
 
 
-def test_shelf_entries_are_minimal_graphs_of_their_shelf():
+def test_provenance_shapes_across_shelves():
+    # An entry records only its graph and cycle set; its shelf records the
+    # entries' certificates in the same, sorted order.
     shelves = collect_shelves(8)
     assert len(shelves) == 7
     for (m, n), shelf in shelves.items():
         assert (shelf.m, shelf.n) == (m, n)
-        for ent in shelf.entries:
+        assert len(shelf.entries) == len(shelf.certs)
+        assert shelf.certs == sorted(set(shelf.certs))
+        for ent, cert in zip(shelf.entries, shelf.certs):
             assert (ent.graph.m, ent.graph.n) == (m, n)
+            assert certificate(ent.graph) == cert
+
+
+def test_a_classes_are_minimal_and_intermediates_are_not():
+    # Bridging makes no intermediate graphs, so every shelf entry is an
+    # A-class graph: 3-connected, and minimally so.
+    for shelf in collect_shelves(8).values():
+        for ent in shelf.entries:
+            assert is_3_connected(ent.graph)
             assert is_minimally_3_connected(ent.graph)
 
 
