@@ -2,8 +2,9 @@
 
 The public surface: the Graph value type with its edit operations, cycle
 set maintenance, the 3-compatibility gates, isomorphism certificates and
-automorphism group generators, the two generators, and graph6 plus shelf
-serialization with independent connectivity oracles.
+automorphism group generators, the two generators, and graph6 output
+trees, written and read back to resume from, with independent connectivity
+oracles.
 """
 
 from .canonical import are_isomorphic_bruteforce, automorphisms, certificate
@@ -34,6 +35,7 @@ from .generator import (
     generate_cubic,
     generate_min3,
     run_shelf,
+    source,
 )
 from .graphs import (
     Edge,
@@ -52,13 +54,12 @@ from .graphs import (
     wheel,
 )
 from .io_validate import (
-    ShelfFileError,
+    CheckpointError,
     decode_graph6,
     encode_graph6,
     is_3_connected,
     is_minimally_3_connected,
-    load_shelf,
-    save_shelf,
+    read_outputs,
     write_outputs,
 )
 from .records import GeneratedSet, Shelf, ShelfEntry
@@ -68,6 +69,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Cycle",
     "CycleSet",
+    "CheckpointError",
     "CompatSet",
     "Edge",
     "EdgePair",
@@ -76,7 +78,6 @@ __all__ = [
     "PRISM_CYCLES",
     "Shelf",
     "ShelfEntry",
-    "ShelfFileError",
     "VertexEdge",
     "VertexTriple",
     "add_degree3_vertex",
@@ -107,11 +108,11 @@ __all__ = [
     "is_3_compatible",
     "is_3_connected",
     "is_minimally_3_connected",
-    "load_shelf",
     "no_chording_paths",
     "prism",
+    "read_outputs",
     "run_shelf",
-    "save_shelf",
+    "source",
     "split_vertex",
     "subdivide_edge",
     "wheel",

@@ -1,7 +1,7 @@
 """Command line front end: generate, validate, cycles.
 
 Exit codes: 0 success, 1 validation failure, 2 usage error, 3 I/O error
-(including a shelf file that cannot be resumed from).
+(including a --resume directory that cannot be resumed from).
 Progress and diagnostics go to stderr; stdout stays machine-readable.
 """
 
@@ -15,13 +15,12 @@ from .cycles import enumerate_cycles_bruteforce
 from .generator import generate_cubic, generate_min3
 from .io_validate import (
     GRAPH6_BLANKS,
-    ShelfFileError,
+    CheckpointError,
     decode_graph6,
     default_out_dir,
     is_3_connected,
     is_minimally_3_connected,
-    load_shelf,
-    save_shelf,
+    read_outputs,
     write_outputs,
 )
 
@@ -45,13 +44,14 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument(
         "--emit-intermediate",
         action="store_true",
-        help="also save every shelf under <out>/shelves, to resume from",
+        help="also write the outputs again under <out>/shelves, for scripts that "
+        "resume from there; --resume reads any output directory",
     )
     gen.add_argument(
         "--resume",
         default=None,
         metavar="DIR",
-        help="reuse shelf files from a previous --emit-intermediate run",
+        help="continue the min3 output directory of an earlier run, after its last column",
     )
     gen.set_defaults(func=cmd_generate)
 
@@ -73,35 +73,15 @@ def cmd_generate(args: argparse.Namespace) -> int:
         print(msg, file=sys.stderr)
 
     if args.mode == "min3":
-        saver = None
-        loader = None
-        if args.emit_intermediate:
-            shelf_dir = out_dir / "shelves"
-
-            def saver(shelf):
-                shelf_dir.mkdir(parents=True, exist_ok=True)
-                save_shelf(shelf, shelf_dir / f"shelf_m{shelf.m}_n{shelf.n}.tsv")
-
-        if args.resume:
-            resume_dir = Path(args.resume)
-            if not any(resume_dir.glob("shelf_m*_n*.tsv")):
-                raise ValueError(f"--resume directory {resume_dir} holds no shelf_m*_n*.tsv files")
-
-            def loader(m, n):
-                path = resume_dir / f"shelf_m{m}_n{n}.tsv"
-                return load_shelf(path, (m, n)) if path.exists() else None
-
-        result = generate_min3(
-            args.max_n,
-            progress=progress,
-            shelf_loader=loader,
-            shelf_saver=saver,
-        )
+        resume = read_outputs(args.resume) if args.resume else None
+        result = generate_min3(args.max_n, progress=progress, resume=resume)
     else:
         if args.emit_intermediate or args.resume:
             raise ValueError("--emit-intermediate and --resume apply to min3 mode only")
         result = generate_cubic(args.max_n, progress=progress)
     written = write_outputs(result, out_dir)
+    if args.emit_intermediate:
+        write_outputs(result, out_dir / "shelves")
     print(f"min3gen: wrote {len(written)} files to {out_dir}", file=sys.stderr)
     return 0
 
@@ -156,7 +136,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ShelfFileError as exc:
+    except CheckpointError as exc:
         print(f"min3gen: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -14,13 +14,15 @@ A bridging is minimally 3-connected exactly when its vertex, edge or
 triple set is 3-compatible in the source, which the chording path gate
 decides on the source's cycle set.  Only one site per orbit of the
 source's automorphism group is tried, since the sites of an orbit give
-isomorphic graphs, and certificates deduplicate a shelf.  Each operation
-hands every candidate the rule that maps its source's cycle set to the
-candidate's, composed of the edge addition and subdivision rules, so
-nothing is re-enumerated; only an admitted candidate's rule runs.  The
-shelves of the final column (n = max_n) feed no gate and get no cycle
-sets at all.  Shelf files store no cycle sets: derive_cycles enumerates
-those of a loaded shelf.
+isomorphic graphs, and certificates deduplicate a shelf.  An entry that a
+later shelf reads gets its group's generators once, when it is admitted.
+Each operation hands every candidate the rule that maps its source's
+cycle set to the candidate's, composed of the edge addition and
+subdivision rules, so nothing is re-enumerated; only an admitted
+candidate's rule runs.  The shelves of the final column (n = max_n) feed
+no gate and get no cycle sets or generators at all.  A resumed run starts from the output groups of an earlier
+one: the graphs of its last two columns, less the wheels and K_{3,t},
+are the shelves the next column reads, with their cycle sets enumerated.
 
 Wheels and K_{3,t} are the minimally 3-connected graphs that no prism-rooted
 chain reaches; they are constructed directly and merged into the output.
@@ -49,7 +51,7 @@ from .graphs import (
     prism,
     wheel,
 )
-from .io_validate import decode_graph6
+from .io_validate import CheckpointError, decode_graph6
 from .records import GeneratedSet, Shelf, ShelfEntry
 
 # The seed's 14 cycles, under prism()'s fixed labelling.
@@ -127,7 +129,7 @@ def d1(src: ShelfEntry) -> list[Candidate]:
     g, cycles = src.graph, src.cycles
     sites = [(x, e) for e in g.edges() for x in g.vertices if x not in e]
     out = []
-    for x, (a, b) in _orbit_representatives(sites, automorphisms(g), _vertex_edge_image):
+    for x, (a, b) in _orbit_representatives(sites, src.gens, _vertex_edge_image):
         if no_chording_paths(cycles, g, ((x, a), (x, b)), ((a, b),)):
             g2, y = bridge_vertex_edge(g, x, a, b)
             out.append((g2, partial(_replay, cycles, (a, b, y), (x, y))))
@@ -145,7 +147,7 @@ def d2(src: ShelfEntry) -> list[Candidate]:
     g, cycles = src.graph, src.cycles
     sites = list(combinations(g.edges(), 2))
     out = []
-    for (a, b), (c, d) in _orbit_representatives(sites, automorphisms(g), _edge_pair_image):
+    for (a, b), (c, d) in _orbit_representatives(sites, src.gens, _edge_pair_image):
         pairs = [(u, v) for u, v in ((a, c), (b, c), (a, d), (b, d)) if u != v]
         if no_chording_paths(cycles, g, pairs, ((a, b), (c, d))):
             g2, p, q = bridge_edges(g, (a, b), (c, d))
@@ -167,17 +169,19 @@ def d3(src: ShelfEntry) -> list[Candidate]:
     g, cycles = src.graph, src.cycles
     sites = [t for t in combinations(g.vertices, 3) if not any(g.has_edge(*e) for e in combinations(t, 2))]
     out = []
-    for x, y, z in _orbit_representatives(sites, automorphisms(g), _triple_image):
+    for x, y, z in _orbit_representatives(sites, src.gens, _triple_image):
         if no_chording_paths(cycles, g, ((x, y), (x, z), (y, z))):
             g2, w = add_degree3_vertex(g, x, y, z)
             out.append((g2, partial(_replay, cycles, (x, y), (x, y, w), (w, z))))
     return out
 
 
-def derive_cycles(shelf: Shelf) -> None:
-    """Give the entries of a loaded shelf their cycle sets, enumerated from
-    their graphs."""
-    shelf.entries = [ShelfEntry(e.graph, enumerate_cycles_bruteforce(e.graph)) for e in shelf.entries]
+def source(g: Graph, cycles: CycleSet | None = None) -> ShelfEntry:
+    """g as an entry that d1, d2 and d3 read: with its cycle set, enumerated
+    unless given, and the generators of its automorphism group."""
+    if cycles is None:
+        cycles = enumerate_cycles_bruteforce(g)
+    return ShelfEntry(g, cycles, automorphisms(g))
 
 
 def run_shelf(state: dict[tuple[int, int], Shelf], m: int, n: int, final: bool = False) -> Shelf:
@@ -188,8 +192,9 @@ def run_shelf(state: dict[tuple[int, int], Shelf], m: int, n: int, final: bool =
     store spans the shelf, so a graph reached twice, by whatever site or
     operation, is kept once, and only an admitted candidate's rule runs,
     giving its cycle set.  Certificates also order the entries.  A final
-    shelf is one whose sets nothing reads: its entries get cycles=None,
-    which fails loudly where an empty set would pass a gate.
+    shelf is one that no bridging reads: its entries get cycles=None,
+    which fails loudly where an empty set would pass a gate, and
+    gens=None.
     """
     found: dict[str, ShelfEntry] = {}
     for op, key in ((d1, (m - 2, n - 1)), (d3, (m - 3, n - 1)), (d2, (m - 3, n - 2))):
@@ -197,55 +202,70 @@ def run_shelf(state: dict[tuple[int, int], Shelf], m: int, n: int, final: bool =
             for g, rule in op(src):
                 cert = certificate(g)
                 if cert not in found:
-                    found[cert] = ShelfEntry(g, None if final else rule())
+                    found[cert] = ShelfEntry(g, None, None) if final else source(g, rule())
     certs = sorted(found)
     return Shelf(m, n, [found[c] for c in certs], certs)
 
 
-def _merge_exceptional(groups: dict, n: int, m: int, g: Graph) -> None:
-    cert = certificate(g)
-    bucket = groups.setdefault((n, m), [])
-    if cert in bucket:
-        raise RuntimeError(f"exceptional graph at n={n} m={m} collided with pipeline output")
-    bucket.append(cert)
+def _shelf_edges(n: int) -> range:
+    return range((3 * n + 1) // 2, 3 * n - 8)
 
 
-def generate_min3(
-    max_n: int,
-    *,
-    progress: Progress | None = None,
-    shelf_loader: Callable[[int, int], Shelf | None] | None = None,
-    shelf_saver: Callable[[Shelf], None] | None = None,
-) -> GeneratedSet:
+def _last_column(resume: GeneratedSet) -> int:
+    """The last column of a resumed set, which must hold exactly the (n, m)
+    groups of a run up to it: every shelf's, each of which is non-empty up
+    to n = 12 at least, and the wheel's and K_{3,n-3}'s."""
+    last = max((n for n, _ in resume.groups), default=0)
+    expected = {(n, m) for n in range(6, last + 1) for m in (*_shelf_edges(n), 2 * (n - 1), 3 * n - 9)}
+    if last < 6 or set(resume.groups) != expected:
+        wrong = sorted(set(resume.groups) ^ expected)
+        raise CheckpointError(f"resumed groups differ from those of columns 6 to {last} at (n, m) = {wrong}")
+    return last
+
+
+def generate_min3(max_n: int, *, progress: Progress | None = None, resume: GeneratedSet | None = None) -> GeneratedSet:
     """All minimally 3-connected graphs with 6 to max_n vertices.
 
     Walks the bookshelf column by column (n outer, m from ceil(3n/2) to
     3n-9), since shelf (m, n) reads only columns n-1 and n-2, and keeps
     only those two.  Results arrive as (n, m) groups of sorted
     certificates: the shelves, the prism seed, and the two direct
-    families, wheels and K_{3,t}.
+    families, wheels and K_{3,t}.  The final column (n = max_n) feeds no
+    gate, so its shelves are final, with no cycle sets, and none is kept.
 
-    The final column (n = max_n) feeds no gate, so its shelves are final,
-    with no cycle sets, and none is kept.  shelf_loader, when given, may
-    supply a previously saved shelf instead of recomputing it; a loaded
-    shelf that is not final gets its cycle sets from derive_cycles.
-    shelf_saver receives every shelf, loaded or computed.
+    resume, when given, is the result of an earlier run, such as
+    io_validate.read_outputs gives, and the walk starts after its last
+    column.  Its last two columns, less the wheels and K_{3,t}, are the
+    shelves the next column reads, their graphs decoded and their cycle
+    sets enumerated; a resumed run that already reaches max_n builds none.
+    A resumed set that lacks a group of its columns or holds another
+    raises CheckpointError.
     """
     if max_n < 6:
         raise ValueError("max_n must be at least 6")
-    seed = Shelf(9, 6, [ShelfEntry(prism(), PRISM_CYCLES)], [certificate(prism())])
-    state: dict[tuple[int, int], Shelf] = {(9, 6): seed}
-    groups: dict[tuple[int, int], list[str]] = {(6, 9): list(seed.certs)}
-    for n in range(7, max_n + 1):
+    # The graphs no shelf holds, built directly.
+    direct: dict[tuple[int, int], list[str]] = {}
+    for n in range(6, max_n + 1):
+        direct.setdefault((n, 2 * (n - 1)), []).append(certificate(wheel(n - 1)))
+        direct.setdefault((n, 3 * n - 9), []).append(certificate(complete_bipartite_3(n - 3)))
+    if resume is None:
+        seed = Shelf(9, 6, [source(prism(), PRISM_CYCLES)], [certificate(prism())])
+        state: dict[tuple[int, int], Shelf] = {(9, 6): seed}
+        groups: dict[tuple[int, int], list[str]] = {(6, 9): list(seed.certs)}
+        last = 6
+    else:
+        last = _last_column(resume)
+        groups = {key: list(bucket) for key, bucket in resume.groups.items() if key[0] <= max_n}
+        state = {}
+        read = (last - 1, last) if last < max_n else ()
+        for (n, m), bucket in groups.items():
+            if n in read:
+                certs = sorted(c for c in bucket if c not in direct.get((n, m), ()))
+                state[(m, n)] = Shelf(m, n, [source(decode_graph6(c)) for c in certs], certs)
+    for n in range(last + 1, max_n + 1):
         final = n == max_n
-        for m in range((3 * n + 1) // 2, 3 * n - 8):
-            shelf = shelf_loader(m, n) if shelf_loader is not None else None
-            if shelf is None:
-                shelf = run_shelf(state, m, n, final)
-            elif not final:
-                derive_cycles(shelf)
-            if shelf_saver is not None:
-                shelf_saver(shelf)
+        for m in _shelf_edges(n):
+            shelf = run_shelf(state, m, n, final)
             if not final:
                 state[(m, n)] = shelf
             if shelf.certs:
@@ -256,9 +276,9 @@ def generate_min3(
         state = {key: shelf for key, shelf in state.items() if key[1] >= n - 1}
     # No gate runs after the last column: keep no dead cycle sets alive.
     _compile.cache_clear()
-    for n in range(6, max_n + 1):
-        _merge_exceptional(groups, n, 2 * (n - 1), wheel(n - 1))
-        _merge_exceptional(groups, n, 3 * n - 9, complete_bipartite_3(n - 3))
+    for key, certs in direct.items():
+        bucket = groups.setdefault(key, [])
+        bucket += [c for c in certs if c not in bucket]
     for bucket in groups.values():
         bucket.sort()
     return GeneratedSet("min3", dict(sorted(groups.items())))

@@ -1,14 +1,13 @@
-"""graph6 codec, shelf files, output writing, and connectivity oracles.
+"""graph6 codec, output trees, and connectivity oracles.
 
 The validation oracles here are deliberately naive: 3-connectivity by
 deleting every vertex pair and checking connectedness, minimality by
 re-checking after every single edge deletion.  They share no machinery
 with the generator's compatibility gates (no cycle sets, no chording
-paths), so agreement between the two is evidence, not tautology.  A
-shelf file is its graphs' certificates, one graph6 line each, and holds
-no cycle sets: the generator derives them when it loads one.  Loading
-checks every line with the oracles and certifies it, so a line that is
-not minimally 3-connected, or repeats a class, stops a resume.
+paths), so agreement between the two is evidence, not tautology.  An
+output tree is also the checkpoint a min3 run resumes from: read_outputs
+checks every line of it with the oracles and certifies it, so a line that
+is not minimally 3-connected, not canonical, or a repeat stops a resume.
 """
 
 from __future__ import annotations
@@ -18,11 +17,7 @@ from pathlib import Path
 
 from .canonical import certificate
 from .graphs import Graph, delete_edge, from_triangle_bits, graph6_line, triangle_bits
-from .records import GeneratedSet, Shelf, ShelfEntry
-
-SHELF_FORMAT = "min3gen-shelf"
-SHELF_VERSION = 6
-_TRAILER = "end"
+from .records import GeneratedSet
 
 _GRAPH6_HEADER = ">>graph6<<"
 # What a graph6 line may carry around its characters; str.strip() would
@@ -110,118 +105,9 @@ def is_minimally_3_connected(g: Graph) -> bool:
     return all(not is_3_connected(delete_edge(g, u, v)) for u, v in g.edges())
 
 
-def _direct_family(g: Graph) -> str | None:
-    """The name of minimally 3-connected g if it is a graph generate_min3
-    builds directly, the wheel W_{n-1} or K_{3,n-3}, and None otherwise.
-
-    With m = 2(n-1), a vertex of degree n-1 leaves n-1 edges on the other
-    n-1 vertices, each of degree 3, so they form a cycle and g is the
-    wheel.  With m = 3(n-3), three vertices sharing a neighbourhood of
-    n-3 vertices already hold every edge, so g is K_{3,n-3}.  Deciding by
-    degrees and neighbourhoods spares a certificate per shelf.
-    """
-    n, m = g.n, g.m
-    masks = [g.neighbor_mask(v) for v in range(n)]
-    if m == 2 * (n - 1) and any(mask.bit_count() == n - 1 for mask in masks):
-        return f"the wheel W_{n - 1}"
-    if m == 3 * (n - 3):
-        sides = [mask for mask in masks if mask.bit_count() == n - 3]
-        if any(sides.count(mask) >= 3 for mask in sides):
-            return f"K_{{3,{n - 3}}}"
-    return None
-
-
-class ShelfFileError(ValueError):
-    """A shelf file that cannot be resumed from: not text, malformed,
-    truncated, of another version, or written for another (m, n)."""
-
-
-def save_shelf(shelf: Shelf, path: str | Path) -> None:
-    """Write a shelf as a versioned, line-oriented file (format version 6).
-
-    Three header lines are followed by one line per entry, its
-    certificate, which is the graph6 of its class's canonical labelling,
-    so the bytes depend only on the shelf's isomorphism classes.  Cycle
-    sets are left out, for generator.derive_cycles derives them on load.
-    A trailer line gives the entry count, so a truncated file is detected
-    on load.
-    """
-    lines = [f"{SHELF_FORMAT}\t{SHELF_VERSION}", f"m\t{shelf.m}", f"n\t{shelf.n}", *shelf.certs]
-    lines.append(f"{_TRAILER}\t{len(shelf.certs)}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_shelf(path: str | Path, expected: tuple[int, int] | None = None) -> Shelf:
-    """Read a shelf file back; entries come out with cycles=None.
-
-    expected, when given, is the (m, n) the caller asked for, and the
-    header must match it, and so must every line's graph.  Every graph
-    must be minimally 3-connected, and none may be a wheel or K_{3,t},
-    which generate_min3 adds to the output itself.  No two lines may
-    repeat a graph6 string, and no two a certificate.  Any defect raises
-    ShelfFileError naming the file and, where there is one, the line.
-    """
-    try:
-        # Not splitlines(): that also breaks at characters such as \x1c.
-        lines = Path(path).read_text().removesuffix("\n").split("\n")
-    except UnicodeDecodeError as exc:
-        raise ShelfFileError(f"{path}: not a text file ({exc})") from exc
-    if len(lines) < 3:
-        raise ShelfFileError(f"{path}: truncated shelf file")
-    lineno = 1
-    try:
-        fmt, version = lines[0].split("\t")
-        if fmt != SHELF_FORMAT:
-            raise ValueError(f"not a shelf file (header {fmt!r})")
-        if int(version) != SHELF_VERSION:
-            raise ValueError(f"unsupported shelf version {version}")
-        lineno = 2
-        m = _header_int(lines[1], "m")
-        lineno = 3
-        n = _header_int(lines[2], "n")
-        if expected is not None and (m, n) != expected:
-            raise ValueError(f"header says (m, n) = {(m, n)}, expected {expected}")
-        g6_lines: dict[str, int] = {}  # graph6 line -> its line number
-        found: dict[str, tuple[int, Graph]] = {}  # certificate -> its line number and graph
-        trailer = None
-        for lineno, line in enumerate(lines[3:], start=4):
-            if not line:
-                continue
-            if trailer is not None:
-                raise ValueError("content after the trailer line")
-            fields = line.split("\t")
-            if fields[0] == _TRAILER:
-                trailer = fields[1:]
-                continue
-            if line in g6_lines:
-                raise ValueError(f"graph {line} repeats line {g6_lines[line]}")
-            g6_lines[line] = lineno
-            graph = decode_graph6(line)
-            if (graph.m, graph.n) != (m, n):
-                raise ValueError(f"graph has (m, n) = {(graph.m, graph.n)}, not the shelf's {(m, n)}")
-            if not is_minimally_3_connected(graph):
-                raise ValueError("graph is not minimally 3-connected")
-            if family := _direct_family(graph):
-                raise ValueError(f"graph is {family}, which no shelf holds")
-            cert = certificate(graph)
-            if cert in found:
-                raise ValueError(f"graph is isomorphic to line {found[cert][0]}'s")
-            found[cert] = (lineno, graph)
-        if trailer is None:
-            raise ValueError("missing trailer line (truncated shelf file?)")
-        if trailer != [str(len(found))]:
-            raise ValueError(f"trailer count {' '.join(trailer)} does not match the {len(found)} lines read")
-    except ValueError as exc:
-        raise ShelfFileError(f"{path}:{lineno}: {exc}") from exc
-    certs = sorted(found)
-    return Shelf(m, n, [ShelfEntry(found[c][1], None) for c in certs], certs)
-
-
-def _header_int(line: str, key: str) -> int:
-    name, value = line.split("\t")
-    if name != key:
-        raise ValueError(f"expected header {key!r}, found {name!r}")
-    return int(value)
+class CheckpointError(ValueError):
+    """An output directory that cannot be resumed from: no counts.tsv, a
+    file it does not match, or a line write_outputs would not have written."""
 
 
 def write_outputs(collections: GeneratedSet, out_dir: str | Path) -> list[Path]:
@@ -232,10 +118,14 @@ def write_outputs(collections: GeneratedSet, out_dir: str | Path) -> list[Path]:
     canonical labelling, so the bytes depend only on the set of
     isomorphism classes.
     counts.tsv has header n, m, count and one row per written file, sorted.
-    Returns the written paths, counts.tsv last.
+    Each file is written to a temporary name and renamed into place, and
+    counts.tsv is removed first and written last, so a directory that has
+    one is complete.  Returns the written paths, counts.tsv last.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    counts = out / "counts.tsv"
+    counts.unlink(missing_ok=True)
     written = []
     rows = []
     for (n, m), bucket in sorted(collections.groups.items()):
@@ -248,15 +138,87 @@ def write_outputs(collections: GeneratedSet, out_dir: str | Path) -> list[Path]:
         else:
             raise ValueError(f"unknown mode {collections.mode!r}")
         path = out / name
-        path.write_text("".join(c + "\n" for c in bucket))
+        _replace(path, "".join(c + "\n" for c in bucket))
         written.append(path)
         rows.append((n, m, len(bucket)))
-    counts = out / "counts.tsv"
-    counts.write_text(
-        "n\tm\tcount\n" + "".join(f"{n}\t{m}\t{c}\n" for n, m, c in sorted(rows))
-    )
+    _replace(counts, "n\tm\tcount\n" + "".join(f"{n}\t{m}\t{c}\n" for n, m, c in sorted(rows)))
     written.append(counts)
     return written
+
+
+def _replace(path: Path, text: str) -> None:
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text)
+    os.replace(tmp, path)
+
+
+def read_outputs(out_dir: str | Path) -> GeneratedSet:
+    """The min3 groups of a directory that write_outputs wrote, to resume from.
+
+    counts.tsv must list every min3_n{n}_m{m}.g6 file of the directory,
+    and only those, each with its line count.  Every line must be the
+    certificate of a minimally 3-connected graph of its file's (n, m), and
+    no line may repeat another, which with canonical lines means that no
+    class is listed twice.  Any defect raises CheckpointError naming the
+    file and, where there is one, the line.
+    """
+    root = Path(out_dir)
+    counts = root / "counts.tsv"
+    if not counts.is_file():
+        raise CheckpointError(f"{counts}: no such file, so {root} is no output directory")
+    rows = _read_counts(counts)
+    names = {f"min3_n{n}_m{m}.g6": (n, m) for n, m in rows}
+    present = {p.name for p in root.glob("min3_n*_m*.g6")}
+    if missing := sorted(names.keys() - present):
+        raise CheckpointError(f"{root / missing[0]}: missing, though {counts} lists it")
+    if extra := sorted(present - names.keys()):
+        raise CheckpointError(f"{root / extra[0]}: not listed in {counts}")
+    return GeneratedSet("min3", {key: _read_group(root / name, key, rows[key]) for name, key in names.items()})
+
+
+def _lines(path: Path) -> list[str]:
+    # latin-1 passes any byte on to decode_graph6 to be reported by line; and
+    # not splitlines(), which also breaks at characters such as \x1c.
+    text = path.read_bytes().decode("latin-1")
+    return text.removesuffix("\n").split("\n") if text else []
+
+
+def _read_counts(path: Path) -> dict[tuple[int, int], int]:
+    lines = _lines(path)
+    if lines[:1] != ["n\tm\tcount"]:
+        raise CheckpointError(f"{path}:1: expected the header n, m, count")
+    rows: dict[tuple[int, int], int] = {}
+    for lineno, line in enumerate(lines[1:], start=2):
+        try:
+            n, m, count = map(int, line.split("\t"))
+            if (n, m) in rows:
+                raise ValueError(f"repeats the row of (n, m) = {(n, m)}")
+        except ValueError as exc:
+            raise CheckpointError(f"{path}:{lineno}: {exc}") from exc
+        rows[(n, m)] = count
+    return rows
+
+
+def _read_group(path: Path, key: tuple[int, int], count: int) -> list[str]:
+    lines = _lines(path)
+    if len(lines) != count:
+        raise CheckpointError(f"{path}: holds {len(lines)} lines, but counts.tsv says {count}")
+    seen: dict[str, int] = {}  # line -> its line number
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            if line in seen:
+                raise ValueError(f"graph {line} repeats line {seen[line]}")
+            seen[line] = lineno
+            graph = decode_graph6(line)
+            if (graph.n, graph.m) != key:
+                raise ValueError(f"graph has (n, m) = {(graph.n, graph.m)}, not the file's {key}")
+            if not is_minimally_3_connected(graph):
+                raise ValueError("graph is not minimally 3-connected")
+            if certificate(graph) != line:
+                raise ValueError("line is not its own certificate")
+        except ValueError as exc:
+            raise CheckpointError(f"{path}:{lineno}: {exc}") from exc
+    return lines
 
 
 def default_out_dir(flag_value: str | None) -> Path:

@@ -1,8 +1,9 @@
 """Plain data shapes shared by the generator and the serialization layer.
 
 A shelf holds the minimally 3-connected graphs generated at one (m, n)
-position, each with the cycle set its gates read, and a run's result holds
-certificates grouped by (n, m).  This module deliberately imports nothing
+position, each with the cycle set and automorphism group generators that
+the bridgings of it read, and a run's result holds certificates grouped by
+(n, m), which is also what an output directory holds and a resume reads.  This module deliberately imports nothing
 beyond the graph module, so that readers and writers of these records stay
 independent of the cycle and compatibility machinery.
 """
@@ -16,15 +17,16 @@ from .graphs import Graph
 
 @dataclass(frozen=True)
 class ShelfEntry:
-    """A minimally 3-connected graph and its cycle set.
+    """A minimally 3-connected graph, its cycle set, and generators of its
+    automorphism group, each a permutation p that maps vertex v to p[v].
 
-    An entry of a final shelf, whose set no gate reads, has cycles=None,
-    and so has an entry loaded from a shelf file until
-    generator.derive_cycles gives it its set.
+    An entry of a final shelf, which no bridging reads, has cycles=None
+    and gens=None.
     """
 
     graph: Graph
     cycles: frozenset[tuple[int, ...]] | None
+    gens: list[tuple[int, ...]] | None
 
 
 @dataclass

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from min3gen import Graph, complete_bipartite_3, prism, wheel
+from min3gen.cli import main as cli_main
 from min3gen.cycles import enumerate_cycles_bruteforce
 
 # Lines recorded by the acceptance suite, replayed after the run so they
@@ -40,3 +41,12 @@ def k4() -> Graph:
 @pytest.fixture(scope="session")
 def k33() -> Graph:
     return complete_bipartite_3(3)
+
+
+@pytest.fixture(scope="session")
+def outputs9(tmp_path_factory):
+    """The output directory of `generate --max-n 9`, made once for the
+    resume tests; a test that edits it works on a copy."""
+    tree = tmp_path_factory.mktemp("outputs9")
+    assert cli_main(["generate", "--max-n", "9", "--out", str(tree)]) == 0
+    return tree

@@ -1,6 +1,6 @@
 """Shared test utilities: random graphs, a Hypothesis strategy for
-2-connected graphs, definition-level oracles, and shelf entries
-materialised from generator candidates.
+2-connected graphs, definition-level oracles, the shelves of a run, and
+shelf entries materialised from generator candidates.
 
 The oracles here re-derive connectivity and chording paths straight from
 their definitions with plain set arithmetic, sharing no bitmask machinery
@@ -18,7 +18,6 @@ from min3gen import (
     EdgePair,
     Graph,
     Shelf,
-    ShelfEntry,
     VertexEdge,
     VertexTriple,
     add_degree3_vertex,
@@ -27,31 +26,30 @@ from min3gen import (
     certificate,
     chords,
     edge,
-    generate_min3,
     prism,
+    run_shelf,
+    source,
 )
 from min3gen.generator import PRISM_CYCLES
 
 
 def collect_shelves(max_n: int) -> dict[tuple[int, int], Shelf]:
     """Every shelf with n <= max_n, keyed by (m, n), plus the prism seed
-    shelf, as the shelf_saver of a generate_min3(max_n + 1) run receives
-    them.  None of them is final, so each carries its cycle sets."""
+    shelf, walked column by column with run_shelf as generate_min3 walks
+    them in a run past max_n.  None of them is final, so each entry
+    carries its cycle set and automorphism group generators."""
     seed = prism()
-    shelves = {(9, 6): Shelf(9, 6, [ShelfEntry(seed, PRISM_CYCLES)], [certificate(seed)])}
-
-    def save(shelf: Shelf) -> None:
-        if shelf.n <= max_n:
-            shelves[(shelf.m, shelf.n)] = shelf
-
-    generate_min3(max_n + 1, shelf_saver=save)
+    shelves = {(9, 6): Shelf(9, 6, [source(seed, PRISM_CYCLES)], [certificate(seed)])}
+    for n in range(7, max_n + 1):
+        for m in range((3 * n + 1) // 2, 3 * n - 8):
+            shelves[(m, n)] = run_shelf(shelves, m, n)
     return shelves
 
 
-def materialize(candidates) -> list[ShelfEntry]:
-    """Shelf entries for (graph, rule) candidates, with the cycle sets
-    run_shelf would store on admission: what each rule gives."""
-    return [ShelfEntry(g, rule()) for g, rule in candidates]
+def materialize(candidates):
+    """Shelf entries for (graph, rule) candidates, as run_shelf would store
+    them on admission: each with what its rule gives."""
+    return [source(g, rule()) for g, rule in candidates]
 
 
 def candidate_sets(g: Graph):

@@ -36,9 +36,8 @@ from min3gen import (
     wheel,
 )
 from min3gen.cli import main as cli_main
-from min3gen.generator import PRISM_CYCLES, d3
+from min3gen.generator import PRISM_CYCLES, d3, source
 from min3gen.io_validate import write_outputs
-from min3gen.records import ShelfEntry
 
 MIN3_CI_SECONDS = 600
 CUBIC_CI_SECONDS = 300
@@ -49,8 +48,6 @@ GOLDEN_DIGESTS = {
     "min3": (21, "56d2c949a62a76a7c730f2b6c46956af3d934b04c6794ecf7e73297ee23ea1c6"),
     "cubic": (7, "f596a6a671591f3bc45f150cfe7c759550a8a2b752041982806b7e99c3615198"),
 }
-# The same hash over the shelves/ tree of `generate --max-n 9 --emit-intermediate`.
-GOLDEN_SHELF_DIGEST = (11, "f46e4ee600c079fbe4a3cb87173e143ae2befb6e833e271f7f7dfdb1203404fa")
 
 # the seed's cycle list, closed-walk notation, retyped from the source table
 PRISM_WALKS = (
@@ -99,9 +96,12 @@ def test_golden_output_digests(min3_run, cubic_run, tmp_path_factory):
         assert _tree_digest(out_dir) == GOLDEN_DIGESTS[mode], mode
 
 
-def test_golden_shelf_digest(tmp_path):
+def test_golden_shelf_digest(outputs9, tmp_path):
+    # The shelves/ tree of `generate --max-n 9 --emit-intermediate` is the
+    # output tree again.
     assert cli_main(["generate", "--max-n", "9", "--emit-intermediate", "--out", str(tmp_path)]) == 0
-    assert _tree_digest(tmp_path / "shelves") == GOLDEN_SHELF_DIGEST
+    assert _tree_digest(tmp_path / "shelves") == _tree_digest(outputs9)
+    assert _tree_digest(outputs9)[0] == 14
 
 
 def test_01_min3_counts(min3_run):
@@ -138,11 +138,11 @@ def test_published_count_and_oracles(generate, max_n, published, oracle):
 
 @pytest.mark.slow
 def test_resume_from_an_n10_checkpoint_matches_a_fresh_n11_run(tmp_path):
-    # Every shelf up to n = 10 is loaded, so every source of the n = 11
-    # shelves has its cycle set from derive_cycles, none from a fresh run.
-    emitted, resumed, fresh = tmp_path / "emitted", tmp_path / "resumed", tmp_path / "fresh"
-    assert cli_main(["generate", "--max-n", "10", "--emit-intermediate", "--out", str(emitted)]) == 0
-    resume = ["--resume", str(emitted / "shelves")]
+    # Every source of the n = 11 shelves is read from the n <= 10 output
+    # directory, its cycle set enumerated, none carried over from a run.
+    first, resumed, fresh = tmp_path / "first", tmp_path / "resumed", tmp_path / "fresh"
+    assert cli_main(["generate", "--max-n", "10", "--out", str(first)]) == 0
+    resume = ["--resume", str(first)]
     assert cli_main(["generate", "--max-n", "11", "--out", str(resumed), *resume]) == 0
     assert cli_main(["generate", "--max-n", "11", "--out", str(fresh)]) == 0
     files = sorted(p.name for p in fresh.iterdir())
@@ -269,8 +269,7 @@ def test_09_recursion_worked_examples(k4, k33):
     bridged, _ = bridge_vertex_edge(k4, 3, 0, 1)
     ok = ok and certificate(bridged) == certificate(wheel(4))
 
-    seed = ShelfEntry(k33, enumerate_cycles_bruteforce(k33))
-    certs = {certificate(ent.graph) for ent in materialize(d3(seed))}
+    certs = {certificate(ent.graph) for ent in materialize(d3(source(k33)))}
     ok = ok and certs == {certificate(complete_bipartite_3(4))}
     _report(9, "D1 and D3 worked examples", ok)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,8 @@ import min3gen.io_validate
 from min3gen import (
     Graph,
     add_edge,
+    certificate,
+    complete_bipartite_3,
     decode_graph6,
     delete_edge,
     encode_graph6,
@@ -186,196 +189,183 @@ def test_emit_intermediate_and_resume(tmp_path, capsys):
     )
     assert rc == 0
     shelves = first / "shelves"
-    names = sorted(p.name for p in shelves.iterdir())
-    assert names == ["shelf_m11_n7.tsv", "shelf_m12_n7.tsv"]
+    names = ["counts.tsv", "min3_n6_m10.g6", "min3_n6_m9.g6", "min3_n7_m11.g6", "min3_n7_m12.g6"]
+    assert sorted(p.name for p in shelves.iterdir()) == names
 
-    second = tmp_path / "second"
-    rc, _, _ = run(
-        ["generate", "--mode", "min3", "--max-n", "7", "--out", str(second),
-         "--resume", str(shelves)],
-        capsys,
-    )
-    assert rc == 0
-    for name in ("min3_n6_m9.g6", "min3_n6_m10.g6", "min3_n7_m11.g6",
-                 "min3_n7_m12.g6", "counts.tsv"):
-        assert (second / name).read_bytes() == (first / name).read_bytes()
+    # From the copy under shelves/ and from the output directory itself.
+    for resume in (shelves, first):
+        second = tmp_path / "second"
+        rc, _, err = run(
+            ["generate", "--mode", "min3", "--max-n", "7", "--out", str(second),
+             "--resume", str(resume)],
+            capsys,
+        )
+        assert rc == 0
+        assert "min3 shelf" not in err
+        for name in names:
+            assert (second / name).read_bytes() == (first / name).read_bytes()
 
 
 def test_resume_rejects_version_1_shelves(tmp_path, capsys):
-    first = tmp_path / "first"
-    rc, _, _ = run(
-        ["generate", "--mode", "min3", "--max-n", "7", "--out", str(first),
-         "--emit-intermediate"],
-        capsys,
-    )
-    assert rc == 0
-    shelves = first / "shelves"
-    for path in shelves.iterdir():
-        lines = path.read_text().split("\n")
-        lines[0] = "min3gen-shelf\t1"
-        path.write_text("\n".join(lines))
+    # A directory of shelf files, the checkpoints of earlier versions, has
+    # no counts.tsv.
+    shelves = tmp_path / "shelves"
+    shelves.mkdir()
+    (shelves / "shelf_m11_n7.tsv").write_text("min3gen-shelf\t1\nm\t11\nn\t7\n")
     rc, _, err = run(
         ["generate", "--mode", "min3", "--max-n", "7", "--out", str(tmp_path / "second"),
          "--resume", str(shelves)],
         capsys,
     )
     assert rc == 3
-    assert "unsupported shelf version 1" in err
-
-
-def test_resume_rejects_a_truncated_shelf(tmp_path, capsys):
-    first = tmp_path / "first"
-    rc, _, _ = run(
-        ["generate", "--mode", "min3", "--max-n", "8", "--out", str(first),
-         "--emit-intermediate"],
-        capsys,
-    )
-    assert rc == 0
-    path = first / "shelves" / "shelf_m13_n8.tsv"
-    lines = path.read_text().splitlines(keepends=True)
-    assert len(lines) > 7
-    # The three header lines and the first three entries survive the cut.
-    path.write_text("".join(lines[:6]))
-    second = tmp_path / "second"
-    rc, _, err = run(
-        ["generate", "--mode", "min3", "--max-n", "8", "--out", str(second),
-         "--resume", str(first / "shelves")],
-        capsys,
-    )
-    assert rc == 3
-    assert f"{path}:6: missing trailer line" in err
-    assert not (second / "counts.tsv").exists()
-
-
-@pytest.fixture(scope="module")
-def emitted9(tmp_path_factory):
-    """The tree of `generate --max-n 9 --emit-intermediate`, made once; a
-    test that edits it works on a copy."""
-    tree = tmp_path_factory.mktemp("emitted9")
-    assert main(["generate", "--max-n", "9", "--out", str(tree), "--emit-intermediate"]) == 0
-    return tree
+    assert f"{shelves / 'counts.tsv'}: no such file" in err
 
 
 def _files(root):
     return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
-def _resume9(shelves, tmp_path, capsys):
+def _resume9(tree, tmp_path, capsys):
     second = tmp_path / "second"
-    rc, _, err = run(["generate", "--max-n", "9", "--out", str(second), "--resume", str(shelves)], capsys)
+    rc, _, err = run(["generate", "--max-n", "9", "--out", str(second), "--resume", str(tree)], capsys)
     assert not (second / "counts.tsv").exists()
     return rc, err
 
 
-def test_resume_rejects_an_entry_from_another_shelf(emitted9, tmp_path, capsys):
-    # A line moved in from shelf (13, 8) keeps the trailer count right;
+def _edited(outputs9, tmp_path, name):
+    """A copy of the n <= 9 tree, and the lines of its file name."""
+    tree = tmp_path / "tree"
+    shutil.copytree(outputs9, tree)
+    return tree, (tree / name).read_text().split("\n")
+
+
+def test_resume_rejects_a_truncated_shelf(outputs9, tmp_path, capsys):
+    tree, lines = _edited(outputs9, tmp_path, "min3_n8_m13.g6")
+    path = tree / "min3_n8_m13.g6"
+    assert len(lines) > 7
+    # The first three lines survive the cut.
+    path.write_text("\n".join(lines[:3]) + "\n")
+    rc, err = _resume9(tree, tmp_path, capsys)
+    assert rc == 3
+    assert f"{path}: holds 3 lines, but counts.tsv says {len(lines) - 1}" in err
+
+
+def test_resume_rejects_an_entry_from_another_shelf(outputs9, tmp_path, capsys):
+    # A line moved in from (n, m) = (8, 13) keeps the line count right;
     # resumed from without the graph check, the n = 9 shelves would grow
     # from a graph of the wrong size.
-    shelves = tmp_path / "shelves"
-    shutil.copytree(emitted9 / "shelves", shelves)
-    donor = (shelves / "shelf_m13_n8.tsv").read_text().split("\n")
-    path = shelves / "shelf_m14_n8.tsv"
-    lines = path.read_text().split("\n")
-    lines[3] = donor[3]
+    tree, lines = _edited(outputs9, tmp_path, "min3_n8_m12.g6")
+    path = tree / "min3_n8_m12.g6"
+    lines[3] = (tree / "min3_n8_m13.g6").read_text().split("\n")[3]
     path.write_text("\n".join(lines))
-    for stale in shelves.glob("shelf_m*_n9.tsv"):
-        stale.unlink()
-    rc, err = _resume9(shelves, tmp_path, capsys)
+    rc, err = _resume9(tree, tmp_path, capsys)
     assert rc == 3
-    assert f"{path}:4: graph has (m, n) = (13, 8)" in err
+    assert f"{path}:4: graph has (n, m) = (8, 13), not the file's (8, 12)" in err
 
 
-def test_resume_rejects_a_line_swapped_for_another_class(emitted9, tmp_path, capsys):
-    # A shelf holds every class of its (n, m) but the wheel and K_{3,t}, so
-    # any other minimally 3-connected graph of that (n, m) put in place of
-    # a line repeats the class of another line.  Here line 5 becomes line
-    # 4's graph with its vertex order reversed.
-    shelves = tmp_path / "shelves"
-    shutil.copytree(emitted9 / "shelves", shelves)
-    path = shelves / "shelf_m13_n8.tsv"
-    lines = path.read_text().split("\n")
+def test_resume_rejects_a_line_swapped_for_another_class(outputs9, tmp_path, capsys):
+    # A file holds every class of its (n, m), so any other minimally
+    # 3-connected graph of that (n, m) put in place of a line repeats the
+    # class of another line.  Here line 5 becomes line 4's graph with its
+    # vertex order reversed, which is not a canonical labelling.
+    tree, lines = _edited(outputs9, tmp_path, "min3_n8_m13.g6")
+    path = tree / "min3_n8_m13.g6"
     g = decode_graph6(lines[3])
     swapped = encode_graph6(Graph(g.n, [(g.n - 1 - u, g.n - 1 - v) for u, v in g.edges()]))
     assert swapped not in lines and is_minimally_3_connected(decode_graph6(swapped))
     lines[4] = swapped
     path.write_text("\n".join(lines))
-    rc, err = _resume9(shelves, tmp_path, capsys)
+    rc, err = _resume9(tree, tmp_path, capsys)
     assert rc == 3
-    assert f"{path}:5: graph is isomorphic to line 4's" in err
+    assert f"{path}:5: line is not its own certificate" in err
 
 
-def test_resume_rejects_an_a_line_that_is_not_minimally_3_connected(emitted9, tmp_path, capsys):
+def test_resume_rejects_an_a_line_that_is_not_minimally_3_connected(outputs9, tmp_path, capsys):
     # A line's graph with one edge uv, v of degree 3, moved to uw keeps the
-    # shelf's (n, m), but v is left with degree 2.  Nothing loaded descends
-    # from a final-column line, so without the check the resume exits 0
-    # and min3_n9_m15.g6 holds a graph that is not minimal.
-    shelves = tmp_path / "shelves"
-    shutil.copytree(emitted9 / "shelves", shelves)
-    path = shelves / "shelf_m15_n9.tsv"
-    lines = path.read_text().split("\n")
+    # file's (n, m), but v is left with degree 2.  Nothing resumed descends
+    # from a line of the last column, so without the check the resume
+    # exits 0 and min3_n9_m15.g6 holds a graph that is not minimal.
+    tree, lines = _edited(outputs9, tmp_path, "min3_n9_m15.g6")
+    path = tree / "min3_n9_m15.g6"
     g = decode_graph6(lines[20])
     u, v = next((u, v) for u, v in g.edges() if g.degree(v) == 3)
     w = next(w for w in g.vertices if w not in (u, v) and not g.has_edge(u, w))
     lines[20] = encode_graph6(add_edge(delete_edge(g, u, v), u, w))
     path.write_text("\n".join(lines))
-    rc, err = _resume9(shelves, tmp_path, capsys)
+    rc, err = _resume9(tree, tmp_path, capsys)
     assert rc == 3
     assert f"{path}:21: graph is not minimally 3-connected" in err
 
 
 @pytest.mark.parametrize(
-    "shelf, line, family",
-    [
-        # W_8 with hub 0 and rim vertex 8 last.
-        ("shelf_m16_n9.tsv", "H|eKKF@", "the wheel W_8"),
-        # K_{3,5} with vertex 7 on the 5-side.
-        ("shelf_m15_n8.tsv", "GFzfF?", "K_{3,5}"),
-    ],
+    "name, graph",
+    # K_{3,n-3} is alone in its file for n >= 8, but shares (7, 12) with W_6.
+    [("min3_n9_m16.g6", wheel(8)), ("min3_n7_m12.g6", complete_bipartite_3(4))],
     ids=["wheel", "k3t"],
 )
-def test_resume_rejects_an_a_line_holding_a_directly_built_graph(emitted9, shelf, line, family, tmp_path, capsys):
-    # The line is added before the trailer, whose count follows.  Either
-    # graph is minimally 3-connected and passes every other check; without
-    # this one, generate_min3 meets it again when it adds the wheels and
-    # K_{3,t} to the output and stops with a traceback, exit 1.
-    shelves = tmp_path / "shelves"
-    shutil.copytree(emitted9 / "shelves", shelves)
-    path = shelves / shelf
-    lines = path.read_text().split("\n")
-    i = next(i for i, text in enumerate(lines) if text.startswith("end\t"))
-    lines[i] = f"end\t{int(lines[i].split()[1]) + 1}"
-    lines.insert(i, line)
+def test_resume_rejects_an_a_line_holding_a_directly_built_graph(outputs9, name, graph, tmp_path, capsys):
+    # The wheel or K_{3,t} put in place of another line of its file is a
+    # second line of its class.
+    tree, lines = _edited(outputs9, tmp_path, name)
+    path = tree / name
+    cert = certificate(graph)
+    i, j = lines.index(cert), next(j for j, line in enumerate(lines) if line and line != cert)
+    lines[j] = cert
     path.write_text("\n".join(lines))
-    rc, err = _resume9(shelves, tmp_path, capsys)
+    rc, err = _resume9(tree, tmp_path, capsys)
     assert rc == 3
-    assert f"{path}:{i + 1}: graph is {family}, which no shelf holds" in err
+    assert f"{path}:{max(i, j) + 1}: graph {cert} repeats line {min(i, j) + 1}" in err
 
 
 @pytest.mark.parametrize("name", ["", "missing"])
-def test_resume_rejects_a_directory_without_shelf_files(emitted9, name, tmp_path, capsys):
-    # The output directory, not its shelves/ subdirectory; or no directory.
-    resume = emitted9 / name if name else emitted9
+def test_resume_rejects_a_directory_without_shelf_files(name, tmp_path, capsys):
+    # A directory without counts.tsv, or no directory at all.
+    resume = tmp_path / (name or "empty")
+    if not name:
+        resume.mkdir()
     out = tmp_path / "second"
     rc, _, err = run(["generate", "--max-n", "9", "--out", str(out), "--resume", str(resume)], capsys)
-    assert rc == 2
-    assert f"--resume directory {resume} holds no shelf_m*_n*.tsv files" in err
+    assert rc == 3
+    assert f"{resume / 'counts.tsv'}: no such file, so {resume} is no output directory" in err
     assert not out.exists()
 
 
-def test_resume_rejects_a_repeated_a_line(emitted9, tmp_path, capsys):
-    # The trailer count stays right, but line 5's class is lost.
-    shelves = tmp_path / "shelves"
-    shutil.copytree(emitted9 / "shelves", shelves)
-    path = shelves / "shelf_m13_n8.tsv"
-    lines = path.read_text().split("\n")
+def test_resume_rejects_a_repeated_a_line(outputs9, tmp_path, capsys):
+    # The line count stays right, but line 5's class is lost.
+    tree, lines = _edited(outputs9, tmp_path, "min3_n8_m13.g6")
+    path = tree / "min3_n8_m13.g6"
     lines[4] = lines[3]
     path.write_text("\n".join(lines))
-    rc, err = _resume9(shelves, tmp_path, capsys)
+    rc, err = _resume9(tree, tmp_path, capsys)
     assert rc == 3
     assert f"{path}:5: graph {lines[3]} repeats line 4" in err
 
 
-def test_resume_certifies_only_the_result_lines(emitted9, tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("edit", ["missing", "extra", "row", "group"])
+def test_resume_rejects_files_that_counts_tsv_does_not_match(outputs9, edit, tmp_path, capsys):
+    tree, rows = _edited(outputs9, tmp_path, "counts.tsv")
+    if edit in ("missing", "group"):
+        (tree / "min3_n8_m13.g6").unlink()
+        message = f"{tree / 'min3_n8_m13.g6'}: missing, though {tree / 'counts.tsv'} lists it"
+    elif edit == "extra":
+        (tree / "min3_n4_m6.g6").write_text("C~\n")
+        message = f"{tree / 'min3_n4_m6.g6'}: not listed in {tree / 'counts.tsv'}"
+    if edit == "group":
+        # The file and its row both gone: every check of the files passes,
+        # but a resume to n = 10 would lose the sources on (8, 13).
+        rows.remove("8\t13\t11")
+        (tree / "counts.tsv").write_text("\n".join(rows))
+        message = "resumed groups differ from those of columns 6 to 9 at (n, m) = [(8, 13)]"
+    elif edit == "row":
+        rows[rows.index("8\t13\t11")] = "8\t13\t12"
+        (tree / "counts.tsv").write_text("\n".join(rows))
+        message = f"{tree / 'min3_n8_m13.g6'}: holds 11 lines, but counts.tsv says 12"
+    rc, err = _resume9(tree, tmp_path, capsys)
+    assert rc == 3
+    assert message in err
+
+
+def test_resume_certifies_only_the_result_lines(outputs9, tmp_path, capsys, monkeypatch):
     calls = []
 
     def counting(g):
@@ -385,28 +375,54 @@ def test_resume_certifies_only_the_result_lines(emitted9, tmp_path, capsys, monk
     certificate = min3gen.io_validate.certificate
     monkeypatch.setattr(min3gen.io_validate, "certificate", counting)
     second = tmp_path / "second"
-    rc, _, _ = run(
-        ["generate", "--max-n", "9", "--out", str(second), "--resume", str(emitted9 / "shelves")],
-        capsys,
-    )
+    rc, _, _ = run(["generate", "--max-n", "9", "--out", str(second), "--resume", str(outputs9)], capsys)
     assert rc == 0
-    # Every line but the three header lines and the trailer holds a graph.
-    result_lines = sum(len(path.read_text().splitlines()) - 4 for path in (emitted9 / "shelves").iterdir())
-    assert len(calls) == result_lines == 74
-    first = {k: v for k, v in _files(emitted9).items() if k.parts[0] != "shelves"}
-    assert _files(second) == first
+    # Each line of each graph file is certified once, when it is read.
+    result_lines = sum(len(path.read_text().splitlines()) for path in outputs9.glob("*.g6"))
+    assert len(calls) == result_lines == 83
+    assert _files(second) == _files(outputs9)
 
 
-def test_resume_with_emit_intermediate_saves_every_shelf(emitted9, tmp_path, capsys):
+def test_resume_with_emit_intermediate_saves_every_shelf(outputs9, tmp_path, capsys):
     small = tmp_path / "small"
-    rc, _, _ = run(["generate", "--max-n", "8", "--out", str(small), "--emit-intermediate"], capsys)
+    rc, _, _ = run(["generate", "--max-n", "8", "--out", str(small)], capsys)
     assert rc == 0
     resumed = tmp_path / "resumed"
     rc, _, _ = run(
-        ["generate", "--max-n", "9", "--out", str(resumed), "--emit-intermediate",
-         "--resume", str(small / "shelves")],
+        ["generate", "--max-n", "9", "--out", str(resumed), "--emit-intermediate", "--resume", str(small)],
         capsys,
     )
     assert rc == 0
-    assert len(list((resumed / "shelves").iterdir())) == 11
-    assert _files(resumed) == _files(emitted9)
+    assert _files(resumed / "shelves") == _files(outputs9)
+    assert {k: v for k, v in _files(resumed).items() if k.parts[0] != "shelves"} == _files(outputs9)
+
+
+def test_resume_in_place_matches_a_fresh_run(outputs9, tmp_path, capsys):
+    tree = tmp_path / "tree"
+    assert run(["generate", "--max-n", "8", "--out", str(tree)], capsys)[0] == 0
+    assert run(["generate", "--max-n", "9", "--out", str(tree), "--resume", str(tree)], capsys)[0] == 0
+    assert _files(tree) == _files(outputs9)
+
+
+def test_an_interrupted_write_leaves_no_counts_tsv(outputs9, tmp_path, capsys, monkeypatch):
+    # An earlier, complete tree is overwritten in place, and the third
+    # file written fails.
+    tree = tmp_path / "tree"
+    shutil.copytree(outputs9, tree)
+    real, written = Path.write_text, []
+
+    def failing(path, text):
+        written.append(path)
+        if len(written) == 3:
+            raise OSError("disk full")
+        return real(path, text)
+
+    monkeypatch.setattr(Path, "write_text", failing)
+    rc, _, err = run(["generate", "--max-n", "8", "--out", str(tree)], capsys)
+    monkeypatch.undo()
+    assert rc == 3 and "disk full" in err
+    assert not (tree / "counts.tsv").exists()
+    assert [p.name for p in written[:2]] == ["min3_n6_m9.g6.tmp", "min3_n6_m10.g6.tmp"]
+    rc, err = _resume9(tree, tmp_path, capsys)
+    assert rc == 3
+    assert f"{tree / 'counts.tsv'}: no such file" in err

@@ -3,13 +3,14 @@
 Counts for small vertex budgets are frozen here; the acceptance suite
 extends them to the full published tables.  Differential checks (orbit
 pruning against every site, cycle rules against brute force) and
-structural checks (shelf dedup, determinism, the saver and loader hooks)
-cover the plumbing the counts alone would not.
+structural checks (shelf dedup, determinism, resuming from an earlier
+result) cover the plumbing the counts alone would not.
 """
 
 from __future__ import annotations
 
 import functools
+import re
 
 import pytest
 
@@ -19,26 +20,28 @@ from min3gen import (
     EdgePair,
     GeneratedSet,
     Shelf,
-    ShelfEntry,
     VertexEdge,
     VertexTriple,
     bridge_edges,
     certificate,
     complete_bipartite_3,
     decode_graph6,
+    encode_graph6,
     generate_cubic,
     generate_min3,
     is_3_compatible,
     is_3_connected,
     is_minimally_3_connected,
-    load_shelf,
     prism,
+    read_outputs,
     run_shelf,
-    save_shelf,
+    source,
     wheel,
+    write_outputs,
 )
 from min3gen.canonical import automorphisms
 from min3gen.cli import main
+from min3gen.io_validate import CheckpointError
 from min3gen.cycles import enumerate_cycles_bruteforce
 from min3gen.generator import (
     PRISM_CYCLES,
@@ -47,14 +50,13 @@ from min3gen.generator import (
     d1,
     d2,
     d3,
-    derive_cycles,
 )
 
 OPS = {VertexEdge: d1, EdgePair: d2, VertexTriple: d3}
 
 
 def _seed_entry():
-    return ShelfEntry(prism(), PRISM_CYCLES)
+    return source(prism(), PRISM_CYCLES)
 
 
 def test_prism_cycle_table_matches_bruteforce():
@@ -77,7 +79,7 @@ def test_d1_bridges_the_prism_to_shelf_11_7():
 
 def test_d3_reaches_complete_bipartite(k33):
     # K_{3,3}'s two sides are its only independent triples, one orbit.
-    out = materialize(d3(ShelfEntry(k33, enumerate_cycles_bruteforce(k33))))
+    out = materialize(d3(source(k33)))
     assert len(out) == 1
     assert certificate(out[0].graph) == certificate(complete_bipartite_3(4))
     assert out[0].cycles == enumerate_cycles_bruteforce(out[0].graph)
@@ -114,7 +116,7 @@ def test_every_bridging_rule_matches_bruteforce_cycles(monkeypatch):
     graphs = [decode_graph6(c) for bucket in generate_min3(8).groups.values() for c in bucket]
     sites = 0
     for g in graphs:
-        ent = ShelfEntry(g, enumerate_cycles_bruteforce(g))
+        ent = source(g)
         for op in (d1, d2, d3):
             for g2, rule in op(ent):
                 assert rule() == enumerate_cycles_bruteforce(g2), (op.__name__, g.edges(), g2.edges())
@@ -158,9 +160,8 @@ def _traced_rule(ruled, n, rule):
     return rule()
 
 
-def test_final_column_derives_no_cycle_sets(monkeypatch, tmp_path):
-    # With or without a saver, no rule runs for a candidate of the column
-    # n = max_n, and every entry there has cycles=None.
+def test_final_column_derives_no_cycle_sets(monkeypatch):
+    # No rule runs for a candidate of the column n = max_n.
     ruled = []
 
     def tracing(op):
@@ -171,27 +172,33 @@ def test_final_column_derives_no_cycle_sets(monkeypatch, tmp_path):
 
     for name in ("d1", "d2", "d3"):
         monkeypatch.setattr(min3gen.generator, name, tracing(getattr(min3gen.generator, name)))
-    saved = []
-    for saver in (None, saved.append):
-        ruled.clear()
-        generate_min3(8, shelf_saver=saver)
-        assert 7 in ruled and 8 not in ruled
-    final = [shelf for shelf in saved if shelf.n == 8]
-    assert final and any(shelf.entries for shelf in final)
-    assert all(ent.cycles is None for shelf in final for ent in shelf.entries)
-    # A resume that saves every shelf derives sets for no loaded final shelf.
-    derived_for = []
+    generate_min3(8)
+    assert 7 in ruled and 8 not in ruled
+    # A resume makes sources of the two columns the next one reads, less
+    # the wheels and K_{3,t}, and none when it already reaches max_n.
+    sourced = []
+    real = min3gen.generator.source
+    monkeypatch.setattr(min3gen.generator, "source", lambda g, cycles=None: sourced.append(g.n) or real(g, cycles))
+    outputs8 = generate_min3(8)
+    sourced.clear()
+    generate_min3(9, resume=outputs8)
+    assert sorted(sourced) == [7] * 3 + [8] * 16
+    sourced.clear()
+    generate_min3(8, resume=outputs8)
+    assert sourced == []
 
-    def recording(shelf):
-        derived_for.append(shelf.n)
-        return derive_cycles(shelf)
 
-    monkeypatch.setattr(min3gen.generator, "derive_cycles", recording)
-    first, second = tmp_path / "first", tmp_path / "second"
-    assert main(["generate", "--max-n", "8", "--out", str(first), "--emit-intermediate"]) == 0
-    resume = ["--resume", str(first / "shelves"), "--emit-intermediate"]
-    assert main(["generate", "--max-n", "8", "--out", str(second), *resume]) == 0
-    assert 7 in derived_for and 8 not in derived_for
+def test_each_source_gets_its_automorphisms_once(monkeypatch):
+    calls = []
+
+    def counting(g):
+        calls.append(certificate(g))
+        return automorphisms(g)
+
+    monkeypatch.setattr(min3gen.generator, "automorphisms", counting)
+    generate_min3(10)
+    # The sources are the 75 entries of the shelves with n <= 9.
+    assert len(calls) == len(set(calls)) == 75
 
 
 def test_generate_min3_keeps_no_compiled_cycle_sets():
@@ -260,12 +267,15 @@ def test_a_classes_are_minimal_and_intermediates_are_not():
             assert is_minimally_3_connected(ent.graph)
 
 
-def test_emit_intermediate_does_not_change_outputs():
-    plain = generate_min3(7)
-    saved = []
-    with_saver = generate_min3(7, shelf_saver=saved.append)
-    assert [(shelf.m, shelf.n) for shelf in saved] == [(11, 7), (12, 7)]
-    assert with_saver.groups == plain.groups
+def test_emit_intermediate_does_not_change_outputs(tmp_path):
+    plain, emitted = tmp_path / "plain", tmp_path / "emitted"
+    assert main(["generate", "--max-n", "7", "--out", str(plain)]) == 0
+    assert main(["generate", "--max-n", "7", "--out", str(emitted), "--emit-intermediate"]) == 0
+    files = sorted(p.name for p in plain.iterdir())
+    assert sorted(p.name for p in emitted.iterdir()) == sorted([*files, "shelves"])
+    for name in files:
+        assert (emitted / name).read_bytes() == (plain / name).read_bytes()
+        assert (emitted / "shelves" / name).read_bytes() == (plain / name).read_bytes()
 
 
 def test_generation_is_deterministic():
@@ -285,39 +295,53 @@ def test_progress_reporting():
     assert cubic_lines == ["cubic n=6: 2 graphs"]
 
 
-def test_shelf_saver_and_loader_round_trip():
-    saved = {}
-
-    def saver(shelf):
-        saved[(shelf.m, shelf.n)] = shelf
-
-    baseline = generate_min3(8, shelf_saver=saver)
-    assert set(saved) == {(11, 7), (12, 7), (12, 8), (13, 8), (14, 8), (15, 8)}
-
-    loads = []
-
-    def loader(m, n):
-        loads.append((m, n))
-        return saved.get((m, n))
-
-    replayed = generate_min3(8, shelf_loader=loader)
-    assert loads == sorted(saved, key=lambda key: key[::-1])
-    assert replayed.groups == baseline.groups
+def test_shelf_saver_and_loader_round_trip(outputs9, tmp_path):
+    # The output directory is the checkpoint: a run to 9 resumed from the
+    # written outputs of any earlier column, or of itself, is a fresh run.
+    tree9 = read_outputs(outputs9)
+    for max_n in (6, 7, 8, 9):
+        out = tmp_path / f"n{max_n}"
+        write_outputs(generate_min3(max_n), out)
+        assert generate_min3(9, resume=read_outputs(out)) == tree9
+    # A resumed set past max_n gives back its columns up to max_n.
+    assert generate_min3(7, resume=tree9) == generate_min3(7)
 
 
-def test_loaded_shelves_derive_the_cycle_sets_a_run_stores(tmp_path):
-    # A loaded entry is its class's canonical labelling, so its set is the
-    # stored one relabelled: of the same size, and that of its own graph.
-    for (m, n), shelf in sorted(collect_shelves(8).items()):
-        path = tmp_path / f"shelf_m{m}_n{n}.tsv"
-        save_shelf(shelf, path)
-        loaded = load_shelf(path, (m, n))
-        derive_cycles(loaded)
-        assert loaded.certs == shelf.certs
-        for ent, ref, cert in zip(loaded.entries, shelf.entries, shelf.certs, strict=True):
-            assert certificate(ent.graph) == cert
-            assert ent.cycles == enumerate_cycles_bruteforce(ent.graph)
-            assert len(ent.cycles) == len(ref.cycles)
+def test_resume_rejects_a_set_missing_a_group():
+    groups = dict(generate_min3(8).groups)
+    del groups[(8, 13)]
+    with pytest.raises(CheckpointError, match=re.escape("columns 6 to 8 at (n, m) = [(8, 13)]")):
+        generate_min3(9, resume=GeneratedSet("min3", groups))
+    # K_4 is minimally 3-connected, but no run holds it.
+    groups = {(4, 6): [certificate(wheel(3))], **generate_min3(7).groups}
+    with pytest.raises(CheckpointError, match=re.escape("at (n, m) = [(4, 6)]")):
+        generate_min3(8, resume=GeneratedSet("min3", groups))
+    with pytest.raises(CheckpointError, match=re.escape("columns 6 to 0")):
+        generate_min3(8, resume=GeneratedSet("min3", {}))
+
+
+def test_loaded_shelves_derive_the_cycle_sets_a_run_stores(monkeypatch):
+    # A resumed source is its class's canonical labelling, so its cycle set
+    # is the run's relabelled: of the same size, and its own graph's, as
+    # are its generators.
+    fresh = {cert: ent for shelf in collect_shelves(8).values() for cert, ent in zip(shelf.certs, shelf.entries)}
+    outputs8 = generate_min3(8)
+    made = []
+    real = min3gen.generator.source
+
+    def sourcing(g, cycles=None):
+        made.append(real(g, cycles))
+        return made[-1]
+
+    monkeypatch.setattr(min3gen.generator, "source", sourcing)
+    generate_min3(9, resume=outputs8)
+    assert len(made) == 19
+    for ent in made:
+        ref = fresh[certificate(ent.graph)]
+        assert encode_graph6(ent.graph) == certificate(ent.graph)
+        assert ent.cycles == enumerate_cycles_bruteforce(ent.graph)
+        assert len(ent.cycles) == len(ref.cycles)
+        assert ent.gens == automorphisms(ent.graph)
 
 
 def test_generate_cubic_counts_and_validity():

@@ -1,4 +1,4 @@
-"""graph6 codec, connectivity oracles, shelf files, and output layout.
+"""graph6 codec, connectivity oracles, and output trees, written and read back.
 
 networkx serves as the outside reference for graph6, and a from-scratch
 definition scan (helpers module) anchors the connectivity oracles.  An AST
@@ -11,6 +11,7 @@ from __future__ import annotations
 import ast
 import random
 import re
+import shutil
 from pathlib import Path
 
 import networkx as nx
@@ -19,33 +20,29 @@ import pytest
 import min3gen.io_validate
 import min3gen.records
 from helpers import (
-    collect_shelves,
     complete_graph,
     cube_graph,
     cycle_graph,
     def_3_connected,
     def_minimally_3_connected,
-    permuted_copy,
     petersen,
     random_graph,
 )
 from min3gen import (
     Graph,
     certificate,
-    complete_bipartite_3,
     decode_graph6,
     encode_graph6,
     generate_cubic,
     generate_min3,
     is_3_connected,
     is_minimally_3_connected,
-    load_shelf,
     prism,
-    save_shelf,
+    read_outputs,
     wheel,
     write_outputs,
 )
-from min3gen.io_validate import SHELF_VERSION, ShelfFileError, _direct_family, default_out_dir
+from min3gen.io_validate import CheckpointError, default_out_dir
 
 
 def test_graph6_fixed_strings(k4):
@@ -118,101 +115,75 @@ def test_connectivity_matches_definition_scan():
         assert is_minimally_3_connected(g) == def_minimally_3_connected(g)
 
 
-def _as_loaded(shelf):
-    """The shelf as load_shelf gives it back: each entry is its class's
-    canonical labelling, the graph of its certificate, with no cycle set."""
-    entries = [min3gen.records.ShelfEntry(decode_graph6(c), None) for c in shelf.certs]
-    return min3gen.records.Shelf(shelf.m, shelf.n, entries, shelf.certs)
-
-
 def test_shelf_files_round_trip(tmp_path):
-    for key, shelf in collect_shelves(7).items():
-        path = tmp_path / f"shelf_m{key[0]}_n{key[1]}.tsv"
-        save_shelf(shelf, path)
-        assert load_shelf(path, key) == _as_loaded(shelf)
+    # An output tree is the checkpoint a run resumes from.
+    for max_n in (6, 7, 8):
+        result = generate_min3(max_n)
+        write_outputs(result, tmp_path / str(max_n))
+        assert read_outputs(tmp_path / str(max_n)) == result
 
 
-def test_shelf_file_validation(tmp_path):
-    good = tmp_path / "ok.tsv"
-    save_shelf(min3gen.records.Shelf(10, 6), good)
-    assert load_shelf(good) == min3gen.records.Shelf(10, 6)
-    assert load_shelf(good, (10, 6)) == min3gen.records.Shelf(10, 6)
-    with pytest.raises(ShelfFileError, match=r"ok.tsv:3: .* expected \(11, 6\)"):
-        load_shelf(good, (11, 6))
+@pytest.fixture(scope="module")
+def tree7(tmp_path_factory):
+    tree = tmp_path_factory.mktemp("tree7")
+    write_outputs(generate_min3(7), tree)
+    return tree
 
-    v = SHELF_VERSION
-    # W5 is the only minimally 3-connected graph of (n, m) = (6, 10), and no
-    # shelf holds a wheel, so the lines that load are of shelf (11, 7).
-    head = f"min3gen-shelf\t{v}\nm\t10\nn\t6\n"
-    head7 = f"min3gen-shelf\t{v}\nm\t11\nn\t7\n"
-    entry = "FlDlO\n"
-    trailer = "end\t1\n"
-    loaded = load_shelf(_write(tmp_path / "one.tsv", head7 + entry + trailer))
-    assert loaded.entries == [min3gen.records.ShelfEntry(decode_graph6("FlDlO"), None)]
-    assert loaded.certs == [certificate(decode_graph6("FlDlO"))]
+
+def test_shelf_file_validation(tree7, tmp_path):
+    # Files of the n <= 7 tree: min3_n6_m9.g6 holds the prism and K_{3,3},
+    # min3_n6_m10.g6 W_5, min3_n7_m11.g6 three graphs.
+    counts = "n\tm\tcount\n6\t9\t2\n6\t10\t1\n7\t11\t3\n7\t12\t2\n"
+    first, rest = (tree7 / "min3_n7_m11.g6").read_text().split("\n", 1)
+    g = decode_graph6(first)
+    relabelled = encode_graph6(Graph(g.n, [(g.n - 1 - u, g.n - 1 - v) for u, v in g.edges()]))
     cases = {
-        "header": (f"something-else\t{v}\nm\t10\nn\t6\n", ":1: not a shelf file"),
-        "version": ("min3gen-shelf\t9\nm\t10\nn\t6\n", ":1: unsupported shelf version 9"),
-        "v1": ("min3gen-shelf\t1\nm\t10\nn\t6\n", ":1: unsupported shelf version 1"),
-        "v4": ("min3gen-shelf\t4\nm\t11\nn\t7\nA1\tFlDlO\t2-6\t0\n", ":1: unsupported shelf version 4"),
-        "v5": (
-            "min3gen-shelf\t5\nm\t11\nn\t7\nA1\tFlDlO\t2-6\nend\tA0=0\tB=0\tC=0\tA1=1\tA2=0\tA3=0\n",
-            ":1: unsupported shelf version 5",
-        ),
-        "truncated": (f"min3gen-shelf\t{v}\nm\t10\n", ": truncated shelf file"),
-        "m-key": (f"min3gen-shelf\t{v}\nq\t10\nn\t6\n", ":2: expected header 'm'"),
-        "n-value": (f"min3gen-shelf\t{v}\nm\t10\nn\tsix\n", ":3: invalid literal"),
-        # A line of format 5: class tag, graph6 and edges.
-        "fields": (head7 + "A1\tFlDlO\t2-6\n" + trailer, ":4: invalid graph6 character '1'"),
-        "graph6": (head + "C!\n", ":4: invalid graph6 character"),
-        "separator": (head7 + "FlDlO\x1c\n", ":4: invalid graph6 character"),
-        "other-shelf": (head + "C~\n", ":4: graph has (m, n) = (6, 4), not the shelf's (10, 6)"),
-        "no-trailer": (head7 + entry, ":4: missing trailer line"),
-        "empty-no-trailer": (head7, ":3: missing trailer line"),
-        "count": (head7 + entry + "end\t2\n", ":5: trailer count 2 does not match the 1 lines read"),
-        "after-trailer": (head7 + trailer + entry, ":5: content after the trailer"),
-        "repeated-line": (head7 + entry + entry + "end\t2\n", ":5: graph FlDlO repeats line 4"),
-        # The (11, 7) graph, and relabelled by swapping 0 and 1: two lines of one class.
-        "repeated-class": (head7 + entry + "FrEjO\n" + "end\t2\n", ":5: graph is isomorphic to line 4's"),
-        # generate_min3 adds the wheels and K_{3,t} to the output itself.
-        "wheel": (head + "E|fG\n" + trailer, ":4: graph is the wheel W_5, which no shelf holds"),
-        "k33": (f"min3gen-shelf\t{v}\nm\t9\nn\t6\nEFz_\n", ":4: graph is K_{3,3}, which no shelf holds"),
+        "header": ("counts.tsv", counts.replace("count", "graphs"), "counts.tsv:1: expected the header n, m, count"),
+        "row-fields": ("counts.tsv", counts.replace("6\t10\t1", "6\t10"), "counts.tsv:3: not enough values"),
+        "row-value": ("counts.tsv", counts.replace("6\t10\t1", "6\t10\tone"), "counts.tsv:3: invalid literal"),
+        "row-repeated": ("counts.tsv", counts + "7\t11\t3\n", "counts.tsv:6: repeats the row of (n, m) = (7, 11)"),
+        "graph6": ("min3_n7_m11.g6", "C!\n" + rest, "min3_n7_m11.g6:1: invalid graph6 character"),
+        "separator": ("min3_n7_m11.g6", first + "\x1c\n" + rest, "min3_n7_m11.g6:1: invalid graph6 character"),
+        "not-text": ("min3_n7_m11.g6", first[:-1] + "\xff\n" + rest, "min3_n7_m11.g6:1: invalid graph6 character"),
+        "blank-line": ("min3_n7_m11.g6", "\n" + rest, "min3_n7_m11.g6:1: empty graph6 string"),
+        "blank-end": ("min3_n6_m10.g6", "E|fG\n\n", "min3_n6_m10.g6: holds 2 lines, but counts.tsv says 1"),
+        "other-size": ("min3_n7_m11.g6", "C~\n" + rest, "min3_n7_m11.g6:1: graph has (n, m) = (4, 6), not the file's (7, 11)"),
         # The prism plus the edge 0-2: 3-connected, not minimally so.
-        "not-minimal": (head + "E|dg\n" + trailer, ":4: graph is not minimally 3-connected"),
+        "not-minimal": ("min3_n6_m10.g6", "E|dg\n", "min3_n6_m10.g6:1: graph is not minimally 3-connected"),
+        # The first graph with its vertex order reversed: its class, not its
+        # canonical labelling.
+        "relabelled": ("min3_n7_m11.g6", relabelled + "\n" + rest, "min3_n7_m11.g6:1: line is not its own certificate"),
+        "header-line": ("min3_n6_m10.g6", ">>graph6<<E|fG\n", "min3_n6_m10.g6:1: line is not its own certificate"),
+        "repeated": ("min3_n7_m11.g6", f"{first}\n{first}\n" + rest.split("\n", 1)[1],
+                     f"min3_n7_m11.g6:2: graph {first} repeats line 1"),
     }
-    for name, (text, message) in cases.items():
-        path = _write(tmp_path / f"{name}.tsv", text)
-        with pytest.raises(ShelfFileError, match=re.escape(f"{name}.tsv{message}")):
-            load_shelf(path)
-
-
-def test_direct_family_names_exactly_the_wheels_and_k3t():
-    # The check load_shelf makes by degrees and neighbourhoods agrees with
-    # certificate equality on every min3 output with n <= 9.
-    rng = random.Random(89)
-    names = {}
-    for n in range(6, 12):
-        for g, name in ((wheel(n - 1), f"the wheel W_{n - 1}"), (complete_bipartite_3(n - 3), f"K_{{3,{n - 3}}}")):
-            assert _direct_family(permuted_copy(rng, g)) == name
-            names[certificate(g)] = name
-    outputs = [c for bucket in generate_min3(9).groups.values() for c in bucket]
-    assert sum(c in names for c in outputs) == 8
-    for cert in outputs:
-        assert _direct_family(decode_graph6(cert)) == names.get(cert), cert
+    assert relabelled != first and read_outputs(tree7) == generate_min3(7)
+    for case, (name, text, message) in cases.items():
+        tree = tmp_path / case
+        shutil.copytree(tree7, tree)
+        (tree / name).write_bytes(text.encode("latin-1"))
+        with pytest.raises(CheckpointError, match=re.escape(f"{tree / message}")):
+            read_outputs(tree)
 
 
 def test_every_cut_of_a_shelf_file_is_rejected(tmp_path):
-    shelf = max(collect_shelves(7).values(), key=lambda sh: len(sh.entries))
-    path = tmp_path / "full.tsv"
-    save_shelf(shelf, path)
+    # The largest graph file of the n <= 8 tree.
+    full = tmp_path / "full"
+    write_outputs(generate_min3(8), full)
+    path = max(full.glob("*.g6"), key=lambda p: p.stat().st_size)
+    assert path.name == "min3_n8_m13.g6"
     text = path.read_text()
-    assert load_shelf(_write(tmp_path / "no_final_newline.tsv", text[:-1])) == _as_loaded(shelf)
+    expected = read_outputs(full)
+    path.write_text(text[:-1])
+    assert read_outputs(full) == expected
     # Cut at every line boundary and in the middle of every line.
     starts = [0] + [i + 1 for i, ch in enumerate(text[:-1]) if ch == "\n"]
     cuts = sorted({*starts, *((a + b) // 2 for a, b in zip(starts, starts[1:] + [len(text)]))})
+    assert len(cuts) == 22
     for cut in cuts:
-        with pytest.raises(ShelfFileError):
-            load_shelf(_write(tmp_path / "cut.tsv", text[:cut]))
+        path.write_text(text[:cut])
+        with pytest.raises(CheckpointError, match=re.escape(str(path))):
+            read_outputs(full)
 
 
 def _write(path: Path, text: str) -> Path:
