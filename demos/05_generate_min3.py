@@ -11,7 +11,6 @@ import time
 
 from min3gen import (
     PRISM_CYCLES,
-    Shelf,
     certificate,
     complete_bipartite_3,
     decode_graph6,
@@ -48,26 +47,30 @@ print("its line:", boundary[0], "decodes to", decode_graph6(boundary[0]))
 # Wheels always show up: W7 sits in the n=8, m=14 bucket.
 print("wheel(7) emitted at (8,14):", certificate(wheel(7)) in result.groups[(8, 14)])
 
-# run_shelf builds one shelf of the bookshelf.  Shelf (m, n) holds the
-# graphs that Dawes' bridgings d1, d2 and d3 reach from the shelves of
-# columns n-1 and n-2, every class of (n, m) except the wheel and K_{3,t}.
-# Each entry carries its cycle set, which the gates of the next shelves
-# read, and its automorphism group generators, and the shelf keeps its
-# entries' certificates.  Here column 7 is built from the prism seed.
-seed = Shelf(9, 6, [source(prism(), PRISM_CYCLES)], [certificate(prism())])
-shelves = {(9, 6): seed}
-for m in (11, 12):
-    shelves[(m, 7)] = run_shelf(shelves, m, 7)
-print("\nshelves built:", sorted(shelves))
-shelf = shelves[(11, 7)]
-print(f"shelf (m=11, n=7): {len(shelf.entries)} graphs, as in result.groups[(7, 11)]:",
-      shelf.certs == result.groups[(7, 11)])
-entry = shelf.entries[0]
-print("one entry:", entry.graph)
+# run_shelf is one step of the walk.  Shelf (n, m) collects the graphs
+# that Dawes' bridgings d1, d3 and d2 reach from shelves (n-1, m-2),
+# (n-1, m-3) and (n-2, m-3): every class of (n, m) except the wheel and
+# K_{3,t}, each kept once, by certificate, with the rule that gives its
+# cycle set.  The walk reaches a shelf after all three, so run_shelf
+# returns its sorted certificates, and each graph that feeds a column of
+# reach becomes a source once: source() gives it its cycle set, compiled
+# for the gates, and its automorphism group generators, and run_shelf
+# bridges it into the shelves it feeds.  Here column 7 is built from the
+# prism seed.
+seed = prism()
+shelves = {(6, 9): {certificate(seed): (seed, lambda: PRISM_CYCLES)}}
+reach = range(7, 8)
+print("\nshelf (n=6, m=9):", run_shelf(shelves, 6, 9, reach))
+print("candidates bridged from it:", {key: len(found) for key, found in shelves.items()})
+cert, (g, rule) = min(shelves[(7, 11)].items())
+entry = source(g, rule())
+print("one candidate of (n=7, m=11) made a source:", entry.graph)
 print("  cycles carried:", len(entry.cycles))
 print("  automorphism generators:", entry.gens)
-print("  its certificate:", shelf.certs[0])
-print("shelf (m=12, n=7) holds", len(shelves[(12, 7)].entries), "graphs: only W6 and K_{3,4} have that size")
+print("  its certificate:", cert)
+certs = run_shelf(shelves, 7, 11, reach)
+print(f"shelf (n=7, m=11): {len(certs)} graphs, as in result.groups[(7, 11)]:", certs == result.groups[(7, 11)])
+print("shelf (n=7, m=12) holds", len(run_shelf(shelves, 7, 12, reach)), "graphs: only W6 and K_{3,4} have that size")
 
 # A later run resumes from this one's outputs and walks only column 9.
 resumed = generate_min3(9, resume=result)

@@ -10,9 +10,11 @@ oracles.
 from .canonical import are_isomorphic_bruteforce, automorphisms, certificate
 from .compat import (
     CompatSet,
+    CompiledCycles,
     EdgePair,
     VertexEdge,
     VertexTriple,
+    compile_cycles,
     is_3_compatible,
     no_chording_paths,
 )
@@ -29,6 +31,7 @@ from .cycles import (
 )
 from .generator import (
     PRISM_CYCLES,
+    ShelfEntry,
     d1,
     d2,
     d3,
@@ -62,7 +65,7 @@ from .io_validate import (
     read_outputs,
     write_outputs,
 )
-from .records import GeneratedSet, Shelf, ShelfEntry
+from .records import GeneratedSet
 
 __version__ = "0.1.0"
 
@@ -71,12 +74,12 @@ __all__ = [
     "CycleSet",
     "CheckpointError",
     "CompatSet",
+    "CompiledCycles",
     "Edge",
     "EdgePair",
     "GeneratedSet",
     "Graph",
     "PRISM_CYCLES",
-    "Shelf",
     "ShelfEntry",
     "VertexEdge",
     "VertexTriple",
@@ -92,6 +95,7 @@ __all__ = [
     "canonical_cycle",
     "certificate",
     "chords",
+    "compile_cycles",
     "complete_bipartite_3",
     "d1",
     "d2",

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from .cycles import enumerate_cycles_bruteforce
 from .generator import generate_cubic, generate_min3
@@ -20,6 +19,7 @@ from .io_validate import (
     default_out_dir,
     is_3_connected,
     is_minimally_3_connected,
+    read_lines,
     read_outputs,
     write_outputs,
 )
@@ -87,11 +87,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _read_graph_lines(path: str) -> list[tuple[int, str]]:
-    # latin-1 passes any byte on to decode_graph6 to be reported by line; and
-    # not splitlines(), which also breaks at characters such as \x1c.
-    text = Path(path).read_bytes().decode("latin-1")
-    lines = enumerate(text.split("\n"), start=1)
-    return [(i, line) for i, line in lines if line.strip(GRAPH6_BLANKS)]
+    return [(i, line) for i, line in enumerate(read_lines(path), start=1) if line.strip(GRAPH6_BLANKS)]
 
 
 def cmd_validate(args: argparse.Namespace) -> int:

@@ -9,21 +9,25 @@ condition under which the bridging operations preserve minimal
 3-connectivity.
 
 All searches run on the cycle set the pipeline already maintains, so no
-cycle enumeration happens here.  Each cycle set is compiled once into
-bitmasks over vertex pairs (pair uv, u < v, is bit v(v-1)/2 + u): a cycle
-survives the banned edges when its edge bits miss the ban, and its live
-chords are the graph's edge bits within its non-adjacent pair bits.
+cycle enumeration happens here.  A cycle set is compiled into bitmasks
+over vertex pairs (pair uv, u < v, is bit v(v-1)/2 + u): a cycle survives
+the banned edges when its edge bits miss the ban, and its live chords are
+the graph's edge bits within its non-adjacent pair bits.  A caller that
+asks many gates of one graph compiles its set once and passes the table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import isqrt
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 from .cycles import CycleSet, cycle_vertex_mask
 from .graphs import Edge, Graph, _bits, edge, mask_reachable
+
+
+# The endpoint pairs and banned edges that decide a set's 3-compatibility.
+Query = tuple[list[tuple[int, int]], tuple[Edge, ...]]
 
 
 @dataclass(frozen=True)
@@ -33,6 +37,11 @@ class VertexEdge:
     vertex: int
     edge: Edge
 
+    def query(self) -> Query:
+        """No chording xa- or xb-path in g - ab."""
+        x, (a, b) = self.vertex, self.edge
+        return [(x, a), (x, b)], (self.edge,)
+
 
 @dataclass(frozen=True)
 class EdgePair:
@@ -40,6 +49,13 @@ class EdgePair:
 
     edge1: Edge
     edge2: Edge
+
+    def query(self) -> Query:
+        """No chording ac-, bc-, ad- or bd-path in g - {ab, cd}; a pair
+        collapsing to a single vertex is vacuous."""
+        (a, b), (c, d) = self.edge1, self.edge2
+        pairs = [(p, q) for p, q in ((a, c), (b, c), (a, d), (b, d)) if p != q]
+        return pairs, (self.edge1, self.edge2)
 
 
 @dataclass(frozen=True)
@@ -49,6 +65,11 @@ class VertexTriple:
     x: int
     y: int
     z: int
+
+    def query(self) -> Query:
+        """No chording xy-, xz- or yz-path in g itself."""
+        x, y, z = self.x, self.y, self.z
+        return [(x, y), (x, z), (y, z)], ()
 
 
 CompatSet = Union[VertexEdge, EdgePair, VertexTriple]
@@ -108,11 +129,18 @@ def _star(a: int, n: int) -> int:
     return star
 
 
-@lru_cache(maxsize=128)
-def _compile(cycles: CycleSet) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """Three parallel columns over the cycles that have a possible chord:
-    the vertex mask, the bits of the cycle's own edges, and the bits of its
-    cyclically non-adjacent vertex pairs (its possible chords)."""
+class CompiledCycles(NamedTuple):
+    """Three parallel columns over the cycles of a set that have a possible
+    chord: the vertex mask, the bits of the cycle's own edges, and the bits
+    of its cyclically non-adjacent vertex pairs (its possible chords)."""
+
+    vertex_masks: tuple[int, ...]
+    edge_bits: tuple[int, ...]
+    chord_bits: tuple[int, ...]
+
+
+def compile_cycles(cycles: CycleSet) -> CompiledCycles:
+    """The gate's table of a cycle set; no_chording_paths takes either."""
     vertex_masks, edge_bits, chord_bits = [], [], []
     for cyc in cycles:
         k = len(cyc)
@@ -130,11 +158,11 @@ def _compile(cycles: CycleSet) -> tuple[tuple[int, ...], tuple[int, ...], tuple[
             vertex_masks.append(cycle_vertex_mask(cyc))
             edge_bits.append(own)
             chord_bits.append(chords)
-    return tuple(vertex_masks), tuple(edge_bits), tuple(chord_bits)
+    return CompiledCycles(tuple(vertex_masks), tuple(edge_bits), tuple(chord_bits))
 
 
 def no_chording_paths(
-    cycles: CycleSet,
+    cycles: CycleSet | CompiledCycles,
     g: Graph,
     pairs: Iterable[tuple[int, int]],
     banned: Iterable[Edge] = (),
@@ -142,10 +170,11 @@ def no_chording_paths(
     """True when no endpoint pair has a chording path in g minus the banned edges.
 
     Pairs are unordered; duplicates are checked once, and equal endpoints
-    are a usage error.  The cycle set must belong to g; dropping the cycles
-    through a banned edge leaves those of the edge-deleted graph, each kept
-    with its live chord bits.  Each pair then searches paths only through
-    the chords its endpoints' positions on the cycle allow.
+    are a usage error.  The cycle set, or its compile_cycles table, must
+    belong to g; dropping the cycles through a banned edge leaves those of
+    the edge-deleted graph, each kept with its live chord bits.  Each pair
+    then searches paths only through the chords its endpoints' positions
+    on the cycle allow.
     """
     ends: dict[tuple[int, int], None] = {}
     for a, b in pairs:
@@ -169,7 +198,8 @@ def no_chording_paths(
             live |= 1 << _edge_index(u, v)
     # Cycles that avoid the ban, each with the bits of its live chords.
     table = []
-    for cmask, own, cycle_chords in zip(*_compile(cycles)):
+    compiled = cycles if isinstance(cycles, CompiledCycles) else compile_cycles(cycles)
+    for cmask, own, cycle_chords in zip(*compiled):
         if not own & ban:
             chords = live & cycle_chords
             if chords:
@@ -208,35 +238,17 @@ def no_chording_paths(
 def is_3_compatible(cycles: CycleSet, g: Graph, s: CompatSet) -> bool:
     """Decide 3-compatibility of a vertex/edge, edge/edge, or vertex triple.
 
-    Each variant reduces to chording path checks between fixed endpoint
-    pairs after deleting the edges of the set:
-
-    - {x, ab}: no chording xa- or xb-path in g - ab;
-    - {ab, cd}: no chording ac-, bc-, ad-, or bd-path in g - {ab, cd}
-      (pairs collapsing to a single vertex are vacuous);
-    - {x, y, z}: no chording xy-, xz-, or yz-path in g itself.
+    s must be a set of g's vertices and edges; its query() gives the
+    endpoint pairs and banned edges of the chording path checks that
+    decide it, the reduction the generator's bridgings use as well.
     """
-    if isinstance(s, VertexEdge):
-        a, b = s.edge
-        if a == b or not g.has_edge(a, b):
-            raise ValueError(f"({a},{b}) is not an edge")
-        x = s.vertex
-        if x == a or x == b:
-            raise ValueError("vertex must not be an endpoint of the edge")
-        return no_chording_paths(cycles, g, ((x, a), (x, b)), (s.edge,))
-    if isinstance(s, EdgePair):
-        a, b = s.edge1
-        c, d = s.edge2
-        for u, v in (s.edge1, s.edge2):
-            if u == v or not g.has_edge(u, v):
-                raise ValueError(f"({u},{v}) is not an edge")
-        if edge(a, b) == edge(c, d):
-            raise ValueError("edges must be distinct")
-        pairs = [(p, q) for p, q in ((a, c), (b, c), (a, d), (b, d)) if p != q]
-        return no_chording_paths(cycles, g, pairs, (s.edge1, s.edge2))
-    if isinstance(s, VertexTriple):
-        x, y, z = s.x, s.y, s.z
-        if len({x, y, z}) != 3:
-            raise ValueError("vertices must be distinct")
-        return no_chording_paths(cycles, g, ((x, y), (x, z), (y, z)))
-    raise TypeError(f"unsupported compatibility set {s!r}")
+    if not isinstance(s, (VertexEdge, EdgePair, VertexTriple)):
+        raise TypeError(f"unsupported compatibility set {s!r}")
+    if isinstance(s, VertexEdge) and s.vertex in s.edge:
+        raise ValueError("vertex must not be an endpoint of the edge")
+    if isinstance(s, EdgePair) and edge(*s.edge1) == edge(*s.edge2):
+        raise ValueError("edges must be distinct")
+    if isinstance(s, VertexTriple) and len({s.x, s.y, s.z}) != 3:
+        raise ValueError("vertices must be distinct")
+    # no_chording_paths rejects a banned edge that g lacks.
+    return no_chording_paths(cycles, g, *s.query())

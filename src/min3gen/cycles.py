@@ -6,7 +6,8 @@ with a rewrite that maps the parent's cycle set to the child's, and Dawes'
 bridgings compose the first two.  A split is built from the other two as
 well, since it deletes an edge, subdivides one and adds one.  The
 brute-force enumerator here is the independent oracle those rewrites are
-tested against, and also gives the sets of the seed and of loaded shelves.
+tested against, and also gives the sets of the seed and of the graphs a
+resumed run starts from.
 
 A cycle is stored as a tuple of vertices in canonical rotation: minimum
 vertex first, then the lexicographically smaller of the two directions.

@@ -1,28 +1,27 @@
 """Exhaustive isomorph-free generation of minimally 3-connected graphs.
 
 The generator grows graphs from the triangular prism along a bookshelf of
-(edge count m, vertex count n) shelves with Dawes' three bridgings (Dawes,
-JCTB 40, 1986).  Shelf (m, n) holds the minimally 3-connected graphs of
-that size the bridgings reach, built from the shelves of the two previous
+(vertex count n, edge count m) shelves with Dawes' three bridgings (Dawes,
+JCTB 40, 1986).  Shelf (n, m) holds the minimally 3-connected graphs of
+that size the bridgings reach from the shelves of the two previous
 columns:
 
-- d1 bridges a vertex and an edge of each graph on shelf (m-2, n-1);
-- d3 joins a new vertex to three vertices of each graph on shelf (m-3, n-1);
-- d2 bridges two edges of each graph on shelf (m-3, n-2).
+- d1 bridges a vertex and an edge of each graph on shelf (n-1, m-2);
+- d3 joins a new vertex to three vertices of each graph on shelf (n-1, m-3);
+- d2 bridges two edges of each graph on shelf (n-2, m-3).
 
-A bridging is minimally 3-connected exactly when its vertex, edge or
-triple set is 3-compatible in the source, which the chording path gate
-decides on the source's cycle set.  Only one site per orbit of the
-source's automorphism group is tried, since the sites of an orbit give
-isomorphic graphs, and certificates deduplicate a shelf.  An entry that a
-later shelf reads gets its group's generators once, when it is admitted.
-Each operation hands every candidate the rule that maps its source's
-cycle set to the candidate's, composed of the edge addition and
-subdivision rules, so nothing is re-enumerated; only an admitted
-candidate's rule runs.  The shelves of the final column (n = max_n) feed
-no gate and get no cycle sets or generators at all.  A resumed run starts from the output groups of an earlier
-one: the graphs of its last two columns, less the wheels and K_{3,t},
-are the shelves the next column reads, with their cycle sets enumerated.
+Turned around, each graph feeds exactly three later shelves, so the walk
+pushes: once a shelf is complete, each of its graphs becomes a source
+once and is bridged into the shelves it feeds.  A bridging is minimally
+3-connected exactly when its vertex, edge or triple set is 3-compatible in
+the source, which the chording path gate decides on the source's cycle
+set, compiled once per source.  Only one site per orbit of the source's
+automorphism group is tried, since the sites of an orbit give isomorphic
+graphs, and certificates deduplicate a shelf.  Each operation hands every
+candidate the rule that maps its source's cycle set to the candidate's,
+composed of the edge addition and subdivision rules, so nothing is
+re-enumerated; a rule runs only when its graph becomes a source, which no
+graph of the final column (n = max_n) does.
 
 Wheels and K_{3,t} are the minimally 3-connected graphs that no prism-rooted
 chain reaches; they are constructed directly and merged into the output.
@@ -33,12 +32,13 @@ group on edge pairs.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
 from typing import Callable, Hashable, TypeVar
 
 from .canonical import automorphisms, certificate
-from .compat import _compile, no_chording_paths
+from .compat import CompiledCycles, EdgePair, VertexEdge, VertexTriple, compile_cycles, no_chording_paths
 from .cycles import CycleSet, apply_add_edge, apply_subdivide_edge, enumerate_cycles_bruteforce
 from .graphs import (
     Edge,
@@ -52,7 +52,7 @@ from .graphs import (
     wheel,
 )
 from .io_validate import CheckpointError, decode_graph6
-from .records import GeneratedSet, Shelf, ShelfEntry
+from .records import GeneratedSet
 
 # The seed's 14 cycles, under prism()'s fixed labelling.
 PRISM_CYCLES: CycleSet = enumerate_cycles_bruteforce(prism())
@@ -61,11 +61,26 @@ Progress = Callable[[str], None]
 
 # A candidate is its graph and its rule: the source's cycle set mapped to
 # the candidate's, bound when the candidate is built and called only when
-# it is admitted to a shelf that is not final.
+# the candidate becomes a source.
 Rule = Callable[[], CycleSet]
 Candidate = tuple[Graph, Rule]
+# The shelves still filling, keyed by (n, m): each keeps the first
+# candidate of every certificate that reaches it.
+Shelves = dict[tuple[int, int], dict[str, Candidate]]
 Permutation = tuple[int, ...]
 Site = TypeVar("Site", bound=Hashable)
+
+
+@dataclass(frozen=True)
+class ShelfEntry:
+    """A source that d1, d2 and d3 bridge: a minimally 3-connected graph,
+    its cycle set, generators of its automorphism group, each a permutation
+    p that maps vertex v to p[v], and its cycle set compiled for the gate."""
+
+    graph: Graph
+    cycles: CycleSet
+    gens: list[Permutation]
+    table: CompiledCycles
 
 
 def _orbit_representatives(
@@ -123,16 +138,16 @@ def d1(src: ShelfEntry) -> list[Candidate]:
     """Bridge a vertex x and an edge ab with x not on it (Dawes' D1).
 
     ab is subdivided by the new vertex y, and xy is added.  The gate is the
-    3-compatibility of {x, ab}: no chording xa- or xb-path once ab is
-    deleted.
+    3-compatibility of {x, ab}.
     """
-    g, cycles = src.graph, src.cycles
+    g = src.graph
     sites = [(x, e) for e in g.edges() for x in g.vertices if x not in e]
     out = []
-    for x, (a, b) in _orbit_representatives(sites, src.gens, _vertex_edge_image):
-        if no_chording_paths(cycles, g, ((x, a), (x, b)), ((a, b),)):
+    for site in _orbit_representatives(sites, src.gens, _vertex_edge_image):
+        if no_chording_paths(src.table, g, *VertexEdge(*site).query()):
+            x, (a, b) = site
             g2, y = bridge_vertex_edge(g, x, a, b)
-            out.append((g2, partial(_replay, cycles, (a, b, y), (x, y))))
+            out.append((g2, partial(_replay, src.cycles, (a, b, y), (x, y))))
     return out
 
 
@@ -140,18 +155,16 @@ def d2(src: ShelfEntry) -> list[Candidate]:
     """Bridge two distinct edges ab and cd, adjacent pairs included (Dawes' D2).
 
     Both edges are subdivided, by the new vertices p and q, and pq is
-    added.  The gate is the 3-compatibility of {ab, cd}: no chording ac-,
-    bc-, ad- or bd-path once both are deleted, a pair with equal ends being
-    vacuous.
+    added.  The gate is the 3-compatibility of {ab, cd}.
     """
-    g, cycles = src.graph, src.cycles
+    g = src.graph
     sites = list(combinations(g.edges(), 2))
     out = []
-    for (a, b), (c, d) in _orbit_representatives(sites, src.gens, _edge_pair_image):
-        pairs = [(u, v) for u, v in ((a, c), (b, c), (a, d), (b, d)) if u != v]
-        if no_chording_paths(cycles, g, pairs, ((a, b), (c, d))):
+    for site in _orbit_representatives(sites, src.gens, _edge_pair_image):
+        if no_chording_paths(src.table, g, *EdgePair(*site).query()):
+            (a, b), (c, d) = site
             g2, p, q = bridge_edges(g, (a, b), (c, d))
-            out.append((g2, partial(_replay, cycles, (a, b, p), (c, d, q), (p, q))))
+            out.append((g2, partial(_replay, src.cycles, (a, b, p), (c, d, q), (p, q))))
     return out
 
 
@@ -166,49 +179,60 @@ def d3(src: ShelfEntry) -> list[Candidate]:
     chording xy-path, and the gate rejects every triple with an adjacent
     pair.  The rule adds xy, subdivides it by w, then adds wz.
     """
-    g, cycles = src.graph, src.cycles
+    g = src.graph
     sites = [t for t in combinations(g.vertices, 3) if not any(g.has_edge(*e) for e in combinations(t, 2))]
     out = []
-    for x, y, z in _orbit_representatives(sites, src.gens, _triple_image):
-        if no_chording_paths(cycles, g, ((x, y), (x, z), (y, z))):
+    for site in _orbit_representatives(sites, src.gens, _triple_image):
+        if no_chording_paths(src.table, g, *VertexTriple(*site).query()):
+            x, y, z = site
             g2, w = add_degree3_vertex(g, x, y, z)
-            out.append((g2, partial(_replay, cycles, (x, y), (x, y, w), (w, z))))
+            out.append((g2, partial(_replay, src.cycles, (x, y), (x, y, w), (w, z))))
     return out
 
 
 def source(g: Graph, cycles: CycleSet | None = None) -> ShelfEntry:
     """g as an entry that d1, d2 and d3 read: with its cycle set, enumerated
-    unless given, and the generators of its automorphism group."""
+    unless given and compiled once for their gates, and the generators of
+    its automorphism group."""
     if cycles is None:
         cycles = enumerate_cycles_bruteforce(g)
-    return ShelfEntry(g, cycles, automorphisms(g))
+    return ShelfEntry(g, cycles, automorphisms(g), compile_cycles(cycles))
 
 
-def run_shelf(state: dict[tuple[int, int], Shelf], m: int, n: int, final: bool = False) -> Shelf:
-    """Produce the shelf at (m, n) from the shelves of columns n-1 and n-2 in state.
+def run_shelf(shelves: Shelves, n: int, m: int, reach: range) -> list[str]:
+    """Complete shelf (n, m): return its sorted certificates, and push each
+    of its graphs that feeds a column of reach into the shelves it feeds.
 
-    d1 reads shelf (m-2, n-1), d3 shelf (m-3, n-1) and d2 shelf (m-3, n-2);
-    sources the state does not hold contribute nothing.  One certificate
-    store spans the shelf, so a graph reached twice, by whatever site or
-    operation, is kept once, and only an admitted candidate's rule runs,
-    giving its cycle set.  Certificates also order the entries.  A final
-    shelf is one that no bridging reads: its entries get cycles=None,
-    which fails loudly where an empty set would pass a gate, and
-    gens=None.
+    The walk reaches (n, m) after (n-1, m-2), (n-1, m-3) and (n-2, m-3),
+    so every candidate for it has arrived.  A graph it pushes becomes a
+    source, once: its rule gives its cycle set, and d1, d3 and d2 bridge it
+    into (n+1, m+2), (n+1, m+3) and (n+2, m+3), those in reach, where only
+    an unseen certificate's candidate is kept.
     """
-    found: dict[str, ShelfEntry] = {}
-    for op, key in ((d1, (m - 2, n - 1)), (d3, (m - 3, n - 1)), (d2, (m - 3, n - 2))):
-        for src in state[key].entries if key in state else ():
-            for g, rule in op(src):
-                cert = certificate(g)
-                if cert not in found:
-                    found[cert] = ShelfEntry(g, None, None) if final else source(g, rule())
+    found = shelves.pop((n, m), {})
     certs = sorted(found)
-    return Shelf(m, n, [found[c] for c in certs], certs)
+    feeds = [
+        (op, key) for op, key in ((d1, (n + 1, m + 2)), (d3, (n + 1, m + 3)), (d2, (n + 2, m + 3))) if key[0] in reach
+    ]
+    if feeds:
+        for cert in certs:
+            g, rule = found[cert]
+            src = source(g, rule())
+            for op, key in feeds:
+                shelf = shelves.setdefault(key, {})
+                for g2, rule2 in op(src):
+                    shelf.setdefault(certificate(g2), (g2, rule2))
+    return certs
 
 
 def _shelf_edges(n: int) -> range:
     return range((3 * n + 1) // 2, 3 * n - 8)
+
+
+def _seed(cert: str) -> Candidate:
+    """A graph of a start set, whose rule enumerates its cycle set."""
+    g = decode_graph6(cert)
+    return g, partial(enumerate_cycles_bruteforce, g)
 
 
 def _last_column(resume: GeneratedSet) -> int:
@@ -226,20 +250,16 @@ def _last_column(resume: GeneratedSet) -> int:
 def generate_min3(max_n: int, *, progress: Progress | None = None, resume: GeneratedSet | None = None) -> GeneratedSet:
     """All minimally 3-connected graphs with 6 to max_n vertices.
 
-    Walks the bookshelf column by column (n outer, m from ceil(3n/2) to
-    3n-9), since shelf (m, n) reads only columns n-1 and n-2, and keeps
-    only those two.  Results arrive as (n, m) groups of sorted
-    certificates: the shelves, the prism seed, and the two direct
-    families, wheels and K_{3,t}.  The final column (n = max_n) feeds no
-    gate, so its shelves are final, with no cycle sets, and none is kept.
-
-    resume, when given, is the result of an earlier run, such as
-    io_validate.read_outputs gives, and the walk starts after its last
-    column.  Its last two columns, less the wheels and K_{3,t}, are the
-    shelves the next column reads, their graphs decoded and their cycle
-    sets enumerated; a resumed run that already reaches max_n builds none.
-    A resumed set that lacks a group of its columns or holds another
-    raises CheckpointError.
+    Starts from the groups up to a last column: the prism in column 6, or
+    resume, the result of an earlier run such as io_validate.read_outputs
+    gives.  The graphs of the last two columns, less the wheels and
+    K_{3,t}, are the first candidates, each with a rule that enumerates its
+    cycle set, and run_shelf walks the shelves column by column (n outer,
+    m from ceil(3n/2) to 3n-9) from column last - 1 to max_n, making
+    sources of the graphs that feed the columns after last.  Results are
+    (n, m) groups of sorted certificates: the shelves, and the two direct
+    families, wheels and K_{3,t}.  A resumed set that lacks a group of its
+    columns or holds another raises CheckpointError.
     """
     if max_n < 6:
         raise ValueError("max_n must be at least 6")
@@ -249,33 +269,24 @@ def generate_min3(max_n: int, *, progress: Progress | None = None, resume: Gener
         direct.setdefault((n, 2 * (n - 1)), []).append(certificate(wheel(n - 1)))
         direct.setdefault((n, 3 * n - 9), []).append(certificate(complete_bipartite_3(n - 3)))
     if resume is None:
-        seed = Shelf(9, 6, [source(prism(), PRISM_CYCLES)], [certificate(prism())])
-        state: dict[tuple[int, int], Shelf] = {(9, 6): seed}
-        groups: dict[tuple[int, int], list[str]] = {(6, 9): list(seed.certs)}
-        last = 6
+        last, groups = 6, {(6, 9): [certificate(prism())]}
     else:
         last = _last_column(resume)
         groups = {key: list(bucket) for key, bucket in resume.groups.items() if key[0] <= max_n}
-        state = {}
-        read = (last - 1, last) if last < max_n else ()
-        for (n, m), bucket in groups.items():
-            if n in read:
-                certs = sorted(c for c in bucket if c not in direct.get((n, m), ()))
-                state[(m, n)] = Shelf(m, n, [source(decode_graph6(c)) for c in certs], certs)
-    for n in range(last + 1, max_n + 1):
-        final = n == max_n
+    shelves: Shelves = {
+        (n, m): {c: _seed(c) for c in bucket if c not in direct.get((n, m), ())}
+        for (n, m), bucket in groups.items()
+        if n >= last - 1
+    }
+    reach = range(last + 1, max_n + 1)
+    for n in range(last - 1, max_n + 1):
         for m in _shelf_edges(n):
-            shelf = run_shelf(state, m, n, final)
-            if not final:
-                state[(m, n)] = shelf
-            if shelf.certs:
-                groups[(n, m)] = list(shelf.certs)
-            if progress is not None:
-                progress(f"min3 shelf n={n} m={m}: {len(shelf.certs)} graphs")
-        # Column n + 1 reads only columns n and n - 1.
-        state = {key: shelf for key, shelf in state.items() if key[1] >= n - 1}
-    # No gate runs after the last column: keep no dead cycle sets alive.
-    _compile.cache_clear()
+            certs = run_shelf(shelves, n, m, reach)
+            if n in reach:
+                if certs:
+                    groups[(n, m)] = certs
+                if progress is not None:
+                    progress(f"min3 shelf n={n} m={m}: {len(certs)} graphs")
     for key, certs in direct.items():
         bucket = groups.setdefault(key, [])
         bucket += [c for c in certs if c not in bucket]

@@ -23,6 +23,8 @@ _GRAPH6_HEADER = ">>graph6<<"
 # What a graph6 line may carry around its characters; str.strip() would
 # also take characters such as \x1c and \x85, hiding them from the check.
 GRAPH6_BLANKS = " \t\r\n"
+# The group file name of each mode, formatted with a group's n and m.
+_GROUP_FILES = {"min3": "min3_n{n}_m{m}.g6", "cubic": "cubic_n{n}.g6"}
 
 
 def encode_graph6(g: Graph) -> str:
@@ -120,8 +122,13 @@ def write_outputs(collections: GeneratedSet, out_dir: str | Path) -> list[Path]:
     counts.tsv has header n, m, count and one row per written file, sorted.
     Each file is written to a temporary name and renamed into place, and
     counts.tsv is removed first and written last, so a directory that has
-    one is complete.  Returns the written paths, counts.tsv last.
+    one is complete.  A group file of the mode that this run does not write
+    is removed before counts.tsv is written, so counts.tsv lists every group
+    file of the directory.  Returns the written paths, counts.tsv last.
     """
+    name = _GROUP_FILES.get(collections.mode)
+    if name is None:
+        raise ValueError(f"unknown mode {collections.mode!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     counts = out / "counts.tsv"
@@ -131,16 +138,12 @@ def write_outputs(collections: GeneratedSet, out_dir: str | Path) -> list[Path]:
     for (n, m), bucket in sorted(collections.groups.items()):
         if not bucket:
             continue
-        if collections.mode == "min3":
-            name = f"min3_n{n}_m{m}.g6"
-        elif collections.mode == "cubic":
-            name = f"cubic_n{n}.g6"
-        else:
-            raise ValueError(f"unknown mode {collections.mode!r}")
-        path = out / name
+        path = out / name.format(n=n, m=m)
         _replace(path, "".join(c + "\n" for c in bucket))
         written.append(path)
         rows.append((n, m, len(bucket)))
+    for stale in set(out.glob(name.format(n="*", m="*"))) - set(written):
+        stale.unlink()
     _replace(counts, "n\tm\tcount\n" + "".join(f"{n}\t{m}\t{c}\n" for n, m, c in sorted(rows)))
     written.append(counts)
     return written
@@ -167,8 +170,8 @@ def read_outputs(out_dir: str | Path) -> GeneratedSet:
     if not counts.is_file():
         raise CheckpointError(f"{counts}: no such file, so {root} is no output directory")
     rows = _read_counts(counts)
-    names = {f"min3_n{n}_m{m}.g6": (n, m) for n, m in rows}
-    present = {p.name for p in root.glob("min3_n*_m*.g6")}
+    names = {_GROUP_FILES["min3"].format(n=n, m=m): (n, m) for n, m in rows}
+    present = {p.name for p in root.glob(_GROUP_FILES["min3"].format(n="*", m="*"))}
     if missing := sorted(names.keys() - present):
         raise CheckpointError(f"{root / missing[0]}: missing, though {counts} lists it")
     if extra := sorted(present - names.keys()):
@@ -176,15 +179,16 @@ def read_outputs(out_dir: str | Path) -> GeneratedSet:
     return GeneratedSet("min3", {key: _read_group(root / name, key, rows[key]) for name, key in names.items()})
 
 
-def _lines(path: Path) -> list[str]:
+def read_lines(path: str | Path) -> list[str]:
+    """The lines of a file without their newlines, line k at index k - 1."""
     # latin-1 passes any byte on to decode_graph6 to be reported by line; and
     # not splitlines(), which also breaks at characters such as \x1c.
-    text = path.read_bytes().decode("latin-1")
+    text = Path(path).read_bytes().decode("latin-1")
     return text.removesuffix("\n").split("\n") if text else []
 
 
 def _read_counts(path: Path) -> dict[tuple[int, int], int]:
-    lines = _lines(path)
+    lines = read_lines(path)
     if lines[:1] != ["n\tm\tcount"]:
         raise CheckpointError(f"{path}:1: expected the header n, m, count")
     rows: dict[tuple[int, int], int] = {}
@@ -200,7 +204,7 @@ def _read_counts(path: Path) -> dict[tuple[int, int], int]:
 
 
 def _read_group(path: Path, key: tuple[int, int], count: int) -> list[str]:
-    lines = _lines(path)
+    lines = read_lines(path)
     if len(lines) != count:
         raise CheckpointError(f"{path}: holds {len(lines)} lines, but counts.tsv says {count}")
     seen: dict[str, int] = {}  # line -> its line number

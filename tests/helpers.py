@@ -1,6 +1,6 @@
 """Shared test utilities: random graphs, a Hypothesis strategy for
 2-connected graphs, definition-level oracles, the shelves of a run, and
-shelf entries materialised from generator candidates.
+sources materialised from generator candidates.
 
 The oracles here re-derive connectivity and chording paths straight from
 their definitions with plain set arithmetic, sharing no bitmask machinery
@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from min3gen import (
     EdgePair,
     Graph,
-    Shelf,
     VertexEdge,
     VertexTriple,
     add_degree3_vertex,
@@ -33,22 +32,24 @@ from min3gen import (
 from min3gen.generator import PRISM_CYCLES
 
 
-def collect_shelves(max_n: int) -> dict[tuple[int, int], Shelf]:
-    """Every shelf with n <= max_n, keyed by (m, n), plus the prism seed
-    shelf, walked column by column with run_shelf as generate_min3 walks
-    them in a run past max_n.  None of them is final, so each entry
-    carries its cycle set and automorphism group generators."""
+def collect_shelves(max_n: int) -> dict[tuple[int, int], list]:
+    """Every shelf with n <= max_n, keyed by (n, m), the prism seed's
+    included, walked with run_shelf as generate_min3 walks them: each as
+    its graphs made sources in certificate order, with the cycle sets that
+    the rules of the candidates the walk kept give."""
     seed = prism()
-    shelves = {(9, 6): Shelf(9, 6, [source(seed, PRISM_CYCLES)], [certificate(seed)])}
-    for n in range(7, max_n + 1):
+    pending = {(6, 9): {certificate(seed): (seed, lambda: PRISM_CYCLES)}}
+    shelves = {}
+    for n in range(6, max_n + 1):
         for m in range((3 * n + 1) // 2, 3 * n - 8):
-            shelves[(m, n)] = run_shelf(shelves, m, n)
+            shelves[(n, m)] = [source(g, rule()) for _, (g, rule) in sorted(pending.get((n, m), {}).items())]
+            run_shelf(pending, n, m, range(7, max_n + 1))
     return shelves
 
 
 def materialize(candidates):
-    """Shelf entries for (graph, rule) candidates, as run_shelf would store
-    them on admission: each with what its rule gives."""
+    """Sources for (graph, rule) candidates, as run_shelf makes them: each
+    with what its rule gives."""
     return [source(g, rule()) for g, rule in candidates]
 
 

@@ -181,7 +181,7 @@ def test_04_cycle_propagation_equivalence(shelves8):
     ok = True
     entries = 0
     for shelf in shelves8.values():
-        for ent in shelf.entries:
+        for ent in shelf:
             ok = ok and ent.cycles == enumerate_cycles_bruteforce(ent.graph)
             entries += 1
     ok = ok and entries > 0

@@ -404,6 +404,21 @@ def test_resume_in_place_matches_a_fresh_run(outputs9, tmp_path, capsys):
     assert _files(tree) == _files(outputs9)
 
 
+def test_a_smaller_run_removes_the_group_files_it_does_not_write(outputs9, tmp_path, capsys):
+    # A run to 8 over the tree of a run to 9 leaves a complete n <= 8 tree,
+    # which resumes; the files of the other mode are left alone.
+    tree = tmp_path / "tree"
+    shutil.copytree(outputs9, tree)
+    (tree / "cubic_n4.g6").write_text("C~\n")
+    assert run(["generate", "--max-n", "8", "--out", str(tree)], capsys)[0] == 0
+    fresh8 = tmp_path / "fresh8"
+    assert run(["generate", "--max-n", "8", "--out", str(fresh8)], capsys)[0] == 0
+    assert _files(tree) == {**_files(fresh8), Path("cubic_n4.g6"): b"C~\n"}
+    resumed = tmp_path / "resumed"
+    assert run(["generate", "--max-n", "9", "--out", str(resumed), "--resume", str(tree)], capsys)[0] == 0
+    assert _files(resumed) == _files(outputs9)
+
+
 def test_an_interrupted_write_leaves_no_counts_tsv(outputs9, tmp_path, capsys, monkeypatch):
     # An earlier, complete tree is overwritten in place, and the third
     # file written fails.

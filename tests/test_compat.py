@@ -89,7 +89,7 @@ def _oracle_gate(g, cs, pairs, banned) -> bool:
 
 
 def test_pipeline_gate_calls_match_the_oracle(monkeypatch):
-    # Every gate call d1, d2 and d3 make on the shelf entries up to n = 8,
+    # Every gate call d1, d2 and d3 make on the shelves' sources up to n = 8,
     # against the definition scan on the graph's brute-force cycles.
     shelves = collect_shelves(8)
     calls = []
@@ -101,8 +101,8 @@ def test_pipeline_gate_calls_match_the_oracle(monkeypatch):
         return got
 
     monkeypatch.setattr(min3gen.generator, "no_chording_paths", recording)
-    for shelf in shelves.values():
-        for ent in shelf.entries:
+    for entries in shelves.values():
+        for ent in entries:
             for op in (d1, d2, d3):
                 op(ent)
     cycle_sets = {}

@@ -10,7 +10,9 @@ result) cover the plumbing the counts alone would not.
 from __future__ import annotations
 
 import functools
+import gc
 import re
+import weakref
 
 import pytest
 
@@ -19,11 +21,11 @@ from helpers import candidate_sets, collect_shelves, materialize
 from min3gen import (
     EdgePair,
     GeneratedSet,
-    Shelf,
     VertexEdge,
     VertexTriple,
     bridge_edges,
     certificate,
+    compile_cycles,
     complete_bipartite_3,
     decode_graph6,
     encode_graph6,
@@ -47,6 +49,7 @@ from min3gen.generator import (
     PRISM_CYCLES,
     _edge_pair_image,
     _orbit_representatives,
+    _shelf_edges,
     d1,
     d2,
     d3,
@@ -91,7 +94,7 @@ def test_orbit_representatives_admit_the_classes_of_all_sites():
     # that every 3-compatible site of its shape gives, d3's triples with an
     # adjacent pair included.
     shelves = collect_shelves(9)
-    sources = [ent for shelf in shelves.values() for ent in shelf.entries]
+    sources = [ent for entries in shelves.values() for ent in entries]
     assert len(sources) == 75
     tried = admitted = 0
     for ent in sources:
@@ -124,35 +127,51 @@ def test_every_bridging_rule_matches_bruteforce_cycles(monkeypatch):
     assert sites == 2600
 
 
+def _seed_shelves():
+    return {(6, 9): {certificate(prism()): (prism(), lambda: PRISM_CYCLES)}}
+
+
 def test_run_shelf_first_column():
-    state = {(9, 6): Shelf(9, 6, [_seed_entry()], [certificate(prism())])}
-    shelf11 = run_shelf(state, 11, 7)
-    assert (shelf11.m, shelf11.n) == (11, 7)
-    assert shelf11.certs == generate_min3(7).groups[(7, 11)]
-    # The prism has no independent triple, and (12, 7) holds only the
+    shelves, reach = _seed_shelves(), range(7, 8)
+    assert run_shelf(shelves, 6, 9, reach) == [certificate(prism())]
+    # The prism feeds (7, 11) by d1 and (7, 12) by d3; d2's (8, 12) lies
+    # past reach.
+    assert sorted(shelves) == [(7, 11), (7, 12)]
+    assert run_shelf(shelves, 7, 11, reach) == generate_min3(7).groups[(7, 11)]
+    # The prism has no independent triple, and (7, 12) holds only the
     # wheel and K_{3,4}, which no shelf holds.
-    assert run_shelf(state, 12, 7) == Shelf(12, 7, [], [])
+    assert run_shelf(shelves, 7, 12, reach) == []
+    assert shelves == {}
 
 
 def test_run_shelf_dedups_across_classes():
-    for shelf in collect_shelves(8).values():
-        certs = [certificate(ent.graph) for ent in shelf.entries]
-        assert certs == shelf.certs == sorted(set(certs))
+    # A class reached from several sources, sites or operations is kept
+    # once: each shelf holds, each once, the classes of its group that are
+    # neither the wheel nor K_{3,n-3}.
+    result = generate_min3(8)
+    for (n, m), entries in collect_shelves(8).items():
+        certs = [certificate(ent.graph) for ent in entries]
+        direct = {certificate(wheel(n - 1)), certificate(complete_bipartite_3(n - 3))}
+        assert certs == sorted(set(result.groups.get((n, m), [])) - direct)
 
 
-def test_final_shelf_has_no_scaffolding_and_no_cycle_sets():
-    # A final shelf holds the same classes, with no cycle sets.
+def test_final_shelf_has_no_scaffolding_and_no_cycle_sets(monkeypatch):
+    # A shelf that feeds no shelf in reach holds the same classes, and none
+    # of its graphs becomes a source, so no rule gives its cycle set.
     shelves = collect_shelves(8)
-    state = {key: shelf for key, shelf in shelves.items() if key[1] != 8}
+    sourced = []
+    real = min3gen.generator.source
+    monkeypatch.setattr(min3gen.generator, "source", lambda g, cycles=None: sourced.append(g.n) or real(g, cycles))
+    pending = _seed_shelves()
     checked = 0
-    for (m, n), full in shelves.items():
-        if n != 8:
-            continue
-        shelf = run_shelf(state, m, n, final=True)
-        assert shelf.certs == full.certs
-        assert all(e.cycles is None for e in shelf.entries)
-        checked += len(shelf.entries)
+    for n in (6, 7, 8):
+        for m in _shelf_edges(n):
+            certs = run_shelf(pending, n, m, range(7, 9))
+            assert certs == [certificate(ent.graph) for ent in shelves[(n, m)]]
+            checked += len(certs) if n == 8 else 0
     assert checked == 16
+    assert sorted(set(sourced)) == [6, 7]
+    assert pending == {}
 
 
 def _traced_rule(ruled, n, rule):
@@ -188,22 +207,58 @@ def test_final_column_derives_no_cycle_sets(monkeypatch):
     assert sourced == []
 
 
+def _count_work(monkeypatch) -> dict[str, list]:
+    """Record the arguments of every automorphism group, gate, certificate
+    and compile call the generator makes, by name."""
+    calls: dict[str, list] = {}
+
+    def counting(name, fn):
+        calls[name] = []
+
+        def counted(*args):
+            calls[name].append(args)
+            return fn(*args)
+
+        return counted
+
+    for name in ("automorphisms", "no_chording_paths", "certificate"):
+        monkeypatch.setattr(min3gen.generator, name, counting(name, getattr(min3gen.generator, name)))
+    counted = counting("compile_cycles", min3gen.compat.compile_cycles)
+    for module in (min3gen.generator, min3gen.compat):
+        monkeypatch.setattr(module, "compile_cycles", counted)
+    return calls
+
+
 def test_each_source_gets_its_automorphisms_once(monkeypatch):
-    calls = []
-
-    def counting(g):
-        calls.append(certificate(g))
-        return automorphisms(g)
-
-    monkeypatch.setattr(min3gen.generator, "automorphisms", counting)
+    calls = _count_work(monkeypatch)
     generate_min3(10)
     # The sources are the 75 entries of the shelves with n <= 9.
-    assert len(calls) == len(set(calls)) == 75
+    certs = [certificate(g) for g, in calls["automorphisms"]]
+    assert len(certs) == len(set(certs)) == 75
+    counts = {name: len(args) for name, args in calls.items()}
+    assert counts == {"automorphisms": 75, "no_chording_paths": 4526, "certificate": 2020, "compile_cycles": 75}
+    # Resuming n <= 9 to 10 makes sources of columns 8 and 9 only.
+    outputs9 = generate_min3(9)
+    for args in calls.values():
+        args.clear()
+    generate_min3(10, resume=outputs9)
+    counts = {name: len(args) for name, args in calls.items()}
+    assert counts == {"automorphisms": 71, "no_chording_paths": 3899, "certificate": 1725, "compile_cycles": 71}
 
 
-def test_generate_min3_keeps_no_compiled_cycle_sets():
-    generate_min3(8)
-    assert min3gen.compat._compile.cache_info().currsize == 0
+def test_generate_min3_keeps_no_compiled_cycle_sets(monkeypatch):
+    # Each source's cycle set is compiled once, when it becomes a source,
+    # and nothing keeps a compiled set alive once the run returns.
+    calls = _count_work(monkeypatch)
+    generate_min3(9)
+    compiled = [cycles for cycles, in calls["compile_cycles"]]
+    assert len(compiled) == len(calls["automorphisms"]) == 20
+    assert len({id(cycles) for cycles in compiled}) == 20
+    alive = [weakref.ref(cycles) for cycles in compiled]
+    calls.clear()
+    del compiled
+    gc.collect()
+    assert not any(ref() is not None for ref in alive)
 
 
 def test_generate_min3_smallest_budget():
@@ -245,24 +300,23 @@ def test_generated_buckets_are_cert_sorted_and_distinct():
 
 
 def test_provenance_shapes_across_shelves():
-    # An entry records only its graph and cycle set; its shelf records the
-    # entries' certificates in the same, sorted order.
+    # A source records its graph, cycle set, generators and compiled
+    # table; its shelf holds the sources in certificate order.
     shelves = collect_shelves(8)
     assert len(shelves) == 7
-    for (m, n), shelf in shelves.items():
-        assert (shelf.m, shelf.n) == (m, n)
-        assert len(shelf.entries) == len(shelf.certs)
-        assert shelf.certs == sorted(set(shelf.certs))
-        for ent, cert in zip(shelf.entries, shelf.certs):
-            assert (ent.graph.m, ent.graph.n) == (m, n)
-            assert certificate(ent.graph) == cert
+    for (n, m), entries in shelves.items():
+        certs = [certificate(ent.graph) for ent in entries]
+        assert certs == sorted(set(certs))
+        for ent in entries:
+            assert (ent.graph.n, ent.graph.m) == (n, m)
+            assert ent.table == compile_cycles(ent.cycles)
 
 
 def test_a_classes_are_minimal_and_intermediates_are_not():
     # Bridging makes no intermediate graphs, so every shelf entry is an
     # A-class graph: 3-connected, and minimally so.
-    for shelf in collect_shelves(8).values():
-        for ent in shelf.entries:
+    for entries in collect_shelves(8).values():
+        for ent in entries:
             assert is_3_connected(ent.graph)
             assert is_minimally_3_connected(ent.graph)
 
@@ -324,7 +378,7 @@ def test_loaded_shelves_derive_the_cycle_sets_a_run_stores(monkeypatch):
     # A resumed source is its class's canonical labelling, so its cycle set
     # is the run's relabelled: of the same size, and its own graph's, as
     # are its generators.
-    fresh = {cert: ent for shelf in collect_shelves(8).values() for cert, ent in zip(shelf.certs, shelf.entries)}
+    fresh = {certificate(ent.graph): ent for entries in collect_shelves(8).values() for ent in entries}
     outputs8 = generate_min3(8)
     made = []
     real = min3gen.generator.source
