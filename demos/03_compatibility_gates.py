@@ -26,8 +26,9 @@ from min3gen import (
 )
 
 # A chording path contains a chord of some cycle and meets that cycle only
-# at the chord's endpoints.  In prism + 02 the square (0,2,4,3) gains the
-# chord 34's mate: 3 and 5 are joined through paths avoiding the square.
+# at the chord's endpoints.  In prism + 02 the path 3-2-5 is one between 3
+# and 5: it uses the chord 25 of the cycle (0,2,1,5,4) and meets that cycle
+# only at 2 and 5.
 g = add_edge(prism(), 0, 2)
 cycles = enumerate_cycles_bruteforce(g)
 # no_chording_paths asks it for a list of endpoint pairs at once.

@@ -10,20 +10,21 @@ condition under which the bridging operations preserve minimal
 
 All searches run on the cycle set the pipeline already maintains, so no
 cycle enumeration happens here.  A cycle set is compiled into bitmasks
-over vertex pairs (pair uv, u < v, is bit v(v-1)/2 + u): a cycle survives
-the banned edges when its edge bits miss the ban, and its live chords are
-the graph's edge bits within its non-adjacent pair bits.  A caller that
-asks many gates of one graph compiles its set once and passes the table.
+over ordered vertex pairs, pair uv at bit u*n + v, with an unordered pair
+setting both of its bits; row u of such a mask (its bits u*n .. u*n + n-1)
+is then a vertex mask like Graph.neighbor_mask(u).  A cycle survives the
+banned edges when its edge bits miss the ban, and its live chords are the
+graph's edge bits within its non-adjacent pair bits.  A caller that asks
+many gates of one graph compiles its set once and passes the table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
 from typing import Iterable, NamedTuple, Union
 
 from .cycles import CycleSet, cycle_vertex_mask
-from .graphs import Edge, Graph, _bits, edge, mask_reachable
+from .graphs import Edge, Graph, _bits, _require_vertex, edge, mask_reachable
 
 
 # The endpoint pairs and banned edges that decide a set's 3-compatibility.
@@ -75,31 +76,23 @@ class VertexTriple:
 CompatSet = Union[VertexEdge, EdgePair, VertexTriple]
 
 
-def _chording_via(
+def _chording_off_cycle(
     masks: list[int], cmask: int, a: int, b: int, s: int, t: int
 ) -> bool:
     """Is there a path a..s, chord edge st, t..b meeting the cycle only at s, t?
 
     The cycle is given by its vertex mask; masks describe the graph with the
-    banned edges already deleted.  Arms may wander anywhere off the cycle.
-    The caller guarantees that a is off the cycle or equal to s, and that b
-    is off the cycle or equal to t.
+    banned edges already deleted.  a and b lie off the cycle, and the arms
+    may wander anywhere off it: enumerate the a..s arm, then ask whether b
+    is reachable from t without touching that arm or the rest of the cycle.
     """
     off_cycle_t = cmask & ~(1 << t)
-    if a == s:
-        if b == t:
-            return True
-        return mask_reachable(masks, t, b, off_cycle_t)
-    if b == t:
-        return mask_reachable(masks, a, s, cmask & ~(1 << s))
-    # Both endpoints lie off the cycle: enumerate the a..s arm, then ask
-    # whether b is reachable from t without touching it.
     forbidden1 = (cmask & ~(1 << s)) | (1 << b)
 
     def dfs(v: int, used: int) -> bool:
         for w in _bits(masks[v] & ~used & ~forbidden1):
             if w == s:
-                if mask_reachable(masks, t, b, off_cycle_t | used | (1 << s)):
+                if mask_reachable(masks, t, b, off_cycle_t | used):
                     return True
             elif dfs(w, used | (1 << w)):
                 return True
@@ -108,57 +101,34 @@ def _chording_via(
     return dfs(a, 1 << a)
 
 
-def _edge_index(u: int, v: int) -> int:
-    """Bit position of the vertex pair uv in an edge bitmask."""
-    if u > v:
-        u, v = v, u
-    return v * (v - 1) // 2 + u
-
-
-def _index_pair(i: int) -> tuple[int, int]:
-    """Inverse of _edge_index, as (u, v) with u < v."""
-    v = (isqrt(8 * i + 1) + 1) // 2
-    return i - v * (v - 1) // 2, v
-
-
-def _star(a: int, n: int) -> int:
-    """Bits of every vertex pair ax with x < n."""
-    star = ((1 << a) - 1) << _edge_index(0, a)
-    for x in range(a + 1, n):
-        star |= 1 << _edge_index(a, x)
-    return star
-
-
 class CompiledCycles(NamedTuple):
-    """Three parallel columns over the cycles of a set that have a possible
-    chord: the vertex mask, the bits of the cycle's own edges, and the bits
-    of its cyclically non-adjacent vertex pairs (its possible chords)."""
+    """The order n of the graph, then three parallel columns over the cycles
+    of a set that have a possible chord: the vertex mask, the pair bits of
+    the cycle's own edges, and the pair bits of its cyclically non-adjacent
+    vertex pairs (its possible chords), both orders of each pair set."""
 
+    n: int
     vertex_masks: tuple[int, ...]
     edge_bits: tuple[int, ...]
     chord_bits: tuple[int, ...]
 
 
-def compile_cycles(cycles: CycleSet) -> CompiledCycles:
-    """The gate's table of a cycle set; no_chording_paths takes either."""
+def compile_cycles(cycles: CycleSet, n: int) -> CompiledCycles:
+    """The gate's table of a cycle set of a graph on n vertices;
+    no_chording_paths takes either."""
     vertex_masks, edge_bits, chord_bits = [], [], []
     for cyc in cycles:
-        k = len(cyc)
+        cmask = cycle_vertex_mask(cyc)
         own = chords = 0
-        for i in range(k):
-            u = cyc[i]
-            for j in range(i + 1, k):
-                v = cyc[j]
-                bit = 1 << _edge_index(u, v)
-                if j == i + 1 or (i == 0 and j == k - 1):
-                    own |= bit
-                else:
-                    chords |= bit
+        for i, u in enumerate(cyc):
+            near = 1 << cyc[i - 1] | 1 << cyc[(i + 1) % len(cyc)]
+            own |= near << u * n
+            chords |= (cmask & ~near & ~(1 << u)) << u * n
         if chords:
-            vertex_masks.append(cycle_vertex_mask(cyc))
+            vertex_masks.append(cmask)
             edge_bits.append(own)
             chord_bits.append(chords)
-    return CompiledCycles(tuple(vertex_masks), tuple(edge_bits), tuple(chord_bits))
+    return CompiledCycles(n, tuple(vertex_masks), tuple(edge_bits), tuple(chord_bits))
 
 
 def no_chording_paths(
@@ -176,61 +146,56 @@ def no_chording_paths(
     then searches paths only through the chords its endpoints' positions
     on the cycle allow.
     """
+    n = g.n
+    if not isinstance(cycles, CompiledCycles):
+        cycles = compile_cycles(cycles, n)
+    elif cycles.n != n:
+        raise ValueError(f"cycle table compiled for n={cycles.n}, not n={n}")
     ends: dict[tuple[int, int], None] = {}
     for a, b in pairs:
         if a == b:
             raise ValueError("chording path endpoints must differ")
-        for v in (a, b):
-            if not 0 <= v < g.n:
-                raise ValueError(f"vertex {v} out of range for n={g.n}")
+        _require_vertex(g, a)
+        _require_vertex(g, b)
         ends[(a, b) if a < b else (b, a)] = None
     masks = [g.neighbor_mask(v) for v in g.vertices]
     ban = 0
     for u, v in banned:
+        _require_vertex(g, u)
+        _require_vertex(g, v)
         if not g.has_edge(u, v):
             raise ValueError(f"banned edge ({u},{v}) not present")
         masks[u] &= ~(1 << v)
         masks[v] &= ~(1 << u)
-        ban |= 1 << _edge_index(u, v)
-    live = 0
-    for v, row in enumerate(masks):
-        for u in _bits(row & ((1 << v) - 1)):
-            live |= 1 << _edge_index(u, v)
+        ban |= 1 << u * n + v
+    live = sum(row << v * n for v, row in enumerate(masks))
     # Cycles that avoid the ban, each with the bits of its live chords.
     table = []
-    compiled = cycles if isinstance(cycles, CompiledCycles) else compile_cycles(cycles)
-    for cmask, own, cycle_chords in zip(*compiled):
+    for cmask, own, cycle_chords in zip(cycles.vertex_masks, cycles.edge_bits, cycles.chord_bits):
         if not own & ban:
             chords = live & cycle_chords
             if chords:
                 table.append((cmask, chords))
+    row = (1 << n) - 1
     for a, b in ends:
-        ab = 1 << _edge_index(a, b)
-        star_a = _star(a, g.n)
-        star_b = _star(b, g.n)
         for cmask, chords in table:
             # A chord st can only serve if a is off the cycle or a == s,
             # and b is off the cycle or b == t.
             if cmask >> a & 1:
                 if cmask >> b & 1:
-                    if chords & ab:
+                    if chords >> a * n + b & 1:
                         return False
                     continue
-                for i in _bits(chords & star_a):
-                    u, v = _index_pair(i)
-                    if _chording_via(masks, cmask, a, b, a, v if u == a else u):
+                for t in _bits(chords >> a * n & row):
+                    if mask_reachable(masks, t, b, cmask & ~(1 << t)):
                         return False
             elif cmask >> b & 1:
-                for i in _bits(chords & star_b):
-                    u, v = _index_pair(i)
-                    if _chording_via(masks, cmask, a, b, v if u == b else u, b):
+                for s in _bits(chords >> b * n & row):
+                    if mask_reachable(masks, a, s, cmask & ~(1 << s)):
                         return False
             else:
                 for i in _bits(chords):
-                    u, v = _index_pair(i)
-                    if _chording_via(masks, cmask, a, b, u, v) or _chording_via(
-                        masks, cmask, a, b, v, u
-                    ):
+                    if _chording_off_cycle(masks, cmask, a, b, *divmod(i, n)):
                         return False
     return True
 

@@ -196,7 +196,7 @@ def source(g: Graph, cycles: CycleSet | None = None) -> ShelfEntry:
     its automorphism group."""
     if cycles is None:
         cycles = enumerate_cycles_bruteforce(g)
-    return ShelfEntry(g, cycles, automorphisms(g), compile_cycles(cycles))
+    return ShelfEntry(g, cycles, automorphisms(g), compile_cycles(cycles, g.n))
 
 
 def run_shelf(shelves: Shelves, n: int, m: int, reach: range) -> list[str]:

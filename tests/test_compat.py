@@ -33,6 +33,7 @@ from min3gen import (
     VertexTriple,
     add_edge,
     chords,
+    compile_cycles,
     decode_graph6,
     generate_min3,
     is_3_compatible,
@@ -64,6 +65,11 @@ def test_has_chording_path_validation(prism_graph, prism_cycles):
         no_chording_paths(prism_cycles, prism_graph, ((2, 2),))
     with pytest.raises(ValueError):
         no_chording_paths(prism_cycles, prism_graph, ((0, 2),), ((0, 2),))
+    for banned in (((6, 1),), ((-1, 4),)):
+        with pytest.raises(ValueError, match="out of range"):
+            no_chording_paths(prism_cycles, prism_graph, ((0, 2),), banned)
+    with pytest.raises(ValueError, match="compiled for n=7"):
+        no_chording_paths(compile_cycles(prism_cycles, 7), prism_graph, ((0, 2),))
 
 
 def test_has_chording_path_matches_definition_scan():
@@ -81,6 +87,7 @@ def test_has_chording_path_matches_definition_scan():
         got = not no_chording_paths(cs, g, ((a, b),), banned)
         want = chording_path_oracle(g, cs, a, b, banned)
         assert got == want, (g.edges(), a, b, banned)
+        assert got != no_chording_paths(compile_cycles(cs, g.n), g, ((a, b),), banned)
         done += 1
 
 

@@ -251,7 +251,7 @@ def test_generate_min3_keeps_no_compiled_cycle_sets(monkeypatch):
     # and nothing keeps a compiled set alive once the run returns.
     calls = _count_work(monkeypatch)
     generate_min3(9)
-    compiled = [cycles for cycles, in calls["compile_cycles"]]
+    compiled = [cycles for cycles, _ in calls["compile_cycles"]]
     assert len(compiled) == len(calls["automorphisms"]) == 20
     assert len({id(cycles) for cycles in compiled}) == 20
     alive = [weakref.ref(cycles) for cycles in compiled]
@@ -309,7 +309,7 @@ def test_provenance_shapes_across_shelves():
         assert certs == sorted(set(certs))
         for ent in entries:
             assert (ent.graph.n, ent.graph.m) == (n, m)
-            assert ent.table == compile_cycles(ent.cycles)
+            assert ent.table == compile_cycles(ent.cycles, n)
 
 
 def test_a_classes_are_minimal_and_intermediates_are_not():
