@@ -55,11 +55,11 @@ print("wheel(7) emitted at (8,14):", certificate(wheel(7)) in result.groups[(8, 
 # returns its sorted certificates, and each graph that feeds a column of
 # reach becomes a source once: source() gives it its cycle set, compiled
 # for the gates, and its automorphism group generators, and run_shelf
-# bridges it into the shelves it feeds.  Here column 7 is built from the
-# prism seed.
+# bridges it into the shelves it feeds.  Here columns 7 and 8 are in
+# reach, and column 7 is built from the prism seed.
 seed = prism()
 shelves = {(6, 9): {certificate(seed): (seed, lambda: PRISM_CYCLES)}}
-reach = range(7, 8)
+reach = range(7, 9)
 print("\nshelf (n=6, m=9):", run_shelf(shelves, 6, 9, reach))
 print("candidates bridged from it:", {key: len(found) for key, found in shelves.items()})
 cert, (g, rule) = min(shelves[(7, 11)].items())
@@ -71,6 +71,10 @@ print("  its certificate:", cert)
 certs = run_shelf(shelves, 7, 11, reach)
 print(f"shelf (n=7, m=11): {len(certs)} graphs, as in result.groups[(7, 11)]:", certs == result.groups[(7, 11)])
 print("shelf (n=7, m=12) holds", len(run_shelf(shelves, 7, 12, reach)), "graphs: only W6 and K_{3,4} have that size")
+# Column 8, the last in reach, feeds nothing, so its candidates hold no
+# rule, and no source's cycle set is kept alive for them.
+print("column 8 candidates:", sum(map(len, shelves.values())), " with a rule:",
+      sum(rule is not None for found in shelves.values() for _, rule in found.values()))
 
 # A later run resumes from this one's outputs and walks only column 9.
 resumed = generate_min3(9, resume=result)

@@ -3,8 +3,11 @@ Writing, reading, and validating output files
 =============================================
 
 Outputs are graph6 text, one graph per line, one file per (n, m) group,
-plus a counts.tsv summary.  The validator is import-independent from the
-generator: it re-checks minimal 3-connectivity from the definition.
+plus a counts.tsv summary.  The validators are import-independent from
+the generator: the naive oracle re-checks minimal 3-connectivity from the
+definition, and the exact fast test that reading a checkpoint and
+`min3gen validate` use gives the same verdicts with one 3-connectivity
+check per graph.
 """
 
 import tempfile
@@ -14,6 +17,7 @@ from min3gen import (
     decode_graph6,
     encode_graph6,
     generate_min3,
+    has_only_essential_edges,
     is_3_connected,
     is_minimally_3_connected,
     prism,
@@ -36,23 +40,27 @@ for path in written:
 print("\ncounts.tsv:")
 print((out_dir / "counts.tsv").read_text(), end="")
 
-# Validate every emitted graph against the definition-level oracle.
+# Validate every emitted graph against the definition-level oracle, and
+# against the fast test.
 checked = 0
 for path in written:
     if path.suffix != ".g6":
         continue
     for row in path.read_text().splitlines():
-        assert is_minimally_3_connected(decode_graph6(row))
+        g = decode_graph6(row)
+        assert is_minimally_3_connected(g) and has_only_essential_edges(g)
         checked += 1
-print(f"\nall {checked} emitted graphs pass is_minimally_3_connected")
+print(f"\nall {checked} emitted graphs pass is_minimally_3_connected and has_only_essential_edges")
 
-# The oracle rejects near misses: W5 plus one chord is 3-connected but the
-# chord is removable, so it is not minimal.
+# Both reject near misses: W5 plus one chord is 3-connected but the chord
+# is removable, so it is not minimal.  The chord lifts two rim vertices to
+# degree 4, so the fast test searches for paths at their edges.
 from min3gen import add_edge
 
 rich = add_edge(wheel(5), 1, 3)
 print("\nW5+chord 3-connected:", is_3_connected(rich),
-      " minimally:", is_minimally_3_connected(rich))
+      " minimally:", is_minimally_3_connected(rich),
+      " fast test:", has_only_essential_edges(rich))
 
 # Same checks through the command line:
 #   min3gen generate --mode min3 --max-n 8 --out out/

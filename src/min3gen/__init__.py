@@ -60,6 +60,7 @@ from .io_validate import (
     CheckpointError,
     decode_graph6,
     encode_graph6,
+    has_only_essential_edges,
     is_3_connected,
     is_minimally_3_connected,
     read_outputs,
@@ -109,6 +110,7 @@ __all__ = [
     "extract_pattern",
     "generate_cubic",
     "generate_min3",
+    "has_only_essential_edges",
     "is_3_compatible",
     "is_3_connected",
     "is_minimally_3_connected",

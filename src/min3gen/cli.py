@@ -17,8 +17,8 @@ from .io_validate import (
     CheckpointError,
     decode_graph6,
     default_out_dir,
+    has_only_essential_edges,
     is_3_connected,
-    is_minimally_3_connected,
     read_lines,
     read_outputs,
     write_outputs,
@@ -102,7 +102,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
             print(f"{args.path}:{lineno}: {exc}", file=sys.stderr)
             return 1
         if args.mode == "min3":
-            ok = is_minimally_3_connected(g)
+            ok = has_only_essential_edges(g)
         else:
             ok = all(g.degree(v) == 3 for v in g.vertices) and is_3_connected(g)
         if not ok:

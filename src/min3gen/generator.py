@@ -17,11 +17,13 @@ once and is bridged into the shelves it feeds.  A bridging is minimally
 the source, which the chording path gate decides on the source's cycle
 set, compiled once per source.  Only one site per orbit of the source's
 automorphism group is tried, since the sites of an orbit give isomorphic
-graphs, and certificates deduplicate a shelf.  Each operation hands every
-candidate the rule that maps its source's cycle set to the candidate's,
-composed of the edge addition and subdivision rules, so nothing is
-re-enumerated; a rule runs only when its graph becomes a source, which no
-graph of the final column (n = max_n) does.
+graphs, and certificates deduplicate a shelf.  Each operation returns its
+bridgings, each with its replay steps: the edge additions and
+subdivisions whose rules map the source's cycle set to the bridging's, so
+nothing is re-enumerated.  A candidate whose column feeds another holds
+its steps, bound to the source's cycle set, as its rule, which runs when
+the candidate becomes a source.  A candidate of the final column
+(n = max_n) holds no rule, and so keeps no source's cycle set alive.
 
 Wheels and K_{3,t} are the minimally 3-connected graphs that no prism-rooted
 chain reaches; they are constructed directly and merged into the output.
@@ -59,11 +61,15 @@ PRISM_CYCLES: CycleSet = enumerate_cycles_bruteforce(prism())
 
 Progress = Callable[[str], None]
 
+# The edge rules that map a source's cycle set to its bridging's, as
+# _replay applies them.
+Steps = tuple[tuple[int, ...], ...]
 # A candidate is its graph and its rule: the source's cycle set mapped to
 # the candidate's, bound when the candidate is built and called only when
-# the candidate becomes a source.
+# the candidate becomes a source.  A candidate that never will, one of the
+# final column, has no rule.
 Rule = Callable[[], CycleSet]
-Candidate = tuple[Graph, Rule]
+Candidate = tuple[Graph, Rule | None]
 # The shelves still filling, keyed by (n, m): each keeps the first
 # candidate of every certificate that reaches it.
 Shelves = dict[tuple[int, int], dict[str, Candidate]]
@@ -134,7 +140,7 @@ def _replay(cycles: CycleSet, *steps: tuple[int, ...]) -> CycleSet:
     return cycles
 
 
-def d1(src: ShelfEntry) -> list[Candidate]:
+def d1(src: ShelfEntry) -> list[tuple[Graph, Steps]]:
     """Bridge a vertex x and an edge ab with x not on it (Dawes' D1).
 
     ab is subdivided by the new vertex y, and xy is added.  The gate is the
@@ -147,11 +153,11 @@ def d1(src: ShelfEntry) -> list[Candidate]:
         if no_chording_paths(src.table, g, *VertexEdge(*site).query()):
             x, (a, b) = site
             g2, y = bridge_vertex_edge(g, x, a, b)
-            out.append((g2, partial(_replay, src.cycles, (a, b, y), (x, y))))
+            out.append((g2, ((a, b, y), (x, y))))
     return out
 
 
-def d2(src: ShelfEntry) -> list[Candidate]:
+def d2(src: ShelfEntry) -> list[tuple[Graph, Steps]]:
     """Bridge two distinct edges ab and cd, adjacent pairs included (Dawes' D2).
 
     Both edges are subdivided, by the new vertices p and q, and pq is
@@ -164,11 +170,11 @@ def d2(src: ShelfEntry) -> list[Candidate]:
         if no_chording_paths(src.table, g, *EdgePair(*site).query()):
             (a, b), (c, d) = site
             g2, p, q = bridge_edges(g, (a, b), (c, d))
-            out.append((g2, partial(_replay, src.cycles, (a, b, p), (c, d, q), (p, q))))
+            out.append((g2, ((a, b, p), (c, d, q), (p, q))))
     return out
 
 
-def d3(src: ShelfEntry) -> list[Candidate]:
+def d3(src: ShelfEntry) -> list[tuple[Graph, Steps]]:
     """Join a new vertex w to three vertices x, y and z (Dawes' D3).
 
     The gate is the 3-compatibility of {x, y, z}: no chording xy-, xz- or
@@ -186,7 +192,7 @@ def d3(src: ShelfEntry) -> list[Candidate]:
         if no_chording_paths(src.table, g, *VertexTriple(*site).query()):
             x, y, z = site
             g2, w = add_degree3_vertex(g, x, y, z)
-            out.append((g2, partial(_replay, src.cycles, (x, y), (x, y, w), (w, z))))
+            out.append((g2, ((x, y), (x, y, w), (w, z))))
     return out
 
 
@@ -207,7 +213,9 @@ def run_shelf(shelves: Shelves, n: int, m: int, reach: range) -> list[str]:
     so every candidate for it has arrived.  A graph it pushes becomes a
     source, once: its rule gives its cycle set, and d1, d3 and d2 bridge it
     into (n+1, m+2), (n+1, m+3) and (n+2, m+3), those in reach, where only
-    an unseen certificate's candidate is kept.
+    an unseen certificate's candidate is kept.  Its rule replays the
+    bridging's steps on the source's cycle set, and is bound only for a
+    shelf whose column feeds one in reach.
     """
     found = shelves.pop((n, m), {})
     certs = sorted(found)
@@ -220,8 +228,11 @@ def run_shelf(shelves: Shelves, n: int, m: int, reach: range) -> list[str]:
             src = source(g, rule())
             for op, key in feeds:
                 shelf = shelves.setdefault(key, {})
-                for g2, rule2 in op(src):
-                    shelf.setdefault(certificate(g2), (g2, rule2))
+                bind = key[0] + 1 in reach
+                for g2, steps in op(src):
+                    cert2 = certificate(g2)
+                    if cert2 not in shelf:
+                        shelf[cert2] = (g2, partial(_replay, src.cycles, *steps) if bind else None)
     return certs
 
 

@@ -4,10 +4,15 @@ The validation oracles here are deliberately naive: 3-connectivity by
 deleting every vertex pair and checking connectedness, minimality by
 re-checking after every single edge deletion.  They share no machinery
 with the generator's compatibility gates (no cycle sets, no chording
-paths), so agreement between the two is evidence, not tautology.  An
-output tree is also the checkpoint a min3 run resumes from: read_outputs
-checks every line of it with the oracles and certifies it, so a line that
-is not minimally 3-connected, not canonical, or a repeat stops a resume.
+paths), so agreement between the two is evidence, not tautology, and
+they are kept as the independent check of everything else.
+
+The program's own minimality checks use has_only_essential_edges, an
+exact test that calls is_3_connected once and then needs a path search
+only for an edge whose ends both have degree above 3.  An output tree is
+also the checkpoint a min3 run resumes from: read_outputs checks every
+line of it with that test and certifies it, so a line that is not
+minimally 3-connected, not canonical, or a repeat stops a resume.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import os
 from pathlib import Path
 
 from .canonical import certificate
-from .graphs import Graph, delete_edge, from_triangle_bits, graph6_line, triangle_bits
+from .graphs import Graph, delete_edge, from_triangle_bits, graph6_line, mask_disjoint_paths, triangle_bits
 from .records import GeneratedSet
 
 _GRAPH6_HEADER = ">>graph6<<"
@@ -105,6 +110,30 @@ def is_minimally_3_connected(g: Graph) -> bool:
     if not is_3_connected(g):
         return False
     return all(not is_3_connected(delete_edge(g, u, v)) for u, v in g.edges())
+
+
+def has_only_essential_edges(g: Graph) -> bool:
+    """3-connected, and no edge can be deleted keeping that: the same
+    verdict as is_minimally_3_connected, with one is_3_connected call.
+
+    An edge uv at a vertex u of degree 3 is essential, since in g - uv the
+    two other neighbours of u separate it from v.  For any other edge,
+    every separator of g - uv of at most two vertices separates u from v,
+    as g has none, so g - uv is 3-connected exactly when it keeps three
+    internally disjoint u-v paths (Menger).
+    """
+    if not is_3_connected(g):
+        return False
+    masks = [g.neighbor_mask(v) for v in g.vertices]
+    for u, v in g.edges():
+        if masks[u].bit_count() > 3 and masks[v].bit_count() > 3:
+            masks[u] ^= 1 << v
+            masks[v] ^= 1 << u
+            if mask_disjoint_paths(masks, u, v, 3):
+                return False
+            masks[u] ^= 1 << v
+            masks[v] ^= 1 << u
+    return True
 
 
 class CheckpointError(ValueError):
@@ -216,7 +245,7 @@ def _read_group(path: Path, key: tuple[int, int], count: int) -> list[str]:
             graph = decode_graph6(line)
             if (graph.n, graph.m) != key:
                 raise ValueError(f"graph has (n, m) = {(graph.n, graph.m)}, not the file's {key}")
-            if not is_minimally_3_connected(graph):
+            if not has_only_essential_edges(graph):
                 raise ValueError("graph is not minimally 3-connected")
             if certificate(graph) != line:
                 raise ValueError("line is not its own certificate")

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 
-from min3gen import Graph, complete_bipartite_3, prism, wheel
+from min3gen import Graph, complete_bipartite_3, generate_min3, prism, wheel
 from min3gen.cli import main as cli_main
 from min3gen.cycles import enumerate_cycles_bruteforce
 
@@ -41,6 +43,14 @@ def k4() -> Graph:
 @pytest.fixture(scope="session")
 def k33() -> Graph:
     return complete_bipartite_3(3)
+
+
+@pytest.fixture(scope="session")
+def min3_run():
+    """generate_min3(10), the 368 graphs with n <= 10, and its seconds."""
+    start = time.perf_counter()
+    result = generate_min3(10)
+    return result, time.perf_counter() - start
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,6 @@
-"""Shared test utilities: random graphs, a Hypothesis strategy for
-2-connected graphs, definition-level oracles, the shelves of a run, and
-sources materialised from generator candidates.
+"""Shared test utilities: random graphs, Hypothesis strategies for
+2-connected and 3-connected graphs, definition-level oracles, the shelves
+of a run, and sources materialised from the bridgings of an operation.
 
 The oracles here re-derive connectivity and chording paths straight from
 their definitions with plain set arithmetic, sharing no bitmask machinery
@@ -20,6 +20,7 @@ from min3gen import (
     VertexEdge,
     VertexTriple,
     add_degree3_vertex,
+    add_edge,
     bridge_edges,
     bridge_vertex_edge,
     certificate,
@@ -28,29 +29,33 @@ from min3gen import (
     prism,
     run_shelf,
     source,
+    wheel,
 )
-from min3gen.generator import PRISM_CYCLES
+from min3gen.generator import PRISM_CYCLES, _replay
 
 
 def collect_shelves(max_n: int) -> dict[tuple[int, int], list]:
     """Every shelf with n <= max_n, keyed by (n, m), the prism seed's
     included, walked with run_shelf as generate_min3 walks them: each as
     its graphs made sources in certificate order, with the cycle sets that
-    the rules of the candidates the walk kept give."""
+    the rules of the candidates the walk kept give.  The walk reaches one
+    column past max_n, so that the candidates of column max_n get rules,
+    but runs no shelf of column max_n."""
     seed = prism()
     pending = {(6, 9): {certificate(seed): (seed, lambda: PRISM_CYCLES)}}
     shelves = {}
     for n in range(6, max_n + 1):
         for m in range((3 * n + 1) // 2, 3 * n - 8):
             shelves[(n, m)] = [source(g, rule()) for _, (g, rule) in sorted(pending.get((n, m), {}).items())]
-            run_shelf(pending, n, m, range(7, max_n + 1))
+            if n < max_n:
+                run_shelf(pending, n, m, range(7, max_n + 2))
     return shelves
 
 
-def materialize(candidates):
-    """Sources for (graph, rule) candidates, as run_shelf makes them: each
-    with what its rule gives."""
-    return [source(g, rule()) for g, rule in candidates]
+def materialize(op, src):
+    """Sources for the bridgings op makes of src, as run_shelf makes them:
+    each with the cycle set its replay steps give."""
+    return [source(g, _replay(src.cycles, *steps)) for g, steps in op(src)]
 
 
 def candidate_sets(g: Graph):
@@ -88,6 +93,32 @@ def two_connected_graphs(draw, max_n: int = 8) -> Graph:
     es.update(draw(st.sets(st.sampled_from(list(itertools.combinations(range(n), 2))), max_size=n)))
     perm = draw(st.permutations(range(n)))
     return Graph(n, [(perm[u], perm[v]) for u, v in es])
+
+
+@st.composite
+def three_connected_graphs(draw, max_n: int = 10) -> Graph:
+    """A random 3-connected graph on 4..max_n vertices: a wheel, grown by
+    D1, D2 and D3 bridgings, which keep 3-connectivity, and a few added
+    edges, then a random relabelling."""
+    g = wheel(draw(st.integers(3, 5)))
+    while g.n < max_n and draw(st.booleans()):
+        op = draw(st.sampled_from(("D1", "D2", "D3") if g.n + 2 <= max_n else ("D1", "D3")))
+        if op == "D1":
+            a, b = draw(st.sampled_from(g.edges()))
+            x = draw(st.sampled_from([v for v in g.vertices if v not in (a, b)]))
+            g = bridge_vertex_edge(g, x, a, b)[0]
+        elif op == "D2":
+            e1, e2 = draw(st.lists(st.sampled_from(g.edges()), min_size=2, max_size=2, unique=True))
+            g = bridge_edges(g, e1, e2)[0]
+        else:
+            x, y, z = draw(st.lists(st.sampled_from(g.vertices), min_size=3, max_size=3, unique=True))
+            g = add_degree3_vertex(g, x, y, z)[0]
+    missing = [e for e in itertools.combinations(g.vertices, 2) if not g.has_edge(*e)]
+    if missing:
+        for u, v in draw(st.sets(st.sampled_from(missing), max_size=3)):
+            g = add_edge(g, u, v)
+    perm = draw(st.permutations(range(g.n)))
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
 def permuted_copy(rng: random.Random, g: Graph) -> Graph:

@@ -28,6 +28,7 @@ from min3gen import (
     extract_pattern,
     generate_cubic,
     generate_min3,
+    has_only_essential_edges,
     is_3_compatible,
     is_3_connected,
     is_minimally_3_connected,
@@ -60,13 +61,6 @@ def _report(num: int, name: str, ok: bool) -> None:
     verdict = "PASS" if ok else "FAIL"
     record_acceptance(f"acceptance {num:02d} {name}: {verdict}")
     assert ok, f"acceptance criterion {num} ({name}) failed"
-
-
-@pytest.fixture(scope="module")
-def min3_run():
-    start = time.perf_counter()
-    result = generate_min3(10)
-    return result, time.perf_counter() - start
 
 
 @pytest.fixture(scope="module")
@@ -134,6 +128,9 @@ def test_published_count_and_oracles(generate, max_n, published, oracle):
     assert [certificate(g) for g in graphs] == certs
     assert len(set(certs)) == published
     assert all(oracle(g) for g in graphs)
+    if generate is generate_min3:
+        # The exact fast test that the read path and validate use.
+        assert all(has_only_essential_edges(g) for g in graphs)
 
 
 @pytest.mark.slow
@@ -269,7 +266,7 @@ def test_09_recursion_worked_examples(k4, k33):
     bridged, _ = bridge_vertex_edge(k4, 3, 0, 1)
     ok = ok and certificate(bridged) == certificate(wheel(4))
 
-    certs = {certificate(ent.graph) for ent in materialize(d3(source(k33)))}
+    certs = {certificate(ent.graph) for ent in materialize(d3, source(k33))}
     ok = ok and certs == {certificate(complete_bipartite_3(4))}
     _report(9, "D1 and D3 worked examples", ok)
 

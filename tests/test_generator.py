@@ -9,7 +9,6 @@ result) cover the plumbing the counts alone would not.
 
 from __future__ import annotations
 
-import functools
 import gc
 import re
 import weakref
@@ -31,6 +30,7 @@ from min3gen import (
     encode_graph6,
     generate_cubic,
     generate_min3,
+    has_only_essential_edges,
     is_3_compatible,
     is_3_connected,
     is_minimally_3_connected,
@@ -49,6 +49,7 @@ from min3gen.generator import (
     PRISM_CYCLES,
     _edge_pair_image,
     _orbit_representatives,
+    _replay,
     _shelf_edges,
     d1,
     d2,
@@ -71,7 +72,7 @@ def test_d1_bridges_the_prism_to_shelf_11_7():
     # The prism's 36 vertex/edge sites fall into few orbits of its 12
     # automorphisms; those that pass the gate reach the three graphs of
     # (n, m) = (7, 11).
-    out = materialize(d1(_seed_entry()))
+    out = materialize(d1, _seed_entry())
     assert 0 < len(out) < 36
     assert {certificate(ent.graph) for ent in out} == set(generate_min3(7).groups[(7, 11)])
     for ent in out:
@@ -82,20 +83,26 @@ def test_d1_bridges_the_prism_to_shelf_11_7():
 
 def test_d3_reaches_complete_bipartite(k33):
     # K_{3,3}'s two sides are its only independent triples, one orbit.
-    out = materialize(d3(source(k33)))
+    out = materialize(d3, source(k33))
     assert len(out) == 1
     assert certificate(out[0].graph) == certificate(complete_bipartite_3(4))
     assert out[0].cycles == enumerate_cycles_bruteforce(out[0].graph)
 
 
-def test_orbit_representatives_admit_the_classes_of_all_sites():
-    # For every source with n <= 9, the sources of the shelves up to n = 11,
-    # each operation admits from its orbit representatives the classes
-    # that every 3-compatible site of its shape gives, d3's triples with an
-    # adjacent pair included.
-    shelves = collect_shelves(9)
-    sources = [ent for entries in shelves.values() for ent in entries]
+@pytest.fixture(scope="module")
+def sources9():
+    """The 75 sources of the shelves with n <= 9, which feed those up to
+    n = 11."""
+    sources = [ent for entries in collect_shelves(9).values() for ent in entries]
     assert len(sources) == 75
+    return sources
+
+
+def test_orbit_representatives_admit_the_classes_of_all_sites(sources9):
+    # For every source with n <= 9, each operation admits from its orbit
+    # representatives the classes that every 3-compatible site of its
+    # shape gives, d3's triples with an adjacent pair included.
+    sources = sources9
     tried = admitted = 0
     for ent in sources:
         by_definition = {shape: set() for shape in OPS}
@@ -110,19 +117,41 @@ def test_orbit_representatives_admit_the_classes_of_all_sites():
     assert tried < admitted
 
 
+def test_every_gate_verdict_is_the_minimality_of_its_bridging(sources9, monkeypatch):
+    # Dawes' theorem, site by site: at every orbit representative site of
+    # the sources with n <= 9, the gate passes exactly when the bridging is
+    # minimally 3-connected.  Unlike the gate's chording-path oracle, this
+    # would catch a gate that is wrong in the same way as that definition.
+    gate = min3gen.generator.no_chording_paths
+    verdicts = []
+
+    def recording(*args):
+        verdicts.append(gate(*args))
+        return True  # so that every site tried is bridged
+
+    monkeypatch.setattr(min3gen.generator, "no_chording_paths", recording)
+    children = [g for ent in sources9 for op in (d1, d2, d3) for g, _ in op(ent)]
+    assert (len(children), len(verdicts), sum(verdicts)) == (7477, 7477, 4942)
+    assert [has_only_essential_edges(g) for g in children] == verdicts
+    # The definition-level oracle on a fixed sample of the sites.
+    sample = range(0, len(children), 53)
+    assert [is_minimally_3_connected(children[i]) for i in sample] == [verdicts[i] for i in sample]
+
+
 def test_every_bridging_rule_matches_bruteforce_cycles(monkeypatch):
     # With a gate that passes everything, d1, d2 and d3 return every site
-    # they try, one per orbit, each with its rule.  On every minimally
-    # 3-connected graph up to n = 8, each rule must give the bridged
-    # graph's cycles, whether the site is 3-compatible or not.
+    # they try, one per orbit, each with its replay steps.  On every
+    # minimally 3-connected graph up to n = 8, the steps must give the
+    # bridged graph's cycles, whether the site is 3-compatible or not.
     monkeypatch.setattr(min3gen.generator, "no_chording_paths", lambda *args: True)
     graphs = [decode_graph6(c) for bucket in generate_min3(8).groups.values() for c in bucket]
     sites = 0
     for g in graphs:
         ent = source(g)
         for op in (d1, d2, d3):
-            for g2, rule in op(ent):
-                assert rule() == enumerate_cycles_bruteforce(g2), (op.__name__, g.edges(), g2.edges())
+            for g2, steps in op(ent):
+                cycles = _replay(ent.cycles, *steps)
+                assert cycles == enumerate_cycles_bruteforce(g2), (op.__name__, g.edges(), g2.edges())
                 sites += 1
     assert sites == 2600
 
@@ -174,25 +203,20 @@ def test_final_shelf_has_no_scaffolding_and_no_cycle_sets(monkeypatch):
     assert pending == {}
 
 
-def _traced_rule(ruled, n, rule):
-    ruled.append(n)
-    return rule()
-
-
 def test_final_column_derives_no_cycle_sets(monkeypatch):
-    # No rule runs for a candidate of the column n = max_n.
-    ruled = []
+    # A candidate of the column n = max_n holds no rule, so no cycle set is
+    # ever derived for it; a candidate of any other column holds one.
+    bound: dict[int, set[bool]] = {}
+    run_shelf = min3gen.generator.run_shelf
 
-    def tracing(op):
-        def traced(entry):
-            return [(g, functools.partial(_traced_rule, ruled, g.n, rule)) for g, rule in op(entry)]
+    def inspecting(shelves, n, m, reach):
+        for _, rule in shelves.get((n, m), {}).values():
+            bound.setdefault(n, set()).add(rule is not None)
+        return run_shelf(shelves, n, m, reach)
 
-        return traced
-
-    for name in ("d1", "d2", "d3"):
-        monkeypatch.setattr(min3gen.generator, name, tracing(getattr(min3gen.generator, name)))
+    monkeypatch.setattr(min3gen.generator, "run_shelf", inspecting)
     generate_min3(8)
-    assert 7 in ruled and 8 not in ruled
+    assert bound == {6: {True}, 7: {True}, 8: {False}}
     # A resume makes sources of the two columns the next one reads, less
     # the wheels and K_{3,t}, and none when it already reaches max_n.
     sourced = []
@@ -248,17 +272,42 @@ def test_each_source_gets_its_automorphisms_once(monkeypatch):
 
 def test_generate_min3_keeps_no_compiled_cycle_sets(monkeypatch):
     # Each source's cycle set is compiled once, when it becomes a source,
-    # and nothing keeps a compiled set alive once the run returns.
-    calls = _count_work(monkeypatch)
-    generate_min3(9)
-    compiled = [cycles for cycles, _ in calls["compile_cycles"]]
-    assert len(compiled) == len(calls["automorphisms"]) == 20
-    assert len({id(cycles) for cycles in compiled}) == 20
-    alive = [weakref.ref(cycles) for cycles in compiled]
-    calls.clear()
-    del compiled
+    # and lives only as long as a candidate's rule holds it.  The rules of
+    # a column-n source are read by columns n + 1 and n + 2, and no
+    # candidate of the final column holds one, so the set is gone once
+    # column min(n + 2, max_n - 1) has run; for a source of column
+    # max_n - 1, once its own column has.  Nothing outlives the run.
+    max_n = 9
+    compiled: list[tuple[int, weakref.ref]] = []  # (source's column, its cycle set)
+    real = min3gen.generator.compile_cycles
+
+    def recording(cycles, n):
+        compiled.append((n, weakref.ref(cycles)))
+        return real(cycles, n)
+
+    def due(column: int) -> int:
+        return max(column, min(column + 2, max_n - 1))
+
+    checked, late = [], []
+
+    def progress(line):
+        n, m = map(int, re.match(r"min3 shelf n=(\d+) m=(\d+)", line).groups())
+        if m == 3 * n - 10:  # the column's last shelf
+            gc.collect()
+            for column, ref in compiled:
+                if due(column) == n:
+                    checked.append(column)
+                    if ref() is not None:
+                        late.append((n, column))
+
+    monkeypatch.setattr(min3gen.generator, "compile_cycles", recording)
+    generate_min3(max_n, progress=progress)
+    assert len(compiled) == 20
+    assert late == []
+    # Every source was checked, those of column 8 at the end of their own.
+    assert sorted(checked) == [6] + [7] * 3 + [8] * 16
     gc.collect()
-    assert not any(ref() is not None for ref in alive)
+    assert not any(ref() is not None for _, ref in compiled)
 
 
 def test_generate_min3_smallest_budget():
