@@ -54,7 +54,8 @@ print(f"\nall {checked} emitted graphs pass is_minimally_3_connected and has_onl
 
 # Both reject near misses: W5 plus one chord is 3-connected but the chord
 # is removable, so it is not minimal.  The chord lifts two rim vertices to
-# degree 4, so the fast test searches for paths at their edges.
+# degree 4, so the fast test re-checks the graph less each of their edges
+# that meets no vertex of degree 3.
 from min3gen import add_edge
 
 rich = add_edge(wheel(5), 1, 3)

@@ -263,11 +263,12 @@ def generate_min3(max_n: int, *, progress: Progress | None = None, resume: Gener
 
     Starts from the groups up to a last column: the prism in column 6, or
     resume, the result of an earlier run such as io_validate.read_outputs
-    gives.  The graphs of the last two columns, less the wheels and
-    K_{3,t}, are the first candidates, each with a rule that enumerates its
-    cycle set, and run_shelf walks the shelves column by column (n outer,
-    m from ceil(3n/2) to 3n-9) from column last - 1 to max_n, making
-    sources of the graphs that feed the columns after last.  Results are
+    gives.  When max_n is past last, the graphs of the last two columns,
+    less the wheels and K_{3,t}, are decoded as the first candidates, each
+    with a rule that enumerates its cycle set, and run_shelf walks the
+    shelves column by column (n outer, m from ceil(3n/2) to 3n-9) from
+    column last - 1 to max_n, making sources of the graphs that feed the
+    columns after last; otherwise nothing is decoded.  Results are
     (n, m) groups of sorted certificates: the shelves, and the two direct
     families, wheels and K_{3,t}.  A resumed set that lacks a group of its
     columns or holds another raises CheckpointError.
@@ -284,12 +285,12 @@ def generate_min3(max_n: int, *, progress: Progress | None = None, resume: Gener
     else:
         last = _last_column(resume)
         groups = {key: list(bucket) for key, bucket in resume.groups.items() if key[0] <= max_n}
+    reach = range(last + 1, max_n + 1)
     shelves: Shelves = {
         (n, m): {c: _seed(c) for c in bucket if c not in direct.get((n, m), ())}
         for (n, m), bucket in groups.items()
-        if n >= last - 1
+        if n >= last - 1 and reach
     }
-    reach = range(last + 1, max_n + 1)
     for n in range(last - 1, max_n + 1):
         for m in _shelf_edges(n):
             certs = run_shelf(shelves, n, m, reach)

@@ -182,52 +182,6 @@ def mask_reachable(masks: list[int], start: int, target: int, forbidden: int) ->
     return False
 
 
-def mask_disjoint_paths(masks: list[int], s: int, t: int, k: int) -> bool:
-    """Are there k internally disjoint s-t paths over bitmask adjacency
-    rows?  s and t must be distinct; an edge st counts as one path.
-
-    Each of at most k BFS passes looks for an augmenting path on the
-    vertex-split network, where every vertex w is an arc w_in -> w_out of
-    capacity 1 and every edge xy the arcs x_out -> y_in and y_out -> x_in.
-    A pass that reaches t_in from s_out adds a path; when one does not,
-    the paths found are all there are (Menger).
-    """
-    flow: set[Edge] = set()  # (x, y): a path crosses the arc x_out -> y_in
-    for _ in range(k):
-        into = {y: x for x, y in flow if y != t}  # the path arc into a used vertex
-        # BFS over (vertex, is the out side) states, each with the state it
-        # was reached from.
-        parent: dict[tuple[int, bool], tuple[int, bool] | None] = {(s, True): None}
-        frontier = [(s, True)]
-        while frontier and (t, False) not in parent:
-            nxt = []
-            for x, out in frontier:
-                if out:
-                    steps = [(y, False) for y in _bits(masks[x] & ~(1 << s)) if (x, y) not in flow]
-                    if x in into:
-                        steps.append((x, False))  # back along x's own arc
-                elif x in into:
-                    steps = [(into[x], True)]  # back along the path arc into x
-                else:
-                    steps = [(x, True)]
-                for state in steps:
-                    if state not in parent:
-                        parent[state] = (x, out)
-                        nxt.append(state)
-            frontier = nxt
-        if (t, False) not in parent:
-            return False
-        state = (t, False)
-        while (prev := parent[state]) is not None:
-            if prev[0] != state[0]:
-                if prev[1]:
-                    flow.add((prev[0], state[0]))
-                else:
-                    flow.remove((state[0], prev[0]))
-            state = prev
-    return True
-
-
 def _require_vertex(g: Graph, v: int) -> None:
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} out of range for n={g.n}")

