@@ -9,9 +9,6 @@ instead of building and oracle-checking the big one.
 """
 
 from min3gen import (
-    EdgePair,
-    VertexEdge,
-    VertexTriple,
     add_degree3_vertex,
     add_edge,
     bridge_edges,
@@ -37,19 +34,21 @@ print("prism+02: chording path between 3 and 5:", not no_chording_paths(cycles, 
 # Banned edges model "after this edge is deleted" without rebuilding.
 print("same query with edge 01 banned:", not no_chording_paths(cycles, g, ((3, 5),), ((0, 1),)))
 
+# is_3_compatible takes a set as its vertices and its edges.  One rule
+# decides every shape: compat_query turns the set into the endpoint pairs
+# of its members' ends and the set's edges to ban.
+
 # Gate shape 1: {x, ab} guards bridging vertex x to edge ab (operation D1).
 k4 = wheel(3)
 k4_cycles = enumerate_cycles_bruteforce(k4)
-s = VertexEdge(3, (0, 1))
-print("\nK4, {3, 01} 3-compatible:", is_3_compatible(k4_cycles, k4, s))
+print("\nK4, {3, 01} 3-compatible:", is_3_compatible(k4_cycles, k4, (3,), ((0, 1),)))
 bridged, y = bridge_vertex_edge(k4, 3, 0, 1)
 print("D1 result is minimally 3-connected:", is_minimally_3_connected(bridged))
 
 # Gate shape 2: {ab, cd} guards bridging two edges (operation D2).
 pr = prism()
 pr_cycles = enumerate_cycles_bruteforce(pr)
-pair = EdgePair((0, 1), (4, 5))
-print("\nprism, {01, 45} 3-compatible:", is_3_compatible(pr_cycles, pr, pair))
+print("\nprism, {01, 45} 3-compatible:", is_3_compatible(pr_cycles, pr, (), ((0, 1), (4, 5))))
 bridged2, x, y = bridge_edges(pr, (0, 1), (4, 5))
 print("D2 result is minimally 3-connected:", is_minimally_3_connected(bridged2))
 
@@ -57,8 +56,7 @@ print("D2 result is minimally 3-connected:", is_minimally_3_connected(bridged2))
 # One side of K_{3,3} is compatible, and attaching there gives K_{3,4}.
 k33 = complete_bipartite_3(3)
 k33_cycles = enumerate_cycles_bruteforce(k33)
-triple = VertexTriple(0, 1, 2)
-print("\nK33, {0, 1, 2} 3-compatible:", is_3_compatible(k33_cycles, k33, triple))
+print("\nK33, {0, 1, 2} 3-compatible:", is_3_compatible(k33_cycles, k33, (0, 1, 2)))
 attached, w = add_degree3_vertex(k33, 0, 1, 2)
 print("D3 result is minimally 3-connected:", is_minimally_3_connected(attached))
 
@@ -72,7 +70,7 @@ for a, b in w4.edges():
     for x in w4.vertices:
         if x in (a, b):
             continue
-        verdict = is_3_compatible(w4_cycles, w4, VertexEdge(x, (a, b)))
+        verdict = is_3_compatible(w4_cycles, w4, (x,), ((a, b),))
         result, _ = bridge_vertex_edge(w4, x, a, b)
         agree += verdict == is_minimally_3_connected(result)
         total += 1

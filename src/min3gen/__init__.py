@@ -9,11 +9,8 @@ oracles.
 
 from .canonical import are_isomorphic_bruteforce, automorphisms, certificate
 from .compat import (
-    CompatSet,
     CompiledCycles,
-    EdgePair,
-    VertexEdge,
-    VertexTriple,
+    compat_query,
     compile_cycles,
     is_3_compatible,
     no_chording_paths,
@@ -74,16 +71,12 @@ __all__ = [
     "Cycle",
     "CycleSet",
     "CheckpointError",
-    "CompatSet",
     "CompiledCycles",
     "Edge",
-    "EdgePair",
     "GeneratedSet",
     "Graph",
     "PRISM_CYCLES",
     "ShelfEntry",
-    "VertexEdge",
-    "VertexTriple",
     "add_degree3_vertex",
     "add_edge",
     "apply_add_edge",
@@ -96,6 +89,7 @@ __all__ = [
     "canonical_cycle",
     "certificate",
     "chords",
+    "compat_query",
     "compile_cycles",
     "complete_bipartite_3",
     "d1",

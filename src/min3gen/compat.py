@@ -3,8 +3,9 @@
 A chord of a cycle is an edge joining two vertices of the cycle that are
 not cyclically adjacent.  A chording path between a and b is a path that
 contains a chord uv of some cycle, meets that cycle only in u and v, and
-uses none of the cycle's own edges.  The gates below ask whether such paths
-exist after deleting a few named edges; their absence is exactly the
+uses none of the cycle's own edges.  A set of vertices and edges is
+3-compatible when no chording path joins an end of one member to an end
+of another in g less the set's edges (Dawes, JCTB 40, 1986), exactly the
 condition under which the bridging operations preserve minimal
 3-connectivity.
 
@@ -20,60 +21,11 @@ many gates of one graph compiles its set once and passes the table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Union
+from itertools import combinations
+from typing import Iterable, NamedTuple, Sequence
 
 from .cycles import CycleSet, cycle_vertex_mask
 from .graphs import Edge, Graph, _bits, _require_vertex, edge, mask_reachable
-
-
-# The endpoint pairs and banned edges that decide a set's 3-compatibility.
-Query = tuple[list[tuple[int, int]], tuple[Edge, ...]]
-
-
-@dataclass(frozen=True)
-class VertexEdge:
-    """A vertex x and an edge ab with x not an endpoint of ab."""
-
-    vertex: int
-    edge: Edge
-
-    def query(self) -> Query:
-        """No chording xa- or xb-path in g - ab."""
-        x, (a, b) = self.vertex, self.edge
-        return [(x, a), (x, b)], (self.edge,)
-
-
-@dataclass(frozen=True)
-class EdgePair:
-    """Two distinct edges, possibly sharing an endpoint."""
-
-    edge1: Edge
-    edge2: Edge
-
-    def query(self) -> Query:
-        """No chording ac-, bc-, ad- or bd-path in g - {ab, cd}; a pair
-        collapsing to a single vertex is vacuous."""
-        (a, b), (c, d) = self.edge1, self.edge2
-        pairs = [(p, q) for p, q in ((a, c), (b, c), (a, d), (b, d)) if p != q]
-        return pairs, (self.edge1, self.edge2)
-
-
-@dataclass(frozen=True)
-class VertexTriple:
-    """Three distinct vertices."""
-
-    x: int
-    y: int
-    z: int
-
-    def query(self) -> Query:
-        """No chording xy-, xz- or yz-path in g itself."""
-        x, y, z = self.x, self.y, self.z
-        return [(x, y), (x, z), (y, z)], ()
-
-
-CompatSet = Union[VertexEdge, EdgePair, VertexTriple]
 
 
 def _chording_off_cycle(
@@ -200,20 +152,32 @@ def no_chording_paths(
     return True
 
 
-def is_3_compatible(cycles: CycleSet, g: Graph, s: CompatSet) -> bool:
-    """Decide 3-compatibility of a vertex/edge, edge/edge, or vertex triple.
+def compat_query(vertices: Sequence[int], edges: Sequence[Edge]) -> tuple[list[tuple[int, int]], tuple[Edge, ...]]:
+    """The endpoint pairs and banned edges that decide a set's 3-compatibility.
 
-    s must be a set of g's vertices and edges; its query() gives the
-    endpoint pairs and banned edges of the chording path checks that
-    decide it, the reduction the generator's bridgings use as well.
+    A vertex is its own end and an edge has two.  The pairs are every two
+    ends of two distinct members that differ: {x, ab} gives xa and xb,
+    {ab, cd} gives ac, bc, ad and bd less a shared end's, and {x, y, z}
+    gives xy, xz and yz.  The banned edges are the set's edges.
     """
-    if not isinstance(s, (VertexEdge, EdgePair, VertexTriple)):
-        raise TypeError(f"unsupported compatibility set {s!r}")
-    if isinstance(s, VertexEdge) and s.vertex in s.edge:
-        raise ValueError("vertex must not be an endpoint of the edge")
-    if isinstance(s, EdgePair) and edge(*s.edge1) == edge(*s.edge2):
-        raise ValueError("edges must be distinct")
-    if isinstance(s, VertexTriple) and len({s.x, s.y, s.z}) != 3:
-        raise ValueError("vertices must be distinct")
+    members = [(v,) for v in vertices] + list(edges)
+    pairs = [(p, q) for m1, m2 in combinations(members, 2) for q in m2 for p in m1 if p != q]
+    return pairs, tuple(edges)
+
+
+def is_3_compatible(cycles: CycleSet, g: Graph, vertices: Sequence[int] = (), edges: Sequence[Edge] = ()) -> bool:
+    """Decide the 3-compatibility of a set of g's vertices and edges.
+
+    The set must be one of Dawes' three shapes: a vertex and an edge, two
+    edges, or three vertices, with distinct members and no vertex an end of
+    a member edge.  compat_query reduces it to chording path checks, as it
+    does for the generator's bridgings.
+    """
+    if (len(vertices), len(edges)) not in ((1, 1), (0, 2), (3, 0)):
+        raise ValueError(f"{len(vertices)} vertices and {len(edges)} edges are none of Dawes' three shapes")
+    if len(set(vertices)) < len(vertices) or len({edge(*e) for e in edges}) < len(edges):
+        raise ValueError("the members of a compatibility set must be distinct")
+    if any(v in e for v in vertices for e in edges):
+        raise ValueError("a vertex of a compatibility set must not be an end of its edge")
     # no_chording_paths rejects a banned edge that g lacks.
-    return no_chording_paths(cycles, g, *s.query())
+    return no_chording_paths(cycles, g, *compat_query(vertices, edges))

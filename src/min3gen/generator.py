@@ -40,7 +40,7 @@ from itertools import combinations
 from typing import Callable, Hashable, TypeVar
 
 from .canonical import automorphisms, certificate
-from .compat import CompiledCycles, EdgePair, VertexEdge, VertexTriple, compile_cycles, no_chording_paths
+from .compat import CompiledCycles, compat_query, compile_cycles, no_chording_paths
 from .cycles import CycleSet, apply_add_edge, apply_subdivide_edge, enumerate_cycles_bruteforce
 from .graphs import (
     Edge,
@@ -149,9 +149,8 @@ def d1(src: ShelfEntry) -> list[tuple[Graph, Steps]]:
     g = src.graph
     sites = [(x, e) for e in g.edges() for x in g.vertices if x not in e]
     out = []
-    for site in _orbit_representatives(sites, src.gens, _vertex_edge_image):
-        if no_chording_paths(src.table, g, *VertexEdge(*site).query()):
-            x, (a, b) = site
+    for x, (a, b) in _orbit_representatives(sites, src.gens, _vertex_edge_image):
+        if no_chording_paths(src.table, g, *compat_query((x,), ((a, b),))):
             g2, y = bridge_vertex_edge(g, x, a, b)
             out.append((g2, ((a, b, y), (x, y))))
     return out
@@ -167,7 +166,7 @@ def d2(src: ShelfEntry) -> list[tuple[Graph, Steps]]:
     sites = list(combinations(g.edges(), 2))
     out = []
     for site in _orbit_representatives(sites, src.gens, _edge_pair_image):
-        if no_chording_paths(src.table, g, *EdgePair(*site).query()):
+        if no_chording_paths(src.table, g, *compat_query((), site)):
             (a, b), (c, d) = site
             g2, p, q = bridge_edges(g, (a, b), (c, d))
             out.append((g2, ((a, b, p), (c, d, q), (p, q))))
@@ -189,7 +188,7 @@ def d3(src: ShelfEntry) -> list[tuple[Graph, Steps]]:
     sites = [t for t in combinations(g.vertices, 3) if not any(g.has_edge(*e) for e in combinations(t, 2))]
     out = []
     for site in _orbit_representatives(sites, src.gens, _triple_image):
-        if no_chording_paths(src.table, g, *VertexTriple(*site).query()):
+        if no_chording_paths(src.table, g, *compat_query(site, ())):
             x, y, z = site
             g2, w = add_degree3_vertex(g, x, y, z)
             out.append((g2, ((x, y), (x, y, w), (w, z))))
@@ -251,8 +250,11 @@ def _last_column(resume: GeneratedSet) -> int:
     groups of a run up to it: every shelf's, each of which is non-empty up
     to n = 12 at least, and the wheel's and K_{3,n-3}'s."""
     last = max((n for n, _ in resume.groups), default=0)
+    if last < 6:
+        stray = f", only groups at (n, m) = {sorted(resume.groups)}" if resume.groups else ""
+        raise CheckpointError(f"resumed set holds no column from 6 on{stray}")
     expected = {(n, m) for n in range(6, last + 1) for m in (*_shelf_edges(n), 2 * (n - 1), 3 * n - 9)}
-    if last < 6 or set(resume.groups) != expected:
+    if set(resume.groups) != expected:
         wrong = sorted(set(resume.groups) ^ expected)
         raise CheckpointError(f"resumed groups differ from those of columns 6 to {last} at (n, m) = {wrong}")
     return last

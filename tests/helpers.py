@@ -15,10 +15,7 @@ import random
 from hypothesis import strategies as st
 
 from min3gen import (
-    EdgePair,
     Graph,
-    VertexEdge,
-    VertexTriple,
     add_degree3_vertex,
     add_edge,
     bridge_edges,
@@ -59,16 +56,17 @@ def materialize(op, src):
 
 
 def candidate_sets(g: Graph):
-    """Every vertex/edge, edge/edge and vertex triple set of g, each with a
-    thunk that applies its bridging (D1, D2 or D3) to g."""
+    """Every vertex/edge, edge/edge and vertex triple set of g, each as its
+    (vertices, edges) with a thunk that applies its bridging (D1, D2 or D3)
+    to g."""
     for x in g.vertices:
         for e in g.edges():
             if x not in e:
-                yield VertexEdge(x, e), lambda g=g, x=x, e=e: bridge_vertex_edge(g, x, *e)[0]
+                yield ((x,), (e,)), lambda g=g, x=x, e=e: bridge_vertex_edge(g, x, *e)[0]
     for e1, e2 in itertools.combinations(g.edges(), 2):
-        yield EdgePair(e1, e2), lambda g=g, e1=e1, e2=e2: bridge_edges(g, e1, e2)[0]
+        yield ((), (e1, e2)), lambda g=g, e1=e1, e2=e2: bridge_edges(g, e1, e2)[0]
     for x, y, z in itertools.combinations(g.vertices, 3):
-        yield VertexTriple(x, y, z), lambda g=g, x=x, y=y, z=z: add_degree3_vertex(g, x, y, z)[0]
+        yield ((x, y, z), ()), lambda g=g, x=x, y=y, z=z: add_degree3_vertex(g, x, y, z)[0]
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:

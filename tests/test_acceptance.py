@@ -16,7 +16,6 @@ import pytest
 from conftest import record_acceptance
 from helpers import collect_shelves, materialize, permuted_copy, random_graph
 from min3gen import (
-    VertexEdge,
     apply_split_vertex,
     are_isomorphic_bruteforce,
     bridge_vertex_edge,
@@ -262,7 +261,7 @@ def test_08_edge_bound_with_extremal_graphs(min3_run):
 
 def test_09_recursion_worked_examples(k4, k33):
     cycles = enumerate_cycles_bruteforce(k4)
-    ok = is_3_compatible(cycles, k4, VertexEdge(3, (0, 1)))
+    ok = is_3_compatible(cycles, k4, (3,), ((0, 1),))
     bridged, _ = bridge_vertex_edge(k4, 3, 0, 1)
     ok = ok and certificate(bridged) == certificate(wheel(4))
 

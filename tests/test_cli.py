@@ -341,7 +341,7 @@ def test_resume_rejects_a_repeated_a_line(outputs9, tmp_path, capsys):
     assert f"{path}:5: graph {lines[3]} repeats line 4" in err
 
 
-@pytest.mark.parametrize("edit", ["missing", "extra", "row", "group"])
+@pytest.mark.parametrize("edit", ["missing", "extra", "row", "group", "header"])
 def test_resume_rejects_files_that_counts_tsv_does_not_match(outputs9, edit, tmp_path, capsys):
     tree, rows = _edited(outputs9, tmp_path, "counts.tsv")
     if edit in ("missing", "group"):
@@ -356,6 +356,12 @@ def test_resume_rejects_files_that_counts_tsv_does_not_match(outputs9, edit, tmp
         rows.remove("8\t13\t11")
         (tree / "counts.tsv").write_text("\n".join(rows))
         message = "resumed groups differ from those of columns 6 to 9 at (n, m) = [(8, 13)]"
+    elif edit == "header":
+        # A directory of no group at all: counts.tsv holds only its header.
+        for path in tree.glob("*.g6"):
+            path.unlink()
+        (tree / "counts.tsv").write_text(rows[0] + "\n")
+        message = "resumed set holds no column from 6 on"
     elif edit == "row":
         rows[rows.index("8\t13\t11")] = "8\t13\t12"
         (tree / "counts.tsv").write_text("\n".join(rows))

@@ -28,11 +28,9 @@ from helpers import (
     two_connected_graphs,
 )
 from min3gen import (
-    EdgePair,
-    VertexEdge,
-    VertexTriple,
     add_edge,
     chords,
+    compat_query,
     compile_cycles,
     decode_graph6,
     generate_min3,
@@ -158,17 +156,32 @@ def test_no_chording_paths_deduplicates_pairs(prism_graph, prism_cycles):
         no_chording_paths(prism_cycles, prism_graph, ((2, 2),))
 
 
+def test_compat_query_fixed_cases():
+    # Each shape's endpoint pairs, in order, and banned edges.
+    assert compat_query((3,), ((0, 1),)) == ([(3, 0), (3, 1)], ((0, 1),))
+    assert compat_query((), ((0, 1), (4, 5))) == ([(0, 4), (1, 4), (0, 5), (1, 5)], ((0, 1), (4, 5)))
+    # An adjacent pair drops the shared end's pair with itself.
+    assert compat_query((), ((0, 1), (1, 2))) == ([(0, 1), (0, 2), (1, 2)], ((0, 1), (1, 2)))
+    assert compat_query((0, 1, 2), ()) == ([(0, 1), (0, 2), (1, 2)], ())
+
+
 def test_compat_set_validation(prism_graph, prism_cycles):
-    with pytest.raises(ValueError):
-        is_3_compatible(prism_cycles, prism_graph, VertexEdge(0, (0, 1)))
-    with pytest.raises(ValueError):
-        is_3_compatible(prism_cycles, prism_graph, VertexEdge(2, (0, 2)))
-    with pytest.raises(ValueError):
-        is_3_compatible(prism_cycles, prism_graph, EdgePair((0, 1), (0, 1)))
-    with pytest.raises(ValueError):
-        is_3_compatible(prism_cycles, prism_graph, EdgePair((0, 1), (0, 2)))
-    with pytest.raises(ValueError):
-        is_3_compatible(prism_cycles, prism_graph, VertexTriple(1, 1, 2))
+    shapes = "none of Dawes' three shapes"
+    for vertices, edges, reason in (
+        ((0,), ((0, 1),), "must not be an end"),
+        ((2,), ((0, 2),), "must not be an end"),
+        ((), ((0, 1), (0, 1)), "must be distinct"),
+        ((), ((0, 1), (1, 0)), "must be distinct"),
+        ((), ((0, 1), (0, 2)), "not present"),
+        ((1, 1, 2), (), "must be distinct"),
+        ((), ((0, 1),), shapes),
+        ((0, 2), (), shapes),
+        ((2,), ((0, 1), (3, 4)), shapes),
+        ((0, 1, 2, 3), (), shapes),
+        ((), (), shapes),
+    ):
+        with pytest.raises(ValueError, match=reason):
+            is_3_compatible(prism_cycles, prism_graph, vertices, edges)
 
 
 def test_every_vertex_edge_set_of_k4_is_compatible(k4):
@@ -178,7 +191,7 @@ def test_every_vertex_edge_set_of_k4_is_compatible(k4):
     for x in k4.vertices:
         for a, b in k4.edges():
             if x not in (a, b):
-                assert is_3_compatible(cs, k4, VertexEdge(x, (a, b)))
+                assert is_3_compatible(cs, k4, (x,), ((a, b),))
 
 
 def test_gate_soundness_exhaustive_to_eight_vertices():
@@ -192,7 +205,7 @@ def test_gate_soundness_exhaustive_to_eight_vertices():
     for g in graphs:
         cs = enumerate_cycles_bruteforce(g)
         for s, apply_op in candidate_sets(g):
-            assert is_3_compatible(cs, g, s) == is_minimally_3_connected(apply_op()), (
+            assert is_3_compatible(cs, g, *s) == is_minimally_3_connected(apply_op()), (
                 g.edges(),
                 s,
             )
@@ -211,7 +224,7 @@ def test_d3_gate_rejects_every_triple_with_an_adjacent_pair():
         cs = enumerate_cycles_bruteforce(g)
         for t in itertools.combinations(g.vertices, 3):
             if any(g.has_edge(u, v) for u, v in itertools.combinations(t, 2)):
-                assert not is_3_compatible(cs, g, VertexTriple(*t)), (g.edges(), t)
+                assert not is_3_compatible(cs, g, t), (g.edges(), t)
                 checked += 1
     assert checked == 1108
 
@@ -221,4 +234,4 @@ def test_gate_soundness_on_wheels():
         g = wheel(k)
         cs = enumerate_cycles_bruteforce(g)
         for s, apply_op in candidate_sets(g):
-            assert is_3_compatible(cs, g, s) == is_minimally_3_connected(apply_op())
+            assert is_3_compatible(cs, g, *s) == is_minimally_3_connected(apply_op())

@@ -18,10 +18,7 @@ import pytest
 import min3gen.generator
 from helpers import candidate_sets, collect_shelves, materialize
 from min3gen import (
-    EdgePair,
     GeneratedSet,
-    VertexEdge,
-    VertexTriple,
     bridge_edges,
     certificate,
     compile_cycles,
@@ -56,7 +53,8 @@ from min3gen.generator import (
     d3,
 )
 
-OPS = {VertexEdge: d1, EdgePair: d2, VertexTriple: d3}
+# Each bridging keyed by its set's shape, (vertex count, edge count).
+OPS = {(1, 1): d1, (0, 2): d2, (3, 0): d3}
 
 
 def _seed_entry():
@@ -106,9 +104,9 @@ def test_orbit_representatives_admit_the_classes_of_all_sites(sources9):
     tried = admitted = 0
     for ent in sources:
         by_definition = {shape: set() for shape in OPS}
-        for s, apply_op in candidate_sets(ent.graph):
-            if is_3_compatible(ent.cycles, ent.graph, s):
-                by_definition[type(s)].add(certificate(apply_op()))
+        for (vertices, edges), apply_op in candidate_sets(ent.graph):
+            if is_3_compatible(ent.cycles, ent.graph, vertices, edges):
+                by_definition[len(vertices), len(edges)].add(certificate(apply_op()))
                 admitted += 1
         for shape, op in OPS.items():
             got = [g for g, _ in op(ent)]
@@ -429,8 +427,11 @@ def test_resume_rejects_a_set_missing_a_group():
     groups = {(4, 6): [certificate(wheel(3))], **generate_min3(7).groups}
     with pytest.raises(CheckpointError, match=re.escape("at (n, m) = [(4, 6)]")):
         generate_min3(8, resume=GeneratedSet("min3", groups))
-    with pytest.raises(CheckpointError, match=re.escape("columns 6 to 0")):
+    with pytest.raises(CheckpointError, match=re.escape("resumed set holds no column from 6 on")):
         generate_min3(8, resume=GeneratedSet("min3", {}))
+    groups = {(5, 8): [certificate(wheel(4))]}
+    with pytest.raises(CheckpointError, match=re.escape("no column from 6 on, only groups at (n, m) = [(5, 8)]")):
+        generate_min3(8, resume=GeneratedSet("min3", groups))
 
 
 def test_loaded_shelves_derive_the_cycle_sets_a_run_stores(monkeypatch):
