@@ -9,8 +9,7 @@ script builds the named starting graphs and walks each edit once.
 from min3gen import (
     Graph,
     add_edge,
-    bridge_edges,
-    bridge_vertex_edge,
+    bridge,
     complete_bipartite_3,
     delete_edge,
     prism,
@@ -45,10 +44,12 @@ print("\nprism:", prism().edges())
 print("wheel(5):", wheel(5).edges())
 print("K_{3,3}:", complete_bipartite_3(3).edges())
 
-# The Dawes bridging moves used by the recursion.
+# Dawes' bridging, the recursion's one move: each edge of the set is
+# subdivided by a new vertex, numbered from n, and the set's ends are
+# joined, two by an edge, three to one more new vertex.
 k4 = wheel(3)
-w4, y = bridge_vertex_edge(k4, 3, 0, 1)
-print("\nbridge vertex 3 and edge 01 in K4: new vertex", y, "->", w4.edges())
+w4 = bridge(k4, (3,), ((0, 1),))
+print("\nbridge vertex 3 and edge 01 in K4: new vertex", k4.n, "->", w4.edges())
 
-pr, x, y = bridge_edges(k4, (0, 1), (2, 3))
-print("bridge edges 01 and 23 in K4: new vertices", (x, y), "->", pr.edges())
+pr = bridge(k4, (), ((0, 1), (2, 3)))
+print("bridge edges 01 and 23 in K4: new vertices", (k4.n, k4.n + 1), "->", pr.edges())

@@ -9,11 +9,9 @@ instead of building and oracle-checking the big one.
 """
 
 from min3gen import (
-    add_degree3_vertex,
     add_edge,
-    bridge_edges,
+    bridge,
     complete_bipartite_3,
-    bridge_vertex_edge,
     enumerate_cycles_bruteforce,
     is_3_compatible,
     is_minimally_3_connected,
@@ -42,14 +40,14 @@ print("same query with edge 01 banned:", not no_chording_paths(cycles, g, ((3, 5
 k4 = wheel(3)
 k4_cycles = enumerate_cycles_bruteforce(k4)
 print("\nK4, {3, 01} 3-compatible:", is_3_compatible(k4_cycles, k4, (3,), ((0, 1),)))
-bridged, y = bridge_vertex_edge(k4, 3, 0, 1)
+bridged = bridge(k4, (3,), ((0, 1),))
 print("D1 result is minimally 3-connected:", is_minimally_3_connected(bridged))
 
 # Gate shape 2: {ab, cd} guards bridging two edges (operation D2).
 pr = prism()
 pr_cycles = enumerate_cycles_bruteforce(pr)
 print("\nprism, {01, 45} 3-compatible:", is_3_compatible(pr_cycles, pr, (), ((0, 1), (4, 5))))
-bridged2, x, y = bridge_edges(pr, (0, 1), (4, 5))
+bridged2 = bridge(pr, (), ((0, 1), (4, 5)))
 print("D2 result is minimally 3-connected:", is_minimally_3_connected(bridged2))
 
 # Gate shape 3: {x, y, z} guards attaching a new degree-3 vertex (D3).
@@ -57,7 +55,7 @@ print("D2 result is minimally 3-connected:", is_minimally_3_connected(bridged2))
 k33 = complete_bipartite_3(3)
 k33_cycles = enumerate_cycles_bruteforce(k33)
 print("\nK33, {0, 1, 2} 3-compatible:", is_3_compatible(k33_cycles, k33, (0, 1, 2)))
-attached, w = add_degree3_vertex(k33, 0, 1, 2)
+attached = bridge(k33, (0, 1, 2))
 print("D3 result is minimally 3-connected:", is_minimally_3_connected(attached))
 
 # The gate verdict always matches the oracle on the applied result.  Scan
@@ -71,7 +69,7 @@ for a, b in w4.edges():
         if x in (a, b):
             continue
         verdict = is_3_compatible(w4_cycles, w4, (x,), ((a, b),))
-        result, _ = bridge_vertex_edge(w4, x, a, b)
+        result = bridge(w4, (x,), ((a, b),))
         agree += verdict == is_minimally_3_connected(result)
         total += 1
 print(f"\nW4 D1 candidates: gate agrees with oracle on {agree}/{total}")

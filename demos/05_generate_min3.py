@@ -48,14 +48,15 @@ print("its line:", boundary[0], "decodes to", decode_graph6(boundary[0]))
 print("wheel(7) emitted at (8,14):", certificate(wheel(7)) in result.groups[(8, 14)])
 
 # run_shelf is one step of the walk.  Shelf (n, m) collects the graphs
-# that Dawes' bridgings d1, d3 and d2 reach from shelves (n-1, m-2),
-# (n-1, m-3) and (n-2, m-3): every class of (n, m) except the wheel and
-# K_{3,t}, each kept once, by certificate, with the rule that gives its
-# cycle set.  The walk reaches a shelf after all three, so run_shelf
-# returns its sorted certificates, and each graph that feeds a column of
-# reach becomes a source once: source() gives it its cycle set, compiled
-# for the gates, and its automorphism group generators, and run_shelf
-# bridges it into the shelves it feeds.  Here columns 7 and 8 are in
+# that Dawes' bridging reaches from shelves (n-1, m-2), (n-1, m-3) and
+# (n-2, m-3), of sets of shape (1, 1), (3, 0) and (0, 2): a vertex and an
+# edge, three vertices, two edges.  That is every class of (n, m) except
+# the wheel and K_{3,t}, each kept once, by certificate, with the rule
+# that gives its cycle set.  The walk reaches a shelf after all three, so
+# run_shelf returns its sorted certificates, and each graph that feeds a
+# column of reach becomes a source once: source() gives it its cycle set,
+# compiled for the gates, and its automorphism group generators, and
+# bridgings(src, shape) bridges it into the shelves it feeds.  Here columns 7 and 8 are in
 # reach, and column 7 is built from the prism seed.
 seed = prism()
 shelves = {(6, 9): {certificate(seed): (seed, lambda: PRISM_CYCLES)}}

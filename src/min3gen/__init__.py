@@ -29,9 +29,7 @@ from .cycles import (
 from .generator import (
     PRISM_CYCLES,
     ShelfEntry,
-    d1,
-    d2,
-    d3,
+    bridgings,
     generate_cubic,
     generate_min3,
     run_shelf,
@@ -40,10 +38,8 @@ from .generator import (
 from .graphs import (
     Edge,
     Graph,
-    add_degree3_vertex,
     add_edge,
-    bridge_edges,
-    bridge_vertex_edge,
+    bridge,
     complete_bipartite_3,
     delete_edge,
     delete_vertex,
@@ -77,24 +73,20 @@ __all__ = [
     "Graph",
     "PRISM_CYCLES",
     "ShelfEntry",
-    "add_degree3_vertex",
     "add_edge",
     "apply_add_edge",
     "apply_split_vertex",
     "apply_subdivide_edge",
     "are_isomorphic_bruteforce",
     "automorphisms",
-    "bridge_edges",
-    "bridge_vertex_edge",
+    "bridge",
+    "bridgings",
     "canonical_cycle",
     "certificate",
     "chords",
     "compat_query",
     "compile_cycles",
     "complete_bipartite_3",
-    "d1",
-    "d2",
-    "d3",
     "decode_graph6",
     "delete_edge",
     "delete_vertex",

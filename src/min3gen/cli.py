@@ -68,6 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     out_dir = default_out_dir(args.out)
+    if out_dir.exists() and not out_dir.is_dir():  # found before the run, not after it
+        raise NotADirectoryError(f"output path is not a directory: {out_dir}")
 
     def progress(msg: str) -> None:
         print(msg, file=sys.stderr)

@@ -25,7 +25,7 @@ from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
 from .cycles import CycleSet, cycle_vertex_mask
-from .graphs import Edge, Graph, _bits, _require_vertex, edge, mask_reachable
+from .graphs import DAWES_SHAPES, Edge, Graph, _bits, _require_vertex, edge, mask_reachable
 
 
 def _chording_off_cycle(
@@ -173,7 +173,7 @@ def is_3_compatible(cycles: CycleSet, g: Graph, vertices: Sequence[int] = (), ed
     a member edge.  compat_query reduces it to chording path checks, as it
     does for the generator's bridgings.
     """
-    if (len(vertices), len(edges)) not in ((1, 1), (0, 2), (3, 0)):
+    if (len(vertices), len(edges)) not in DAWES_SHAPES:
         raise ValueError(f"{len(vertices)} vertices and {len(edges)} edges are none of Dawes' three shapes")
     if len(set(vertices)) < len(vertices) or len({edge(*e) for e in edges}) < len(edges):
         raise ValueError("the members of a compatibility set must be distinct")

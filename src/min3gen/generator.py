@@ -1,24 +1,25 @@
 """Exhaustive isomorph-free generation of minimally 3-connected graphs.
 
 The generator grows graphs from the triangular prism along a bookshelf of
-(vertex count n, edge count m) shelves with Dawes' three bridgings (Dawes,
-JCTB 40, 1986).  Shelf (n, m) holds the minimally 3-connected graphs of
-that size the bridgings reach from the shelves of the two previous
-columns:
+(vertex count n, edge count m) shelves with Dawes' one operation (Dawes,
+JCTB 40, 1986), bridging a set of vertices and edges, applied to sets of
+three shapes (vertex count, edge count).  Shelf (n, m) holds the minimally
+3-connected graphs of that size the bridgings reach from the shelves of
+the two previous columns:
 
-- d1 bridges a vertex and an edge of each graph on shelf (n-1, m-2);
-- d3 joins a new vertex to three vertices of each graph on shelf (n-1, m-3);
-- d2 bridges two edges of each graph on shelf (n-2, m-3).
+- a vertex and an edge, shape (1, 1), of each graph on shelf (n-1, m-2);
+- three vertices, shape (3, 0), of each graph on shelf (n-1, m-3);
+- two edges, shape (0, 2), of each graph on shelf (n-2, m-3).
 
 Turned around, each graph feeds exactly three later shelves, so the walk
 pushes: once a shelf is complete, each of its graphs becomes a source
 once and is bridged into the shelves it feeds.  A bridging is minimally
-3-connected exactly when its vertex, edge or triple set is 3-compatible in
-the source, which the chording path gate decides on the source's cycle
-set, compiled once per source.  Only one site per orbit of the source's
-automorphism group is tried, since the sites of an orbit give isomorphic
-graphs, and certificates deduplicate a shelf.  Each operation returns its
-bridgings, each with its replay steps: the edge additions and
+3-connected exactly when its set is 3-compatible in the source, which the
+chording path gate decides on the source's cycle set, compiled once per
+source.  Only one site per orbit of the source's automorphism group is
+tried, since the sites of an orbit give isomorphic graphs, and
+certificates deduplicate a shelf.  bridgings(src, shape) returns the
+bridgings of one shape, each with its replay steps: the edge additions and
 subdivisions whose rules map the source's cycle set to the bridging's, so
 nothing is re-enumerated.  A candidate whose column feeds another holds
 its steps, bound to the source's cycle set, as its rule, which runs when
@@ -35,24 +36,15 @@ group on edge pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 from itertools import combinations
-from typing import Callable, Hashable, TypeVar
+from operator import or_
+from typing import Callable
 
 from .canonical import automorphisms, certificate
 from .compat import CompiledCycles, compat_query, compile_cycles, no_chording_paths
 from .cycles import CycleSet, apply_add_edge, apply_subdivide_edge, enumerate_cycles_bruteforce
-from .graphs import (
-    Edge,
-    Graph,
-    add_degree3_vertex,
-    bridge_edges,
-    bridge_vertex_edge,
-    complete_bipartite_3,
-    edge,
-    prism,
-    wheel,
-)
+from .graphs import DAWES_SHAPES, GRAPH6_MAX_N, Edge, Graph, bridge, complete_bipartite_3, edge, prism, wheel
 from .io_validate import CheckpointError, decode_graph6
 from .records import GeneratedSet
 
@@ -74,14 +66,15 @@ Candidate = tuple[Graph, Rule | None]
 # candidate of every certificate that reaches it.
 Shelves = dict[tuple[int, int], dict[str, Candidate]]
 Permutation = tuple[int, ...]
-Site = TypeVar("Site", bound=Hashable)
+Shape = tuple[int, int]  # a set's (vertex count, edge count)
+Site = tuple[tuple[int, ...], tuple[Edge, ...]]  # a set's vertices and edges
 
 
 @dataclass(frozen=True)
 class ShelfEntry:
-    """A source that d1, d2 and d3 bridge: a minimally 3-connected graph,
-    its cycle set, generators of its automorphism group, each a permutation
-    p that maps vertex v to p[v], and its cycle set compiled for the gate."""
+    """A source that bridgings reads: a minimally 3-connected graph, its
+    cycle set, generators of its automorphism group, each a permutation p
+    that maps vertex v to p[v], and its cycle set compiled for the gate."""
 
     graph: Graph
     cycles: CycleSet
@@ -89,16 +82,41 @@ class ShelfEntry:
     table: CompiledCycles
 
 
-def _orbit_representatives(
-    sites: list[Site], gens: list[Permutation], image: Callable[[Permutation, Site], Site]
-) -> list[Site]:
-    """The first site of each orbit of the group that gens generate.
+def _orbit_representatives(g: Graph, shape: Shape, gens: list[Permutation]) -> list[Site]:
+    """The first site of each orbit of g's sets of the shape under the
+    group that gens generate, found by union-find over site indices.
 
-    image(p, s) is the site the permutation p maps s to, in the form sites
-    holds it.  An orbit is found by union-find over site indices under the
-    generators.  Two sites of one orbit bridge to isomorphic graphs.
+    A site of shape (nv, ne) is ne edges and nv vertices, in combinations
+    of the edges outer and of the vertices inner, where no vertex is
+    adjacent to a member vertex or an end of a member edge.  Vertex v has
+    id v and edge i of g.edges() id n + i, and a site's key is the bitmask
+    of its members' ids, so its image's key under p is the sum of the bits
+    that p maps those ids to.  The sites of an orbit bridge to isomorphic
+    graphs.
     """
-    index = {s: i for i, s in enumerate(sites)}
+    nv, ne = shape
+    n, es = g.n, g.edges()
+    eid = {e: n + i for i, e in enumerate(es)}
+    bit = [1 << i for i in range(n + len(es))].__getitem__
+    # A vertex's clashes: the bits of its neighbours and of the edges it ends.
+    clash = [g.neighbor_mask(v) for v in g.vertices]
+    for (a, b), i in eid.items():
+        clash[a] |= bit(i)
+        clash[b] |= bit(i)
+    vsets = []
+    for vs in combinations(g.vertices, nv):
+        vkey, clashes = sum(map(bit, vs)), reduce(or_, map(clash.__getitem__, vs), 0)
+        if not clashes & vkey:
+            vsets.append((vs, vkey, clashes))
+    # The sites, each site's member ids, and each site's index by its key.
+    sites, members, index = [], [], {}
+    for edges, ids in zip(combinations(es, ne), combinations(range(n, n + len(es)), ne)):
+        ekey = sum(map(bit, ids))
+        for vs, vkey, clashes in vsets:
+            if not clashes & ekey:
+                index[vkey | ekey] = len(sites)
+                sites.append((vs, edges))
+                members.append(vs + ids)
     # A root is the least index of its set.
     parent = list(range(len(sites)))
 
@@ -108,8 +126,9 @@ def _orbit_representatives(
         return x
 
     for p in gens:
-        for i, s in enumerate(sites):
-            j = index[image(p, s)]
+        image = ([1 << v for v in p] + [1 << eid[edge(p[a], p[b])] for a, b in es]).__getitem__
+        for i, site in enumerate(members):
+            j = index[sum(map(image, site))]
             if j != i:
                 ra, rb = find(i), find(j)
                 if ra != rb:
@@ -117,19 +136,14 @@ def _orbit_representatives(
     return [s for i, s in enumerate(sites) if find(i) == i]
 
 
-def _vertex_edge_image(p: Permutation, site: tuple[int, Edge]) -> tuple[int, Edge]:
-    x, (a, b) = site
-    return p[x], edge(p[a], p[b])
-
-
-def _edge_pair_image(p: Permutation, site: tuple[Edge, Edge]) -> tuple[Edge, Edge]:
-    (a, b), (c, d) = site
-    e, f = edge(p[a], p[b]), edge(p[c], p[d])
-    return (e, f) if e < f else (f, e)
-
-
-def _triple_image(p: Permutation, site: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sorted(p[v] for v in site))
+def _steps(n: int, vertices: tuple[int, ...], edges: tuple[Edge, ...]) -> Steps:
+    """The replay steps of bridging the set in a graph on n vertices: each
+    edge's subdivision, then the ends joined, two by the edge xy, three
+    x, y and z by adding xy, subdividing it by w and adding wz."""
+    w = n + len(edges)
+    x, y, *z = (*vertices, *range(n, w))
+    join = ((x, y), (x, y, w), (w, *z)) if z else ((x, y),)
+    return (*((a, b, n + i) for i, (a, b) in enumerate(edges)), *join)
 
 
 def _replay(cycles: CycleSet, *steps: tuple[int, ...]) -> CycleSet:
@@ -140,64 +154,27 @@ def _replay(cycles: CycleSet, *steps: tuple[int, ...]) -> CycleSet:
     return cycles
 
 
-def d1(src: ShelfEntry) -> list[tuple[Graph, Steps]]:
-    """Bridge a vertex x and an edge ab with x not on it (Dawes' D1).
+def bridgings(src: ShelfEntry, shape: Shape) -> list[tuple[Graph, Steps]]:
+    """Bridge the 3-compatible sets of the shape in src's graph, one per
+    orbit, each with its replay steps: Dawes' D1 for (1, 1), D2 for (0, 2)
+    (adjacent edges included) and D3 for (3, 0).
 
-    ab is subdivided by the new vertex y, and xy is added.  The gate is the
-    3-compatibility of {x, ab}.
+    Only pairwise non-adjacent vertices are tried, and that loses nothing:
+    the source is 3-connected, so for an edge xy, x and y lie on a cycle
+    of the graph minus xy, which xy chords; the edge xy is then itself a
+    chording xy-path, and the gate rejects every set with an adjacent pair.
     """
     g = src.graph
-    sites = [(x, e) for e in g.edges() for x in g.vertices if x not in e]
     out = []
-    for x, (a, b) in _orbit_representatives(sites, src.gens, _vertex_edge_image):
-        if no_chording_paths(src.table, g, *compat_query((x,), ((a, b),))):
-            g2, y = bridge_vertex_edge(g, x, a, b)
-            out.append((g2, ((a, b, y), (x, y))))
-    return out
-
-
-def d2(src: ShelfEntry) -> list[tuple[Graph, Steps]]:
-    """Bridge two distinct edges ab and cd, adjacent pairs included (Dawes' D2).
-
-    Both edges are subdivided, by the new vertices p and q, and pq is
-    added.  The gate is the 3-compatibility of {ab, cd}.
-    """
-    g = src.graph
-    sites = list(combinations(g.edges(), 2))
-    out = []
-    for site in _orbit_representatives(sites, src.gens, _edge_pair_image):
-        if no_chording_paths(src.table, g, *compat_query((), site)):
-            (a, b), (c, d) = site
-            g2, p, q = bridge_edges(g, (a, b), (c, d))
-            out.append((g2, ((a, b, p), (c, d, q), (p, q))))
-    return out
-
-
-def d3(src: ShelfEntry) -> list[tuple[Graph, Steps]]:
-    """Join a new vertex w to three vertices x, y and z (Dawes' D3).
-
-    The gate is the 3-compatibility of {x, y, z}: no chording xy-, xz- or
-    yz-path.  Only pairwise non-adjacent triples are tried, and that loses
-    nothing.  The source is 3-connected, so for an edge xy the graph minus
-    xy is 2-connected, and x and y lie on one of its cycles.  xy chords
-    that cycle and meets it only in x and y, so the edge xy is itself a
-    chording xy-path, and the gate rejects every triple with an adjacent
-    pair.  The rule adds xy, subdivides it by w, then adds wz.
-    """
-    g = src.graph
-    sites = [t for t in combinations(g.vertices, 3) if not any(g.has_edge(*e) for e in combinations(t, 2))]
-    out = []
-    for site in _orbit_representatives(sites, src.gens, _triple_image):
-        if no_chording_paths(src.table, g, *compat_query(site, ())):
-            x, y, z = site
-            g2, w = add_degree3_vertex(g, x, y, z)
-            out.append((g2, ((x, y), (x, y, w), (w, z))))
+    for vertices, edges in _orbit_representatives(g, shape, src.gens):
+        if no_chording_paths(src.table, g, *compat_query(vertices, edges)):
+            out.append((bridge(g, vertices, edges), _steps(g.n, vertices, edges)))
     return out
 
 
 def source(g: Graph, cycles: CycleSet | None = None) -> ShelfEntry:
-    """g as an entry that d1, d2 and d3 read: with its cycle set, enumerated
-    unless given and compiled once for their gates, and the generators of
+    """g as an entry that bridgings reads: with its cycle set, enumerated
+    unless given and compiled once for its gates, and the generators of
     its automorphism group."""
     if cycles is None:
         cycles = enumerate_cycles_bruteforce(g)
@@ -210,25 +187,24 @@ def run_shelf(shelves: Shelves, n: int, m: int, reach: range) -> list[str]:
 
     The walk reaches (n, m) after (n-1, m-2), (n-1, m-3) and (n-2, m-3),
     so every candidate for it has arrived.  A graph it pushes becomes a
-    source, once: its rule gives its cycle set, and d1, d3 and d2 bridge it
-    into (n+1, m+2), (n+1, m+3) and (n+2, m+3), those in reach, where only
-    an unseen certificate's candidate is kept.  Its rule replays the
-    bridging's steps on the source's cycle set, and is bound only for a
-    shelf whose column feeds one in reach.
+    source, once: its rule gives its cycle set, and bridgings bridges its
+    sets of shapes (1, 1), (3, 0) and (0, 2) into (n+1, m+2), (n+1, m+3)
+    and (n+2, m+3), those in reach, where only an unseen certificate's
+    candidate is kept.  Its rule replays the bridging's steps on the
+    source's cycle set, and is bound only for a shelf whose column feeds
+    one in reach.
     """
     found = shelves.pop((n, m), {})
     certs = sorted(found)
-    feeds = [
-        (op, key) for op, key in ((d1, (n + 1, m + 2)), (d3, (n + 1, m + 3)), (d2, (n + 2, m + 3))) if key[0] in reach
-    ]
+    feeds = [(shape, (n + dn, m + dm)) for shape, (dn, dm) in DAWES_SHAPES.items() if n + dn in reach]
     if feeds:
         for cert in certs:
             g, rule = found[cert]
             src = source(g, rule())
-            for op, key in feeds:
+            for shape, key in feeds:
                 shelf = shelves.setdefault(key, {})
                 bind = key[0] + 1 in reach
-                for g2, steps in op(src):
+                for g2, steps in bridgings(src, shape):
                     cert2 = certificate(g2)
                     if cert2 not in shelf:
                         shelf[cert2] = (g2, partial(_replay, src.cycles, *steps) if bind else None)
@@ -273,10 +249,11 @@ def generate_min3(max_n: int, *, progress: Progress | None = None, resume: Gener
     columns after last; otherwise nothing is decoded.  Results are
     (n, m) groups of sorted certificates: the shelves, and the two direct
     families, wheels and K_{3,t}.  A resumed set that lacks a group of its
-    columns or holds another raises CheckpointError.
+    columns or holds another raises CheckpointError, and a max_n past
+    GRAPH6_MAX_N raises ValueError before any work.
     """
-    if max_n < 6:
-        raise ValueError("max_n must be at least 6")
+    if not 6 <= max_n <= GRAPH6_MAX_N:
+        raise ValueError(f"max_n must be from 6 to {GRAPH6_MAX_N}, the most vertices a certificate holds")
     # The graphs no shelf holds, built directly.
     direct: dict[tuple[int, int], list[str]] = {}
     for n in range(6, max_n + 1):
@@ -313,25 +290,23 @@ def generate_cubic(max_n: int, *, progress: Progress | None = None) -> Generated
     """All 3-connected cubic graphs with 4 to max_n (even) vertices.
 
     Starting from K4, unordered pairs of distinct edges (adjacent pairs
-    included) are bridged: both edges are subdivided and the two new
-    vertices joined.  Of each source only one pair per orbit of its
-    automorphism group is bridged, since the pairs of an orbit give
-    isomorphic graphs.  A level is kept as its sorted certificates only,
-    which are decoded when the next level is grown from them.  Cycle sets
-    are not needed here, so none are carried.
+    included) are bridged, as sets of shape (0, 2): both edges are
+    subdivided and the two new vertices joined.  Of each source only one
+    pair per orbit of its automorphism group is bridged, since the pairs of
+    an orbit give isomorphic graphs.  A level is kept as its sorted
+    certificates only, which are decoded when the next level is grown from
+    them.  Cycle sets are not needed here, so none are carried.  An odd
+    max_n, or one past GRAPH6_MAX_N, raises ValueError before any work.
     """
-    if max_n < 4:
-        raise ValueError("max_n must be at least 4")
-    if max_n % 2:
-        raise ValueError("cubic graphs need an even vertex count")
+    if max_n % 2 or not 4 <= max_n <= GRAPH6_MAX_N:
+        raise ValueError(f"max_n must be even, from 4 to {GRAPH6_MAX_N}, the most vertices a certificate holds")
     level = [certificate(wheel(3))]
     groups = {(4, 6): level}
     for n in range(6, max_n + 1, 2):
         grown: set[str] = set()
         for g in map(decode_graph6, level):
-            pairs = list(combinations(g.edges(), 2))
-            for e, f in _orbit_representatives(pairs, automorphisms(g), _edge_pair_image):
-                grown.add(certificate(bridge_edges(g, e, f)[0]))
+            for _, edges in _orbit_representatives(g, (0, 2), automorphisms(g)):
+                grown.add(certificate(bridge(g, (), edges)))
         level = groups[(n, 3 * n // 2)] = sorted(grown)
         if progress is not None:
             progress(f"cubic n={n}: {len(level)} graphs")

@@ -6,18 +6,17 @@ neighbourhood queries cheap at the scales this package targets.  Every edit
 returns a fresh Graph; nothing here mutates in place, so graph values can be
 shared freely between generation stages.
 
-The composite operations (bridging a vertex and an edge, bridging two
-edges, adding a degree 3 vertex) are Dawes' D1, D2 and D3, the operations
-of the generator; bridging two edges is also the cubic mode's step.  They
-are built from the atomic edits (edge addition, edge subdivision), whose
-cycle set rules the generator composes.  The vertex split is kept for the
-split rule's tests and demos.
+One composite operation, bridge, is Dawes' bridging of a set of vertices
+and edges, the generator's step in both modes: a vertex and an edge (D1),
+two edges (D2) or three vertices (D3).  It is built from the atomic edits
+(edge subdivision, edge addition), whose cycle set rules the generator
+composes.  The vertex split is kept for the split rule's tests and demos.
 """
 
 from __future__ import annotations
 
 import binascii
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 Edge = tuple[int, int]
 
@@ -125,6 +124,8 @@ def triangle_bits(masks: tuple[int, ...], order: list[int] | range) -> int:
     return acc
 
 
+# The most vertices graph6's short form, and so a certificate, can hold.
+GRAPH6_MAX_N = 62
 # base64 packs six bits to a character as graph6 does; graph6 offsets them by 63.
 _BASE64_TO_GRAPH6 = bytes.maketrans(
     b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/", bytes(range(63, 127))
@@ -133,10 +134,10 @@ _BASE64_TO_GRAPH6 = bytes.maketrans(
 
 def graph6_line(n: int, bits: int) -> str:
     """chr(n + 63), then the triangle_bits six to a character, zero-padded:
-    the graph6 line of a graph on n <= 62 vertices.  Lines of equal n sort
-    as their bits do."""
-    if n > 62:
-        raise ValueError("graph6 short form supports at most 62 vertices")
+    the graph6 line of a graph on n <= GRAPH6_MAX_N vertices.  Lines of
+    equal n sort as their bits do."""
+    if n > GRAPH6_MAX_N:
+        raise ValueError(f"graph6 short form supports at most {GRAPH6_MAX_N} vertices")
     nbits = n * (n - 1) // 2
     chars = (nbits + 5) // 6
     groups = (chars + 3) // 4  # of 24 bits, base64's unit; the rest is padding
@@ -297,41 +298,30 @@ def complete_bipartite_3(t: int) -> Graph:
     return Graph(3 + t, [(i, 3 + j) for i in range(3) for j in range(t)])
 
 
-def bridge_vertex_edge(g: Graph, x: int, a: int, b: int) -> tuple[Graph, int]:
-    """Bridge vertex x and edge ab: subdivide ab by y, add xy.
+# Each of Dawes' sets, as its shape (vertex count, edge count), mapped to
+# the (n, m) its bridging adds, in the order the generator bridges them.
+DAWES_SHAPES = {(1, 1): (1, 2), (3, 0): (1, 3), (0, 2): (2, 3)}
 
-    This is operation D1; y is the new vertex n.
+
+def bridge(g: Graph, vertices: Sequence[int] = (), edges: Sequence[Edge] = ()) -> Graph:
+    """Bridge a set of g's vertices and edges (Dawes' operation).
+
+    Each edge of the set is subdivided by a new vertex, numbered n, n + 1,
+    ... in the set's order.  The ends, the set's vertices and then those
+    new vertices, are joined: two by an edge, three to one more new vertex.
     """
-    if x == a or x == b:
-        raise ValueError("bridge vertex must avoid the edge endpoints")
-    g2, y = subdivide_edge(g, a, b)
-    return add_edge(g2, x, y), y
-
-
-def bridge_edges(g: Graph, e1: Edge, e2: Edge) -> tuple[Graph, int, int]:
-    """Bridge two distinct edges: subdivide both, join the new vertices.
-
-    This is operation D2, and also the expansion step of the cubic
-    generation mode; the new vertices are n, on e1, and n + 1, on e2.
-    Adjacent edge pairs are allowed.
-    """
-    if edge(*e1) == edge(*e2):
-        raise ValueError("bridged edges must be distinct")
-    g2, x = subdivide_edge(g, *e1)
-    g3, y = subdivide_edge(g2, *e2)
-    return add_edge(g3, x, y), x, y
-
-
-def add_degree3_vertex(g: Graph, x: int, y: int, z: int) -> tuple[Graph, int]:
-    """Join a new vertex w to three distinct existing vertices (operation D3)."""
-    if len({x, y, z}) != 3:
-        raise ValueError("attachment vertices must be distinct")
-    for v in (x, y, z):
-        _require_vertex(g, v)
-    w = g.n
-    masks = list(g._adj)
-    masks[x] |= 1 << w
-    masks[y] |= 1 << w
-    masks[z] |= 1 << w
-    masks.append((1 << x) | (1 << y) | (1 << z))
-    return Graph._from_masks(masks), w
+    ends = (*vertices, *range(g.n, g.n + len(edges)))
+    if len(ends) not in (2, 3):
+        raise ValueError(f"a bridged set has 2 or 3 ends, not {len(ends)}")
+    # A vertex past n - 1 repeats a new vertex here, or is refused by the
+    # edge it would get.
+    if len(set(ends)) < len(ends):
+        raise ValueError(f"the ends {ends} of a bridged set must be distinct")
+    if any(v in e for e in edges for v in vertices):
+        raise ValueError("a bridged vertex must not be an end of a bridged edge")
+    # A repeated edge is gone by its second subdivision, which raises.
+    for a, b in edges:
+        g = subdivide_edge(g, a, b)[0]
+    if len(ends) == 2:
+        return add_edge(g, *ends)
+    return Graph(g.n + 1, [*g.edges(), *((v, g.n) for v in ends)])

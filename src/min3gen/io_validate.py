@@ -141,9 +141,10 @@ def write_outputs(collections: GeneratedSet, out_dir: str | Path) -> list[Path]:
     counts.tsv has header n, m, count and one row per written file, sorted.
     Each file is written to a temporary name and renamed into place, and
     counts.tsv is removed first and written last, so a directory that has
-    one is complete.  A group file of the mode that this run does not write
-    is removed before counts.tsv is written, so counts.tsv lists every group
-    file of the directory.  Returns the written paths, counts.tsv last.
+    one is complete.  Group files of this run's mode that it does not write,
+    as a larger run leaves, are removed before counts.tsv is written, so it
+    lists every group file of its mode; those of the other mode stay.
+    Returns the written paths, counts.tsv last.
     """
     name = _GROUP_FILES.get(collections.mode)
     if name is None:

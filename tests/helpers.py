@@ -16,10 +16,9 @@ from hypothesis import strategies as st
 
 from min3gen import (
     Graph,
-    add_degree3_vertex,
     add_edge,
-    bridge_edges,
-    bridge_vertex_edge,
+    bridge,
+    bridgings,
     certificate,
     chords,
     edge,
@@ -49,24 +48,21 @@ def collect_shelves(max_n: int) -> dict[tuple[int, int], list]:
     return shelves
 
 
-def materialize(op, src):
-    """Sources for the bridgings op makes of src, as run_shelf makes them:
-    each with the cycle set its replay steps give."""
-    return [source(g, _replay(src.cycles, *steps)) for g, steps in op(src)]
+def materialize(shape, src):
+    """Sources for the bridgings of the shape that bridgings makes of src,
+    as run_shelf makes them: each with the cycle set its replay steps
+    give."""
+    return [source(g, _replay(src.cycles, *steps)) for g, steps in bridgings(src, shape)]
 
 
 def candidate_sets(g: Graph):
     """Every vertex/edge, edge/edge and vertex triple set of g, each as its
-    (vertices, edges) with a thunk that applies its bridging (D1, D2 or D3)
-    to g."""
-    for x in g.vertices:
-        for e in g.edges():
-            if x not in e:
-                yield ((x,), (e,)), lambda g=g, x=x, e=e: bridge_vertex_edge(g, x, *e)[0]
-    for e1, e2 in itertools.combinations(g.edges(), 2):
-        yield ((), (e1, e2)), lambda g=g, e1=e1, e2=e2: bridge_edges(g, e1, e2)[0]
-    for x, y, z in itertools.combinations(g.vertices, 3):
-        yield ((x, y, z), ()), lambda g=g, x=x, y=y, z=z: add_degree3_vertex(g, x, y, z)[0]
+    (vertices, edges) with a thunk that bridges it (D1, D2 or D3) in g."""
+    sets = [((x,), (e,)) for x in g.vertices for e in g.edges() if x not in e]
+    sets += [((), pair) for pair in itertools.combinations(g.edges(), 2)]
+    sets += [(triple, ()) for triple in itertools.combinations(g.vertices, 3)]
+    for s in sets:
+        yield s, lambda s=s: bridge(g, *s)
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
@@ -104,13 +100,11 @@ def three_connected_graphs(draw, max_n: int = 10) -> Graph:
         if op == "D1":
             a, b = draw(st.sampled_from(g.edges()))
             x = draw(st.sampled_from([v for v in g.vertices if v not in (a, b)]))
-            g = bridge_vertex_edge(g, x, a, b)[0]
+            g = bridge(g, (x,), ((a, b),))
         elif op == "D2":
-            e1, e2 = draw(st.lists(st.sampled_from(g.edges()), min_size=2, max_size=2, unique=True))
-            g = bridge_edges(g, e1, e2)[0]
+            g = bridge(g, (), draw(st.lists(st.sampled_from(g.edges()), min_size=2, max_size=2, unique=True)))
         else:
-            x, y, z = draw(st.lists(st.sampled_from(g.vertices), min_size=3, max_size=3, unique=True))
-            g = add_degree3_vertex(g, x, y, z)[0]
+            g = bridge(g, draw(st.lists(st.sampled_from(g.vertices), min_size=3, max_size=3, unique=True)))
     missing = [e for e in itertools.combinations(g.vertices, 2) if not g.has_edge(*e)]
     if missing:
         for u, v in draw(st.sets(st.sampled_from(missing), max_size=3)):

@@ -18,7 +18,7 @@ from helpers import collect_shelves, materialize, permuted_copy, random_graph
 from min3gen import (
     apply_split_vertex,
     are_isomorphic_bruteforce,
-    bridge_vertex_edge,
+    bridge,
     canonical_cycle,
     certificate,
     complete_bipartite_3,
@@ -36,7 +36,7 @@ from min3gen import (
     wheel,
 )
 from min3gen.cli import main as cli_main
-from min3gen.generator import PRISM_CYCLES, d3, source
+from min3gen.generator import PRISM_CYCLES, source
 from min3gen.io_validate import write_outputs
 
 MIN3_CI_SECONDS = 600
@@ -262,10 +262,10 @@ def test_08_edge_bound_with_extremal_graphs(min3_run):
 def test_09_recursion_worked_examples(k4, k33):
     cycles = enumerate_cycles_bruteforce(k4)
     ok = is_3_compatible(cycles, k4, (3,), ((0, 1),))
-    bridged, _ = bridge_vertex_edge(k4, 3, 0, 1)
+    bridged = bridge(k4, (3,), ((0, 1),))
     ok = ok and certificate(bridged) == certificate(wheel(4))
 
-    certs = {certificate(ent.graph) for ent in materialize(d3, source(k33))}
+    certs = {certificate(ent.graph) for ent in materialize((3, 0), source(k33))}
     ok = ok and certs == {certificate(complete_bipartite_3(4))}
     _report(9, "D1 and D3 worked examples", ok)
 

@@ -21,7 +21,7 @@ from min3gen import (
     Graph,
     are_isomorphic_bruteforce,
     automorphisms,
-    bridge_edges,
+    bridge,
     certificate,
     complete_bipartite_3,
     decode_graph6,
@@ -148,7 +148,7 @@ def _cubic_graphs(draw, max_n: int) -> Graph:
     for _ in range(draw(st.integers(0, (max_n - 4) // 2))):
         es = g.edges()
         i, j = draw(st.lists(st.integers(0, len(es) - 1), min_size=2, max_size=2, unique=True))
-        g, _, _ = bridge_edges(g, es[i], es[j])
+        g = bridge(g, (), (es[i], es[j]))
     return g
 
 

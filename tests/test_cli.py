@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import min3gen.cli
 import min3gen.io_validate
 from min3gen import (
     Graph,
@@ -79,6 +80,9 @@ def test_out_dir_precedence(tmp_path, capsys, monkeypatch):
         ["generate", "--mode", "cubic", "--max-n", "7"],
         ["generate", "--mode", "min3", "--max-n", "5"],
         ["generate", "--mode", "min3", "--max-n", "5", "--emit-intermediate"],
+        # Past graph6's 62 vertices, refused before any certificate.
+        ["generate", "--mode", "cubic", "--max-n", "64"],
+        ["generate", "--max-n", "63"],
     ],
 )
 def test_generate_usage_errors(argv, tmp_path, capsys, monkeypatch):
@@ -88,6 +92,16 @@ def test_generate_usage_errors(argv, tmp_path, capsys, monkeypatch):
     assert rc == 2
     assert err.strip()
     assert not any(tmp_path.iterdir())
+
+
+def test_generate_refuses_a_file_as_out_before_generating(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "taken"
+    path.write_text("not a directory\n")
+    monkeypatch.setattr(min3gen.cli, "generate_min3", lambda *args, **kwargs: pytest.fail("generated"))
+    rc, _, err = run(["generate", "--max-n", "7", "--out", str(path)], capsys)
+    assert rc == 3
+    assert f"output path is not a directory: {path}" in err
+    assert path.read_text() == "not a directory\n"
 
 
 def test_generate_missing_max_n(capsys):

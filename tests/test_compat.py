@@ -30,6 +30,7 @@ from helpers import (
 from min3gen import (
     add_edge,
     chords,
+    bridgings,
     compat_query,
     compile_cycles,
     decode_graph6,
@@ -40,7 +41,7 @@ from min3gen import (
     wheel,
 )
 from min3gen.cycles import enumerate_cycles_bruteforce
-from min3gen.generator import d1, d2, d3
+from min3gen.graphs import DAWES_SHAPES
 from min3gen.io_validate import is_minimally_3_connected
 
 
@@ -94,8 +95,9 @@ def _oracle_gate(g, cs, pairs, banned) -> bool:
 
 
 def test_pipeline_gate_calls_match_the_oracle(monkeypatch):
-    # Every gate call d1, d2 and d3 make on the shelves' sources up to n = 8,
-    # against the definition scan on the graph's brute-force cycles.
+    # Every gate call that bridgings makes, in each shape, on the shelves'
+    # sources up to n = 8, against the definition scan on the graph's
+    # brute-force cycles.
     shelves = collect_shelves(8)
     calls = []
 
@@ -108,8 +110,8 @@ def test_pipeline_gate_calls_match_the_oracle(monkeypatch):
     monkeypatch.setattr(min3gen.generator, "no_chording_paths", recording)
     for entries in shelves.values():
         for ent in entries:
-            for op in (d1, d2, d3):
-                op(ent)
+            for shape in DAWES_SHAPES:
+                bridgings(ent, shape)
     cycle_sets = {}
     for g, pairs, banned, got in calls:
         if g not in cycle_sets:
@@ -214,7 +216,7 @@ def test_gate_soundness_exhaustive_to_eight_vertices():
 
 
 def test_d3_gate_rejects_every_triple_with_an_adjacent_pair():
-    # d3 tries only pairwise non-adjacent triples.  For an edge xy of a
+    # Bridgings try only pairwise non-adjacent triples.  For an edge xy of a
     # 3-connected graph, x and y lie on a cycle of the graph minus xy, so
     # the edge xy is a chording xy-path; checked here on every minimally
     # 3-connected graph up to n = 8.

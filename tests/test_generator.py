@@ -19,7 +19,8 @@ import min3gen.generator
 from helpers import candidate_sets, collect_shelves, materialize
 from min3gen import (
     GeneratedSet,
-    bridge_edges,
+    bridge,
+    bridgings,
     certificate,
     compile_cycles,
     complete_bipartite_3,
@@ -44,17 +45,13 @@ from min3gen.io_validate import CheckpointError
 from min3gen.cycles import enumerate_cycles_bruteforce
 from min3gen.generator import (
     PRISM_CYCLES,
-    _edge_pair_image,
     _orbit_representatives,
     _replay,
     _shelf_edges,
-    d1,
-    d2,
-    d3,
 )
 
-# Each bridging keyed by its set's shape, (vertex count, edge count).
-OPS = {(1, 1): d1, (0, 2): d2, (3, 0): d3}
+# The shapes, (vertex count, edge count), of Dawes' D1, D2 and D3 sets.
+OPS = ((1, 1), (0, 2), (3, 0))
 
 
 def _seed_entry():
@@ -70,7 +67,7 @@ def test_d1_bridges_the_prism_to_shelf_11_7():
     # The prism's 36 vertex/edge sites fall into few orbits of its 12
     # automorphisms; those that pass the gate reach the three graphs of
     # (n, m) = (7, 11).
-    out = materialize(d1, _seed_entry())
+    out = materialize((1, 1), _seed_entry())
     assert 0 < len(out) < 36
     assert {certificate(ent.graph) for ent in out} == set(generate_min3(7).groups[(7, 11)])
     for ent in out:
@@ -81,7 +78,7 @@ def test_d1_bridges_the_prism_to_shelf_11_7():
 
 def test_d3_reaches_complete_bipartite(k33):
     # K_{3,3}'s two sides are its only independent triples, one orbit.
-    out = materialize(d3, source(k33))
+    out = materialize((3, 0), source(k33))
     assert len(out) == 1
     assert certificate(out[0].graph) == certificate(complete_bipartite_3(4))
     assert out[0].cycles == enumerate_cycles_bruteforce(out[0].graph)
@@ -99,7 +96,7 @@ def sources9():
 def test_orbit_representatives_admit_the_classes_of_all_sites(sources9):
     # For every source with n <= 9, each operation admits from its orbit
     # representatives the classes that every 3-compatible site of its
-    # shape gives, d3's triples with an adjacent pair included.
+    # shape gives, triples with an adjacent pair included.
     sources = sources9
     tried = admitted = 0
     for ent in sources:
@@ -108,9 +105,9 @@ def test_orbit_representatives_admit_the_classes_of_all_sites(sources9):
             if is_3_compatible(ent.cycles, ent.graph, vertices, edges):
                 by_definition[len(vertices), len(edges)].add(certificate(apply_op()))
                 admitted += 1
-        for shape, op in OPS.items():
-            got = [g for g, _ in op(ent)]
-            assert {certificate(g) for g in got} == by_definition[shape], (op.__name__, ent.graph.edges())
+        for shape in OPS:
+            got = [g for g, _ in bridgings(ent, shape)]
+            assert {certificate(g) for g in got} == by_definition[shape], (shape, ent.graph.edges())
             tried += len(got)
     assert tried < admitted
 
@@ -128,7 +125,7 @@ def test_every_gate_verdict_is_the_minimality_of_its_bridging(sources9, monkeypa
         return True  # so that every site tried is bridged
 
     monkeypatch.setattr(min3gen.generator, "no_chording_paths", recording)
-    children = [g for ent in sources9 for op in (d1, d2, d3) for g, _ in op(ent)]
+    children = [g for ent in sources9 for shape in OPS for g, _ in bridgings(ent, shape)]
     assert (len(children), len(verdicts), sum(verdicts)) == (7477, 7477, 4942)
     assert [has_only_essential_edges(g) for g in children] == verdicts
     # The definition-level oracle on a fixed sample of the sites.
@@ -137,7 +134,7 @@ def test_every_gate_verdict_is_the_minimality_of_its_bridging(sources9, monkeypa
 
 
 def test_every_bridging_rule_matches_bruteforce_cycles(monkeypatch):
-    # With a gate that passes everything, d1, d2 and d3 return every site
+    # With a gate that passes everything, bridgings returns every site
     # they try, one per orbit, each with its replay steps.  On every
     # minimally 3-connected graph up to n = 8, the steps must give the
     # bridged graph's cycles, whether the site is 3-compatible or not.
@@ -146,10 +143,10 @@ def test_every_bridging_rule_matches_bruteforce_cycles(monkeypatch):
     sites = 0
     for g in graphs:
         ent = source(g)
-        for op in (d1, d2, d3):
-            for g2, steps in op(ent):
+        for shape in OPS:
+            for g2, steps in bridgings(ent, shape):
                 cycles = _replay(ent.cycles, *steps)
-                assert cycles == enumerate_cycles_bruteforce(g2), (op.__name__, g.edges(), g2.edges())
+                assert cycles == enumerate_cycles_bruteforce(g2), (shape, g.edges(), g2.edges())
                 sites += 1
     assert sites == 2600
 
@@ -161,7 +158,7 @@ def _seed_shelves():
 def test_run_shelf_first_column():
     shelves, reach = _seed_shelves(), range(7, 8)
     assert run_shelf(shelves, 6, 9, reach) == [certificate(prism())]
-    # The prism feeds (7, 11) by d1 and (7, 12) by d3; d2's (8, 12) lies
+    # The prism feeds (7, 11) by D1 and (7, 12) by D3; D2's (8, 12) lies
     # past reach.
     assert sorted(shelves) == [(7, 11), (7, 12)]
     assert run_shelf(shelves, 7, 11, reach) == generate_min3(7).groups[(7, 11)]
@@ -484,10 +481,10 @@ def test_orbit_representatives_bridge_to_the_classes_of_all_edge_pairs():
         g = decode_graph6(cert)
         es = g.edges()
         pairs = [(es[i], es[j]) for i in range(len(es)) for j in range(i + 1, len(es))]
-        reps = _orbit_representatives(pairs, automorphisms(g), _edge_pair_image)
+        reps = [edges for _, edges in _orbit_representatives(g, (0, 2), automorphisms(g))]
         assert set(reps) <= set(pairs) and len(set(reps)) == len(reps)
-        assert {certificate(bridge_edges(g, e, f)[0]) for e, f in reps} == {
-            certificate(bridge_edges(g, e, f)[0]) for e, f in pairs
+        assert {certificate(bridge(g, (), pair)) for pair in reps} == {
+            certificate(bridge(g, (), pair)) for pair in pairs
         }, cert
         pruned += len(pairs) - len(reps)
     assert pruned > 0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -9,10 +10,8 @@ import pytest
 from helpers import permuted_copy, random_graph
 from min3gen import (
     Graph,
-    add_degree3_vertex,
     add_edge,
-    bridge_edges,
-    bridge_vertex_edge,
+    bridge,
     certificate,
     complete_bipartite_3,
     delete_edge,
@@ -174,38 +173,60 @@ def test_complete_bipartite_3():
 
 
 def test_bridge_vertex_edge():
+    # Edge 01 is subdivided by the new vertex 4, which is joined to 3.
     k4 = wheel(3)
-    h, y = bridge_vertex_edge(k4, 3, 0, 1)
-    assert y == 4
+    h = bridge(k4, (3,), ((0, 1),))
     assert (h.n, h.m) == (5, 8)
     assert h.neighbors(4) == (0, 1, 3)
     assert not h.has_edge(0, 1)
-    with pytest.raises(ValueError):
-        bridge_vertex_edge(k4, 0, 0, 1)
+    with pytest.raises(ValueError, match="end of a bridged edge"):
+        bridge(k4, (0,), ((0, 1),))
 
 
 def test_bridge_edges():
+    # The new vertices are 4, on the first edge, and 5, on the second.
     k4 = wheel(3)
-    adjacent, x, y = bridge_edges(k4, (0, 1), (1, 2))
+    adjacent = bridge(k4, (), ((0, 1), (1, 2)))
     assert (adjacent.n, adjacent.m) == (6, 9)
-    assert (x, y) == (4, 5)
-    assert adjacent.has_edge(x, y)
-    disjoint, _, _ = bridge_edges(k4, (0, 1), (2, 3))
+    assert adjacent.neighbors(4) == (0, 1, 5)
+    assert adjacent.neighbors(5) == (1, 2, 4)
+    disjoint = bridge(k4, (), ((0, 1), (2, 3)))
     # The two 3-connected cubic graphs on six vertices, one from each kind
     # of edge pair.
     assert certificate(adjacent) == certificate(prism())
     assert certificate(disjoint) == certificate(complete_bipartite_3(3))
-    with pytest.raises(ValueError):
-        bridge_edges(k4, (0, 1), (0, 1))
+    for pair in (((0, 1), (0, 1)), ((0, 1), (1, 0))):
+        with pytest.raises(ValueError, match="not present"):
+            bridge(k4, (), pair)
 
 
 def test_add_degree3_vertex():
-    g, w = add_degree3_vertex(complete_bipartite_3(3), 3, 4, 5)
-    assert w == 6
+    # Three ends are joined to one more new vertex, n.
+    g = bridge(complete_bipartite_3(3), (3, 4, 5))
     assert g.neighbors(6) == (3, 4, 5)
     assert certificate(g) == certificate(complete_bipartite_3(4))
-    with pytest.raises(ValueError):
-        add_degree3_vertex(prism(), 0, 0, 1)
+    # A triangle is accepted: K4's rim, joined to a new vertex, is K5 less
+    # the edge 34.
+    k5_minus = bridge(wheel(3), (0, 1, 2))
+    assert k5_minus.neighbors(4) == (0, 1, 2)
+    assert k5_minus == Graph(5, [e for e in itertools.combinations(range(5), 2) if e != (3, 4)])
+    # A vertex and two edges also have three ends: 5 and 6 subdivide the
+    # edges, and 7 joins them to the hub 4.
+    mixed = bridge(wheel(4), (4,), ((0, 1), (2, 3)))
+    assert mixed.neighbors(7) == (4, 5, 6)
+    with pytest.raises(ValueError, match="distinct"):
+        bridge(prism(), (0, 0, 1))
+    # Vertices 5 and 8 are not W4's, though the first edge's new vertex
+    # will be 5, and -1 is no vertex.
+    with pytest.raises(ValueError, match="distinct"):
+        bridge(wheel(4), (5,), ((0, 1), (2, 3)))
+    for vertices in ((8,), (-1,), (8, 0), (-1, 0)):
+        with pytest.raises(ValueError, match="out of range"):
+            bridge(wheel(4), vertices, ((1, 4),))
+    # One end, or four.
+    for vertices, edges in (((0,), ()), ((), ((0, 1),)), ((0, 1, 2, 3), ()), ((0, 2), ((1, 4), (3, 4)))):
+        with pytest.raises(ValueError, match="2 or 3 ends"):
+            bridge(wheel(4), vertices, edges)
 
 
 def test_no_loops_or_parallels_survive_edits():
