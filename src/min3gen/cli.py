@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from .cycles import enumerate_cycles_bruteforce
-from .generator import generate_cubic, generate_min3
+from .generator import check_min3_max_n, generate_cubic, generate_min3
 from .io_validate import (
     GRAPH6_BLANKS,
     CheckpointError,
@@ -66,10 +67,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _require_directory_path(path: Path) -> None:
+    """Raise NotADirectoryError when path, or the nearest of its ancestors
+    that exists, is not a directory, so that no directory can be made there."""
+    for p in (path, *path.parents):
+        if p.exists():
+            if not p.is_dir():
+                raise NotADirectoryError(f"output path is not a directory: {p}")
+            return
+
+
 def cmd_generate(args: argparse.Namespace) -> int:
+    # Found before the run, and before a resumed directory is read.
+    if args.mode == "min3":
+        check_min3_max_n(args.max_n)
+    elif args.emit_intermediate or args.resume:
+        raise ValueError("--emit-intermediate and --resume apply to min3 mode only")
     out_dir = default_out_dir(args.out)
-    if out_dir.exists() and not out_dir.is_dir():  # found before the run, not after it
-        raise NotADirectoryError(f"output path is not a directory: {out_dir}")
+    _require_directory_path(out_dir)
+    if args.emit_intermediate:
+        _require_directory_path(out_dir / "shelves")
 
     def progress(msg: str) -> None:
         print(msg, file=sys.stderr)
@@ -78,8 +95,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
         resume = read_outputs(args.resume) if args.resume else None
         result = generate_min3(args.max_n, progress=progress, resume=resume)
     else:
-        if args.emit_intermediate or args.resume:
-            raise ValueError("--emit-intermediate and --resume apply to min3 mode only")
         result = generate_cubic(args.max_n, progress=progress)
     written = write_outputs(result, out_dir)
     if args.emit_intermediate:

@@ -16,7 +16,10 @@ setting both of its bits; row u of such a mask (its bits u*n .. u*n + n-1)
 is then a vertex mask like Graph.neighbor_mask(u).  A cycle survives the
 banned edges when its edge bits miss the ban, and its live chords are the
 graph's edge bits within its non-adjacent pair bits.  A caller that asks
-many gates of one graph compiles its set once and passes the table.
+many gates of one graph compiles its set once and passes the table; one
+that asks many gates of one ban builds its live_chords table once and
+asks chording_free of each gate's pairs.  Only no_chording_paths checks
+its arguments.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
 from .cycles import CycleSet, cycle_vertex_mask
-from .graphs import DAWES_SHAPES, Edge, Graph, _bits, _require_vertex, edge, mask_reachable
+from .graphs import DAWES_SHAPES, Edge, Graph, _require_vertex, edge, mask_reachable
 
 
 def _chording_off_cycle(
@@ -38,15 +41,19 @@ def _chording_off_cycle(
     may wander anywhere off it: enumerate the a..s arm, then ask whether b
     is reachable from t without touching that arm or the rest of the cycle.
     """
+    sbit = 1 << s
     off_cycle_t = cmask & ~(1 << t)
-    forbidden1 = (cmask & ~(1 << s)) | (1 << b)
+    forbidden1 = (cmask & ~sbit) | (1 << b)
 
     def dfs(v: int, used: int) -> bool:
-        for w in _bits(masks[v] & ~used & ~forbidden1):
-            if w == s:
+        m = masks[v] & ~used & ~forbidden1
+        while m:
+            low = m & -m
+            m ^= low
+            if low == sbit:
                 if mask_reachable(masks, t, b, off_cycle_t | used):
                     return True
-            elif dfs(w, used | (1 << w)):
+            elif dfs(low.bit_length() - 1, used | low):
                 return True
         return False
 
@@ -83,6 +90,84 @@ def compile_cycles(cycles: CycleSet, n: int) -> CompiledCycles:
     return CompiledCycles(n, tuple(vertex_masks), tuple(edge_bits), tuple(chord_bits))
 
 
+class LiveChords(NamedTuple):
+    """A gate's table for one ban: the banned edges, the graph's adjacency
+    rows less them, and the vertex mask and live chord bits of each
+    compiled cycle that avoids them and keeps a live chord."""
+
+    banned: tuple[Edge, ...]
+    masks: list[int]
+    cycles: list[tuple[int, int]]
+
+
+def live_chords(table: CompiledCycles, g: Graph, banned: tuple[Edge, ...]) -> LiveChords:
+    """g's live-chord table for a ban of edges that g has.
+
+    Dropping the cycles through a banned edge leaves those of the
+    edge-deleted graph, each kept with the chords that are still edges.
+    The table and the ban must belong to g; nothing here checks them, as
+    no_chording_paths does before it calls this.
+    """
+    n = g.n
+    masks = [g.neighbor_mask(v) for v in g.vertices]
+    ban = 0
+    for u, v in banned:
+        masks[u] &= ~(1 << v)
+        masks[v] &= ~(1 << u)
+        ban |= 1 << u * n + v
+    live = sum(row << v * n for v, row in enumerate(masks))
+    cycles = []
+    for cmask, own, cycle_chords in zip(table.vertex_masks, table.edge_bits, table.chord_bits):
+        if not own & ban:
+            chords = live & cycle_chords
+            if chords:
+                cycles.append((cmask, chords))
+    return LiveChords(banned, masks, cycles)
+
+
+def chording_free(live: LiveChords, pairs: Iterable[tuple[int, int]]) -> bool:
+    """True when no pair of distinct vertices has a chording path in the
+    graph of a live-chord table.
+
+    Each pair searches paths only through the chords its endpoints'
+    positions on a cycle allow.  The pairs are not checked; no_chording_paths
+    does that for its callers.
+    """
+    masks, table = live.masks, live.cycles
+    n = len(masks)
+    row = (1 << n) - 1
+    for a, b in pairs:
+        for cmask, chords in table:
+            # A chord st can only serve if a is off the cycle or a == s,
+            # and b is off the cycle or b == t.
+            if cmask >> a & 1:
+                if cmask >> b & 1:
+                    if chords >> a * n + b & 1:
+                        return False
+                    continue
+                m = chords >> a * n & row
+                while m:
+                    low = m & -m
+                    m ^= low
+                    if mask_reachable(masks, low.bit_length() - 1, b, cmask & ~low):
+                        return False
+            elif cmask >> b & 1:
+                m = chords >> b * n & row
+                while m:
+                    low = m & -m
+                    m ^= low
+                    if mask_reachable(masks, a, low.bit_length() - 1, cmask & ~low):
+                        return False
+            else:
+                m = chords
+                while m:
+                    low = m & -m
+                    m ^= low
+                    if _chording_off_cycle(masks, cmask, a, b, *divmod(low.bit_length() - 1, n)):
+                        return False
+    return True
+
+
 def no_chording_paths(
     cycles: CycleSet | CompiledCycles,
     g: Graph,
@@ -92,11 +177,9 @@ def no_chording_paths(
     """True when no endpoint pair has a chording path in g minus the banned edges.
 
     Pairs are unordered; duplicates are checked once, and equal endpoints
-    are a usage error.  The cycle set, or its compile_cycles table, must
-    belong to g; dropping the cycles through a banned edge leaves those of
-    the edge-deleted graph, each kept with its live chord bits.  Each pair
-    then searches paths only through the chords its endpoints' positions
-    on the cycle allow.
+    are a usage error, as are a vertex outside g and a banned edge that g
+    lacks.  The cycle set, or its compile_cycles table, must belong to g.
+    Once checked, the gate is live_chords then chording_free.
     """
     n = g.n
     if not isinstance(cycles, CompiledCycles):
@@ -110,46 +193,13 @@ def no_chording_paths(
         _require_vertex(g, a)
         _require_vertex(g, b)
         ends[(a, b) if a < b else (b, a)] = None
-    masks = [g.neighbor_mask(v) for v in g.vertices]
-    ban = 0
+    banned = tuple(banned)
     for u, v in banned:
         _require_vertex(g, u)
         _require_vertex(g, v)
         if not g.has_edge(u, v):
             raise ValueError(f"banned edge ({u},{v}) not present")
-        masks[u] &= ~(1 << v)
-        masks[v] &= ~(1 << u)
-        ban |= 1 << u * n + v
-    live = sum(row << v * n for v, row in enumerate(masks))
-    # Cycles that avoid the ban, each with the bits of its live chords.
-    table = []
-    for cmask, own, cycle_chords in zip(cycles.vertex_masks, cycles.edge_bits, cycles.chord_bits):
-        if not own & ban:
-            chords = live & cycle_chords
-            if chords:
-                table.append((cmask, chords))
-    row = (1 << n) - 1
-    for a, b in ends:
-        for cmask, chords in table:
-            # A chord st can only serve if a is off the cycle or a == s,
-            # and b is off the cycle or b == t.
-            if cmask >> a & 1:
-                if cmask >> b & 1:
-                    if chords >> a * n + b & 1:
-                        return False
-                    continue
-                for t in _bits(chords >> a * n & row):
-                    if mask_reachable(masks, t, b, cmask & ~(1 << t)):
-                        return False
-            elif cmask >> b & 1:
-                for s in _bits(chords >> b * n & row):
-                    if mask_reachable(masks, a, s, cmask & ~(1 << s)):
-                        return False
-            else:
-                for i in _bits(chords):
-                    if _chording_off_cycle(masks, cmask, a, b, *divmod(i, n)):
-                        return False
-    return True
+    return chording_free(live_chords(cycles, g, banned), ends)
 
 
 def compat_query(vertices: Sequence[int], edges: Sequence[Edge]) -> tuple[list[tuple[int, int]], tuple[Edge, ...]]:

@@ -16,9 +16,9 @@ pushes: once a shelf is complete, each of its graphs becomes a source
 once and is bridged into the shelves it feeds.  A bridging is minimally
 3-connected exactly when its set is 3-compatible in the source, which the
 chording path gate decides on the source's cycle set, compiled once per
-source.  Only one site per orbit of the source's automorphism group is
-tried, since the sites of an orbit give isomorphic graphs, and
-certificates deduplicate a shelf.  bridgings(src, shape) returns the
+source and filtered once per ban, the set's edges.  Only one site per
+orbit of the source's automorphism group is tried, since the sites of an
+orbit give isomorphic graphs, and certificates deduplicate a shelf.  bridgings(src, shape) returns the
 bridgings of one shape, each with its replay steps: the edge additions and
 subdivisions whose rules map the source's cycle set to the bridging's, so
 nothing is re-enumerated.  A candidate whose column feeds another holds
@@ -42,7 +42,7 @@ from operator import or_
 from typing import Callable
 
 from .canonical import automorphisms, certificate
-from .compat import CompiledCycles, compat_query, compile_cycles, no_chording_paths
+from .compat import CompiledCycles, chording_free, compat_query, compile_cycles, live_chords
 from .cycles import CycleSet, apply_add_edge, apply_subdivide_edge, enumerate_cycles_bruteforce
 from .graphs import DAWES_SHAPES, GRAPH6_MAX_N, Edge, Graph, bridge, complete_bipartite_3, edge, prism, wheel
 from .io_validate import CheckpointError, decode_graph6
@@ -163,11 +163,20 @@ def bridgings(src: ShelfEntry, shape: Shape) -> list[tuple[Graph, Steps]]:
     the source is 3-connected, so for an edge xy, x and y lie on a cycle
     of the graph minus xy, which xy chords; the edge xy is then itself a
     chording xy-path, and the gate rejects every set with an adjacent pair.
+
+    The sites come edges outer, so the sites of one ban are consecutive
+    and share one live-chord table, built when the edges change: one per
+    edge for (1, 1), one per source for (3, 0) and one per site for
+    (0, 2).  The table and the pairs come from src itself, so no gate
+    re-checks them.
     """
     g = src.graph
     out = []
+    live = None
     for vertices, edges in _orbit_representatives(g, shape, src.gens):
-        if no_chording_paths(src.table, g, *compat_query(vertices, edges)):
+        if live is None or live.banned != edges:
+            live = live_chords(src.table, g, edges)
+        if chording_free(live, compat_query(vertices, edges)[0]):
             out.append((bridge(g, vertices, edges), _steps(g.n, vertices, edges)))
     return out
 
@@ -236,6 +245,13 @@ def _last_column(resume: GeneratedSet) -> int:
     return last
 
 
+def check_min3_max_n(max_n: int) -> None:
+    """Raise ValueError unless generate_min3 can run up to max_n vertices:
+    from 6 to GRAPH6_MAX_N, the most vertices a certificate holds."""
+    if not 6 <= max_n <= GRAPH6_MAX_N:
+        raise ValueError(f"max_n must be from 6 to {GRAPH6_MAX_N}, the most vertices a certificate holds")
+
+
 def generate_min3(max_n: int, *, progress: Progress | None = None, resume: GeneratedSet | None = None) -> GeneratedSet:
     """All minimally 3-connected graphs with 6 to max_n vertices.
 
@@ -252,8 +268,7 @@ def generate_min3(max_n: int, *, progress: Progress | None = None, resume: Gener
     columns or holds another raises CheckpointError, and a max_n past
     GRAPH6_MAX_N raises ValueError before any work.
     """
-    if not 6 <= max_n <= GRAPH6_MAX_N:
-        raise ValueError(f"max_n must be from 6 to {GRAPH6_MAX_N}, the most vertices a certificate holds")
+    check_min3_max_n(max_n)
     # The graphs no shelf holds, built directly.
     direct: dict[tuple[int, int], list[str]] = {}
     for n in range(6, max_n + 1):

@@ -104,6 +104,38 @@ def test_generate_refuses_a_file_as_out_before_generating(tmp_path, capsys, monk
     assert path.read_text() == "not a directory\n"
 
 
+def test_generate_refuses_a_file_ancestor_of_out_before_generating(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "taken"
+    path.write_text("not a directory\n")
+    monkeypatch.setattr(min3gen.cli, "generate_min3", lambda *args, **kwargs: pytest.fail("generated"))
+    rc, _, err = run(["generate", "--max-n", "7", "--out", str(path / "sub")], capsys)
+    assert rc == 3
+    assert f"output path is not a directory: {path}" in err
+    assert path.read_text() == "not a directory\n"
+    assert sorted(tmp_path.iterdir()) == [path]
+
+
+def test_emit_intermediate_refuses_a_file_as_shelves_before_generating(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "shelves").write_text("not a directory\n")
+    monkeypatch.setattr(min3gen.cli, "generate_min3", lambda *args, **kwargs: pytest.fail("generated"))
+    rc, _, err = run(["generate", "--max-n", "7", "--out", str(out), "--emit-intermediate"], capsys)
+    assert rc == 3
+    assert f"output path is not a directory: {out / 'shelves'}" in err
+    assert sorted(out.iterdir()) == [out / "shelves"]
+    assert (out / "shelves").read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("max_n", ["5", "63"])
+def test_generate_checks_max_n_before_reading_the_resume_directory(max_n, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(min3gen.cli, "read_outputs", lambda *args: pytest.fail("read the resume directory"))
+    rc, _, err = run(["generate", "--max-n", max_n, "--resume", str(tmp_path), "--out", str(tmp_path / "o")], capsys)
+    assert rc == 2
+    assert "max_n must be from 6 to 62" in err
+    assert not any(tmp_path.iterdir())
+
+
 def test_generate_missing_max_n(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["generate", "--mode", "min3"])

@@ -40,6 +40,7 @@ from min3gen import (
     prism,
     wheel,
 )
+from min3gen.compat import chording_free, live_chords
 from min3gen.cycles import enumerate_cycles_bruteforce
 from min3gen.graphs import DAWES_SHAPES
 from min3gen.io_validate import is_minimally_3_connected
@@ -95,19 +96,19 @@ def _oracle_gate(g, cs, pairs, banned) -> bool:
 
 
 def test_pipeline_gate_calls_match_the_oracle(monkeypatch):
-    # Every gate call that bridgings makes, in each shape, on the shelves'
-    # sources up to n = 8, against the definition scan on the graph's
-    # brute-force cycles.
+    # Every gate that bridgings asks of a live-chord table, in each shape,
+    # on the shelves' sources up to n = 8, against the definition scan on
+    # the graph's brute-force cycles with the table's banned edges.
     shelves = collect_shelves(8)
     calls = []
 
-    def recording(cycles, g, pairs, banned=()):
-        pairs, banned = tuple(pairs), tuple(banned)
-        got = no_chording_paths(cycles, g, pairs, banned)
-        calls.append((g, pairs, banned, got))
+    def recording(live, pairs):
+        pairs = tuple(pairs)
+        got = chording_free(live, pairs)
+        calls.append((ent.graph, pairs, live.banned, got))
         return got
 
-    monkeypatch.setattr(min3gen.generator, "no_chording_paths", recording)
+    monkeypatch.setattr(min3gen.generator, "chording_free", recording)
     for entries in shelves.values():
         for ent in entries:
             for shape in DAWES_SHAPES:
@@ -148,6 +149,10 @@ def test_no_chording_paths_matches_the_oracle(query):
     assert no_chording_paths(cs, g, pairs, banned) == _oracle_gate(g, cs, pairs, banned)
     a, b = pairs[0]
     assert no_chording_paths(cs, g, ((a, b),), banned) != chording_path_oracle(g, cs, a, b, banned)
+    # One live-chord table per ban, as bridgings builds it, answers each
+    # pair alone as the public gate does.
+    live = live_chords(compile_cycles(cs, g.n), g, tuple(banned))
+    assert [chording_free(live, [p]) for p in pairs] == [no_chording_paths(cs, g, [p], banned) for p in pairs]
 
 
 def test_no_chording_paths_deduplicates_pairs(prism_graph, prism_cycles):

@@ -117,14 +117,14 @@ def test_every_gate_verdict_is_the_minimality_of_its_bridging(sources9, monkeypa
     # the sources with n <= 9, the gate passes exactly when the bridging is
     # minimally 3-connected.  Unlike the gate's chording-path oracle, this
     # would catch a gate that is wrong in the same way as that definition.
-    gate = min3gen.generator.no_chording_paths
+    gate = min3gen.generator.chording_free
     verdicts = []
 
     def recording(*args):
         verdicts.append(gate(*args))
         return True  # so that every site tried is bridged
 
-    monkeypatch.setattr(min3gen.generator, "no_chording_paths", recording)
+    monkeypatch.setattr(min3gen.generator, "chording_free", recording)
     children = [g for ent in sources9 for shape in OPS for g, _ in bridgings(ent, shape)]
     assert (len(children), len(verdicts), sum(verdicts)) == (7477, 7477, 4942)
     assert [has_only_essential_edges(g) for g in children] == verdicts
@@ -138,7 +138,7 @@ def test_every_bridging_rule_matches_bruteforce_cycles(monkeypatch):
     # they try, one per orbit, each with its replay steps.  On every
     # minimally 3-connected graph up to n = 8, the steps must give the
     # bridged graph's cycles, whether the site is 3-compatible or not.
-    monkeypatch.setattr(min3gen.generator, "no_chording_paths", lambda *args: True)
+    monkeypatch.setattr(min3gen.generator, "chording_free", lambda *args: True)
     graphs = [decode_graph6(c) for bucket in generate_min3(8).groups.values() for c in bucket]
     sites = 0
     for g in graphs:
@@ -227,8 +227,8 @@ def test_final_column_derives_no_cycle_sets(monkeypatch):
 
 
 def _count_work(monkeypatch) -> dict[str, list]:
-    """Record the arguments of every automorphism group, gate, certificate
-    and compile call the generator makes, by name."""
+    """Record the arguments of every automorphism group, live-chord table,
+    gate, certificate and compile call the generator makes, by name."""
     calls: dict[str, list] = {}
 
     def counting(name, fn):
@@ -240,7 +240,7 @@ def _count_work(monkeypatch) -> dict[str, list]:
 
         return counted
 
-    for name in ("automorphisms", "no_chording_paths", "certificate"):
+    for name in ("automorphisms", "live_chords", "chording_free", "certificate"):
         monkeypatch.setattr(min3gen.generator, name, counting(name, getattr(min3gen.generator, name)))
     counted = counting("compile_cycles", min3gen.compat.compile_cycles)
     for module in (min3gen.generator, min3gen.compat):
@@ -255,14 +255,20 @@ def test_each_source_gets_its_automorphisms_once(monkeypatch):
     certs = [certificate(g) for g, in calls["automorphisms"]]
     assert len(certs) == len(set(certs)) == 75
     counts = {name: len(args) for name, args in calls.items()}
-    assert counts == {"automorphisms": 75, "no_chording_paths": 4526, "certificate": 2020, "compile_cycles": 75}
+    # One live-chord table per run of sites sharing a ban: per edge for
+    # (1, 1), per source for (3, 0), per site for (0, 2).
+    assert counts == {
+        "automorphisms": 75, "live_chords": 1198, "chording_free": 4526, "certificate": 2020, "compile_cycles": 75,
+    }
     # Resuming n <= 9 to 10 makes sources of columns 8 and 9 only.
     outputs9 = generate_min3(9)
     for args in calls.values():
         args.clear()
     generate_min3(10, resume=outputs9)
     counts = {name: len(args) for name, args in calls.items()}
-    assert counts == {"automorphisms": 71, "no_chording_paths": 3899, "certificate": 1725, "compile_cycles": 71}
+    assert counts == {
+        "automorphisms": 71, "live_chords": 997, "chording_free": 3899, "certificate": 1725, "compile_cycles": 71,
+    }
 
 
 def test_generate_min3_keeps_no_compiled_cycle_sets(monkeypatch):
