@@ -15,26 +15,27 @@ from min3gen import (
     enumerate_cycles_bruteforce,
     is_3_compatible,
     is_minimally_3_connected,
-    no_chording_paths,
     prism,
     wheel,
 )
+from min3gen.compat import chording_free, compile_cycles, live_chords
 
 # A chording path contains a chord of some cycle and meets that cycle only
 # at the chord's endpoints.  In prism + 02 the path 3-2-5 is one between 3
 # and 5: it uses the chord 25 of the cycle (0,2,1,5,4) and meets that cycle
 # only at 2 and 5.
 g = add_edge(prism(), 0, 2)
-cycles = enumerate_cycles_bruteforce(g)
-# no_chording_paths asks it for a list of endpoint pairs at once.
-print("prism+02: chording path between 3 and 5:", not no_chording_paths(cycles, g, ((3, 5),)))
+table = compile_cycles(enumerate_cycles_bruteforce(g), g.n)
+# live_chords builds the search's table for a ban of edges, here none, and
+# chording_free asks it for a list of endpoint pairs at once.
+print("prism+02: chording path between 3 and 5:", not chording_free(live_chords(table, g, ()), ((3, 5),)))
 
 # Banned edges model "after this edge is deleted" without rebuilding.
-print("same query with edge 01 banned:", not no_chording_paths(cycles, g, ((3, 5),), ((0, 1),)))
+print("same query with edge 01 banned:", not chording_free(live_chords(table, g, ((0, 1),)), ((3, 5),)))
 
-# is_3_compatible takes a set as its vertices and its edges.  One rule
-# decides every shape: compat_query turns the set into the endpoint pairs
-# of its members' ends and the set's edges to ban.
+# is_3_compatible takes a set as its vertices and its edges, checks it
+# against the graph, and decides every shape by one rule: it bans the set's
+# edges and asks chording_free of compat_query's pairs of its members' ends.
 
 # Gate shape 1: {x, ab} guards bridging vertex x to edge ab (operation D1).
 k4 = wheel(3)

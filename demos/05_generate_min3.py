@@ -72,10 +72,10 @@ print("  its certificate:", cert)
 certs = run_shelf(shelves, 7, 11, reach)
 print(f"shelf (n=7, m=11): {len(certs)} graphs, as in result.groups[(7, 11)]:", certs == result.groups[(7, 11)])
 print("shelf (n=7, m=12) holds", len(run_shelf(shelves, 7, 12, reach)), "graphs: only W6 and K_{3,4} have that size")
-# Column 8, the last in reach, feeds nothing, so its candidates hold no
-# rule, and no source's cycle set is kept alive for them.
-print("column 8 candidates:", sum(map(len, shelves.values())), " with a rule:",
-      sum(rule is not None for found in shelves.values() for _, rule in found.values()))
+# Column 8, the last in reach, feeds nothing, so its shelves store None
+# for each certificate, and no source's cycle set is kept alive for them.
+print("column 8 certificates:", sum(map(len, shelves.values())), " with a graph and rule:",
+      sum(value is not None for found in shelves.values() for value in found.values()))
 
 # A later run resumes from this one's outputs and walks only column 9.
 resumed = generate_min3(9, resume=result)

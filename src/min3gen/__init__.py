@@ -13,7 +13,6 @@ from .compat import (
     compat_query,
     compile_cycles,
     is_3_compatible,
-    no_chording_paths,
 )
 from .cycles import (
     Cycle,
@@ -100,7 +99,6 @@ __all__ = [
     "is_3_compatible",
     "is_3_connected",
     "is_minimally_3_connected",
-    "no_chording_paths",
     "prism",
     "read_outputs",
     "run_shelf",

@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from .cycles import enumerate_cycles_bruteforce
-from .generator import check_min3_max_n, generate_cubic, generate_min3
+from .generator import check_max_n, generate_cubic, generate_min3
 from .io_validate import (
     GRAPH6_BLANKS,
     CheckpointError,
@@ -79,9 +79,8 @@ def _require_directory_path(path: Path) -> None:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     # Found before the run, and before a resumed directory is read.
-    if args.mode == "min3":
-        check_min3_max_n(args.max_n)
-    elif args.emit_intermediate or args.resume:
+    check_max_n(args.mode, args.max_n)
+    if args.mode == "cubic" and (args.emit_intermediate or args.resume):
         raise ValueError("--emit-intermediate and --resume apply to min3 mode only")
     out_dir = default_out_dir(args.out)
     _require_directory_path(out_dir)

@@ -1,4 +1,4 @@
-"""Chording path detection and the 3-compatibility gates.
+"""Chording path detection and the 3-compatibility gate.
 
 A chord of a cycle is an edge joining two vertices of the cycle that are
 not cyclically adjacent.  A chording path between a and b is a path that
@@ -9,22 +9,23 @@ of another in g less the set's edges (Dawes, JCTB 40, 1986), exactly the
 condition under which the bridging operations preserve minimal
 3-connectivity.
 
+is_3_compatible is the one checked entry.  It checks the set against g,
+then runs the two unchecked steps that the generator's bridgings run:
+live_chords, the graph's table for a ban of edges, then chording_free,
+the search of compat_query's endpoint pairs against it.
+
 All searches run on the cycle set the pipeline already maintains, so no
-cycle enumeration happens here.  A cycle set is compiled into bitmasks
-over ordered vertex pairs, pair uv at bit u*n + v, with an unordered pair
-setting both of its bits; row u of such a mask (its bits u*n .. u*n + n-1)
-is then a vertex mask like Graph.neighbor_mask(u).  A cycle survives the
-banned edges when its edge bits miss the ban, and its live chords are the
-graph's edge bits within its non-adjacent pair bits.  A caller that asks
-many gates of one graph compiles its set once and passes the table; one
-that asks many gates of one ban builds its live_chords table once and
-asks chording_free of each gate's pairs.  Only no_chording_paths checks
-its arguments.
+cycle enumeration happens here.  compile_cycles turns a cycle set into
+bitmasks over ordered vertex pairs, pair uv at bit u*n + v, with an
+unordered pair setting both of its bits; row u of such a mask (its bits
+u*n .. u*n + n-1) is then a vertex mask like Graph.neighbor_mask(u).  A
+cycle survives the banned edges when its edge bits miss the ban, and its
+live chords are the graph's edge bits within its non-adjacent pair bits.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, NamedTuple, Sequence
 
 from .cycles import CycleSet, cycle_vertex_mask
@@ -61,20 +62,18 @@ def _chording_off_cycle(
 
 
 class CompiledCycles(NamedTuple):
-    """The order n of the graph, then three parallel columns over the cycles
-    of a set that have a possible chord: the vertex mask, the pair bits of
-    the cycle's own edges, and the pair bits of its cyclically non-adjacent
-    vertex pairs (its possible chords), both orders of each pair set."""
+    """Three parallel columns over the cycles of a set that have a possible
+    chord: the vertex mask, the pair bits of the cycle's own edges, and the
+    pair bits of its cyclically non-adjacent vertex pairs (its possible
+    chords), both orders of each pair set."""
 
-    n: int
     vertex_masks: tuple[int, ...]
     edge_bits: tuple[int, ...]
     chord_bits: tuple[int, ...]
 
 
 def compile_cycles(cycles: CycleSet, n: int) -> CompiledCycles:
-    """The gate's table of a cycle set of a graph on n vertices;
-    no_chording_paths takes either."""
+    """The gate's table of a cycle set of a graph on n vertices."""
     vertex_masks, edge_bits, chord_bits = [], [], []
     for cyc in cycles:
         cmask = cycle_vertex_mask(cyc)
@@ -87,7 +86,7 @@ def compile_cycles(cycles: CycleSet, n: int) -> CompiledCycles:
             vertex_masks.append(cmask)
             edge_bits.append(own)
             chord_bits.append(chords)
-    return CompiledCycles(n, tuple(vertex_masks), tuple(edge_bits), tuple(chord_bits))
+    return CompiledCycles(tuple(vertex_masks), tuple(edge_bits), tuple(chord_bits))
 
 
 class LiveChords(NamedTuple):
@@ -106,7 +105,7 @@ def live_chords(table: CompiledCycles, g: Graph, banned: tuple[Edge, ...]) -> Li
     Dropping the cycles through a banned edge leaves those of the
     edge-deleted graph, each kept with the chords that are still edges.
     The table and the ban must belong to g; nothing here checks them, as
-    no_chording_paths does before it calls this.
+    is_3_compatible does before it calls this.
     """
     n = g.n
     masks = [g.neighbor_mask(v) for v in g.vertices]
@@ -130,7 +129,7 @@ def chording_free(live: LiveChords, pairs: Iterable[tuple[int, int]]) -> bool:
     graph of a live-chord table.
 
     Each pair searches paths only through the chords its endpoints'
-    positions on a cycle allow.  The pairs are not checked; no_chording_paths
+    positions on a cycle allow.  The pairs are not checked; is_3_compatible
     does that for its callers.
     """
     masks, table = live.masks, live.cycles
@@ -168,60 +167,28 @@ def chording_free(live: LiveChords, pairs: Iterable[tuple[int, int]]) -> bool:
     return True
 
 
-def no_chording_paths(
-    cycles: CycleSet | CompiledCycles,
-    g: Graph,
-    pairs: Iterable[tuple[int, int]],
-    banned: Iterable[Edge] = (),
-) -> bool:
-    """True when no endpoint pair has a chording path in g minus the banned edges.
-
-    Pairs are unordered; duplicates are checked once, and equal endpoints
-    are a usage error, as are a vertex outside g and a banned edge that g
-    lacks.  The cycle set, or its compile_cycles table, must belong to g.
-    Once checked, the gate is live_chords then chording_free.
-    """
-    n = g.n
-    if not isinstance(cycles, CompiledCycles):
-        cycles = compile_cycles(cycles, n)
-    elif cycles.n != n:
-        raise ValueError(f"cycle table compiled for n={cycles.n}, not n={n}")
-    ends: dict[tuple[int, int], None] = {}
-    for a, b in pairs:
-        if a == b:
-            raise ValueError("chording path endpoints must differ")
-        _require_vertex(g, a)
-        _require_vertex(g, b)
-        ends[(a, b) if a < b else (b, a)] = None
-    banned = tuple(banned)
-    for u, v in banned:
-        _require_vertex(g, u)
-        _require_vertex(g, v)
-        if not g.has_edge(u, v):
-            raise ValueError(f"banned edge ({u},{v}) not present")
-    return chording_free(live_chords(cycles, g, banned), ends)
-
-
-def compat_query(vertices: Sequence[int], edges: Sequence[Edge]) -> tuple[list[tuple[int, int]], tuple[Edge, ...]]:
-    """The endpoint pairs and banned edges that decide a set's 3-compatibility.
+def compat_query(vertices: Sequence[int], edges: Sequence[Edge]) -> list[tuple[int, int]]:
+    """The endpoint pairs that decide a set's 3-compatibility, once its
+    edges are banned.
 
     A vertex is its own end and an edge has two.  The pairs are every two
     ends of two distinct members that differ: {x, ab} gives xa and xb,
     {ab, cd} gives ac, bc, ad and bd less a shared end's, and {x, y, z}
-    gives xy, xz and yz.  The banned edges are the set's edges.
+    gives xy, xz and yz.
     """
     members = [(v,) for v in vertices] + list(edges)
-    pairs = [(p, q) for m1, m2 in combinations(members, 2) for q in m2 for p in m1 if p != q]
-    return pairs, tuple(edges)
+    return [(p, q) for m1, m2 in combinations(members, 2) for q in m2 for p in m1 if p != q]
 
 
 def is_3_compatible(cycles: CycleSet, g: Graph, vertices: Sequence[int] = (), edges: Sequence[Edge] = ()) -> bool:
-    """Decide the 3-compatibility of a set of g's vertices and edges.
+    """Decide the 3-compatibility of a set of g's vertices and edges, given
+    g's cycle set.
 
     The set must be one of Dawes' three shapes: a vertex and an edge, two
-    edges, or three vertices, with distinct members and no vertex an end of
-    a member edge.  compat_query reduces it to chording path checks, as it
-    does for the generator's bridgings.
+    edges, or three vertices, with distinct members of g and no vertex an
+    end of a member edge.  Once checked, the gate is the generator's:
+    live_chords bans the set's edges and chording_free searches the pairs
+    of compat_query.
     """
     if (len(vertices), len(edges)) not in DAWES_SHAPES:
         raise ValueError(f"{len(vertices)} vertices and {len(edges)} edges are none of Dawes' three shapes")
@@ -229,5 +196,11 @@ def is_3_compatible(cycles: CycleSet, g: Graph, vertices: Sequence[int] = (), ed
         raise ValueError("the members of a compatibility set must be distinct")
     if any(v in e for v in vertices for e in edges):
         raise ValueError("a vertex of a compatibility set must not be an end of its edge")
-    # no_chording_paths rejects a banned edge that g lacks.
-    return no_chording_paths(cycles, g, *compat_query(vertices, edges))
+    pairs = compat_query(vertices, edges)
+    # Every end of a member lies in a pair.
+    for v in chain.from_iterable(pairs):
+        _require_vertex(g, v)
+    for u, v in edges:
+        if not g.has_edge(u, v):
+            raise ValueError(f"banned edge ({u},{v}) not present")
+    return chording_free(live_chords(compile_cycles(cycles, g.n), g, tuple(edges)), pairs)

@@ -18,13 +18,15 @@ once and is bridged into the shelves it feeds.  A bridging is minimally
 chording path gate decides on the source's cycle set, compiled once per
 source and filtered once per ban, the set's edges.  Only one site per
 orbit of the source's automorphism group is tried, since the sites of an
-orbit give isomorphic graphs, and certificates deduplicate a shelf.  bridgings(src, shape) returns the
-bridgings of one shape, each with its replay steps: the edge additions and
-subdivisions whose rules map the source's cycle set to the bridging's, so
-nothing is re-enumerated.  A candidate whose column feeds another holds
-its steps, bound to the source's cycle set, as its rule, which runs when
-the candidate becomes a source.  A candidate of the final column
-(n = max_n) holds no rule, and so keeps no source's cycle set alive.
+orbit give isomorphic graphs, and certificates deduplicate a shelf.
+bridgings(src, shape) returns the bridgings of one shape, each with its
+replay steps: the edge additions and subdivisions whose rules map the
+source's cycle set to the bridging's, so nothing is re-enumerated.  A
+candidate whose column feeds another holds its steps, bound to the
+source's cycle set, as its rule, which runs when the candidate becomes a
+source.  A shelf of the final column (n = max_n) stores None for each
+certificate, no graph and no rule, and so keeps no source's cycle set
+alive.
 
 Wheels and K_{3,t} are the minimally 3-connected graphs that no prism-rooted
 chain reaches; they are constructed directly and merged into the output.
@@ -58,13 +60,13 @@ Progress = Callable[[str], None]
 Steps = tuple[tuple[int, ...], ...]
 # A candidate is its graph and its rule: the source's cycle set mapped to
 # the candidate's, bound when the candidate is built and called only when
-# the candidate becomes a source.  A candidate that never will, one of the
-# final column, has no rule.
+# the candidate becomes a source.
 Rule = Callable[[], CycleSet]
-Candidate = tuple[Graph, Rule | None]
+Candidate = tuple[Graph, Rule]
 # The shelves still filling, keyed by (n, m): each keeps the first
-# candidate of every certificate that reaches it.
-Shelves = dict[tuple[int, int], dict[str, Candidate]]
+# candidate of every certificate that reaches it, or None in the final
+# column, whose graphs never become sources.
+Shelves = dict[tuple[int, int], dict[str, Candidate | None]]
 Permutation = tuple[int, ...]
 Shape = tuple[int, int]  # a set's (vertex count, edge count)
 Site = tuple[tuple[int, ...], tuple[Edge, ...]]  # a set's vertices and edges
@@ -176,7 +178,7 @@ def bridgings(src: ShelfEntry, shape: Shape) -> list[tuple[Graph, Steps]]:
     for vertices, edges in _orbit_representatives(g, shape, src.gens):
         if live is None or live.banned != edges:
             live = live_chords(src.table, g, edges)
-        if chording_free(live, compat_query(vertices, edges)[0]):
+        if chording_free(live, compat_query(vertices, edges)):
             out.append((bridge(g, vertices, edges), _steps(g.n, vertices, edges)))
     return out
 
@@ -200,8 +202,8 @@ def run_shelf(shelves: Shelves, n: int, m: int, reach: range) -> list[str]:
     sets of shapes (1, 1), (3, 0) and (0, 2) into (n+1, m+2), (n+1, m+3)
     and (n+2, m+3), those in reach, where only an unseen certificate's
     candidate is kept.  Its rule replays the bridging's steps on the
-    source's cycle set, and is bound only for a shelf whose column feeds
-    one in reach.
+    source's cycle set.  A shelf whose column feeds none in reach keeps
+    None for the certificate, neither graph nor rule.
     """
     found = shelves.pop((n, m), {})
     certs = sorted(found)
@@ -216,7 +218,7 @@ def run_shelf(shelves: Shelves, n: int, m: int, reach: range) -> list[str]:
                 for g2, steps in bridgings(src, shape):
                     cert2 = certificate(g2)
                     if cert2 not in shelf:
-                        shelf[cert2] = (g2, partial(_replay, src.cycles, *steps) if bind else None)
+                        shelf[cert2] = (g2, partial(_replay, src.cycles, *steps)) if bind else None
     return certs
 
 
@@ -245,11 +247,15 @@ def _last_column(resume: GeneratedSet) -> int:
     return last
 
 
-def check_min3_max_n(max_n: int) -> None:
-    """Raise ValueError unless generate_min3 can run up to max_n vertices:
-    from 6 to GRAPH6_MAX_N, the most vertices a certificate holds."""
-    if not 6 <= max_n <= GRAPH6_MAX_N:
-        raise ValueError(f"max_n must be from 6 to {GRAPH6_MAX_N}, the most vertices a certificate holds")
+def check_max_n(mode: str, max_n: int) -> None:
+    """Raise ValueError unless the generator of the mode, "min3" or
+    "cubic", can run up to max_n vertices: from 6, or an even count from 4,
+    to GRAPH6_MAX_N, the most vertices a certificate holds."""
+    if mode == "min3":
+        if not 6 <= max_n <= GRAPH6_MAX_N:
+            raise ValueError(f"max_n must be from 6 to {GRAPH6_MAX_N}, the most vertices a certificate holds")
+    elif max_n % 2 or not 4 <= max_n <= GRAPH6_MAX_N:
+        raise ValueError(f"max_n must be even, from 4 to {GRAPH6_MAX_N}, the most vertices a certificate holds")
 
 
 def generate_min3(max_n: int, *, progress: Progress | None = None, resume: GeneratedSet | None = None) -> GeneratedSet:
@@ -268,7 +274,7 @@ def generate_min3(max_n: int, *, progress: Progress | None = None, resume: Gener
     columns or holds another raises CheckpointError, and a max_n past
     GRAPH6_MAX_N raises ValueError before any work.
     """
-    check_min3_max_n(max_n)
+    check_max_n("min3", max_n)
     # The graphs no shelf holds, built directly.
     direct: dict[tuple[int, int], list[str]] = {}
     for n in range(6, max_n + 1):
@@ -313,8 +319,7 @@ def generate_cubic(max_n: int, *, progress: Progress | None = None) -> Generated
     them.  Cycle sets are not needed here, so none are carried.  An odd
     max_n, or one past GRAPH6_MAX_N, raises ValueError before any work.
     """
-    if max_n % 2 or not 4 <= max_n <= GRAPH6_MAX_N:
-        raise ValueError(f"max_n must be even, from 4 to {GRAPH6_MAX_N}, the most vertices a certificate holds")
+    check_max_n("cubic", max_n)
     level = [certificate(wheel(3))]
     groups = {(4, 6): level}
     for n in range(6, max_n + 1, 2):

@@ -136,6 +136,18 @@ def test_generate_checks_max_n_before_reading_the_resume_directory(max_n, tmp_pa
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("mode", ["min3", "cubic"])
+def test_generate_checks_max_n_before_the_output_path(mode, tmp_path, capsys):
+    # A --max-n out of range is a usage error in both modes, even where
+    # --out could not be made either.
+    path = tmp_path / "taken"
+    path.write_text("not a directory\n")
+    rc, _, err = run(["generate", "--mode", mode, "--max-n", "5", "--out", str(path / "sub")], capsys)
+    assert rc == 2
+    assert "max_n must be" in err
+    assert sorted(tmp_path.iterdir()) == [path]
+
+
 def test_generate_missing_max_n(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["generate", "--mode", "min3"])

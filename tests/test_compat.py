@@ -1,7 +1,7 @@
-"""Chording path detection and the three 3-compatibility gates.
+"""Chording path detection and the 3-compatibility gate.
 
 Two independent oracles anchor this module.  A definition-level scan over
-all simple paths re-derives no_chording_paths from scratch, on random graphs
+all simple paths re-derives chording_free from scratch, on random graphs
 and on every gate call the generator makes on sources up to eight
 vertices.  The gates are then held to the operational standard they exist
 for: applying the matching operation must yield a minimally 3-connected
@@ -36,7 +36,6 @@ from min3gen import (
     decode_graph6,
     generate_min3,
     is_3_compatible,
-    no_chording_paths,
     prism,
     wheel,
 )
@@ -46,30 +45,24 @@ from min3gen.graphs import DAWES_SHAPES
 from min3gen.io_validate import is_minimally_3_connected
 
 
+def _free(cs, g, pairs, banned=()) -> bool:
+    """The gate's two steps, as bridgings runs them: g's live-chord table
+    for the ban, then the search of the pairs."""
+    return chording_free(live_chords(compile_cycles(cs, g.n), g, tuple(banned)), pairs)
+
+
 def test_has_chording_path_fixed_cases(k4):
     k5 = complete_graph(5)
     cs5 = enumerate_cycles_bruteforce(k5)
-    assert not no_chording_paths(cs5, k5, ((0, 3),))
+    assert not _free(cs5, k5, ((0, 3),))
 
     cs4 = enumerate_cycles_bruteforce(k4)
-    assert no_chording_paths(cs4, k4, ((3, 0),), ((0, 1),))
-    assert no_chording_paths(cs4, k4, ((3, 1),), ((0, 1),))
+    assert _free(cs4, k4, ((3, 0),), ((0, 1),))
+    assert _free(cs4, k4, ((3, 1),), ((0, 1),))
 
     g02 = add_edge(prism(), 0, 2)
     cs02 = enumerate_cycles_bruteforce(g02)
-    assert not no_chording_paths(cs02, g02, ((3, 5),))
-
-
-def test_has_chording_path_validation(prism_graph, prism_cycles):
-    with pytest.raises(ValueError):
-        no_chording_paths(prism_cycles, prism_graph, ((2, 2),))
-    with pytest.raises(ValueError):
-        no_chording_paths(prism_cycles, prism_graph, ((0, 2),), ((0, 2),))
-    for banned in (((6, 1),), ((-1, 4),)):
-        with pytest.raises(ValueError, match="out of range"):
-            no_chording_paths(prism_cycles, prism_graph, ((0, 2),), banned)
-    with pytest.raises(ValueError, match="compiled for n=7"):
-        no_chording_paths(compile_cycles(prism_cycles, 7), prism_graph, ((0, 2),))
+    assert not _free(cs02, g02, ((3, 5),))
 
 
 def test_has_chording_path_matches_definition_scan():
@@ -84,10 +77,11 @@ def test_has_chording_path_matches_definition_scan():
             continue
         a, b = rng.sample(range(g.n), 2)
         banned = tuple(rng.sample(g.edges(), rng.randint(0, min(2, g.m))))
-        got = not no_chording_paths(cs, g, ((a, b),), banned)
+        got = not _free(cs, g, ((a, b),), banned)
         want = chording_path_oracle(g, cs, a, b, banned)
         assert got == want, (g.edges(), a, b, banned)
-        assert got != no_chording_paths(compile_cycles(cs, g.n), g, ((a, b),), banned)
+        # Pairs are unordered.
+        assert got != _free(cs, g, ((b, a),), banned)
         done += 1
 
 
@@ -144,32 +138,24 @@ def _gate_queries(draw):
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_gate_queries())
-def test_no_chording_paths_matches_the_oracle(query):
+def test_chording_free_matches_the_oracle(query):
     g, cs, pairs, banned = query
-    assert no_chording_paths(cs, g, pairs, banned) == _oracle_gate(g, cs, pairs, banned)
+    assert _free(cs, g, pairs, banned) == _oracle_gate(g, cs, pairs, banned)
     a, b = pairs[0]
-    assert no_chording_paths(cs, g, ((a, b),), banned) != chording_path_oracle(g, cs, a, b, banned)
+    assert _free(cs, g, ((a, b),), banned) != chording_path_oracle(g, cs, a, b, banned)
     # One live-chord table per ban, as bridgings builds it, answers each
-    # pair alone as the public gate does.
+    # pair alone as the oracle does.
     live = live_chords(compile_cycles(cs, g.n), g, tuple(banned))
-    assert [chording_free(live, [p]) for p in pairs] == [no_chording_paths(cs, g, [p], banned) for p in pairs]
-
-
-def test_no_chording_paths_deduplicates_pairs(prism_graph, prism_cycles):
-    one = no_chording_paths(prism_cycles, prism_graph, ((0, 2),))
-    both = no_chording_paths(prism_cycles, prism_graph, ((0, 2), (2, 0)))
-    assert one == both
-    with pytest.raises(ValueError):
-        no_chording_paths(prism_cycles, prism_graph, ((2, 2),))
+    assert [chording_free(live, [p]) for p in pairs] == [_oracle_gate(g, cs, [p], banned) for p in pairs]
 
 
 def test_compat_query_fixed_cases():
-    # Each shape's endpoint pairs, in order, and banned edges.
-    assert compat_query((3,), ((0, 1),)) == ([(3, 0), (3, 1)], ((0, 1),))
-    assert compat_query((), ((0, 1), (4, 5))) == ([(0, 4), (1, 4), (0, 5), (1, 5)], ((0, 1), (4, 5)))
+    # Each shape's endpoint pairs, in order.
+    assert compat_query((3,), ((0, 1),)) == [(3, 0), (3, 1)]
+    assert compat_query((), ((0, 1), (4, 5))) == [(0, 4), (1, 4), (0, 5), (1, 5)]
     # An adjacent pair drops the shared end's pair with itself.
-    assert compat_query((), ((0, 1), (1, 2))) == ([(0, 1), (0, 2), (1, 2)], ((0, 1), (1, 2)))
-    assert compat_query((0, 1, 2), ()) == ([(0, 1), (0, 2), (1, 2)], ())
+    assert compat_query((), ((0, 1), (1, 2))) == [(0, 1), (0, 2), (1, 2)]
+    assert compat_query((0, 1, 2), ()) == [(0, 1), (0, 2), (1, 2)]
 
 
 def test_compat_set_validation(prism_graph, prism_cycles):
@@ -180,6 +166,10 @@ def test_compat_set_validation(prism_graph, prism_cycles):
         ((), ((0, 1), (0, 1)), "must be distinct"),
         ((), ((0, 1), (1, 0)), "must be distinct"),
         ((), ((0, 1), (0, 2)), "not present"),
+        ((6,), ((0, 1),), "out of range"),
+        ((-1,), ((0, 1),), "out of range"),
+        ((3,), ((6, 1),), "out of range"),
+        ((2,), ((-1, 4),), "out of range"),
         ((1, 1, 2), (), "must be distinct"),
         ((), ((0, 1),), shapes),
         ((0, 2), (), shapes),

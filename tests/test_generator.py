@@ -199,14 +199,15 @@ def test_final_shelf_has_no_scaffolding_and_no_cycle_sets(monkeypatch):
 
 
 def test_final_column_derives_no_cycle_sets(monkeypatch):
-    # A candidate of the column n = max_n holds no rule, so no cycle set is
-    # ever derived for it; a candidate of any other column holds one.
+    # A shelf of the column n = max_n stores None for each certificate, so
+    # no cycle set is ever derived for it; a candidate of any other column
+    # holds its graph and its rule.
     bound: dict[int, set[bool]] = {}
     run_shelf = min3gen.generator.run_shelf
 
     def inspecting(shelves, n, m, reach):
-        for _, rule in shelves.get((n, m), {}).values():
-            bound.setdefault(n, set()).add(rule is not None)
+        for value in shelves.get((n, m), {}).values():
+            bound.setdefault(n, set()).add(value is not None and callable(value[1]))
         return run_shelf(shelves, n, m, reach)
 
     monkeypatch.setattr(min3gen.generator, "run_shelf", inspecting)
