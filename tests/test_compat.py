@@ -65,6 +65,18 @@ def test_has_chording_path_fixed_cases(k4):
     assert not _free(cs02, g02, ((3, 5),))
 
 
+def test_has_chording_path_validation(prism_graph, prism_cycles):
+    # The gate checks its arguments before it searches: a pair needs two
+    # distinct ends, and each end and banned edge must be g's.
+    with pytest.raises(ValueError, match="must be distinct"):
+        is_3_compatible(prism_cycles, prism_graph, (2, 2, 4))
+    with pytest.raises(ValueError, match="not present"):
+        is_3_compatible(prism_cycles, prism_graph, (4,), ((0, 2),))
+    for vertices, banned in (((6,), ((0, 1),)), ((-1,), ((0, 1),)), ((3,), ((6, 1),)), ((2,), ((-1, 4),))):
+        with pytest.raises(ValueError, match="out of range"):
+            is_3_compatible(prism_cycles, prism_graph, vertices, banned)
+
+
 def test_has_chording_path_matches_definition_scan():
     rng = random.Random(61)
     done = 0
@@ -166,10 +178,6 @@ def test_compat_set_validation(prism_graph, prism_cycles):
         ((), ((0, 1), (0, 1)), "must be distinct"),
         ((), ((0, 1), (1, 0)), "must be distinct"),
         ((), ((0, 1), (0, 2)), "not present"),
-        ((6,), ((0, 1),), "out of range"),
-        ((-1,), ((0, 1),), "out of range"),
-        ((3,), ((6, 1),), "out of range"),
-        ((2,), ((-1, 4),), "out of range"),
         ((1, 1, 2), (), "must be distinct"),
         ((), ((0, 1),), shapes),
         ((0, 2), (), shapes),
