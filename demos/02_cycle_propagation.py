@@ -11,8 +11,10 @@ oracle on the prism.
 from min3gen import (
     add_edge,
     apply_add_edge,
+    apply_bridge,
     apply_split_vertex,
     apply_subdivide_edge,
+    bridge,
     canonical_cycle,
     chords,
     enumerate_cycles_bruteforce,
@@ -58,3 +60,11 @@ split, x = split_vertex(g, 0, 1, 3)
 after_split = apply_split_vertex(cycles, 0, 1, 3, x)
 print("\nsplit 0 into 0 and", x, "propagates", len(after_split), "cycles,",
       "matches brute force:", after_split == enumerate_cycles_bruteforce(split))
+
+# Dawes' D1 bridging of vertex 2 and edge 04: 04 is subdivided by the new
+# vertex 6, then 2 and 6 are joined, so its rule is a subdivision and then
+# an edge addition.
+bridged = bridge(g, (2,), ((0, 4),))
+after_bridge = apply_bridge(cycles, g.n, (2,), ((0, 4),))
+print("\nbridging 2 and 04 propagates", len(after_bridge), "cycles,",
+      "matches brute force:", after_bridge == enumerate_cycles_bruteforce(bridged))

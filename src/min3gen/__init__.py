@@ -18,6 +18,7 @@ from .cycles import (
     Cycle,
     CycleSet,
     apply_add_edge,
+    apply_bridge,
     apply_split_vertex,
     apply_subdivide_edge,
     canonical_cycle,
@@ -74,6 +75,7 @@ __all__ = [
     "ShelfEntry",
     "add_edge",
     "apply_add_edge",
+    "apply_bridge",
     "apply_split_vertex",
     "apply_subdivide_edge",
     "are_isomorphic_bruteforce",

@@ -3,11 +3,11 @@
 The generator never re-enumerates the cycles of a graph it builds: each
 graph operation (edge addition, edge subdivision, vertex split) is paired
 with a rewrite that maps the parent's cycle set to the child's, and Dawes'
-bridgings compose the first two.  A split is built from the other two as
-well, since it deletes an edge, subdivides one and adds one.  The
-brute-force enumerator here is the independent oracle those rewrites are
-tested against, and also gives the sets of the seed and of the graphs a
-resumed run starts from.
+bridging's rule, apply_bridge, composes the first two.  A split is built
+from the other two as well, since it deletes an edge, subdivides one and
+adds one.  The brute-force enumerator here is the independent oracle
+those rewrites are tested against, and also gives the sets of the seed
+and of the graphs a resumed run starts from.
 
 A cycle is stored as a tuple of vertices in canonical rotation: minimum
 vertex first, then the lexicographically smaller of the two directions.
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .graphs import Graph, mask_reachable
+from .graphs import Edge, Graph, mask_reachable
 
 Cycle = tuple[int, ...]
 CycleSet = frozenset[Cycle]
@@ -176,6 +176,19 @@ def apply_split_vertex(cycles: CycleSet, v: int, u: int, w: int, x: int) -> Cycl
     """
     kept = frozenset(cyc for cyc in cycles if not cycle_uses_edge(cyc, v, w))
     return apply_add_edge(apply_subdivide_edge(kept, v, u, x), x, w)
+
+
+def apply_bridge(cycles: CycleSet, n: int, vertices: Sequence[int] = (), edges: Sequence[Edge] = ()) -> CycleSet:
+    """Cycle set after graphs.bridge(g, vertices, edges), g on n vertices:
+    edge i subdivided by n + i, then ends x, y joined by adding xy, and
+    x, y, z by adding xy, subdividing it by w = n + len(edges), adding wz.
+    Needs every edge of g on a cycle, and the vertices pairwise non-adjacent."""
+    for i, (a, b) in enumerate(edges):
+        cycles = apply_subdivide_edge(cycles, a, b, n + i)
+    w = n + len(edges)
+    x, y, *z = (*vertices, *range(n, w))
+    cycles = apply_add_edge(cycles, x, y)
+    return apply_add_edge(apply_subdivide_edge(cycles, x, y, w), w, *z) if z else cycles
 
 
 def extract_pattern(cycle: Cycle, a: int, b: int, c: int) -> str:

@@ -20,13 +20,12 @@ source and filtered once per ban, the set's edges.  Only one site per
 orbit of the source's automorphism group is tried, since the sites of an
 orbit give isomorphic graphs, and certificates deduplicate a shelf.
 bridgings(src, shape) returns the bridgings of one shape, each with its
-replay steps: the edge additions and subdivisions whose rules map the
-source's cycle set to the bridging's, so nothing is re-enumerated.  A
-candidate whose column feeds another holds its steps, bound to the
-source's cycle set, as its rule, which runs when the candidate becomes a
-source.  A shelf of the final column (n = max_n) stores None for each
-certificate, no graph and no rule, and so keeps no source's cycle set
-alive.
+site, the set's vertices and edges.  A candidate whose column feeds
+another holds as its rule cycles.apply_bridge, bound to the source's
+cycle set and the site, which maps that set to the bridging's when the
+candidate becomes a source, so nothing is re-enumerated.  A shelf of the
+final column (n = max_n) stores None for each certificate, no graph and
+no rule, and so keeps no source's cycle set alive.
 
 Wheels and K_{3,t} are the minimally 3-connected graphs that no prism-rooted
 chain reaches; they are constructed directly and merged into the output.
@@ -45,7 +44,7 @@ from typing import Callable
 
 from .canonical import automorphisms, certificate
 from .compat import CompiledCycles, chording_free, compat_query, compile_cycles, live_chords
-from .cycles import CycleSet, apply_add_edge, apply_subdivide_edge, enumerate_cycles_bruteforce
+from .cycles import CycleSet, apply_bridge, enumerate_cycles_bruteforce
 from .graphs import DAWES_SHAPES, GRAPH6_MAX_N, Edge, Graph, bridge, complete_bipartite_3, edge, prism, wheel
 from .io_validate import CheckpointError, decode_graph6
 from .records import GeneratedSet
@@ -55,9 +54,6 @@ PRISM_CYCLES: CycleSet = enumerate_cycles_bruteforce(prism())
 
 Progress = Callable[[str], None]
 
-# The edge rules that map a source's cycle set to its bridging's, as
-# _replay applies them.
-Steps = tuple[tuple[int, ...], ...]
 # A candidate is its graph and its rule: the source's cycle set mapped to
 # the candidate's, bound when the candidate is built and called only when
 # the candidate becomes a source.
@@ -138,27 +134,9 @@ def _orbit_representatives(g: Graph, shape: Shape, gens: list[Permutation]) -> l
     return [s for i, s in enumerate(sites) if find(i) == i]
 
 
-def _steps(n: int, vertices: tuple[int, ...], edges: tuple[Edge, ...]) -> Steps:
-    """The replay steps of bridging the set in a graph on n vertices: each
-    edge's subdivision, then the ends joined, two by the edge xy, three
-    x, y and z by adding xy, subdividing it by w and adding wz."""
-    w = n + len(edges)
-    x, y, *z = (*vertices, *range(n, w))
-    join = ((x, y), (x, y, w), (w, *z)) if z else ((x, y),)
-    return (*((a, b, n + i) for i, (a, b) in enumerate(edges)), *join)
-
-
-def _replay(cycles: CycleSet, *steps: tuple[int, ...]) -> CycleSet:
-    """Apply the edge rules in turn: a step (a, b) adds the edge ab, and a
-    step (a, b, c) subdivides ab by the new vertex c."""
-    for step in steps:
-        cycles = apply_add_edge(cycles, *step) if len(step) == 2 else apply_subdivide_edge(cycles, *step)
-    return cycles
-
-
-def bridgings(src: ShelfEntry, shape: Shape) -> list[tuple[Graph, Steps]]:
+def bridgings(src: ShelfEntry, shape: Shape) -> list[tuple[Graph, Site]]:
     """Bridge the 3-compatible sets of the shape in src's graph, one per
-    orbit, each with its replay steps: Dawes' D1 for (1, 1), D2 for (0, 2)
+    orbit, each with its site: Dawes' D1 for (1, 1), D2 for (0, 2)
     (adjacent edges included) and D3 for (3, 0).
 
     Only pairwise non-adjacent vertices are tried, and that loses nothing:
@@ -179,7 +157,7 @@ def bridgings(src: ShelfEntry, shape: Shape) -> list[tuple[Graph, Steps]]:
         if live is None or live.banned != edges:
             live = live_chords(src.table, g, edges)
         if chording_free(live, compat_query(vertices, edges)):
-            out.append((bridge(g, vertices, edges), _steps(g.n, vertices, edges)))
+            out.append((bridge(g, vertices, edges), (vertices, edges)))
     return out
 
 
@@ -201,9 +179,9 @@ def run_shelf(shelves: Shelves, n: int, m: int, reach: range) -> list[str]:
     source, once: its rule gives its cycle set, and bridgings bridges its
     sets of shapes (1, 1), (3, 0) and (0, 2) into (n+1, m+2), (n+1, m+3)
     and (n+2, m+3), those in reach, where only an unseen certificate's
-    candidate is kept.  Its rule replays the bridging's steps on the
-    source's cycle set.  A shelf whose column feeds none in reach keeps
-    None for the certificate, neither graph nor rule.
+    candidate is kept, with apply_bridge, bound to the source's cycle set
+    and the bridging's site, as its rule.  A shelf whose column feeds none
+    in reach keeps None for the certificate, neither graph nor rule.
     """
     found = shelves.pop((n, m), {})
     certs = sorted(found)
@@ -215,10 +193,10 @@ def run_shelf(shelves: Shelves, n: int, m: int, reach: range) -> list[str]:
             for shape, key in feeds:
                 shelf = shelves.setdefault(key, {})
                 bind = key[0] + 1 in reach
-                for g2, steps in bridgings(src, shape):
+                for g2, site in bridgings(src, shape):
                     cert2 = certificate(g2)
                     if cert2 not in shelf:
-                        shelf[cert2] = (g2, partial(_replay, src.cycles, *steps)) if bind else None
+                        shelf[cert2] = (g2, partial(apply_bridge, src.cycles, g.n, *site)) if bind else None
     return certs
 
 
@@ -233,9 +211,9 @@ def _seed(cert: str) -> Candidate:
 
 
 def _last_column(resume: GeneratedSet) -> int:
-    """The last column of a resumed set, which must hold exactly the (n, m)
-    groups of a run up to it: every shelf's, each of which is non-empty up
-    to n = 12 at least, and the wheel's and K_{3,n-3}'s."""
+    """The last column of a resumed set, which must hold exactly the non-empty
+    (n, m) groups of a run up to it: every shelf's, each of which is non-empty
+    up to n = 12 at least, and the wheel's and K_{3,n-3}'s."""
     last = max((n for n, _ in resume.groups), default=0)
     if last < 6:
         stray = f", only groups at (n, m) = {sorted(resume.groups)}" if resume.groups else ""
@@ -244,6 +222,8 @@ def _last_column(resume: GeneratedSet) -> int:
     if set(resume.groups) != expected:
         wrong = sorted(set(resume.groups) ^ expected)
         raise CheckpointError(f"resumed groups differ from those of columns 6 to {last} at (n, m) = {wrong}")
+    if empty := sorted(key for key, bucket in resume.groups.items() if not bucket):
+        raise CheckpointError(f"resumed groups hold no graph at (n, m) = {empty}")
     return last
 
 
@@ -271,8 +251,8 @@ def generate_min3(max_n: int, *, progress: Progress | None = None, resume: Gener
     columns after last; otherwise nothing is decoded.  Results are
     (n, m) groups of sorted certificates: the shelves, and the two direct
     families, wheels and K_{3,t}.  A resumed set that lacks a group of its
-    columns or holds another raises CheckpointError, and a max_n past
-    GRAPH6_MAX_N raises ValueError before any work.
+    columns, holds another or holds an empty one raises CheckpointError,
+    and a max_n past GRAPH6_MAX_N raises ValueError before any work.
     """
     check_max_n("min3", max_n)
     # The graphs no shelf holds, built directly.
@@ -325,8 +305,8 @@ def generate_cubic(max_n: int, *, progress: Progress | None = None) -> Generated
     for n in range(6, max_n + 1, 2):
         grown: set[str] = set()
         for g in map(decode_graph6, level):
-            for _, edges in _orbit_representatives(g, (0, 2), automorphisms(g)):
-                grown.add(certificate(bridge(g, (), edges)))
+            for site in _orbit_representatives(g, (0, 2), automorphisms(g)):
+                grown.add(certificate(bridge(g, *site)))
         level = groups[(n, 3 * n // 2)] = sorted(grown)
         if progress is not None:
             progress(f"cubic n={n}: {len(level)} graphs")

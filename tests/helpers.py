@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from min3gen import (
     Graph,
     add_edge,
+    apply_bridge,
     bridge,
     bridgings,
     certificate,
@@ -27,7 +28,7 @@ from min3gen import (
     source,
     wheel,
 )
-from min3gen.generator import PRISM_CYCLES, _replay
+from min3gen.generator import PRISM_CYCLES, _shelf_edges
 
 
 def collect_shelves(max_n: int) -> dict[tuple[int, int], list]:
@@ -41,7 +42,7 @@ def collect_shelves(max_n: int) -> dict[tuple[int, int], list]:
     pending = {(6, 9): {certificate(seed): (seed, lambda: PRISM_CYCLES)}}
     shelves = {}
     for n in range(6, max_n + 1):
-        for m in range((3 * n + 1) // 2, 3 * n - 8):
+        for m in _shelf_edges(n):
             shelves[(n, m)] = [source(g, rule()) for _, (g, rule) in sorted(pending.get((n, m), {}).items())]
             if n < max_n:
                 run_shelf(pending, n, m, range(7, max_n + 2))
@@ -50,9 +51,9 @@ def collect_shelves(max_n: int) -> dict[tuple[int, int], list]:
 
 def materialize(shape, src):
     """Sources for the bridgings of the shape that bridgings makes of src,
-    as run_shelf makes them: each with the cycle set its replay steps
-    give."""
-    return [source(g, _replay(src.cycles, *steps)) for g, steps in bridgings(src, shape)]
+    as run_shelf makes them: each with the cycle set that apply_bridge
+    gives on its site."""
+    return [source(g, apply_bridge(src.cycles, src.graph.n, *site)) for g, site in bridgings(src, shape)]
 
 
 def candidate_sets(g: Graph):

@@ -399,7 +399,7 @@ def test_resume_rejects_a_repeated_a_line(outputs9, tmp_path, capsys):
     assert f"{path}:5: graph {lines[3]} repeats line 4" in err
 
 
-@pytest.mark.parametrize("edit", ["missing", "extra", "row", "group", "header"])
+@pytest.mark.parametrize("edit", ["missing", "extra", "row", "group", "header", "empty"])
 def test_resume_rejects_files_that_counts_tsv_does_not_match(outputs9, edit, tmp_path, capsys):
     tree, rows = _edited(outputs9, tmp_path, "counts.tsv")
     if edit in ("missing", "group"):
@@ -420,6 +420,13 @@ def test_resume_rejects_files_that_counts_tsv_does_not_match(outputs9, edit, tmp
             path.unlink()
         (tree / "counts.tsv").write_text(rows[0] + "\n")
         message = "resumed set holds no column from 6 on"
+    elif edit == "empty":
+        # Every file matches its row, but the emptied (8, 12) would seed no
+        # source, and a resume past n = 9 would lose graphs.
+        (tree / "min3_n8_m12.g6").write_text("")
+        rows[rows.index("8\t12\t4")] = "8\t12\t0"
+        (tree / "counts.tsv").write_text("\n".join(rows))
+        message = "resumed groups hold no graph at (n, m) = [(8, 12)]"
     elif edit == "row":
         rows[rows.index("8\t13\t11")] = "8\t13\t12"
         (tree / "counts.tsv").write_text("\n".join(rows))

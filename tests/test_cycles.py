@@ -3,23 +3,34 @@
 The master property throughout: after any atomic edit, the rewritten cycle
 set must equal brute-force enumeration on the edited graph.  Fixed examples
 pin the documented worked cases; randomized trials and Hypothesis
-properties over 2-connected graphs cover the inputs the fixtures cannot.
+properties over 2-connected graphs, and for Dawes' bridging over
+3-connected graphs, cover the inputs the fixtures cannot.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import complete_graph, cycle_graph, def_2_connected, random_graph, two_connected_graphs
+from helpers import (
+    complete_graph,
+    cycle_graph,
+    def_2_connected,
+    random_graph,
+    three_connected_graphs,
+    two_connected_graphs,
+)
 from min3gen import (
     add_edge,
     apply_add_edge,
+    apply_bridge,
     apply_split_vertex,
     apply_subdivide_edge,
+    bridge,
     canonical_cycle,
     chords,
     complete_bipartite_3,
@@ -292,3 +303,35 @@ def test_apply_split_vertex_property(data):
     g2, x = split_vertex(g, v, u, w)
     got = apply_split_vertex(enumerate_cycles_bruteforce(g), v, u, w, x)
     assert got == enumerate_cycles_bruteforce(g2)
+
+
+def test_apply_bridge_refuses_an_adjacent_first_pair(prism_graph, prism_cycles):
+    # Joining the adjacent 0 and 1 by a second edge would close a
+    # 2-cycle, so the rule raises rather than return a set.
+    assert prism_graph.has_edge(0, 1)
+    with pytest.raises(ValueError, match="at least 3 vertices"):
+        apply_bridge(prism_cycles, prism_graph.n, (0, 1, 5))
+
+
+# Fewer examples: each enumerates the cycles of four graphs of up to ten
+# vertices.
+@settings(PROPERTY, max_examples=100)
+@given(st.data())
+def test_apply_bridge_property(data):
+    # One set of each Dawes shape: a vertex and an edge not at it, two
+    # edges, and three pairwise non-adjacent vertices.
+    g = data.draw(three_connected_graphs(max_n=8))
+    cycles = enumerate_cycles_bruteforce(g)
+    a, b = data.draw(st.sampled_from(g.edges()))
+    x = data.draw(st.sampled_from([v for v in g.vertices if v not in (a, b)]))
+    pair = tuple(data.draw(st.lists(st.sampled_from(g.edges()), min_size=2, max_size=2, unique=True)))
+    triples = [
+        t
+        for t in itertools.combinations(g.vertices, 3)
+        if not any(g.has_edge(*p) for p in itertools.combinations(t, 2))
+    ]
+    for vs, es in (((x,), ((a, b),)), ((), pair)):
+        assert apply_bridge(cycles, g.n, vs, es) == enumerate_cycles_bruteforce(bridge(g, vs, es))
+    assume(triples)
+    vs = data.draw(st.sampled_from(triples))
+    assert apply_bridge(cycles, g.n, vs) == enumerate_cycles_bruteforce(bridge(g, vs))

@@ -19,6 +19,7 @@ import min3gen.generator
 from helpers import candidate_sets, collect_shelves, materialize
 from min3gen import (
     GeneratedSet,
+    apply_bridge,
     bridge,
     bridgings,
     certificate,
@@ -46,7 +47,6 @@ from min3gen.cycles import enumerate_cycles_bruteforce
 from min3gen.generator import (
     PRISM_CYCLES,
     _orbit_representatives,
-    _replay,
     _shelf_edges,
 )
 
@@ -135,17 +135,17 @@ def test_every_gate_verdict_is_the_minimality_of_its_bridging(sources9, monkeypa
 
 def test_every_bridging_rule_matches_bruteforce_cycles(monkeypatch):
     # With a gate that passes everything, bridgings returns every site
-    # they try, one per orbit, each with its replay steps.  On every
-    # minimally 3-connected graph up to n = 8, the steps must give the
-    # bridged graph's cycles, whether the site is 3-compatible or not.
+    # they try, one per orbit, each with its bridging.  On every minimally
+    # 3-connected graph up to n = 8, apply_bridge on the site must give
+    # the bridged graph's cycles, whether the site is 3-compatible or not.
     monkeypatch.setattr(min3gen.generator, "chording_free", lambda *args: True)
     graphs = [decode_graph6(c) for bucket in generate_min3(8).groups.values() for c in bucket]
     sites = 0
     for g in graphs:
         ent = source(g)
         for shape in OPS:
-            for g2, steps in bridgings(ent, shape):
-                cycles = _replay(ent.cycles, *steps)
+            for g2, site in bridgings(ent, shape):
+                cycles = apply_bridge(ent.cycles, ent.graph.n, *site)
                 assert cycles == enumerate_cycles_bruteforce(g2), (shape, g.edges(), g2.edges())
                 sites += 1
     assert sites == 2600
@@ -436,6 +436,10 @@ def test_resume_rejects_a_set_missing_a_group():
     groups = {(5, 8): [certificate(wheel(4))]}
     with pytest.raises(CheckpointError, match=re.escape("no column from 6 on, only groups at (n, m) = [(5, 8)]")):
         generate_min3(8, resume=GeneratedSet("min3", groups))
+    # An empty group would seed no source: n = 9 would lose a graph.
+    groups = {**generate_min3(8).groups, (8, 12): []}
+    with pytest.raises(CheckpointError, match=re.escape("hold no graph at (n, m) = [(8, 12)]")):
+        generate_min3(9, resume=GeneratedSet("min3", groups))
 
 
 def test_loaded_shelves_derive_the_cycle_sets_a_run_stores(monkeypatch):
