@@ -51,6 +51,7 @@ from .graphs import (
 )
 from .io_validate import (
     CheckpointError,
+    GeneratedSet,
     decode_graph6,
     encode_graph6,
     has_only_essential_edges,
@@ -59,7 +60,6 @@ from .io_validate import (
     read_outputs,
     write_outputs,
 )
-from .records import GeneratedSet
 
 __version__ = "0.1.0"
 

@@ -1,7 +1,7 @@
 """Command line front end: generate, validate, cycles.
 
 Exit codes: 0 success, 1 validation failure, 2 usage error, 3 I/O error
-(including a --resume directory that cannot be resumed from).
+(including a --resume or --out directory that the run cannot use).
 Progress and diagnostics go to stderr; stdout stays machine-readable.
 """
 
@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from .cycles import enumerate_cycles_bruteforce
 from .generator import check_max_n, generate_cubic, generate_min3
@@ -22,6 +21,7 @@ from .io_validate import (
     is_3_connected,
     read_lines,
     read_outputs,
+    require_out_dir,
     write_outputs,
 )
 
@@ -67,25 +67,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _require_directory_path(path: Path) -> None:
-    """Raise NotADirectoryError when path, or the nearest of its ancestors
-    that exists, is not a directory, so that no directory can be made there."""
-    for p in (path, *path.parents):
-        if p.exists():
-            if not p.is_dir():
-                raise NotADirectoryError(f"output path is not a directory: {p}")
-            return
-
-
 def cmd_generate(args: argparse.Namespace) -> int:
     # Found before the run, and before a resumed directory is read.
     check_max_n(args.mode, args.max_n)
     if args.mode == "cubic" and (args.emit_intermediate or args.resume):
         raise ValueError("--emit-intermediate and --resume apply to min3 mode only")
     out_dir = default_out_dir(args.out)
-    _require_directory_path(out_dir)
+    require_out_dir(out_dir, args.mode)
     if args.emit_intermediate:
-        _require_directory_path(out_dir / "shelves")
+        require_out_dir(out_dir / "shelves", args.mode)
 
     def progress(msg: str) -> None:
         print(msg, file=sys.stderr)

@@ -29,7 +29,7 @@ from itertools import chain, combinations
 from typing import Iterable, NamedTuple, Sequence
 
 from .cycles import CycleSet, cycle_vertex_mask
-from .graphs import DAWES_SHAPES, Edge, Graph, _require_vertex, edge, mask_reachable
+from .graphs import DAWES_SHAPES, Edge, Graph, _require_edge, _require_vertex, edge, mask_reachable
 
 
 def _chording_off_cycle(
@@ -61,20 +61,15 @@ def _chording_off_cycle(
     return dfs(a, 1 << a)
 
 
-class CompiledCycles(NamedTuple):
-    """Three parallel columns over the cycles of a set that have a possible
-    chord: the vertex mask, the pair bits of the cycle's own edges, and the
-    pair bits of its cyclically non-adjacent vertex pairs (its possible
-    chords), both orders of each pair set."""
-
-    vertex_masks: tuple[int, ...]
-    edge_bits: tuple[int, ...]
-    chord_bits: tuple[int, ...]
+# The gate's table of a cycle set: for each cycle with a possible chord, its
+# vertex mask and the pair bits of its own edges and of its cyclically
+# non-adjacent vertex pairs (its possible chords), both orders of each pair.
+CompiledCycles = tuple[tuple[int, int, int], ...]
 
 
 def compile_cycles(cycles: CycleSet, n: int) -> CompiledCycles:
     """The gate's table of a cycle set of a graph on n vertices."""
-    vertex_masks, edge_bits, chord_bits = [], [], []
+    table = []
     for cyc in cycles:
         cmask = cycle_vertex_mask(cyc)
         own = chords = 0
@@ -83,18 +78,15 @@ def compile_cycles(cycles: CycleSet, n: int) -> CompiledCycles:
             own |= near << u * n
             chords |= (cmask & ~near & ~(1 << u)) << u * n
         if chords:
-            vertex_masks.append(cmask)
-            edge_bits.append(own)
-            chord_bits.append(chords)
-    return CompiledCycles(tuple(vertex_masks), tuple(edge_bits), tuple(chord_bits))
+            table.append((cmask, own, chords))
+    return tuple(table)
 
 
 class LiveChords(NamedTuple):
-    """A gate's table for one ban: the banned edges, the graph's adjacency
-    rows less them, and the vertex mask and live chord bits of each
-    compiled cycle that avoids them and keeps a live chord."""
+    """A gate's table for one ban of edges: the graph's adjacency rows
+    less them, and the vertex mask and live chord bits of each compiled
+    cycle that avoids them and keeps a live chord."""
 
-    banned: tuple[Edge, ...]
     masks: list[int]
     cycles: list[tuple[int, int]]
 
@@ -116,12 +108,12 @@ def live_chords(table: CompiledCycles, g: Graph, banned: tuple[Edge, ...]) -> Li
         ban |= 1 << u * n + v
     live = sum(row << v * n for v, row in enumerate(masks))
     cycles = []
-    for cmask, own, cycle_chords in zip(table.vertex_masks, table.edge_bits, table.chord_bits):
+    for cmask, own, cycle_chords in table:
         if not own & ban:
             chords = live & cycle_chords
             if chords:
                 cycles.append((cmask, chords))
-    return LiveChords(banned, masks, cycles)
+    return LiveChords(masks, cycles)
 
 
 def chording_free(live: LiveChords, pairs: Iterable[tuple[int, int]]) -> bool:
@@ -200,7 +192,6 @@ def is_3_compatible(cycles: CycleSet, g: Graph, vertices: Sequence[int] = (), ed
     # Every end of a member lies in a pair.
     for v in chain.from_iterable(pairs):
         _require_vertex(g, v)
-    for u, v in edges:
-        if not g.has_edge(u, v):
-            raise ValueError(f"banned edge ({u},{v}) not present")
+    for e in edges:
+        _require_edge(g, *e)
     return chording_free(live_chords(compile_cycles(cycles, g.n), g, tuple(edges)), pairs)

@@ -38,18 +38,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial, reduce
-from itertools import combinations
-from operator import or_
+from itertools import combinations, groupby
+from operator import itemgetter, or_
 from typing import Callable
 
 from .canonical import automorphisms, certificate
 from .compat import CompiledCycles, chording_free, compat_query, compile_cycles, live_chords
 from .cycles import CycleSet, apply_bridge, enumerate_cycles_bruteforce
 from .graphs import DAWES_SHAPES, GRAPH6_MAX_N, Edge, Graph, bridge, complete_bipartite_3, edge, prism, wheel
-from .io_validate import CheckpointError, decode_graph6
-from .records import GeneratedSet
+from .io_validate import CheckpointError, GeneratedSet, decode_graph6
 
-# The seed's 14 cycles, under prism()'s fixed labelling.
+# prism()'s 14 cycles for tests and demos; _seed seeds a run's canonical prism.
 PRISM_CYCLES: CycleSet = enumerate_cycles_bruteforce(prism())
 
 Progress = Callable[[str], None]
@@ -145,19 +144,17 @@ def bridgings(src: ShelfEntry, shape: Shape) -> list[tuple[Graph, Site]]:
     chording xy-path, and the gate rejects every set with an adjacent pair.
 
     The sites come edges outer, so the sites of one ban are consecutive
-    and share one live-chord table, built when the edges change: one per
-    edge for (1, 1), one per source for (3, 0) and one per site for
-    (0, 2).  The table and the pairs come from src itself, so no gate
-    re-checks them.
+    and share one live-chord table, built per group: one per edge for
+    (1, 1), one per source for (3, 0) and one per site for (0, 2).  The
+    table and the pairs come from src itself, so no gate re-checks them.
     """
     g = src.graph
     out = []
-    live = None
-    for vertices, edges in _orbit_representatives(g, shape, src.gens):
-        if live is None or live.banned != edges:
-            live = live_chords(src.table, g, edges)
-        if chording_free(live, compat_query(vertices, edges)):
-            out.append((bridge(g, vertices, edges), (vertices, edges)))
+    for edges, sites in groupby(_orbit_representatives(g, shape, src.gens), itemgetter(1)):
+        live = live_chords(src.table, g, edges)
+        for site in sites:
+            if chording_free(live, compat_query(*site)):
+                out.append((bridge(g, *site), site))
     return out
 
 

@@ -10,7 +10,7 @@ One composite operation, bridge, is Dawes' bridging of a set of vertices
 and edges, the generator's step in both modes: a vertex and an edge (D1),
 two edges (D2) or three vertices (D3).  It is built from the atomic edits
 (edge subdivision, edge addition), whose cycle set rules the generator
-composes.  The vertex split is kept for the split rule's tests and demos.
+composes.  So is the vertex split, after an edge deletion.
 """
 
 from __future__ import annotations
@@ -188,6 +188,13 @@ def _require_vertex(g: Graph, v: int) -> None:
         raise ValueError(f"vertex {v} out of range for n={g.n}")
 
 
+def _require_edge(g: Graph, u: int, v: int) -> None:
+    _require_vertex(g, u)
+    _require_vertex(g, v)
+    if u == v or not g.has_edge(u, v):
+        raise ValueError(f"edge ({u},{v}) not present")
+
+
 def add_edge(g: Graph, u: int, v: int) -> Graph:
     """Return g + uv.  Rejects loops and parallel edges."""
     _require_vertex(g, u)
@@ -204,10 +211,7 @@ def add_edge(g: Graph, u: int, v: int) -> Graph:
 
 def delete_edge(g: Graph, u: int, v: int) -> Graph:
     """Return g - uv.  Both end vertices remain."""
-    _require_vertex(g, u)
-    _require_vertex(g, v)
-    if u == v or not g.has_edge(u, v):
-        raise ValueError(f"edge ({u},{v}) not present")
+    _require_edge(g, u, v)
     masks = list(g._adj)
     masks[u] &= ~(1 << v)
     masks[v] &= ~(1 << u)
@@ -229,10 +233,7 @@ def delete_vertex(g: Graph, v: int) -> Graph:
 
 def subdivide_edge(g: Graph, a: int, b: int) -> tuple[Graph, int]:
     """Replace edge ab by the path a, c, b through a new vertex c = n."""
-    _require_vertex(g, a)
-    _require_vertex(g, b)
-    if a == b or not g.has_edge(a, b):
-        raise ValueError(f"edge ({a},{b}) not present")
+    _require_edge(g, a, b)
     c = g.n
     masks = list(g._adj)
     masks[a] = (masks[a] & ~(1 << b)) | (1 << c)
@@ -249,32 +250,22 @@ def split_vertex(g: Graph, v: int, u: int, w: int) -> tuple[Graph, int]:
     degree >= 2 (the stronger deg >= 4 condition that preserves
     3-connectivity is the caller's business).
     """
-    _require_vertex(g, v)
-    _require_vertex(g, u)
-    _require_vertex(g, w)
     if u == w:
         raise ValueError("split targets must be distinct")
-    if not g.has_edge(v, u):
-        raise ValueError(f"edge ({v},{u}) not present")
-    if not g.has_edge(v, w):
-        raise ValueError(f"edge ({v},{w}) not present")
+    _require_edge(g, v, u)
+    _require_edge(g, v, w)
     if g.degree(v) < 3:
         raise ValueError(f"vertex {v} has degree {g.degree(v)} < 3")
-    vp = g.n
-    masks = list(g._adj)
-    masks[v] = (masks[v] & ~((1 << u) | (1 << w))) | (1 << vp)
-    masks[u] = (masks[u] & ~(1 << v)) | (1 << vp)
-    masks[w] = (masks[w] & ~(1 << v)) | (1 << vp)
-    masks.append((1 << v) | (1 << u) | (1 << w))
-    return Graph._from_masks(masks), vp
+    h, vp = subdivide_edge(delete_edge(g, v, w), v, u)
+    return add_edge(h, vp, w), vp
 
 
 def prism() -> Graph:
     """The triangular prism with the fixed labeling used throughout.
 
-    Triangles {0,3,4} and {1,2,5}, joined by the rungs 01, 23, 45.  This is
-    the generation seed; generator.PRISM_CYCLES enumerates its 14 cycles by
-    brute force.
+    Triangles {0,3,4} and {1,2,5}, joined by the rungs 01, 23, 45.  The
+    min3 walk seeds its canonical labelling, whose cycles it enumerates by
+    brute force; generator.PRISM_CYCLES holds the 14 cycles of this one.
     """
     return Graph(
         6,

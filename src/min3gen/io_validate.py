@@ -1,4 +1,4 @@
-"""graph6 codec, output trees, and connectivity oracles.
+"""graph6 codec, a run's result and its output tree, and connectivity oracles.
 
 The validation oracles here are deliberately naive: 3-connectivity by
 deleting every vertex pair and checking connectedness, minimality by
@@ -18,11 +18,11 @@ minimally 3-connected, not canonical, or a repeat stops a resume.
 from __future__ import annotations
 
 import os
+from dataclasses import dataclass
 from pathlib import Path
 
 from .canonical import certificate
 from .graphs import Graph, delete_edge, from_triangle_bits, graph6_line, triangle_bits
-from .records import GeneratedSet
 
 _GRAPH6_HEADER = ">>graph6<<"
 # What a graph6 line may carry around its characters; str.strip() would
@@ -30,6 +30,27 @@ _GRAPH6_HEADER = ">>graph6<<"
 GRAPH6_BLANKS = " \t\r\n"
 # The group file name of each mode, formatted with a group's n and m.
 _GROUP_FILES = {"min3": "min3_n{n}_m{m}.g6", "cubic": "cubic_n{n}.g6"}
+
+
+@dataclass
+class GeneratedSet:
+    """Output of a generation run.
+
+    groups maps (n, m) to the sorted certificates of its isomorphism
+    classes.  A certificate is the graph6 line of its class's canonical
+    labelling, so it is also the class's output line, and decode_graph6
+    turns it back into a graph.
+    """
+
+    mode: str
+    groups: dict[tuple[int, int], list[str]]
+
+    def count(self, n: int | None = None) -> int:
+        return sum(
+            len(bucket)
+            for (nn, _), bucket in self.groups.items()
+            if n is None or nn == n
+        )
 
 
 def encode_graph6(g: Graph) -> str:
@@ -127,8 +148,22 @@ def has_only_essential_edges(g: Graph) -> bool:
 
 
 class CheckpointError(ValueError):
-    """An output directory that cannot be resumed from: no counts.tsv, a
-    file it does not match, or a line write_outputs would not have written."""
+    """An output directory that cannot be resumed from (no counts.tsv, a file it
+    does not match, a line write_outputs would not have written) or written to."""
+
+
+def require_out_dir(out_dir: Path, mode: str) -> None:
+    """Raise NotADirectoryError when out_dir, or the nearest of its ancestors
+    that exists, is not a directory, and CheckpointError naming a group file
+    of another mode in it, as counts.tsv names no mode to tell them apart."""
+    for p in (out_dir, *out_dir.parents):
+        if p.exists():
+            if not p.is_dir():
+                raise NotADirectoryError(f"output path is not a directory: {p}")
+            break
+    for other, name in _GROUP_FILES.items():
+        if other != mode and (found := sorted(out_dir.glob(name.format(n="*", m="*")))):
+            raise CheckpointError(f"{found[0]}: {out_dir} holds a {other} tree, so a {mode} run does not write there")
 
 
 def write_outputs(collections: GeneratedSet, out_dir: str | Path) -> list[Path]:
@@ -143,13 +178,14 @@ def write_outputs(collections: GeneratedSet, out_dir: str | Path) -> list[Path]:
     counts.tsv is removed first and written last, so a directory that has
     one is complete.  Group files of this run's mode that it does not write,
     as a larger run leaves, are removed before counts.tsv is written, so it
-    lists every group file of its mode; those of the other mode stay.
+    lists every group file of its mode; require_out_dir refuses the other's.
     Returns the written paths, counts.tsv last.
     """
     name = _GROUP_FILES.get(collections.mode)
     if name is None:
         raise ValueError(f"unknown mode {collections.mode!r}")
     out = Path(out_dir)
+    require_out_dir(out, collections.mode)
     out.mkdir(parents=True, exist_ok=True)
     counts = out / "counts.tsv"
     counts.unlink(missing_ok=True)

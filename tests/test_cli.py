@@ -10,6 +10,7 @@ import pytest
 import min3gen.cli
 import min3gen.io_validate
 from min3gen import (
+    CheckpointError,
     Graph,
     add_edge,
     certificate,
@@ -17,9 +18,11 @@ from min3gen import (
     decode_graph6,
     delete_edge,
     encode_graph6,
+    generate_min3,
     is_minimally_3_connected,
     prism,
     wheel,
+    write_outputs,
 )
 from min3gen.cli import main
 
@@ -477,17 +480,45 @@ def test_resume_in_place_matches_a_fresh_run(outputs9, tmp_path, capsys):
 
 def test_a_smaller_run_removes_the_group_files_it_does_not_write(outputs9, tmp_path, capsys):
     # A run to 8 over the tree of a run to 9 leaves a complete n <= 8 tree,
-    # which resumes; the files of the other mode are left alone.
+    # which resumes.
     tree = tmp_path / "tree"
     shutil.copytree(outputs9, tree)
-    (tree / "cubic_n4.g6").write_text("C~\n")
     assert run(["generate", "--max-n", "8", "--out", str(tree)], capsys)[0] == 0
     fresh8 = tmp_path / "fresh8"
     assert run(["generate", "--max-n", "8", "--out", str(fresh8)], capsys)[0] == 0
-    assert _files(tree) == {**_files(fresh8), Path("cubic_n4.g6"): b"C~\n"}
+    assert _files(tree) == _files(fresh8)
     resumed = tmp_path / "resumed"
     assert run(["generate", "--max-n", "9", "--out", str(resumed), "--resume", str(tree)], capsys)[0] == 0
     assert _files(resumed) == _files(outputs9)
+
+
+def test_a_min3_run_does_not_write_over_a_cubic_tree(tmp_path, capsys):
+    # counts.tsv names no mode, so a directory holds one mode's tree: a run
+    # of the other mode exits 3 before generating and changes no file, and
+    # so does write_outputs.
+    tree = tmp_path / "tree"
+    assert run(["generate", "--mode", "cubic", "--max-n", "8", "--out", str(tree)], capsys)[0] == 0
+    before = _files(tree)
+    rc, _, err = run(["generate", "--max-n", "8", "--out", str(tree), "--emit-intermediate"], capsys)
+    assert rc == 3
+    assert f"{tree / 'cubic_n4.g6'}: {tree} holds a cubic tree" in err
+    assert "shelf" not in err
+    with pytest.raises(CheckpointError, match="holds a cubic tree"):
+        write_outputs(generate_min3(6), tree)
+    assert _files(tree) == before
+
+
+def test_a_cubic_run_does_not_write_over_a_min3_tree(outputs9, tmp_path, capsys):
+    # The tree still resumes afterwards.
+    tree = tmp_path / "tree"
+    shutil.copytree(outputs9, tree)
+    rc, _, err = run(["generate", "--mode", "cubic", "--max-n", "8", "--out", str(tree)], capsys)
+    assert rc == 3
+    assert f"{tree / 'min3_n6_m10.g6'}: {tree} holds a min3 tree" in err
+    assert "cubic n=" not in err
+    assert _files(tree) == _files(outputs9)
+    assert run(["generate", "--max-n", "9", "--out", str(tree), "--resume", str(tree)], capsys)[0] == 0
+    assert _files(tree) == _files(outputs9)
 
 
 def test_an_interrupted_write_leaves_no_counts_tsv(outputs9, tmp_path, capsys, monkeypatch):

@@ -107,13 +107,20 @@ def test_pipeline_gate_calls_match_the_oracle(monkeypatch):
     # the graph's brute-force cycles with the table's banned edges.
     shelves = collect_shelves(8)
     calls = []
+    bans = {}  # id of each live-chord table -> the table, kept alive, and its ban
+
+    def building(table, g, banned):
+        live = live_chords(table, g, banned)
+        bans[id(live)] = live, banned
+        return live
 
     def recording(live, pairs):
         pairs = tuple(pairs)
         got = chording_free(live, pairs)
-        calls.append((ent.graph, pairs, live.banned, got))
+        calls.append((ent.graph, pairs, bans[id(live)][1], got))
         return got
 
+    monkeypatch.setattr(min3gen.generator, "live_chords", building)
     monkeypatch.setattr(min3gen.generator, "chording_free", recording)
     for entries in shelves.values():
         for ent in entries:

@@ -179,7 +179,7 @@ def test_run_shelf_dedups_across_classes():
         assert certs == sorted(set(result.groups.get((n, m), [])) - direct)
 
 
-def test_final_shelf_has_no_scaffolding_and_no_cycle_sets(monkeypatch):
+def test_a_final_shelf_holds_its_classes_and_makes_no_sources(monkeypatch):
     # A shelf that feeds no shelf in reach holds the same classes, and none
     # of its graphs becomes a source, so no rule gives its cycle set.
     shelves = collect_shelves(8)
@@ -350,7 +350,7 @@ def test_generated_buckets_are_cert_sorted_and_distinct():
         assert len(certs) == len(set(certs))
 
 
-def test_provenance_shapes_across_shelves():
+def test_sources_hold_their_shelf_graph_and_compiled_table():
     # A source records its graph, cycle set, generators and compiled
     # table; its shelf holds the sources in certificate order.
     shelves = collect_shelves(8)
@@ -363,7 +363,7 @@ def test_provenance_shapes_across_shelves():
             assert ent.table == compile_cycles(ent.cycles, n)
 
 
-def test_a_classes_are_minimal_and_intermediates_are_not():
+def test_every_shelf_entry_is_minimally_3_connected():
     # Bridging makes no intermediate graphs, so every shelf entry is an
     # A-class graph: 3-connected, and minimally so.
     for entries in collect_shelves(8).values():
@@ -383,6 +383,15 @@ def test_emit_intermediate_does_not_change_outputs(tmp_path):
         assert (emitted / "shelves" / name).read_bytes() == (plain / name).read_bytes()
 
 
+def test_min3_cubic_shelves_hold_the_cubic_run(min3_run):
+    # A 3-connected cubic graph is minimally 3-connected, and shelf
+    # (n, 3n/2) holds exactly those graphs, so the two walks agree there.
+    min3, cubic = min3_run[0].groups, generate_cubic(10).groups
+    keys = [(6, 9), (8, 12), (10, 15)]
+    assert [len(min3[key]) for key in keys] == [2, 4, 14]
+    assert [min3[key] for key in keys] == [cubic[key] for key in keys]
+
+
 def test_generation_is_deterministic():
     def snapshot(result: GeneratedSet) -> list:
         return list(result.groups.items())
@@ -400,7 +409,7 @@ def test_progress_reporting():
     assert cubic_lines == ["cubic n=6: 2 graphs"]
 
 
-def test_shelf_saver_and_loader_round_trip(outputs9, tmp_path):
+def test_resume_from_any_earlier_tree_matches_a_fresh_run(outputs9, tmp_path):
     # The output directory is the checkpoint: a run to 9 resumed from the
     # written outputs of any earlier column, or of itself, is a fresh run.
     tree9 = read_outputs(outputs9)

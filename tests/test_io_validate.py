@@ -21,7 +21,6 @@ import pytest
 from hypothesis import given, settings
 
 import min3gen.io_validate
-import min3gen.records
 from helpers import (
     complete_graph,
     cube_graph,
@@ -310,4 +309,3 @@ def test_validation_oracles_are_import_independent():
     # The oracles must not lean on the machinery they are checking.
     forbidden = {"cycles", "compat", "generator"}
     assert _imported_local_modules(min3gen.io_validate).isdisjoint(forbidden)
-    assert _imported_local_modules(min3gen.records).isdisjoint(forbidden)
