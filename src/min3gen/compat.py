@@ -25,11 +25,11 @@ live chords are the graph's edge bits within its non-adjacent pair bits.
 
 from __future__ import annotations
 
-from itertools import chain, combinations
+from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
-from .cycles import CycleSet, cycle_vertex_mask
-from .graphs import DAWES_SHAPES, Edge, Graph, _require_edge, _require_vertex, edge, mask_reachable
+from .cycles import CycleSet
+from .graphs import DAWES_SHAPES, Edge, Graph, _require_set, mask_reachable
 
 
 def _chording_off_cycle(
@@ -71,7 +71,7 @@ def compile_cycles(cycles: CycleSet, n: int) -> CompiledCycles:
     """The gate's table of a cycle set of a graph on n vertices."""
     table = []
     for cyc in cycles:
-        cmask = cycle_vertex_mask(cyc)
+        cmask = sum(1 << u for u in cyc)
         own = chords = 0
         for i, u in enumerate(cyc):
             near = 1 << cyc[i - 1] | 1 << cyc[(i + 1) % len(cyc)]
@@ -184,14 +184,5 @@ def is_3_compatible(cycles: CycleSet, g: Graph, vertices: Sequence[int] = (), ed
     """
     if (len(vertices), len(edges)) not in DAWES_SHAPES:
         raise ValueError(f"{len(vertices)} vertices and {len(edges)} edges are none of Dawes' three shapes")
-    if len(set(vertices)) < len(vertices) or len({edge(*e) for e in edges}) < len(edges):
-        raise ValueError("the members of a compatibility set must be distinct")
-    if any(v in e for v in vertices for e in edges):
-        raise ValueError("a vertex of a compatibility set must not be an end of its edge")
-    pairs = compat_query(vertices, edges)
-    # Every end of a member lies in a pair.
-    for v in chain.from_iterable(pairs):
-        _require_vertex(g, v)
-    for e in edges:
-        _require_edge(g, *e)
-    return chording_free(live_chords(compile_cycles(cycles, g.n), g, tuple(edges)), pairs)
+    _require_set(g, vertices, edges)
+    return chording_free(live_chords(compile_cycles(cycles, g.n), g, tuple(edges)), compat_query(vertices, edges))

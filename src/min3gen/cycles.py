@@ -45,21 +45,15 @@ def canonical_cycle(vertices: Sequence[int]) -> Cycle:
     return min(fwd, rev)
 
 
-def cycle_vertex_mask(cycle: Cycle) -> int:
-    mask = 0
-    for v in cycle:
-        mask |= 1 << v
-    return mask
-
-
-def cycle_uses_edge(cycle: Cycle, u: int, v: int) -> bool:
-    """True when uv is one of the cycle's edges (not merely a chord)."""
+def _edge_index(cycle: Cycle, u: int, v: int) -> int:
+    """The i with uv = cycle[i], cycle[i + 1] (cyclically): uv is one of the
+    cycle's edges, not merely a chord.  -1 when there is none."""
     k = len(cycle)
     for i in range(k):
         a, b = cycle[i], cycle[(i + 1) % k]
         if (a == u and b == v) or (a == v and b == u):
-            return True
-    return False
+            return i
+    return -1
 
 
 def enumerate_cycles_bruteforce(g: Graph) -> CycleSet:
@@ -153,14 +147,8 @@ def apply_subdivide_edge(cycles: CycleSet, a: int, b: int, c: int) -> CycleSet:
     """
     out = set()
     for cyc in cycles:
-        k = len(cyc)
-        for i in range(k):
-            u, w = cyc[i], cyc[(i + 1) % k]
-            if (u == a and w == b) or (u == b and w == a):
-                out.add(canonical_cycle(cyc[: i + 1] + (c,) + cyc[i + 1 :]))
-                break
-        else:
-            out.add(cyc)
+        i = _edge_index(cyc, a, b)
+        out.add(cyc if i < 0 else canonical_cycle(cyc[: i + 1] + (c,) + cyc[i + 1 :]))
     return frozenset(out)
 
 
@@ -174,7 +162,7 @@ def apply_split_vertex(cycles: CycleSet, v: int, u: int, w: int, x: int) -> Cycl
     graph off the cycle set.  The cycle set of g - vw itself may be given
     in place of g's, with the same result.
     """
-    kept = frozenset(cyc for cyc in cycles if not cycle_uses_edge(cyc, v, w))
+    kept = frozenset(cyc for cyc in cycles if _edge_index(cyc, v, w) < 0)
     return apply_add_edge(apply_subdivide_edge(kept, v, u, x), x, w)
 
 

@@ -210,12 +210,12 @@ def _seed(cert: str) -> Candidate:
 def _last_column(resume: GeneratedSet) -> int:
     """The last column of a resumed set, which must hold exactly the non-empty
     (n, m) groups of a run up to it: every shelf's, each of which is non-empty
-    up to n = 12 at least, and the wheel's and K_{3,n-3}'s."""
+    up to n = 12 at least, K_{3,n-3}'s (n, 3n - 9) among them, and the wheel's."""
     last = max((n for n, _ in resume.groups), default=0)
     if last < 6:
         stray = f", only groups at (n, m) = {sorted(resume.groups)}" if resume.groups else ""
         raise CheckpointError(f"resumed set holds no column from 6 on{stray}")
-    expected = {(n, m) for n in range(6, last + 1) for m in (*_shelf_edges(n), 2 * (n - 1), 3 * n - 9)}
+    expected = {(n, m) for n in range(6, last + 1) for m in (*_shelf_edges(n), 2 * (n - 1))}
     if set(resume.groups) != expected:
         wrong = sorted(set(resume.groups) ^ expected)
         raise CheckpointError(f"resumed groups differ from those of columns 6 to {last} at (n, m) = {wrong}")

@@ -195,6 +195,19 @@ def _require_edge(g: Graph, u: int, v: int) -> None:
         raise ValueError(f"edge ({u},{v}) not present")
 
 
+def _require_set(g: Graph, vertices: Sequence[int], edges: Sequence[Edge]) -> None:
+    """Refuse a set that is not one of Dawes' sets of g: distinct vertices
+    and edges of g, no vertex an end of an edge."""
+    if len(set(vertices)) < len(vertices) or len({edge(*e) for e in edges}) < len(edges):
+        raise ValueError("the members of a set must be distinct")
+    if any(v in e for v in vertices for e in edges):
+        raise ValueError("a vertex of a set must not be an end of a bridged edge")
+    for v in vertices:
+        _require_vertex(g, v)
+    for e in edges:
+        _require_edge(g, *e)
+
+
 def add_edge(g: Graph, u: int, v: int) -> Graph:
     """Return g + uv.  Rejects loops and parallel edges."""
     _require_vertex(g, u)
@@ -304,13 +317,7 @@ def bridge(g: Graph, vertices: Sequence[int] = (), edges: Sequence[Edge] = ()) -
     ends = (*vertices, *range(g.n, g.n + len(edges)))
     if len(ends) not in (2, 3):
         raise ValueError(f"a bridged set has 2 or 3 ends, not {len(ends)}")
-    # A vertex past n - 1 repeats a new vertex here, or is refused by the
-    # edge it would get.
-    if len(set(ends)) < len(ends):
-        raise ValueError(f"the ends {ends} of a bridged set must be distinct")
-    if any(v in e for e in edges for v in vertices):
-        raise ValueError("a bridged vertex must not be an end of a bridged edge")
-    # A repeated edge is gone by its second subdivision, which raises.
+    _require_set(g, vertices, edges)
     for a, b in edges:
         g = subdivide_edge(g, a, b)[0]
     if len(ends) == 2:

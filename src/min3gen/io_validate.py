@@ -153,17 +153,21 @@ class CheckpointError(ValueError):
 
 
 def require_out_dir(out_dir: Path, mode: str) -> None:
-    """Raise NotADirectoryError when out_dir, or the nearest of its ancestors
-    that exists, is not a directory, and CheckpointError naming a group file
-    of another mode in it, as counts.tsv names no mode to tell them apart."""
+    """Raise NotADirectoryError when out_dir or its nearest existing ancestor
+    is not a directory, and CheckpointError when it holds another mode's tree."""
     for p in (out_dir, *out_dir.parents):
         if p.exists():
             if not p.is_dir():
                 raise NotADirectoryError(f"output path is not a directory: {p}")
             break
+    _require_mode(out_dir, mode)
+
+
+def _require_mode(root: Path, mode: str) -> None:
+    # counts.tsv names no mode, so a group file of another mode tells the trees apart.
     for other, name in _GROUP_FILES.items():
-        if other != mode and (found := sorted(out_dir.glob(name.format(n="*", m="*")))):
-            raise CheckpointError(f"{found[0]}: {out_dir} holds a {other} tree, so a {mode} run does not write there")
+        if other != mode and (found := sorted(root.glob(name.format(n="*", m="*")))):
+            raise CheckpointError(f"{found[0]}: {root} holds a {other} tree, not a {mode} one")
 
 
 def write_outputs(collections: GeneratedSet, out_dir: str | Path) -> list[Path]:
@@ -218,10 +222,11 @@ def read_outputs(out_dir: str | Path) -> GeneratedSet:
     and only those, each with its line count.  Every line must be the
     certificate of a minimally 3-connected graph of its file's (n, m), and
     no line may repeat another, which with canonical lines means that no
-    class is listed twice.  Any defect raises CheckpointError naming the
-    file and, where there is one, the line.
+    class is listed twice.  Any defect, or a group file of the cubic mode,
+    raises CheckpointError naming the file and, where there is one, the line.
     """
     root = Path(out_dir)
+    _require_mode(root, "min3")
     counts = root / "counts.tsv"
     if not counts.is_file():
         raise CheckpointError(f"{counts}: no such file, so {root} is no output directory")

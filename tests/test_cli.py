@@ -211,8 +211,9 @@ def test_validate_empty_file(tmp_path, capsys):
     assert "contains no graphs" in err
 
 
-def test_validate_missing_file(tmp_path, capsys):
-    rc, _, err = run(["validate", str(tmp_path / "nope.g6")], capsys)
+@pytest.mark.parametrize("command", ["validate", "cycles"])
+def test_validate_missing_file(command, tmp_path, capsys):
+    rc, _, err = run([command, str(tmp_path / "nope.g6")], capsys)
     assert rc == 3
     assert err.strip()
 
@@ -267,7 +268,7 @@ def test_emit_intermediate_and_resume(tmp_path, capsys):
             assert (second / name).read_bytes() == (first / name).read_bytes()
 
 
-def test_resume_rejects_version_1_shelves(tmp_path, capsys):
+def test_resume_rejects_old_checkpoint_files_without_counts_tsv(tmp_path, capsys):
     # A directory of shelf files, the checkpoints of earlier versions, has
     # no counts.tsv.
     shelves = tmp_path / "shelves"
@@ -341,7 +342,7 @@ def test_resume_rejects_a_line_swapped_for_another_class(outputs9, tmp_path, cap
     assert f"{path}:5: line is not its own certificate" in err
 
 
-def test_resume_rejects_an_a_line_that_is_not_minimally_3_connected(outputs9, tmp_path, capsys):
+def test_resume_rejects_a_line_that_is_not_minimally_3_connected(outputs9, tmp_path, capsys):
     # A line's graph with one edge uv, v of degree 3, moved to uw keeps the
     # file's (n, m), but v is left with degree 2.  Nothing resumed descends
     # from a line of the last column, so without the check the resume
@@ -391,7 +392,7 @@ def test_resume_rejects_a_directory_without_shelf_files(name, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_resume_rejects_a_repeated_a_line(outputs9, tmp_path, capsys):
+def test_resume_rejects_a_repeated_line(outputs9, tmp_path, capsys):
     # The line count stays right, but line 5's class is lost.
     tree, lines = _edited(outputs9, tmp_path, "min3_n8_m13.g6")
     path = tree / "min3_n8_m13.g6"
@@ -506,6 +507,18 @@ def test_a_min3_run_does_not_write_over_a_cubic_tree(tmp_path, capsys):
     with pytest.raises(CheckpointError, match="holds a cubic tree"):
         write_outputs(generate_min3(6), tree)
     assert _files(tree) == before
+
+
+def test_resume_refuses_a_cubic_tree_before_reading_it(tmp_path, capsys):
+    # The cubic tree's counts.tsv lists cubic_n4.g6 as (4, 6), so read as a
+    # min3 tree it would seem to lack min3_n4_m6.g6.
+    tree, out = tmp_path / "tree", tmp_path / "out"
+    assert run(["generate", "--mode", "cubic", "--max-n", "6", "--out", str(tree)], capsys)[0] == 0
+    rc, _, err = run(["generate", "--max-n", "7", "--resume", str(tree), "--out", str(out)], capsys)
+    assert rc == 3
+    assert f"{tree / 'cubic_n4.g6'}: {tree} holds a cubic tree, not a min3 one" in err
+    assert "missing" not in err
+    assert not out.exists()
 
 
 def test_a_cubic_run_does_not_write_over_a_min3_tree(outputs9, tmp_path, capsys):

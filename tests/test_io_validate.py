@@ -122,7 +122,7 @@ def test_connectivity_matches_definition_scan():
         assert has_only_essential_edges(g) == def_minimally_3_connected(g)
 
 
-def test_disjoint_paths_fixed_cases(k33):
+def test_has_only_essential_edges_fixed_cases(k33):
     # K5 less the edge 3-4: less 0-1 too, it keeps the paths 0-2-1, 0-3-1
     # and 0-4-1, so 0-1 is removable.
     assert not has_only_essential_edges(delete_edge(complete_graph(5), 3, 4))
