@@ -27,8 +27,8 @@ candidate becomes a source, so nothing is re-enumerated.  A shelf of the
 final column (n = max_n) stores None for each certificate, no graph and
 no rule, and so keeps no source's cycle set alive.
 
-Wheels and K_{3,t} are the minimally 3-connected graphs that no prism-rooted
-chain reaches; they are constructed directly and merged into the output.
+Wheels and K_{3,t}, the minimally 3-connected graphs no prism-rooted chain
+reaches, are built directly; each joins its group as its shelf completes.
 The cubic mode is separate and far simpler: starting from K4, it bridges
 one pair of distinct edges from each orbit of its source's automorphism
 group on edge pairs.
@@ -238,18 +238,20 @@ def check_max_n(mode: str, max_n: int) -> None:
 def generate_min3(max_n: int, *, progress: Progress | None = None, resume: GeneratedSet | None = None) -> GeneratedSet:
     """All minimally 3-connected graphs with 6 to max_n vertices.
 
-    Starts from the groups up to a last column: the prism in column 6, or
+    Starts from the groups up to a last column, checked by _last_column:
     resume, the result of an earlier run such as io_validate.read_outputs
-    gives.  When max_n is past last, the graphs of the last two columns,
-    less the wheels and K_{3,t}, are decoded as the first candidates, each
-    with a rule that enumerates its cycle set, and run_shelf walks the
-    shelves column by column (n outer, m from ceil(3n/2) to 3n-9) from
-    column last - 1 to max_n, making sources of the graphs that feed the
-    columns after last; otherwise nothing is decoded.  Results are
-    (n, m) groups of sorted certificates: the shelves, and the two direct
-    families, wheels and K_{3,t}.  A resumed set that lacks a group of its
-    columns, holds another or holds an empty one raises CheckpointError,
-    and a max_n past GRAPH6_MAX_N raises ValueError before any work.
+    gives, or else column 6, the prism, K_{3,3} and W_5.  When max_n is past
+    last, the graphs of the last two columns, less the wheels and K_{3,t},
+    are decoded as the first candidates, each with a rule that enumerates
+    its cycle set, and run_shelf walks the shelves column by column (n
+    outer, m from ceil(3n/2) to 3n-9) from column last - 1 to max_n, making
+    sources of the graphs that feed the columns after last; otherwise
+    nothing is decoded.  Each shelf after last, joined by the wheel or
+    K_{3,t} of its (n, m), is a group of sorted certificates, complete and
+    reported to progress when run_shelf returns.  A resumed set that lacks
+    a group of its columns, holds another or holds an empty one raises
+    CheckpointError, and a max_n past GRAPH6_MAX_N raises ValueError before
+    any work.
     """
     check_max_n("min3", max_n)
     # The graphs no shelf holds, built directly.
@@ -258,10 +260,9 @@ def generate_min3(max_n: int, *, progress: Progress | None = None, resume: Gener
         direct.setdefault((n, 2 * (n - 1)), []).append(certificate(wheel(n - 1)))
         direct.setdefault((n, 3 * n - 9), []).append(certificate(complete_bipartite_3(n - 3)))
     if resume is None:
-        last, groups = 6, {(6, 9): [certificate(prism())]}
-    else:
-        last = _last_column(resume)
-        groups = {key: list(bucket) for key, bucket in resume.groups.items() if key[0] <= max_n}
+        resume = GeneratedSet("min3", {(6, 9): [certificate(prism()), *direct[(6, 9)]], (6, 10): direct[(6, 10)]})
+    last = _last_column(resume)
+    groups = {key: sorted(bucket) for key, bucket in resume.groups.items() if key[0] <= max_n}
     reach = range(last + 1, max_n + 1)
     shelves: Shelves = {
         (n, m): {c: _seed(c) for c in bucket if c not in direct.get((n, m), ())}
@@ -272,15 +273,11 @@ def generate_min3(max_n: int, *, progress: Progress | None = None, resume: Gener
         for m in _shelf_edges(n):
             certs = run_shelf(shelves, n, m, reach)
             if n in reach:
-                if certs:
-                    groups[(n, m)] = certs
+                bucket = sorted(certs + direct.get((n, m), []))
+                if bucket:
+                    groups[(n, m)] = bucket
                 if progress is not None:
-                    progress(f"min3 shelf n={n} m={m}: {len(certs)} graphs")
-    for key, certs in direct.items():
-        bucket = groups.setdefault(key, [])
-        bucket += [c for c in certs if c not in bucket]
-    for bucket in groups.values():
-        bucket.sort()
+                    progress(f"min3 shelf n={n} m={m}: {len(bucket)} graphs")
     return GeneratedSet("min3", dict(sorted(groups.items())))
 
 

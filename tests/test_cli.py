@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import shutil
 from pathlib import Path
 
@@ -43,6 +44,18 @@ def test_generate_min3(tmp_path, capsys):
     assert "min3 shelf n=7 m=11: 3 graphs" in err
     assert f"min3gen: wrote 5 files to {out}" in err
     assert not (out / "shelves").exists()
+
+
+def test_progress_lines_count_the_groups_written(tmp_path, capsys):
+    # A shelf's progress line counts its whole group, the wheel or K_{3,t}
+    # included, so from column 7 on the lines equal the rows of counts.tsv.
+    out = tmp_path / "run"
+    rc, _, err = run(["generate", "--max-n", "9", "--out", str(out)], capsys)
+    assert rc == 0
+    rows = (row.split("\t") for row in (out / "counts.tsv").read_text().splitlines()[1:])
+    written = {(int(n), int(m)): int(k) for n, m, k in rows if int(n) >= 7}
+    lines = re.findall(r"^min3 shelf n=(\d+) m=(\d+): (\d+) graphs$", err, re.M)
+    assert {(int(n), int(m)): int(k) for n, m, k in lines} == written
 
 
 def test_generate_cubic(tmp_path, capsys):

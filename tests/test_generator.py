@@ -403,7 +403,7 @@ def test_generation_is_deterministic():
 def test_progress_reporting():
     lines = []
     generate_min3(7, progress=lines.append)
-    assert lines == ["min3 shelf n=7 m=11: 3 graphs", "min3 shelf n=7 m=12: 0 graphs"]
+    assert lines == ["min3 shelf n=7 m=11: 3 graphs", "min3 shelf n=7 m=12: 2 graphs"]
     cubic_lines = []
     generate_cubic(6, progress=cubic_lines.append)
     assert cubic_lines == ["cubic n=6: 2 graphs"]

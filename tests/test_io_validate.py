@@ -179,7 +179,7 @@ def test_fast_minimality_test_matches_the_oracle(g):
     assert has_only_essential_edges(g) == is_minimally_3_connected(g)
 
 
-def test_shelf_files_round_trip(tmp_path):
+def test_output_trees_round_trip(tmp_path):
     # An output tree is the checkpoint a run resumes from.
     for max_n in (6, 7, 8):
         result = generate_min3(max_n)
@@ -194,7 +194,7 @@ def tree7(tmp_path_factory):
     return tree
 
 
-def test_shelf_file_validation(tree7, tmp_path):
+def test_output_tree_validation(tree7, tmp_path):
     # Files of the n <= 7 tree: min3_n6_m9.g6 holds the prism and K_{3,3},
     # min3_n6_m10.g6 W_5, min3_n7_m11.g6 three graphs.
     counts = "n\tm\tcount\n6\t9\t2\n6\t10\t1\n7\t11\t3\n7\t12\t2\n"
@@ -230,7 +230,7 @@ def test_shelf_file_validation(tree7, tmp_path):
             read_outputs(tree)
 
 
-def test_every_cut_of_a_shelf_file_is_rejected(tmp_path):
+def test_every_cut_of_a_group_file_is_rejected(tmp_path):
     # The largest graph file of the n <= 8 tree.
     full = tmp_path / "full"
     write_outputs(generate_min3(8), full)
