@@ -2,10 +2,12 @@
 Carrying the cycle space through graph edits
 ============================================
 
-The generator never re-enumerates cycles from scratch.  Each edit has a
-propagation rule turning the old cycle set into the new one, and brute
-force is only an oracle.  This script shows the rules agreeing with the
-oracle on the prism.
+The paper's method never re-enumerates cycles from scratch.  Each edit
+has a propagation rule turning the old cycle set into the new one, and
+brute force is only an oracle.  min3gen's generator decides each bridging
+on the child and carries no cycle set, so these rules are kept as the
+method's oracle.  This script shows the rules agreeing with brute force
+on the prism.
 """
 
 from min3gen import (

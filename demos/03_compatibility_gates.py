@@ -4,8 +4,11 @@ Chording paths and the 3-compatibility gates
 
 A Dawes operation preserves minimal 3-connectivity exactly when its input
 set is 3-compatible, a condition phrased entirely in terms of chording
-paths.  The gates let the generator test a candidate on the small graph
-instead of building and oracle-checking the big one.
+paths.  That gate is the paper's method: it tests a candidate on the
+small graph, given its cycle set.  The generator instead decides each
+bridging on the child, whose few edges between vertices of degree 4 or
+more must be essential, and carries no cycle set; the gate shown here is
+the oracle that child test is held to.
 """
 
 from min3gen import (
@@ -19,6 +22,7 @@ from min3gen import (
     wheel,
 )
 from min3gen.compat import chording_free, compile_cycles, live_chords
+from min3gen.io_validate import high_edges_essential
 
 # A chording path contains a chord of some cycle and meets that cycle only
 # at the chord's endpoints.  In prism + 02 the path 3-2-5 is one between 3
@@ -59,9 +63,10 @@ print("\nK33, {0, 1, 2} 3-compatible:", is_3_compatible(k33_cycles, k33, (0, 1, 
 attached = bridge(k33, (0, 1, 2))
 print("D3 result is minimally 3-connected:", is_minimally_3_connected(attached))
 
-# The gate verdict always matches the oracle on the applied result.  Scan
-# every D1 candidate on W4: each compatible set gives a minimally
-# 3-connected bridge, each incompatible set does not.
+# The gate verdict always matches the oracle on the applied result, and
+# so the generator's child test.  Scan every D1 candidate on W4: each
+# compatible set gives a minimally 3-connected bridge, each incompatible
+# set does not.
 w4 = wheel(4)
 w4_cycles = enumerate_cycles_bruteforce(w4)
 agree = total = 0
@@ -71,6 +76,6 @@ for a, b in w4.edges():
             continue
         verdict = is_3_compatible(w4_cycles, w4, (x,), ((a, b),))
         result = bridge(w4, (x,), ((a, b),))
-        agree += verdict == is_minimally_3_connected(result)
+        agree += verdict == is_minimally_3_connected(result) == high_edges_essential(result)
         total += 1
-print(f"\nW4 D1 candidates: gate agrees with oracle on {agree}/{total}")
+print(f"\nW4 D1 candidates: gate agrees with oracle and child test on {agree}/{total}")

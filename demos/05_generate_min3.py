@@ -10,7 +10,6 @@ minimally 3-connected graph up to the requested vertex count, grouped by
 import time
 
 from min3gen import (
-    PRISM_CYCLES,
     certificate,
     complete_bipartite_3,
     decode_graph6,
@@ -51,31 +50,29 @@ print("wheel(7) emitted at (8,14):", certificate(wheel(7)) in result.groups[(8, 
 # that Dawes' bridging reaches from shelves (n-1, m-2), (n-1, m-3) and
 # (n-2, m-3), of sets of shape (1, 1), (3, 0) and (0, 2): a vertex and an
 # edge, three vertices, two edges.  That is every class of (n, m) except
-# the wheel and K_{3,t}, each kept once, by certificate, with the rule
-# that gives its cycle set.  The walk reaches a shelf after all three, so
-# run_shelf returns its sorted certificates, and each graph that feeds a
-# column of reach becomes a source once: source() gives it its cycle set,
-# compiled for the gates, and its automorphism group generators, and
-# bridgings(src, shape) bridges it into the shelves it feeds.  Here columns 7 and 8 are in
-# reach, and column 7 is built from the prism seed.
-seed = prism()
-shelves = {(6, 9): {certificate(seed): (seed, lambda: PRISM_CYCLES)}}
+# the wheel and K_{3,t}, each kept once, as its certificate.  The walk
+# reaches a shelf after all three, so run_shelf returns its sorted
+# certificates, and each graph that feeds a column of reach is decoded
+# from its certificate and becomes a source once: source() gives it its
+# automorphism group generators, and bridgings(src, shape) bridges it at
+# one site per orbit, keeping each child whose edges between vertices of
+# degree 4 or more are essential.  Here columns 7 and 8 are in reach, and
+# column 7 is built from the prism seed.
+shelves = {(6, 9): {certificate(prism())}}
 reach = range(7, 9)
 print("\nshelf (n=6, m=9):", run_shelf(shelves, 6, 9, reach))
-print("candidates bridged from it:", {key: len(found) for key, found in shelves.items()})
-cert, (g, rule) = min(shelves[(7, 11)].items())
-entry = source(g, rule())
-print("one candidate of (n=7, m=11) made a source:", entry.graph)
-print("  cycles carried:", len(entry.cycles))
+print("certificates bridged from it:", {key: len(found) for key, found in shelves.items()})
+cert = min(shelves[(7, 11)])
+entry = source(decode_graph6(cert))
+print("one graph of (n=7, m=11) made a source:", entry.graph)
 print("  automorphism generators:", entry.gens)
 print("  its certificate:", cert)
 certs = run_shelf(shelves, 7, 11, reach)
 print(f"shelf (n=7, m=11): {len(certs)} graphs, as in result.groups[(7, 11)]:", certs == result.groups[(7, 11)])
 print("shelf (n=7, m=12) holds", len(run_shelf(shelves, 7, 12, reach)), "graphs: only W6 and K_{3,4} have that size")
-# Column 8, the last in reach, feeds nothing, so its shelves store None
-# for each certificate, and no source's cycle set is kept alive for them.
-print("column 8 certificates:", sum(map(len, shelves.values())), " with a graph and rule:",
-      sum(value is not None for found in shelves.values() for value in found.values()))
+# Column 8, the last in reach, feeds nothing: its shelves are sets of
+# certificates, as every shelf is, and none of them becomes a source.
+print("column 8 certificates:", sum(map(len, shelves.values())))
 
 # A later run resumes from this one's outputs and walks only column 9.
 resumed = generate_min3(9, resume=result)

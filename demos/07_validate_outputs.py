@@ -7,7 +7,8 @@ plus a counts.tsv summary.  The validators are import-independent from
 the generator: the naive oracle re-checks minimal 3-connectivity from the
 definition, and the exact fast test that reading a checkpoint and
 `min3gen validate` use gives the same verdicts with one 3-connectivity
-check per graph.
+check per graph, then a separator search at each edge whose ends both
+have degree above 3, the search the generator keeps a bridging by.
 """
 
 import tempfile

@@ -15,6 +15,7 @@ from .compat import (
     is_3_compatible,
 )
 from .cycles import (
+    PRISM_CYCLES,
     Cycle,
     CycleSet,
     apply_add_edge,
@@ -27,7 +28,6 @@ from .cycles import (
     extract_pattern,
 )
 from .generator import (
-    PRISM_CYCLES,
     ShelfEntry,
     bridgings,
     generate_cubic,

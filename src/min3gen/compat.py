@@ -10,16 +10,17 @@ condition under which the bridging operations preserve minimal
 3-connectivity.
 
 is_3_compatible is the one checked entry.  It checks the set against g,
-then runs the two unchecked steps that the generator's bridgings run:
-live_chords, the graph's table for a ban of edges, then chording_free,
-the search of compat_query's endpoint pairs against it.
+then runs two unchecked steps: live_chords, the graph's table for a ban
+of edges, then chording_free, the search of compat_query's endpoint pairs
+against it.  This gate is the paper's method; the generator decides each
+bridging on the child instead (io_validate.high_edges_essential), so the
+gate is kept as the oracle that the child test is held to.
 
-All searches run on the cycle set the pipeline already maintains, so no
-cycle enumeration happens here.  compile_cycles turns a cycle set into
-bitmasks over ordered vertex pairs, pair uv at bit u*n + v, with an
-unordered pair setting both of its bits; row u of such a mask (its bits
-u*n .. u*n + n-1) is then a vertex mask like Graph.neighbor_mask(u).  A
-cycle survives the banned edges when its edge bits miss the ban, and its
+All searches run on a given cycle set, so no cycle enumeration happens
+here.  compile_cycles turns a cycle set into bitmasks over ordered vertex
+pairs, pair uv at bit u*n + v, with an unordered pair setting both of its
+bits; row u of such a mask (its bits u*n .. u*n + n-1) is then a vertex
+mask like Graph.neighbor_mask(u).  A cycle survives the banned edges when its edge bits miss the ban, and its
 live chords are the graph's edge bits within its non-adjacent pair bits.
 """
 
@@ -29,7 +30,7 @@ from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
 from .cycles import CycleSet
-from .graphs import DAWES_SHAPES, Edge, Graph, _require_set, mask_reachable
+from .graphs import DAWES_SHAPES, Edge, Graph, _require_set, mask_path
 
 
 def _chording_off_cycle(
@@ -52,7 +53,7 @@ def _chording_off_cycle(
             low = m & -m
             m ^= low
             if low == sbit:
-                if mask_reachable(masks, t, b, off_cycle_t | used):
+                if mask_path(masks, t, b, off_cycle_t | used) >= 0:
                     return True
             elif dfs(low.bit_length() - 1, used | low):
                 return True
@@ -140,14 +141,14 @@ def chording_free(live: LiveChords, pairs: Iterable[tuple[int, int]]) -> bool:
                 while m:
                     low = m & -m
                     m ^= low
-                    if mask_reachable(masks, low.bit_length() - 1, b, cmask & ~low):
+                    if mask_path(masks, low.bit_length() - 1, b, cmask & ~low) >= 0:
                         return False
             elif cmask >> b & 1:
                 m = chords >> b * n & row
                 while m:
                     low = m & -m
                     m ^= low
-                    if mask_reachable(masks, a, low.bit_length() - 1, cmask & ~low):
+                    if mask_path(masks, a, low.bit_length() - 1, cmask & ~low) >= 0:
                         return False
             else:
                 m = chords
@@ -178,9 +179,8 @@ def is_3_compatible(cycles: CycleSet, g: Graph, vertices: Sequence[int] = (), ed
 
     The set must be one of Dawes' three shapes: a vertex and an edge, two
     edges, or three vertices, with distinct members of g and no vertex an
-    end of a member edge.  Once checked, the gate is the generator's:
-    live_chords bans the set's edges and chording_free searches the pairs
-    of compat_query.
+    end of a member edge.  Once checked, live_chords bans the set's edges
+    and chording_free searches the pairs of compat_query.
     """
     if (len(vertices), len(edges)) not in DAWES_SHAPES:
         raise ValueError(f"{len(vertices)} vertices and {len(edges)} edges are none of Dawes' three shapes")

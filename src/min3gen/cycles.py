@@ -1,13 +1,13 @@
 """Cycles as canonical vertex tuples, and cycle set propagation.
 
-The generator never re-enumerates the cycles of a graph it builds: each
-graph operation (edge addition, edge subdivision, vertex split) is paired
-with a rewrite that maps the parent's cycle set to the child's, and Dawes'
-bridging's rule, apply_bridge, composes the first two.  A split is built
-from the other two as well, since it deletes an edge, subdivides one and
-adds one.  The brute-force enumerator here is the independent oracle
-those rewrites are tested against, and also gives the sets of the seed
-and of the graphs a resumed run starts from.
+The paper's method never re-enumerates the cycles of a graph it builds:
+each graph operation (edge addition, edge subdivision, vertex split) is
+paired with a rewrite that maps the parent's cycle set to the child's, and
+Dawes' bridging's rule, apply_bridge, composes the first two; a split is
+built from the other two as well.  The generator decides each bridging
+on the child and carries no cycle set, so these rules, and the compat
+gate that reads their sets, are the method's oracle, tested against the
+brute-force enumerator here.
 
 A cycle is stored as a tuple of vertices in canonical rotation: minimum
 vertex first, then the lexicographically smaller of the two directions.
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .graphs import Edge, Graph, mask_reachable
+from .graphs import Edge, Graph, mask_path, prism
 
 Cycle = tuple[int, ...]
 CycleSet = frozenset[Cycle]
@@ -81,6 +81,10 @@ def enumerate_cycles_bruteforce(g: Graph) -> CycleSet:
     return frozenset(out)
 
 
+# prism()'s 14 cycles, the seed set of the paper's walk.
+PRISM_CYCLES: CycleSet = enumerate_cycles_bruteforce(prism())
+
+
 def chords(cycle: Cycle, u: int, v: int) -> bool:
     """True when u and v both lie on the cycle and are not cyclically adjacent.
 
@@ -132,7 +136,7 @@ def apply_add_edge(cycles: CycleSet, a: int, b: int) -> CycleSet:
             w = low.bit_length() - 1
             if w == b:
                 out.add(canonical_cycle(path + (b,)))
-            elif mask_reachable(masks, w, b, used):
+            elif mask_path(masks, w, b, used) >= 0:
                 dfs(w, used | low, path + (w,))
 
     dfs(a, 1 << a, (a,))

@@ -12,20 +12,16 @@ the two previous columns:
 - two edges, shape (0, 2), of each graph on shelf (n-2, m-3).
 
 Turned around, each graph feeds exactly three later shelves, so the walk
-pushes: once a shelf is complete, each of its graphs becomes a source
-once and is bridged into the shelves it feeds.  A bridging is minimally
-3-connected exactly when its set is 3-compatible in the source, which the
-chording path gate decides on the source's cycle set, compiled once per
-source and filtered once per ban, the set's edges.  Only one site per
-orbit of the source's automorphism group is tried, since the sites of an
-orbit give isomorphic graphs, and certificates deduplicate a shelf.
-bridgings(src, shape) returns the bridgings of one shape, each with its
-site, the set's vertices and edges.  A candidate whose column feeds
-another holds as its rule cycles.apply_bridge, bound to the source's
-cycle set and the site, which maps that set to the bridging's when the
-candidate becomes a source, so nothing is re-enumerated.  A shelf of the
-final column (n = max_n) stores None for each certificate, no graph and
-no rule, and so keeps no source's cycle set alive.
+pushes: once a shelf, a set of certificates, is complete, each is decoded
+into a source once and bridged into the shelves it feeds, at one site per
+orbit of the source's automorphism group, since the sites of an orbit give
+isomorphic graphs.  A bridging of a 3-connected graph is 3-connected, so
+it is kept exactly when io_validate.high_edges_essential holds of it;
+bridgings(src, shape) returns those of one shape, each with its site, the
+set's vertices and edges.  The walk carries no graph and no cycle set
+from shelf to shelf.  The paper decides a bridging on the source instead,
+by the 3-compatibility of its set on the source's cycle set; compat and
+cycles keep that method as the oracle of the child test.
 
 Wheels and K_{3,t}, the minimally 3-connected graphs no prism-rooted chain
 reaches, are built directly; each joins its group as its shelf completes.
@@ -37,31 +33,18 @@ group on edge pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial, reduce
-from itertools import combinations, groupby
-from operator import itemgetter, or_
+from functools import reduce
+from itertools import combinations
+from operator import or_
 from typing import Callable
 
 from .canonical import automorphisms, certificate
-from .compat import CompiledCycles, chording_free, compat_query, compile_cycles, live_chords
-from .cycles import CycleSet, apply_bridge, enumerate_cycles_bruteforce
 from .graphs import DAWES_SHAPES, GRAPH6_MAX_N, Edge, Graph, bridge, complete_bipartite_3, edge, prism, wheel
-from .io_validate import CheckpointError, GeneratedSet, decode_graph6
-
-# prism()'s 14 cycles for tests and demos; _seed seeds a run's canonical prism.
-PRISM_CYCLES: CycleSet = enumerate_cycles_bruteforce(prism())
+from .io_validate import CheckpointError, GeneratedSet, decode_graph6, high_edges_essential
 
 Progress = Callable[[str], None]
-
-# A candidate is its graph and its rule: the source's cycle set mapped to
-# the candidate's, bound when the candidate is built and called only when
-# the candidate becomes a source.
-Rule = Callable[[], CycleSet]
-Candidate = tuple[Graph, Rule]
-# The shelves still filling, keyed by (n, m): each keeps the first
-# candidate of every certificate that reaches it, or None in the final
-# column, whose graphs never become sources.
-Shelves = dict[tuple[int, int], dict[str, Candidate | None]]
+# The shelves still filling, keyed by (n, m): the certificates that reached each.
+Shelves = dict[tuple[int, int], set[str]]
 Permutation = tuple[int, ...]
 Shape = tuple[int, int]  # a set's (vertex count, edge count)
 Site = tuple[tuple[int, ...], tuple[Edge, ...]]  # a set's vertices and edges
@@ -69,14 +52,12 @@ Site = tuple[tuple[int, ...], tuple[Edge, ...]]  # a set's vertices and edges
 
 @dataclass(frozen=True)
 class ShelfEntry:
-    """A source that bridgings reads: a minimally 3-connected graph, its
-    cycle set, generators of its automorphism group, each a permutation p
-    that maps vertex v to p[v], and its cycle set compiled for the gate."""
+    """A source that bridgings reads: a minimally 3-connected graph and
+    generators of its automorphism group, each a permutation p that maps
+    vertex v to p[v]."""
 
     graph: Graph
-    cycles: CycleSet
     gens: list[Permutation]
-    table: CompiledCycles
 
 
 def _orbit_representatives(g: Graph, shape: Shape, gens: list[Permutation]) -> list[Site]:
@@ -134,37 +115,24 @@ def _orbit_representatives(g: Graph, shape: Shape, gens: list[Permutation]) -> l
 
 
 def bridgings(src: ShelfEntry, shape: Shape) -> list[tuple[Graph, Site]]:
-    """Bridge the 3-compatible sets of the shape in src's graph, one per
-    orbit, each with its site: Dawes' D1 for (1, 1), D2 for (0, 2)
-    (adjacent edges included) and D3 for (3, 0).
+    """Bridge the sets of the shape in src's graph, one per orbit, and keep
+    each minimally 3-connected bridging, with its site: Dawes' D1 for
+    (1, 1), D2 for (0, 2) (adjacent edges included) and D3 for (3, 0).
 
     Only pairwise non-adjacent vertices are tried, and that loses nothing:
     the source is 3-connected, so for an edge xy, x and y lie on a cycle
     of the graph minus xy, which xy chords; the edge xy is then itself a
-    chording xy-path, and the gate rejects every set with an adjacent pair.
-
-    The sites come edges outer, so the sites of one ban are consecutive
-    and share one live-chord table, built per group: one per edge for
-    (1, 1), one per source for (3, 0) and one per site for (0, 2).  The
-    table and the pairs come from src itself, so no gate re-checks them.
+    chording xy-path, so the set is not 3-compatible and its bridging is
+    not minimally 3-connected.
     """
-    g = src.graph
-    out = []
-    for edges, sites in groupby(_orbit_representatives(g, shape, src.gens), itemgetter(1)):
-        live = live_chords(src.table, g, edges)
-        for site in sites:
-            if chording_free(live, compat_query(*site)):
-                out.append((bridge(g, *site), site))
-    return out
+    children = ((bridge(src.graph, *site), site) for site in _orbit_representatives(src.graph, shape, src.gens))
+    return [(child, site) for child, site in children if high_edges_essential(child)]
 
 
-def source(g: Graph, cycles: CycleSet | None = None) -> ShelfEntry:
-    """g as an entry that bridgings reads: with its cycle set, enumerated
-    unless given and compiled once for its gates, and the generators of
-    its automorphism group."""
-    if cycles is None:
-        cycles = enumerate_cycles_bruteforce(g)
-    return ShelfEntry(g, cycles, automorphisms(g), compile_cycles(cycles, g.n))
+def source(g: Graph) -> ShelfEntry:
+    """g as an entry that bridgings reads, with the generators of its
+    automorphism group."""
+    return ShelfEntry(g, automorphisms(g))
 
 
 def run_shelf(shelves: Shelves, n: int, m: int, reach: range) -> list[str]:
@@ -172,39 +140,24 @@ def run_shelf(shelves: Shelves, n: int, m: int, reach: range) -> list[str]:
     of its graphs that feeds a column of reach into the shelves it feeds.
 
     The walk reaches (n, m) after (n-1, m-2), (n-1, m-3) and (n-2, m-3),
-    so every candidate for it has arrived.  A graph it pushes becomes a
-    source, once: its rule gives its cycle set, and bridgings bridges its
+    so every certificate for it has arrived.  A graph it pushes is decoded
+    from its certificate and becomes a source, once: bridgings bridges its
     sets of shapes (1, 1), (3, 0) and (0, 2) into (n+1, m+2), (n+1, m+3)
-    and (n+2, m+3), those in reach, where only an unseen certificate's
-    candidate is kept, with apply_bridge, bound to the source's cycle set
-    and the bridging's site, as its rule.  A shelf whose column feeds none
-    in reach keeps None for the certificate, neither graph nor rule.
+    and (n+2, m+3), those in reach, which gain the certificates of the
+    bridgings kept.
     """
-    found = shelves.pop((n, m), {})
-    certs = sorted(found)
+    certs = sorted(shelves.pop((n, m), ()))
     feeds = [(shape, (n + dn, m + dm)) for shape, (dn, dm) in DAWES_SHAPES.items() if n + dn in reach]
     if feeds:
         for cert in certs:
-            g, rule = found[cert]
-            src = source(g, rule())
+            src = source(decode_graph6(cert))
             for shape, key in feeds:
-                shelf = shelves.setdefault(key, {})
-                bind = key[0] + 1 in reach
-                for g2, site in bridgings(src, shape):
-                    cert2 = certificate(g2)
-                    if cert2 not in shelf:
-                        shelf[cert2] = (g2, partial(apply_bridge, src.cycles, g.n, *site)) if bind else None
+                shelves.setdefault(key, set()).update(certificate(g2) for g2, _ in bridgings(src, shape))
     return certs
 
 
 def _shelf_edges(n: int) -> range:
     return range((3 * n + 1) // 2, 3 * n - 8)
-
-
-def _seed(cert: str) -> Candidate:
-    """A graph of a start set, whose rule enumerates its cycle set."""
-    g = decode_graph6(cert)
-    return g, partial(enumerate_cycles_bruteforce, g)
 
 
 def _last_column(resume: GeneratedSet) -> int:
@@ -241,17 +194,16 @@ def generate_min3(max_n: int, *, progress: Progress | None = None, resume: Gener
     Starts from the groups up to a last column, checked by _last_column:
     resume, the result of an earlier run such as io_validate.read_outputs
     gives, or else column 6, the prism, K_{3,3} and W_5.  When max_n is past
-    last, the graphs of the last two columns, less the wheels and K_{3,t},
-    are decoded as the first candidates, each with a rule that enumerates
-    its cycle set, and run_shelf walks the shelves column by column (n
-    outer, m from ceil(3n/2) to 3n-9) from column last - 1 to max_n, making
-    sources of the graphs that feed the columns after last; otherwise
-    nothing is decoded.  Each shelf after last, joined by the wheel or
-    K_{3,t} of its (n, m), is a group of sorted certificates, complete and
-    reported to progress when run_shelf returns.  A resumed set that lacks
-    a group of its columns, holds another or holds an empty one raises
-    CheckpointError, and a max_n past GRAPH6_MAX_N raises ValueError before
-    any work.
+    last, the certificates of the last two columns, less the wheels and
+    K_{3,t}, fill the first shelves, and run_shelf walks the shelves column
+    by column (n outer, m from ceil(3n/2) to 3n-9) from column last - 1 to
+    max_n, making sources of the graphs that feed the columns after last;
+    otherwise nothing is decoded.  Each shelf after last, joined by the
+    wheel or K_{3,t} of its (n, m), is a group of sorted certificates,
+    complete and reported to progress when run_shelf returns.  A resumed
+    set that lacks a group of its columns, holds another or holds an empty
+    one raises CheckpointError, and a max_n past GRAPH6_MAX_N raises
+    ValueError before any work.
     """
     check_max_n("min3", max_n)
     # The graphs no shelf holds, built directly.
@@ -265,9 +217,9 @@ def generate_min3(max_n: int, *, progress: Progress | None = None, resume: Gener
     groups = {key: sorted(bucket) for key, bucket in resume.groups.items() if key[0] <= max_n}
     reach = range(last + 1, max_n + 1)
     shelves: Shelves = {
-        (n, m): {c: _seed(c) for c in bucket if c not in direct.get((n, m), ())}
-        for (n, m), bucket in groups.items()
-        if n >= last - 1 and reach
+        key: set(bucket).difference(direct.get(key, ()))
+        for key, bucket in groups.items()
+        if key[0] >= last - 1 and reach
     }
     for n in range(last - 1, max_n + 1):
         for m in _shelf_edges(n):

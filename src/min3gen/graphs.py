@@ -8,9 +8,10 @@ shared freely between generation stages.
 
 One composite operation, bridge, is Dawes' bridging of a set of vertices
 and edges, the generator's step in both modes: a vertex and an edge (D1),
-two edges (D2) or three vertices (D3).  It is built from the atomic edits
-(edge subdivision, edge addition), whose cycle set rules the generator
-composes.  So is the vertex split, after an edge deletion.
+two edges (D2) or three vertices (D3).  It writes its child's rows once,
+as the atomic edits it amounts to (edge subdivision, edge addition) would;
+cycles.apply_bridge composes those edits' cycle set rules.  The vertex
+split is built from the atomic edits, after an edge deletion.
 """
 
 from __future__ import annotations
@@ -159,28 +160,31 @@ def from_triangle_bits(n: int, bits: int) -> Graph:
     return Graph._from_masks(masks)
 
 
-def mask_reachable(masks: list[int], start: int, target: int, forbidden: int) -> bool:
-    """Is target reachable from start over bitmask adjacency rows,
-    avoiding the forbidden vertex set?  Start and target must not be
-    forbidden themselves."""
-    if start == target:
-        return True
-    tbit = 1 << target
-    frontier = 1 << start
-    block = forbidden | frontier
-    while frontier:
-        nxt = 0
-        f = frontier
+def mask_path(masks: list[int], start: int, target: int, forbidden: int) -> int:
+    """The inner vertices, as a mask, of a shortest start..target path over
+    bitmask adjacency rows that avoids the forbidden vertex set; -1 when
+    there is none.  Start and target must not be forbidden themselves."""
+    layers = [1 << start]  # the vertices at each distance from start
+    seen = forbidden | layers[0]
+    while not layers[-1] >> target & 1:
+        nxt, f = 0, layers[-1]
         while f:
             low = f & -f
             f ^= low
             nxt |= masks[low.bit_length() - 1]
-        if nxt & tbit:
-            return True
-        nxt &= ~block
-        block |= nxt
-        frontier = nxt
-    return False
+        nxt &= ~seen
+        if not nxt:
+            return -1
+        seen |= nxt
+        layers.append(nxt)
+    # Back from target, one neighbour in each layer between the ends.
+    inner, v = 0, target
+    for layer in reversed(layers[1:-1]):
+        low = layer & masks[v]
+        low &= -low
+        inner |= low
+        v = low.bit_length() - 1
+    return inner
 
 
 def _require_vertex(g: Graph, v: int) -> None:
@@ -277,8 +281,8 @@ def prism() -> Graph:
     """The triangular prism with the fixed labeling used throughout.
 
     Triangles {0,3,4} and {1,2,5}, joined by the rungs 01, 23, 45.  The
-    min3 walk seeds its canonical labelling, whose cycles it enumerates by
-    brute force; generator.PRISM_CYCLES holds the 14 cycles of this one.
+    min3 walk starts from its canonical labelling; cycles.PRISM_CYCLES
+    holds the 14 cycles of this one.
     """
     return Graph(
         6,
@@ -314,12 +318,25 @@ def bridge(g: Graph, vertices: Sequence[int] = (), edges: Sequence[Edge] = ()) -
     ... in the set's order.  The ends, the set's vertices and then those
     new vertices, are joined: two by an edge, three to one more new vertex.
     """
-    ends = (*vertices, *range(g.n, g.n + len(edges)))
+    n = g.n
+    ends = (*vertices, *range(n, n + len(edges)))
     if len(ends) not in (2, 3):
         raise ValueError(f"a bridged set has 2 or 3 ends, not {len(ends)}")
     _require_set(g, vertices, edges)
-    for a, b in edges:
-        g = subdivide_edge(g, a, b)[0]
+    masks = list(g._adj)
+    for c, (a, b) in enumerate(edges, start=n):
+        masks[a] ^= 1 << b | 1 << c
+        masks[b] ^= 1 << a | 1 << c
+        masks.append(1 << a | 1 << b)
     if len(ends) == 2:
-        return add_edge(g, *ends)
-    return Graph(g.n + 1, [*g.edges(), *((v, g.n) for v in ends)])
+        x, y = ends
+        if masks[x] >> y & 1:
+            raise ValueError(f"edge ({x},{y}) already present")
+        masks[x] |= 1 << y
+        masks[y] |= 1 << x
+    else:
+        w = len(masks)
+        masks.append(sum(1 << x for x in ends))
+        for x in ends:
+            masks[x] |= 1 << w
+    return Graph._from_masks(masks)

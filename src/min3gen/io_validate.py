@@ -3,16 +3,17 @@
 The validation oracles here are deliberately naive: 3-connectivity by
 deleting every vertex pair and checking connectedness, minimality by
 re-checking after every single edge deletion.  They share no machinery
-with the generator's compatibility gates (no cycle sets, no chording
-paths), so agreement between the two is evidence, not tautology, and
-they are kept as the independent check of everything else.
+with the generator's essential-edge test or the paper's gates (no
+separator search, no cycle sets, no chording paths), so agreement between
+them is evidence, not tautology, and they check everything else.
 
-The program's own minimality checks use has_only_essential_edges, which
-applies the same definition but re-checks a graph less one edge only for
-an edge whose ends both have degree above 3.  An output tree is
-also the checkpoint a min3 run resumes from: read_outputs checks every
-line of it with that test and certifies it, so a line that is not
-minimally 3-connected, not canonical, or a repeat stops a resume.
+The program's own minimality test is high_edges_essential, a separator
+search at each edge whose ends both have degree above 3: the generator
+keeps a bridging by it, and has_only_essential_edges runs it after
+is_3_connected.  An output tree is also the checkpoint a min3 run resumes
+from: read_outputs checks every line of it with that test and certifies
+it, so a line that is not minimally 3-connected, not canonical, or a
+repeat stops a resume.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .canonical import certificate
-from .graphs import Graph, delete_edge, from_triangle_bits, graph6_line, triangle_bits
+from .graphs import Graph, _bits, delete_edge, from_triangle_bits, graph6_line, mask_path, triangle_bits
 
 _GRAPH6_HEADER = ">>graph6<<"
 # What a graph6 line may carry around its characters; str.strip() would
@@ -133,18 +134,40 @@ def is_minimally_3_connected(g: Graph) -> bool:
     return all(not is_3_connected(delete_edge(g, u, v)) for u, v in g.edges())
 
 
-def has_only_essential_edges(g: Graph) -> bool:
-    """is_minimally_3_connected, less the re-checks that degree settles.
+def _separated(masks: list[int], u: int, v: int, cut: int, more: int) -> bool:
+    """Do the vertices of cut, with at most `more` others, separate u from v?
+    Each further vertex of a separator lies inside every u-v path that
+    avoids cut, so only the inner vertices of one shortest path are tried."""
+    inner = mask_path(masks, u, v, cut)
+    return inner < 0 or more > 0 and any(_separated(masks, u, v, cut | 1 << s, more - 1) for s in _bits(inner))
 
-    An edge uv at a vertex u of degree 3 is essential, since in g - uv the
-    two other neighbours of u separate it from v.  So g - uv is re-checked
-    only for an edge whose ends both have degree above 3, which is rare in
-    minimally 3-connected graphs: 14 of the 5,897 edges of the outputs with
-    n <= 10.
+
+def high_edges_essential(g: Graph) -> bool:
+    """Every edge uv of g whose ends both have degree above 3 is essential:
+    at most two vertices separate u from v in g - uv.
+
+    In a 3-connected g that is minimality, since an edge at a vertex u of
+    degree 3 is essential: u's two other neighbours separate it in g - uv.
+    The edges left, 14 of the 5,897 of the outputs with n <= 10, form a
+    forest (Mader, 1972).  A bridging of a 3-connected graph is 3-connected
+    (Dawes, 1986), so this test alone decides its minimality.
     """
-    if not is_3_connected(g):
-        return False
-    return all(min(g.degree(u), g.degree(v)) == 3 or not is_3_connected(delete_edge(g, u, v)) for u, v in g.edges())
+    masks = [g.neighbor_mask(v) for v in g.vertices]
+    high = sum(1 << v for v, row in enumerate(masks) if row.bit_count() > 3)
+    for u in _bits(high):
+        for v in _bits(masks[u] & high & -(2 << u)):  # v > u
+            rows = masks.copy()
+            rows[u] ^= 1 << v
+            rows[v] ^= 1 << u
+            if not _separated(rows, u, v, 0, 2):
+                return False
+    return True
+
+
+def has_only_essential_edges(g: Graph) -> bool:
+    """is_minimally_3_connected, less the re-checks that degree settles:
+    3-connected, and high_edges_essential."""
+    return is_3_connected(g) and high_edges_essential(g)
 
 
 class CheckpointError(ValueError):

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import itertools
 import random
+from functools import partial
+from typing import NamedTuple
 
 from hypothesis import strategies as st
 
@@ -24,36 +26,57 @@ from min3gen import (
     chords,
     edge,
     prism,
-    run_shelf,
-    source,
     wheel,
 )
-from min3gen.generator import PRISM_CYCLES, _shelf_edges
+from min3gen.canonical import automorphisms
+from min3gen.cycles import PRISM_CYCLES, CycleSet, enumerate_cycles_bruteforce
+from min3gen.generator import _shelf_edges
+from min3gen.graphs import DAWES_SHAPES
 
 
-def collect_shelves(max_n: int) -> dict[tuple[int, int], list]:
-    """Every shelf with n <= max_n, keyed by (n, m), the prism seed's
-    included, walked with run_shelf as generate_min3 walks them: each as
-    its graphs made sources in certificate order, with the cycle sets that
-    the rules of the candidates the walk kept give.  The walk reaches one
-    column past max_n, so that the candidates of column max_n get rules,
-    but runs no shelf of column max_n."""
-    seed = prism()
-    pending = {(6, 9): {certificate(seed): (seed, lambda: PRISM_CYCLES)}}
-    shelves = {}
-    for n in range(6, max_n + 1):
-        for m in _shelf_edges(n):
-            shelves[(n, m)] = [source(g, rule()) for _, (g, rule) in sorted(pending.get((n, m), {}).items())]
-            if n < max_n:
-                run_shelf(pending, n, m, range(7, max_n + 2))
-    return shelves
+class Derived(NamedTuple):
+    """A source as bridgings reads it, with the cycle set that the paper's
+    rules derive for it."""
+
+    graph: Graph
+    gens: list
+    cycles: CycleSet
+
+
+def derived(g: Graph, cycles: CycleSet | None = None) -> Derived:
+    """g as a source, with its cycle set, enumerated unless given."""
+    return Derived(g, automorphisms(g), enumerate_cycles_bruteforce(g) if cycles is None else cycles)
 
 
 def materialize(shape, src):
-    """Sources for the bridgings of the shape that bridgings makes of src,
-    as run_shelf makes them: each with the cycle set that apply_bridge
-    gives on its site."""
-    return [source(g, apply_bridge(src.cycles, src.graph.n, *site)) for g, site in bridgings(src, shape)]
+    """The bridgings of the shape that bridgings keeps of src, each as a
+    source with the cycle set that apply_bridge gives on its site; src's
+    own set is enumerated unless it carries one."""
+    cycles = getattr(src, "cycles", None)
+    if cycles is None:
+        cycles = enumerate_cycles_bruteforce(src.graph)
+    return [derived(g, apply_bridge(cycles, src.graph.n, *site)) for g, site in bridgings(src, shape)]
+
+
+def collect_shelves(max_n: int) -> dict[tuple[int, int], list[Derived]]:
+    """Every shelf with n <= max_n, keyed by (n, m), the prism seed's
+    included, walked as generate_min3 walks them: each as its sources in
+    certificate order.  A shelf keeps the first bridging that reaches each
+    of its classes, and derives its cycle set with apply_bridge on its site
+    from its source's, so that the paper's propagation runs along the
+    walk's sites; the prism's set is the enumerated PRISM_CYCLES."""
+    pending = {(6, 9): {certificate(prism()): (prism(), lambda: PRISM_CYCLES)}}
+    shelves = {}
+    for n in range(6, max_n + 1):
+        for m in _shelf_edges(n):
+            shelves[(n, m)] = [derived(g, rule()) for _, (g, rule) in sorted(pending.pop((n, m), {}).items())]
+            for src in shelves[(n, m)] if n < max_n else ():
+                for shape, (dn, dm) in DAWES_SHAPES.items():
+                    if n + dn <= max_n:
+                        shelf = pending.setdefault((n + dn, m + dm), {})
+                        for g, site in bridgings(src, shape):
+                            shelf.setdefault(certificate(g), (g, partial(apply_bridge, src.cycles, src.graph.n, *site)))
+    return shelves
 
 
 def candidate_sets(g: Graph):

@@ -36,7 +36,8 @@ from min3gen import (
     wheel,
 )
 from min3gen.cli import main as cli_main
-from min3gen.generator import PRISM_CYCLES, source
+from min3gen.cycles import PRISM_CYCLES
+from min3gen.generator import source
 from min3gen.io_validate import write_outputs
 
 MIN3_CI_SECONDS = 600

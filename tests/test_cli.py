@@ -314,7 +314,7 @@ def _edited(outputs9, tmp_path, name):
     return tree, (tree / name).read_text().split("\n")
 
 
-def test_resume_rejects_a_truncated_shelf(outputs9, tmp_path, capsys):
+def test_resume_rejects_a_truncated_group_file(outputs9, tmp_path, capsys):
     tree, lines = _edited(outputs9, tmp_path, "min3_n8_m13.g6")
     path = tree / "min3_n8_m13.g6"
     assert len(lines) > 7
@@ -325,7 +325,7 @@ def test_resume_rejects_a_truncated_shelf(outputs9, tmp_path, capsys):
     assert f"{path}: holds 3 lines, but counts.tsv says {len(lines) - 1}" in err
 
 
-def test_resume_rejects_an_entry_from_another_shelf(outputs9, tmp_path, capsys):
+def test_resume_rejects_a_line_from_another_group(outputs9, tmp_path, capsys):
     # A line moved in from (n, m) = (8, 13) keeps the line count right;
     # resumed from without the graph check, the n = 9 shelves would grow
     # from a graph of the wrong size.

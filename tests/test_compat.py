@@ -2,8 +2,7 @@
 
 Two independent oracles anchor this module.  A definition-level scan over
 all simple paths re-derives chording_free from scratch, on random graphs
-and on every gate call the generator makes on sources up to eight
-vertices.  The gates are then held to the operational standard they exist
+and at every site the generator tries on sources up to eight vertices.  The gates are then held to the operational standard they exist
 for: applying the matching operation must yield a minimally 3-connected
 graph exactly when the gate passes, checked exhaustively over every
 minimally 3-connected graph with at most eight vertices.
@@ -18,7 +17,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import min3gen.generator
 from helpers import (
     candidate_sets,
     chording_path_oracle,
@@ -30,7 +28,6 @@ from helpers import (
 from min3gen import (
     add_edge,
     chords,
-    bridgings,
     compat_query,
     compile_cycles,
     decode_graph6,
@@ -41,13 +38,14 @@ from min3gen import (
 )
 from min3gen.compat import chording_free, live_chords
 from min3gen.cycles import enumerate_cycles_bruteforce
+from min3gen.generator import _orbit_representatives
 from min3gen.graphs import DAWES_SHAPES
 from min3gen.io_validate import is_minimally_3_connected
 
 
 def _free(cs, g, pairs, banned=()) -> bool:
-    """The gate's two steps, as bridgings runs them: g's live-chord table
-    for the ban, then the search of the pairs."""
+    """The gate's two steps, as is_3_compatible runs them: g's live-chord
+    table for the ban, then the search of the pairs."""
     return chording_free(live_chords(compile_cycles(cs, g.n), g, tuple(banned)), pairs)
 
 
@@ -101,40 +99,24 @@ def _oracle_gate(g, cs, pairs, banned) -> bool:
     return not any(chording_path_oracle(g, cs, a, b, banned) for a, b in pairs)
 
 
-def test_pipeline_gate_calls_match_the_oracle(monkeypatch):
-    # Every gate that bridgings asks of a live-chord table, in each shape,
-    # on the shelves' sources up to n = 8, against the definition scan on
-    # the graph's brute-force cycles with the table's banned edges.
-    shelves = collect_shelves(8)
+def test_pipeline_gate_calls_match_the_oracle():
+    # The paper's gate at every site the pipeline tries, one per orbit, in
+    # each shape, on the shelves' sources up to n = 8, given the cycle set
+    # that apply_bridge derives along the walk, against the definition scan
+    # on the graph's brute-force cycles with the set's edges banned.
     calls = []
-    bans = {}  # id of each live-chord table -> the table, kept alive, and its ban
-
-    def building(table, g, banned):
-        live = live_chords(table, g, banned)
-        bans[id(live)] = live, banned
-        return live
-
-    def recording(live, pairs):
-        pairs = tuple(pairs)
-        got = chording_free(live, pairs)
-        calls.append((ent.graph, pairs, bans[id(live)][1], got))
-        return got
-
-    monkeypatch.setattr(min3gen.generator, "live_chords", building)
-    monkeypatch.setattr(min3gen.generator, "chording_free", recording)
-    for entries in shelves.values():
+    for entries in collect_shelves(8).values():
         for ent in entries:
+            cs = enumerate_cycles_bruteforce(ent.graph)
             for shape in DAWES_SHAPES:
-                bridgings(ent, shape)
-    cycle_sets = {}
-    for g, pairs, banned, got in calls:
-        if g not in cycle_sets:
-            cycle_sets[g] = enumerate_cycles_bruteforce(g)
-        cs = cycle_sets[g]
-        assert got == _oracle_gate(g, cs, pairs, banned), (g.edges(), pairs, banned)
-    passed = sum(got for *_, got in calls)
+                for vertices, edges in _orbit_representatives(ent.graph, shape, ent.gens):
+                    pairs = compat_query(vertices, edges)
+                    got = is_3_compatible(ent.cycles, ent.graph, vertices, edges)
+                    assert got == _oracle_gate(ent.graph, cs, pairs, edges), (ent.graph.edges(), pairs, edges)
+                    calls.append((pairs, got))
+    passed = sum(got for _, got in calls)
     assert 0 < passed < len(calls)
-    assert {len(pairs) for _, pairs, _, _ in calls} >= {2, 3, 4}
+    assert {len(pairs) for pairs, _ in calls} >= {2, 3, 4}
 
 
 @st.composite
@@ -162,7 +144,7 @@ def test_chording_free_matches_the_oracle(query):
     assert _free(cs, g, pairs, banned) == _oracle_gate(g, cs, pairs, banned)
     a, b = pairs[0]
     assert _free(cs, g, ((a, b),), banned) != chording_path_oracle(g, cs, a, b, banned)
-    # One live-chord table per ban, as bridgings builds it, answers each
+    # One live-chord table per ban, as is_3_compatible builds it, answers each
     # pair alone as the oracle does.
     live = live_chords(compile_cycles(cs, g.n), g, tuple(banned))
     assert [chording_free(live, [p]) for p in pairs] == [_oracle_gate(g, cs, [p], banned) for p in pairs]

@@ -11,25 +11,24 @@ from __future__ import annotations
 
 import gc
 import re
+import sys
 import weakref
 
 import pytest
 
 import min3gen.generator
-from helpers import candidate_sets, collect_shelves, materialize
+from helpers import candidate_sets, collect_shelves, derived, materialize
 from min3gen import (
     GeneratedSet,
     apply_bridge,
     bridge,
     bridgings,
     certificate,
-    compile_cycles,
     complete_bipartite_3,
     decode_graph6,
     encode_graph6,
     generate_cubic,
     generate_min3,
-    has_only_essential_edges,
     is_3_compatible,
     is_3_connected,
     is_minimally_3_connected,
@@ -42,20 +41,16 @@ from min3gen import (
 )
 from min3gen.canonical import automorphisms
 from min3gen.cli import main
-from min3gen.io_validate import CheckpointError
-from min3gen.cycles import enumerate_cycles_bruteforce
-from min3gen.generator import (
-    PRISM_CYCLES,
-    _orbit_representatives,
-    _shelf_edges,
-)
+from min3gen.cycles import PRISM_CYCLES, enumerate_cycles_bruteforce
+from min3gen.generator import _orbit_representatives, _shelf_edges
+from min3gen.io_validate import CheckpointError, high_edges_essential
 
 # The shapes, (vertex count, edge count), of Dawes' D1, D2 and D3 sets.
 OPS = ((1, 1), (0, 2), (3, 0))
 
 
 def _seed_entry():
-    return source(prism(), PRISM_CYCLES)
+    return derived(prism(), PRISM_CYCLES)
 
 
 def test_prism_cycle_table_matches_bruteforce():
@@ -112,47 +107,53 @@ def test_orbit_representatives_admit_the_classes_of_all_sites(sources9):
     assert tried < admitted
 
 
-def test_every_gate_verdict_is_the_minimality_of_its_bridging(sources9, monkeypatch):
+def test_every_gate_verdict_is_the_minimality_of_its_bridging(sources9):
     # Dawes' theorem, site by site: at every orbit representative site of
-    # the sources with n <= 9, the gate passes exactly when the bridging is
-    # minimally 3-connected.  Unlike the gate's chording-path oracle, this
-    # would catch a gate that is wrong in the same way as that definition.
-    gate = min3gen.generator.chording_free
-    verdicts = []
-
-    def recording(*args):
-        verdicts.append(gate(*args))
-        return True  # so that every site tried is bridged
-
-    monkeypatch.setattr(min3gen.generator, "chording_free", recording)
-    children = [g for ent in sources9 for shape in OPS for g, _ in bridgings(ent, shape)]
-    assert (len(children), len(verdicts), sum(verdicts)) == (7477, 7477, 4942)
-    assert [has_only_essential_edges(g) for g in children] == verdicts
+    # the sources with n <= 9, the paper's gate, is_3_compatible on the
+    # source's cycle set, passes exactly when the child test passes on the
+    # bridging, and bridgings keeps exactly those bridgings.  Unlike the
+    # gate's chording-path oracle, this would catch a gate that is wrong in
+    # the same way as that definition.
+    verdicts, children, kept = [], [], []
+    for ent in sources9:
+        for shape in OPS:
+            sites = _orbit_representatives(ent.graph, shape, ent.gens)
+            verdicts += [is_3_compatible(ent.cycles, ent.graph, *site) for site in sites]
+            children += [bridge(ent.graph, *site) for site in sites]
+            kept += [g for g, _ in bridgings(ent, shape)]
+    assert (len(children), sum(verdicts)) == (7477, 4942)
+    # The child test decides minimality only of a 3-connected graph, and
+    # Dawes' bridgings keep 3-connectivity.
+    assert all(is_3_connected(g) for g in children)
+    assert [high_edges_essential(g) for g in children] == verdicts
+    assert kept == [g for g, ok in zip(children, verdicts) if ok]
     # The definition-level oracle on a fixed sample of the sites.
     sample = range(0, len(children), 53)
     assert [is_minimally_3_connected(children[i]) for i in sample] == [verdicts[i] for i in sample]
 
 
 def test_every_bridging_rule_matches_bruteforce_cycles(monkeypatch):
-    # With a gate that passes everything, bridgings returns every site
-    # they try, one per orbit, each with its bridging.  On every minimally
-    # 3-connected graph up to n = 8, apply_bridge on the site must give
-    # the bridged graph's cycles, whether the site is 3-compatible or not.
-    monkeypatch.setattr(min3gen.generator, "chording_free", lambda *args: True)
-    graphs = [decode_graph6(c) for bucket in generate_min3(8).groups.values() for c in bucket]
+    # With a child test that passes everything, the walk up to n = 8 keeps
+    # every bridging, and reaches 42 graphs, all 3-connected, minimally or
+    # not.  At every site bridgings tries on each, one per orbit, apply_bridge
+    # on the site must give the bridged graph's cycles.
+    with monkeypatch.context() as patched:
+        patched.setattr(min3gen.generator, "high_edges_essential", lambda g: True)
+        graphs = [decode_graph6(c) for bucket in generate_min3(8).groups.values() for c in bucket]
+    assert len(graphs) == 42
     sites = 0
     for g in graphs:
-        ent = source(g)
+        cycles, gens = enumerate_cycles_bruteforce(g), automorphisms(g)
         for shape in OPS:
-            for g2, site in bridgings(ent, shape):
-                cycles = apply_bridge(ent.cycles, ent.graph.n, *site)
-                assert cycles == enumerate_cycles_bruteforce(g2), (shape, g.edges(), g2.edges())
+            for site in _orbit_representatives(g, shape, gens):
+                g2 = bridge(g, *site)
+                assert apply_bridge(cycles, g.n, *site) == enumerate_cycles_bruteforce(g2), (shape, g.edges(), site)
                 sites += 1
     assert sites == 2600
 
 
 def _seed_shelves():
-    return {(6, 9): {certificate(prism()): (prism(), lambda: PRISM_CYCLES)}}
+    return {(6, 9): {certificate(prism())}}
 
 
 def test_run_shelf_first_column():
@@ -181,11 +182,11 @@ def test_run_shelf_dedups_across_classes():
 
 def test_a_final_shelf_holds_its_classes_and_makes_no_sources(monkeypatch):
     # A shelf that feeds no shelf in reach holds the same classes, and none
-    # of its graphs becomes a source, so no rule gives its cycle set.
+    # of its graphs becomes a source.
     shelves = collect_shelves(8)
     sourced = []
     real = min3gen.generator.source
-    monkeypatch.setattr(min3gen.generator, "source", lambda g, cycles=None: sourced.append(g.n) or real(g, cycles))
+    monkeypatch.setattr(min3gen.generator, "source", lambda g: sourced.append(g.n) or real(g))
     pending = _seed_shelves()
     checked = 0
     for n in (6, 7, 8):
@@ -199,26 +200,24 @@ def test_a_final_shelf_holds_its_classes_and_makes_no_sources(monkeypatch):
 
 
 def test_final_column_derives_no_cycle_sets(monkeypatch):
-    # A shelf of the column n = max_n stores None for each certificate, so
-    # no cycle set is ever derived for it; a candidate of any other column
-    # holds its graph and its rule.
-    bound: dict[int, set[bool]] = {}
+    # No column derives a cycle set: every shelf is a set of certificates,
+    # and only the columns before max_n decode theirs into sources.
+    kinds = set()
     run_shelf = min3gen.generator.run_shelf
 
     def inspecting(shelves, n, m, reach):
-        for value in shelves.get((n, m), {}).values():
-            bound.setdefault(n, set()).add(value is not None and callable(value[1]))
+        kinds.update((type(shelf), type(cert)) for shelf in shelves.values() for cert in shelf)
         return run_shelf(shelves, n, m, reach)
 
     monkeypatch.setattr(min3gen.generator, "run_shelf", inspecting)
-    generate_min3(8)
-    assert bound == {6: {True}, 7: {True}, 8: {False}}
-    # A resume makes sources of the two columns the next one reads, less
-    # the wheels and K_{3,t}, and none when it already reaches max_n.
     sourced = []
     real = min3gen.generator.source
-    monkeypatch.setattr(min3gen.generator, "source", lambda g, cycles=None: sourced.append(g.n) or real(g, cycles))
+    monkeypatch.setattr(min3gen.generator, "source", lambda g: sourced.append(g.n) or real(g))
     outputs8 = generate_min3(8)
+    assert kinds == {(set, str)}
+    assert sorted(sourced) == [6] + [7] * 3
+    # A resume makes sources of the two columns the next one reads, less
+    # the wheels and K_{3,t}, and none when it already reaches max_n.
     sourced.clear()
     generate_min3(9, resume=outputs8)
     assert sorted(sourced) == [7] * 3 + [8] * 16
@@ -228,88 +227,90 @@ def test_final_column_derives_no_cycle_sets(monkeypatch):
 
 
 def _count_work(monkeypatch) -> dict[str, list]:
-    """Record the arguments of every automorphism group, live-chord table,
-    gate, certificate and compile call the generator makes, by name."""
+    """Record the arguments and result of every automorphism group, decode,
+    bridging, child test and certificate call the generator makes, by name."""
     calls: dict[str, list] = {}
 
     def counting(name, fn):
         calls[name] = []
 
         def counted(*args):
-            calls[name].append(args)
-            return fn(*args)
+            calls[name].append((args, fn(*args)))
+            return calls[name][-1][1]
 
         return counted
 
-    for name in ("automorphisms", "live_chords", "chording_free", "certificate"):
+    for name in ("automorphisms", "decode_graph6", "bridge", "high_edges_essential", "certificate"):
         monkeypatch.setattr(min3gen.generator, name, counting(name, getattr(min3gen.generator, name)))
-    counted = counting("compile_cycles", min3gen.compat.compile_cycles)
-    for module in (min3gen.generator, min3gen.compat):
-        monkeypatch.setattr(module, "compile_cycles", counted)
     return calls
 
 
 def test_each_source_gets_its_automorphisms_once(monkeypatch):
     calls = _count_work(monkeypatch)
     generate_min3(10)
-    # The sources are the 75 entries of the shelves with n <= 9.
-    certs = [certificate(g) for g, in calls["automorphisms"]]
+    # The sources are the 75 entries of the shelves with n <= 9, each
+    # decoded once; every site tried is bridged and tested on its child.
+    certs = [certificate(g) for (g,), _ in calls["automorphisms"]]
     assert len(certs) == len(set(certs)) == 75
     counts = {name: len(args) for name, args in calls.items()}
-    # One live-chord table per run of sites sharing a ban: per edge for
-    # (1, 1), per source for (3, 0), per site for (0, 2).
-    assert counts == {
-        "automorphisms": 75, "live_chords": 1198, "chording_free": 4526, "certificate": 2020, "compile_cycles": 75,
-    }
+    kept = sum(result for _, result in calls["high_edges_essential"])
+    assert (counts, kept) == (
+        {"automorphisms": 75, "decode_graph6": 75, "bridge": 4526, "high_edges_essential": 4526, "certificate": 2020},
+        2009,
+    )
     # Resuming n <= 9 to 10 makes sources of columns 8 and 9 only.
     outputs9 = generate_min3(9)
     for args in calls.values():
         args.clear()
     generate_min3(10, resume=outputs9)
     counts = {name: len(args) for name, args in calls.items()}
-    assert counts == {
-        "automorphisms": 71, "live_chords": 997, "chording_free": 3899, "certificate": 1725, "compile_cycles": 71,
-    }
+    kept = sum(result for _, result in calls["high_edges_essential"])
+    assert (counts, kept) == (
+        {"automorphisms": 71, "decode_graph6": 71, "bridge": 3899, "high_edges_essential": 3899, "certificate": 1725},
+        1715,
+    )
 
 
 def test_generate_min3_keeps_no_compiled_cycle_sets(monkeypatch):
-    # Each source's cycle set is compiled once, when it becomes a source,
-    # and lives only as long as a candidate's rule holds it.  The rules of
-    # a column-n source are read by columns n + 1 and n + 2, and no
-    # candidate of the final column holds one, so the set is gone once
-    # column min(n + 2, max_n - 1) has run; for a source of column
-    # max_n - 1, once its own column has.  Nothing outlives the run.
-    max_n = 9
-    compiled: list[tuple[int, weakref.ref]] = []  # (source's column, its cycle set)
-    real = min3gen.generator.compile_cycles
+    # The walk compiles no cycle set (see test_the_walk_carries_no_cycle_set),
+    # and keeps no source past its shelf: each, with its graph and
+    # generators, is gone once the shelf that made it has run.
+    made, late = [], []
+    real = min3gen.generator.source
 
-    def recording(cycles, n):
-        compiled.append((n, weakref.ref(cycles)))
-        return real(cycles, n)
-
-    def due(column: int) -> int:
-        return max(column, min(column + 2, max_n - 1))
-
-    checked, late = [], []
+    def recording(g):
+        ent = real(g)
+        made.append(weakref.ref(ent))
+        return ent
 
     def progress(line):
-        n, m = map(int, re.match(r"min3 shelf n=(\d+) m=(\d+)", line).groups())
-        if m == 3 * n - 10:  # the column's last shelf
-            gc.collect()
-            for column, ref in compiled:
-                if due(column) == n:
-                    checked.append(column)
-                    if ref() is not None:
-                        late.append((n, column))
+        gc.collect()
+        late.extend(line for ref in made if ref() is not None)
 
-    monkeypatch.setattr(min3gen.generator, "compile_cycles", recording)
-    generate_min3(max_n, progress=progress)
-    assert len(compiled) == 20
+    monkeypatch.setattr(min3gen.generator, "source", recording)
+    generate_min3(9, progress=progress)
+    assert len(made) == 20
     assert late == []
-    # Every source was checked, those of column 8 at the end of their own.
-    assert sorted(checked) == [6] + [7] * 3 + [8] * 16
-    gc.collect()
-    assert not any(ref() is not None for _, ref in compiled)
+
+
+def test_the_walk_carries_no_cycle_set(monkeypatch):
+    # The paper's cycle set propagation and gate are the oracle only: with
+    # every one of their steps made to raise, a fresh run and a resumed one
+    # still give the groups they give unpatched.
+    fresh, outputs8 = generate_min3(9), generate_min3(8)
+    resumed = generate_min3(9, resume=outputs8)
+    assert resumed == fresh
+
+    def forbidden(*args):
+        raise AssertionError("the walk reached a cycle set step")
+
+    names = ("enumerate_cycles_bruteforce", "compile_cycles", "live_chords", "chording_free", "apply_bridge")
+    for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "min3gen"]:
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    assert generate_min3(9) == fresh
+    assert generate_min3(9, resume=outputs8) == resumed
 
 
 def test_generate_min3_smallest_budget():
@@ -350,17 +351,28 @@ def test_generated_buckets_are_cert_sorted_and_distinct():
         assert len(certs) == len(set(certs))
 
 
-def test_sources_hold_their_shelf_graph_and_compiled_table():
-    # A source records its graph, cycle set, generators and compiled
-    # table; its shelf holds the sources in certificate order.
+def _sources(monkeypatch, run) -> list:
+    """The sources that generate_min3 makes in run(), in the order it makes them."""
+    made = []
+    real = min3gen.generator.source
+    monkeypatch.setattr(min3gen.generator, "source", lambda g: made.append(real(g)) or made[-1])
+    run()
+    monkeypatch.setattr(min3gen.generator, "source", real)
+    return made
+
+
+def test_sources_hold_their_shelf_graph_and_generators(monkeypatch):
+    # The walk makes each graph of a shelf before max_n a source once,
+    # shelf by shelf in certificate order: its class's canonical labelling,
+    # with generators of its automorphism group.
+    made = _sources(monkeypatch, lambda: generate_min3(8))
     shelves = collect_shelves(8)
     assert len(shelves) == 7
-    for (n, m), entries in shelves.items():
-        certs = [certificate(ent.graph) for ent in entries]
-        assert certs == sorted(set(certs))
-        for ent in entries:
-            assert (ent.graph.n, ent.graph.m) == (n, m)
-            assert ent.table == compile_cycles(ent.cycles, n)
+    expected = [certificate(ent.graph) for (n, _), entries in shelves.items() if n < 8 for ent in entries]
+    assert [encode_graph6(ent.graph) for ent in made] == expected
+    for ent in made:
+        assert certificate(ent.graph) == encode_graph6(ent.graph)
+        assert ent.gens == automorphisms(ent.graph)
 
 
 def test_every_shelf_entry_is_minimally_3_connected():
@@ -451,28 +463,14 @@ def test_resume_rejects_a_set_missing_a_group():
         generate_min3(9, resume=GeneratedSet("min3", groups))
 
 
-def test_loaded_shelves_derive_the_cycle_sets_a_run_stores(monkeypatch):
-    # A resumed source is its class's canonical labelling, so its cycle set
-    # is the run's relabelled: of the same size, and its own graph's, as
-    # are its generators.
-    fresh = {certificate(ent.graph): ent for entries in collect_shelves(8).values() for ent in entries}
+def test_resumed_sources_are_those_of_a_fresh_run(monkeypatch):
+    # A resumed run decodes the certificates of its last two columns into
+    # the sources a fresh run makes of them, graphs and generators alike.
     outputs8 = generate_min3(8)
-    made = []
-    real = min3gen.generator.source
-
-    def sourcing(g, cycles=None):
-        made.append(real(g, cycles))
-        return made[-1]
-
-    monkeypatch.setattr(min3gen.generator, "source", sourcing)
-    generate_min3(9, resume=outputs8)
-    assert len(made) == 19
-    for ent in made:
-        ref = fresh[certificate(ent.graph)]
-        assert encode_graph6(ent.graph) == certificate(ent.graph)
-        assert ent.cycles == enumerate_cycles_bruteforce(ent.graph)
-        assert len(ent.cycles) == len(ref.cycles)
-        assert ent.gens == automorphisms(ent.graph)
+    fresh = _sources(monkeypatch, lambda: generate_min3(9))
+    resumed = _sources(monkeypatch, lambda: generate_min3(9, resume=outputs8))
+    assert len(fresh) == 20
+    assert resumed == fresh[1:]
 
 
 def test_generate_cubic_counts_and_validity():

@@ -22,7 +22,7 @@ from min3gen import (
     subdivide_edge,
     wheel,
 )
-from min3gen.graphs import mask_reachable
+from min3gen.graphs import mask_path
 
 
 def test_construction_and_accessors():
@@ -255,6 +255,20 @@ def test_permuted_copies_share_size():
 def test_mask_reachable():
     path = Graph(4, [(0, 1), (1, 2), (2, 3)])
     masks = [path.neighbor_mask(v) for v in path.vertices]
-    assert mask_reachable(masks, 0, 3, 0)
-    assert not mask_reachable(masks, 0, 3, 1 << 2)
-    assert mask_reachable(masks, 0, 0, 0)
+    assert mask_path(masks, 0, 3, 0) >= 0
+    assert mask_path(masks, 0, 3, 1 << 2) < 0
+    assert mask_path(masks, 0, 0, 0) >= 0
+    # The inner vertices of a shortest path: 1 and 2 on the path, none
+    # between neighbours, and in C6 those of the 0..3 path that the
+    # forbidden set spares.
+    assert mask_path(masks, 0, 3, 0) == 0b0110
+    assert mask_path(masks, 0, 0, 0) == mask_path(masks, 1, 2, 0) == 0
+    c6 = [Graph(6, [(i, (i + 1) % 6) for i in range(6)]).neighbor_mask(v) for v in range(6)]
+    assert mask_path(c6, 0, 3, 1 << 1) == 1 << 4 | 1 << 5
+    assert mask_path(c6, 0, 3, 1 << 5) == 1 << 1 | 1 << 2
+    assert mask_path(c6, 0, 3, 1 << 1 | 1 << 5) == -1
+    # Among shortest paths, one is returned whole: in K_{2,3}, 0..1 through
+    # exactly one of 2, 3 and 4.
+    k23 = Graph(5, [(i, j) for i in (0, 1) for j in (2, 3, 4)])
+    inner = mask_path([k23.neighbor_mask(v) for v in k23.vertices], 0, 1, 0)
+    assert inner in (1 << 2, 1 << 3, 1 << 4)

@@ -159,10 +159,19 @@ def test_fast_minimality_test_matches_the_oracle_on_the_outputs(min3_run, monkey
     graphs = [decode_graph6(c) for bucket in min3_run[0].groups.values() for c in bucket]
     assert len(graphs) == 368
     checked = _record_3_connectivity_checks(monkeypatch)
+    searched = []
+    search = min3gen.io_validate._separated
+
+    def searching(masks, u, v, cut, more):
+        if not cut:
+            searched.append((u, v))
+        return search(masks, u, v, cut, more)
+
+    monkeypatch.setattr(min3gen.io_validate, "_separated", searching)
     assert all(has_only_essential_edges(g) for g in graphs)
-    # One check per graph; degree 3 settles all but a few of the 5,897
-    # edges, each of which costs one more.
-    assert (sum(g.m for g in graphs), len(checked)) == (5897, 368 + 14)
+    # One 3-connectivity check per graph; degree 3 settles all but a few of
+    # the 5,897 edges, each of which costs one separator search.
+    assert (sum(g.m for g in graphs), len(checked), len(searched)) == (5897, 368, 14)
     supergraphs = []
     for g in graphs:
         u, v = next(e for e in combinations(g.vertices, 2) if not g.has_edge(*e))
