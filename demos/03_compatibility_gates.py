@@ -16,30 +16,31 @@ from min3gen import (
     bridge,
     complete_bipartite_3,
     enumerate_cycles_bruteforce,
+    has_chording_path,
     is_3_compatible,
     is_minimally_3_connected,
     prism,
     wheel,
 )
-from min3gen.compat import chording_free, compile_cycles, live_chords
 from min3gen.io_validate import high_edges_essential
 
 # A chording path contains a chord of some cycle and meets that cycle only
 # at the chord's endpoints.  In prism + 02 the path 3-2-5 is one between 3
 # and 5: it uses the chord 25 of the cycle (0,2,1,5,4) and meets that cycle
 # only at 2 and 5.
+# has_chording_path decides it for one pair of ends, given the cycle set.
 g = add_edge(prism(), 0, 2)
-table = compile_cycles(enumerate_cycles_bruteforce(g), g.n)
-# live_chords builds the search's table for a ban of edges, here none, and
-# chording_free asks it for a list of endpoint pairs at once.
-print("prism+02: chording path between 3 and 5:", not chording_free(live_chords(table, g, ()), ((3, 5),)))
+cycles = enumerate_cycles_bruteforce(g)
+print("prism+02: chording path between 3 and 5:", has_chording_path(cycles, g, 3, 5))
 
-# Banned edges model "after this edge is deleted" without rebuilding.
-print("same query with edge 01 banned:", not chording_free(live_chords(table, g, ((0, 1),)), ((3, 5),)))
+# Banned edges model "after this edge is deleted" without rebuilding: a
+# cycle through one is dropped, and a banned chord is no chord.
+print("same query with edge 01 banned:", has_chording_path(cycles, g, 3, 5, ((0, 1),)))
 
 # is_3_compatible takes a set as its vertices and its edges, checks it
-# against the graph, and decides every shape by one rule: it bans the set's
-# edges and asks chording_free of compat_query's pairs of its members' ends.
+# against the graph, and decides every shape by one rule: no pair of
+# compat_query's ends of its members has a chording path once the set's
+# edges are banned.
 
 # Gate shape 1: {x, ab} guards bridging vertex x to edge ab (operation D1).
 k4 = wheel(3)

@@ -8,12 +8,7 @@ oracles.
 """
 
 from .canonical import are_isomorphic_bruteforce, automorphisms, certificate
-from .compat import (
-    CompiledCycles,
-    compat_query,
-    compile_cycles,
-    is_3_compatible,
-)
+from .compat import compat_query, has_chording_path, is_3_compatible
 from .cycles import (
     PRISM_CYCLES,
     Cycle,
@@ -67,7 +62,6 @@ __all__ = [
     "Cycle",
     "CycleSet",
     "CheckpointError",
-    "CompiledCycles",
     "Edge",
     "GeneratedSet",
     "Graph",
@@ -86,7 +80,6 @@ __all__ = [
     "certificate",
     "chords",
     "compat_query",
-    "compile_cycles",
     "complete_bipartite_3",
     "decode_graph6",
     "delete_edge",
@@ -97,6 +90,7 @@ __all__ = [
     "extract_pattern",
     "generate_cubic",
     "generate_min3",
+    "has_chording_path",
     "has_only_essential_edges",
     "is_3_compatible",
     "is_3_connected",

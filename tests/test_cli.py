@@ -378,7 +378,7 @@ def test_resume_rejects_a_line_that_is_not_minimally_3_connected(outputs9, tmp_p
     [("min3_n9_m16.g6", wheel(8)), ("min3_n7_m12.g6", complete_bipartite_3(4))],
     ids=["wheel", "k3t"],
 )
-def test_resume_rejects_an_a_line_holding_a_directly_built_graph(outputs9, name, graph, tmp_path, capsys):
+def test_resume_rejects_a_second_line_of_a_directly_built_class(outputs9, name, graph, tmp_path, capsys):
     # The wheel or K_{3,t} put in place of another line of its file is a
     # second line of its class.
     tree, lines = _edited(outputs9, tmp_path, name)
@@ -393,7 +393,7 @@ def test_resume_rejects_an_a_line_holding_a_directly_built_graph(outputs9, name,
 
 
 @pytest.mark.parametrize("name", ["", "missing"])
-def test_resume_rejects_a_directory_without_shelf_files(name, tmp_path, capsys):
+def test_resume_rejects_a_directory_without_counts_tsv(name, tmp_path, capsys):
     # A directory without counts.tsv, or no directory at all.
     resume = tmp_path / (name or "empty")
     if not name:

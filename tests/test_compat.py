@@ -1,8 +1,10 @@
 """Chording path detection and the 3-compatibility gate.
 
 Two independent oracles anchor this module.  A definition-level scan over
-all simple paths re-derives chording_free from scratch, on random graphs
-and at every site the generator tries on sources up to eight vertices.  The gates are then held to the operational standard they exist
+all simple paths re-derives has_chording_path from scratch, on fixed cases
+that pin each position of the ends relative to the chord's cycle, on
+random graphs and at every site the generator tries on sources up to eight
+vertices.  The gate is then held to the operational standard it exists
 for: applying the matching operation must yield a minimally 3-connected
 graph exactly when the gate passes, checked exhaustively over every
 minimally 3-connected graph with at most eight vertices.
@@ -26,41 +28,57 @@ from helpers import (
     two_connected_graphs,
 )
 from min3gen import (
+    Graph,
     add_edge,
+    canonical_cycle,
     chords,
     compat_query,
-    compile_cycles,
     decode_graph6,
     generate_min3,
+    has_chording_path,
     is_3_compatible,
     prism,
     wheel,
 )
-from min3gen.compat import chording_free, live_chords
 from min3gen.cycles import enumerate_cycles_bruteforce
 from min3gen.generator import _orbit_representatives
 from min3gen.graphs import DAWES_SHAPES
 from min3gen.io_validate import is_minimally_3_connected
 
 
-def _free(cs, g, pairs, banned=()) -> bool:
-    """The gate's two steps, as is_3_compatible runs them: g's live-chord
-    table for the ban, then the search of the pairs."""
-    return chording_free(live_chords(compile_cycles(cs, g.n), g, tuple(banned)), pairs)
-
-
 def test_has_chording_path_fixed_cases(k4):
     k5 = complete_graph(5)
-    cs5 = enumerate_cycles_bruteforce(k5)
-    assert not _free(cs5, k5, ((0, 3),))
+    assert has_chording_path(enumerate_cycles_bruteforce(k5), k5, 0, 3)
 
     cs4 = enumerate_cycles_bruteforce(k4)
-    assert _free(cs4, k4, ((3, 0),), ((0, 1),))
-    assert _free(cs4, k4, ((3, 1),), ((0, 1),))
+    assert not has_chording_path(cs4, k4, 3, 0, ((0, 1),))
+    assert not has_chording_path(cs4, k4, 3, 1, ((0, 1),))
 
     g02 = add_edge(prism(), 0, 2)
-    cs02 = enumerate_cycles_bruteforce(g02)
-    assert not _free(cs02, g02, ((3, 5),))
+    assert has_chording_path(enumerate_cycles_bruteforce(g02), g02, 3, 5)
+
+    # One hexagon 0..5 with the chord 03, and a path 7, 1 and a path 3, 6,
+    # 8, 0 off it, with 9 hanging on 8.  Given that cycle alone, each
+    # position of the ends relative to it has a pair with a chording path
+    # and one without, in either order, as the definition scan finds.
+    hexagon = frozenset({canonical_cycle(range(6))})
+    g = Graph(10, [(i, (i + 1) % 6) for i in range(6)] + [(0, 3), (3, 6), (1, 7), (0, 8), (6, 8), (8, 9)])
+    for a, b, want in (
+        (0, 3, True),  # both ends on the cycle: the chord itself
+        (0, 2, False),  # 02 is no edge
+        (0, 6, True),  # only a on it: 0, 3, 6
+        (0, 7, False),  # 3 reaches 7 only over the cycle
+        (8, 3, True),  # only b on it, so the ends swap: 3, 0, 8
+        (7, 3, False),  # 0 reaches 7 only over the cycle
+        (8, 6, True),  # neither on it: 8, 0, 3, 6
+        (6, 7, False),  # no arm reaches 7 off the cycle
+        (8, 9, False),  # 3 reaches 9 only through 8, the other arm's start
+    ):
+        assert chording_path_oracle(g, hexagon, a, b) == want
+        assert has_chording_path(hexagon, g, a, b) == has_chording_path(hexagon, g, b, a) == want, (a, b)
+    # A banned chord, or a banned edge of the cycle, leaves no chord.
+    assert not has_chording_path(hexagon, g, 8, 6, ((0, 3),))
+    assert not has_chording_path(hexagon, g, 8, 6, ((4, 5),))
 
 
 def test_has_chording_path_validation(prism_graph, prism_cycles):
@@ -87,11 +105,11 @@ def test_has_chording_path_matches_definition_scan():
             continue
         a, b = rng.sample(range(g.n), 2)
         banned = tuple(rng.sample(g.edges(), rng.randint(0, min(2, g.m))))
-        got = not _free(cs, g, ((a, b),), banned)
+        got = has_chording_path(cs, g, a, b, banned)
         want = chording_path_oracle(g, cs, a, b, banned)
         assert got == want, (g.edges(), a, b, banned)
         # Pairs are unordered.
-        assert got != _free(cs, g, ((b, a),), banned)
+        assert got == has_chording_path(cs, g, b, a, banned)
         done += 1
 
 
@@ -139,15 +157,12 @@ def _gate_queries(draw):
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_gate_queries())
-def test_chording_free_matches_the_oracle(query):
+def test_is_3_compatible_matches_the_oracle(query):
     g, cs, pairs, banned = query
-    assert _free(cs, g, pairs, banned) == _oracle_gate(g, cs, pairs, banned)
-    a, b = pairs[0]
-    assert _free(cs, g, ((a, b),), banned) != chording_path_oracle(g, cs, a, b, banned)
-    # One live-chord table per ban, as is_3_compatible builds it, answers each
-    # pair alone as the oracle does.
-    live = live_chords(compile_cycles(cs, g.n), g, tuple(banned))
-    assert [chording_free(live, [p]) for p in pairs] == [_oracle_gate(g, cs, [p], banned) for p in pairs]
+    # Each pair alone, then all of them in the form is_3_compatible takes.
+    got = [has_chording_path(cs, g, a, b, banned) for a, b in pairs]
+    assert got == [chording_path_oracle(g, cs, a, b, banned) for a, b in pairs]
+    assert (not any(got)) == _oracle_gate(g, cs, pairs, banned)
 
 
 def test_compat_query_fixed_cases():

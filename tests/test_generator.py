@@ -304,9 +304,13 @@ def test_the_walk_carries_no_cycle_set(monkeypatch):
     def forbidden(*args):
         raise AssertionError("the walk reached a cycle set step")
 
-    names = ("enumerate_cycles_bruteforce", "compile_cycles", "live_chords", "chording_free", "apply_bridge")
-    for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "min3gen"]:
-        for name in names:
+    names = ("enumerate_cycles_bruteforce", "has_chording_path", "is_3_compatible", "apply_bridge")
+    modules = [m for key, m in sys.modules.items() if key.split(".")[0] == "min3gen"]
+    for name in names:
+        # A name no module binds would be patched nowhere, and the test
+        # would pass without checking it.
+        assert any(hasattr(module, name) for module in modules), name
+        for module in modules:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, forbidden)
     assert generate_min3(9) == fresh
