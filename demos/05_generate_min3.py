@@ -57,7 +57,10 @@ print("wheel(7) emitted at (8,14):", certificate(wheel(7)) in result.groups[(8, 
 # automorphism group generators, and bridgings(src, shape) bridges it at
 # one site per orbit, keeping each child whose edges between vertices of
 # degree 4 or more are essential.  Here columns 7 and 8 are in reach, and
-# column 7 is built from the prism seed.
+# column 7 is built from the prism seed.  generate_min3 completes every
+# shelf of a column first and then bridges the column's graphs at once,
+# split between two processes where two CPUs are free; the shelves are
+# sets of certificates, so the result is the same either way.
 shelves = {(6, 9): {certificate(prism())}}
 reach = range(7, 9)
 print("\nshelf (n=6, m=9):", run_shelf(shelves, 6, 9, reach))

@@ -12,31 +12,42 @@ the two previous columns:
 - two edges, shape (0, 2), of each graph on shelf (n-2, m-3).
 
 Turned around, each graph feeds exactly three later shelves, so the walk
-pushes: once a shelf, a set of certificates, is complete, each is decoded
-into a source once and bridged into the shelves it feeds, at one site per
-orbit of the source's automorphism group, since the sites of an orbit give
-isomorphic graphs.  A bridging of a 3-connected graph is 3-connected, so
-it is kept exactly when io_validate.high_edges_essential holds of it;
-bridgings(src, shape) returns those of one shape, each with its site, the
-set's vertices and edges.  The walk carries no graph and no cycle set
-from shelf to shelf.  The paper decides a bridging on the source instead,
-by the 3-compatibility of its set on the source's cycle set; compat and
-cycles keep that method as the oracle of the child test.
+pushes: once a column's shelves, sets of certificates, are complete, each
+certificate is decoded into a source once and bridged into the shelves it
+feeds, at one site per orbit of the source's automorphism group, since the
+sites of an orbit give isomorphic graphs.  A bridging of a 3-connected
+graph is 3-connected, so it is kept exactly when
+io_validate.high_edges_essential holds of it; bridgings(src, shape)
+returns those of one shape, each with its site, the set's vertices and
+edges.  The walk carries no graph and no cycle set from shelf to shelf.
+The paper decides a bridging on the source instead, by the
+3-compatibility of its set on the source's cycle set; compat and cycles
+keep that method as the oracle of the child test.
 
 Wheels and K_{3,t}, the minimally 3-connected graphs no prism-rooted chain
 reaches, are built directly; each joins its group as its shelf completes.
 The cubic mode is separate and far simpler: starting from K4, it bridges
 one pair of distinct edges from each orbit of its source's automorphism
 group on edge pairs.
+
+A source's bridgings depend on that source alone, so where two CPUs are
+free both modes split a column's (or a cubic level's) sources between two
+processes: a forked worker bridges the odd-indexed ones while this process
+bridges the even-indexed ones, and the worker's shelves join these as sets
+of certificates.  A group is its sorted certificates, whichever process
+found them, so the outputs do not depend on the split.
 """
 
 from __future__ import annotations
 
+import marshal
+import os
+import sys
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
 from operator import or_
-from typing import Callable
+from typing import Callable, TypeVar
 
 from .canonical import automorphisms, certificate
 from .graphs import DAWES_SHAPES, GRAPH6_MAX_N, Edge, Graph, bridge, complete_bipartite_3, edge, prism, wheel
@@ -48,6 +59,7 @@ Shelves = dict[tuple[int, int], set[str]]
 Permutation = tuple[int, ...]
 Shape = tuple[int, int]  # a set's (vertex count, edge count)
 Site = tuple[tuple[int, ...], tuple[Edge, ...]]  # a set's vertices and edges
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -135,24 +147,95 @@ def source(g: Graph) -> ShelfEntry:
     return ShelfEntry(g, automorphisms(g))
 
 
+def _cpus() -> int:
+    """The processes a column's sources are split between: two where this
+    process can fork and may run on two CPUs or more, else one."""
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2:
+        return 2
+    return 1
+
+
+def _fan_out(push: Callable[[Shelves, list[T]], None], shelves: Shelves, sources: list[T]) -> None:
+    """push(shelves, sources), split between two processes when _cpus()
+    gives two and there are two sources or more.
+
+    This process pushes the even-indexed sources into shelves, and one
+    forked worker pushes the odd-indexed ones into shelves of its own,
+    which it sends back by marshal over a pipe and which join shelves as
+    sets of certificates.  A worker that raises or exits otherwise than
+    with 0 makes this raise RuntimeError; a raise here, an interrupt
+    included, kills the worker; and the worker is always reaped.
+    """
+    if len(sources) < 2 or _cpus() < 2:
+        push(shelves, sources)
+        return
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_end)
+            own: Shelves = {}
+            push(own, sources[1::2])
+            with open(write_end, "wb") as pipe:
+                pipe.write(marshal.dumps(own))
+            status = 0
+        except BaseException:
+            import traceback
+
+            traceback.print_exc()
+            sys.stderr.flush()
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    try:
+        with open(read_end, "rb") as pipe:
+            push(shelves, sources[::2])
+            payload = pipe.read()
+    except BaseException:
+        import signal  # only here, to keep it out of every run's start-up
+
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code != 0:
+        raise RuntimeError(f"the worker bridging the odd-indexed sources exited with {code}")
+    for key, certs in marshal.loads(payload).items():
+        shelves.setdefault(key, set()).update(certs)
+
+
+def _push(shelves: Shelves, n: int, column: dict[int, list[str]], reach: range) -> None:
+    """Bridge each graph of column n, the certificates of its shelves by
+    edge count, into the shelves it feeds in reach, which gain the
+    certificates of the bridgings kept.
+
+    A graph is decoded from its certificate and becomes a source, once:
+    bridgings bridges its sets of shapes (1, 1), (3, 0) and (0, 2) from
+    (n, m) into (n+1, m+2), (n+1, m+3) and (n+2, m+3), those in reach.
+    """
+    feeds = [(shape, dn, dm) for shape, (dn, dm) in DAWES_SHAPES.items() if n + dn in reach]
+
+    def push(into: Shelves, sources: list[tuple[int, str]]) -> None:
+        for m, cert in sources:
+            src = source(decode_graph6(cert))
+            for shape, dn, dm in feeds:
+                into.setdefault((n + dn, m + dm), set()).update(certificate(g2) for g2, _ in bridgings(src, shape))
+
+    if feeds:
+        _fan_out(push, shelves, [(m, cert) for m, certs in column.items() for cert in certs])
+
+
 def run_shelf(shelves: Shelves, n: int, m: int, reach: range) -> list[str]:
     """Complete shelf (n, m): return its sorted certificates, and push each
-    of its graphs that feeds a column of reach into the shelves it feeds.
+    of its graphs that feeds a column of reach into the shelves it feeds,
+    as _push does.
 
     The walk reaches (n, m) after (n-1, m-2), (n-1, m-3) and (n-2, m-3),
-    so every certificate for it has arrived.  A graph it pushes is decoded
-    from its certificate and becomes a source, once: bridgings bridges its
-    sets of shapes (1, 1), (3, 0) and (0, 2) into (n+1, m+2), (n+1, m+3)
-    and (n+2, m+3), those in reach, which gain the certificates of the
-    bridgings kept.
+    so every certificate for it has arrived.
     """
     certs = sorted(shelves.pop((n, m), ()))
-    feeds = [(shape, (n + dn, m + dm)) for shape, (dn, dm) in DAWES_SHAPES.items() if n + dn in reach]
-    if feeds:
-        for cert in certs:
-            src = source(decode_graph6(cert))
-            for shape, key in feeds:
-                shelves.setdefault(key, set()).update(certificate(g2) for g2, _ in bridgings(src, shape))
+    _push(shelves, n, {m: certs}, reach)
     return certs
 
 
@@ -195,15 +278,16 @@ def generate_min3(max_n: int, *, progress: Progress | None = None, resume: Gener
     resume, the result of an earlier run such as io_validate.read_outputs
     gives, or else column 6, the prism, K_{3,3} and W_5.  When max_n is past
     last, the certificates of the last two columns, less the wheels and
-    K_{3,t}, fill the first shelves, and run_shelf walks the shelves column
-    by column (n outer, m from ceil(3n/2) to 3n-9) from column last - 1 to
-    max_n, making sources of the graphs that feed the columns after last;
-    otherwise nothing is decoded.  Each shelf after last, joined by the
-    wheel or K_{3,t} of its (n, m), is a group of sorted certificates,
-    complete and reported to progress when run_shelf returns.  A resumed
-    set that lacks a group of its columns, holds another or holds an empty
-    one raises CheckpointError, and a max_n past GRAPH6_MAX_N raises
-    ValueError before any work.
+    K_{3,t}, fill the first shelves, and the walk goes column by column from
+    column last - 1 to max_n: run_shelf completes each shelf of the column
+    (m from ceil(3n/2) to 3n-9), and then _push makes sources of the
+    column's graphs that feed the columns after last and bridges them all
+    at once; otherwise nothing is decoded.  Each shelf after last, joined
+    by the wheel or K_{3,t} of its (n, m), is a group of sorted
+    certificates, complete and reported to progress before its column's
+    graphs are bridged.  A resumed set that lacks a group of its columns,
+    holds another or holds an empty one raises CheckpointError, and a max_n
+    past GRAPH6_MAX_N raises ValueError before any work.
     """
     check_max_n("min3", max_n)
     # The graphs no shelf holds, built directly.
@@ -222,14 +306,17 @@ def generate_min3(max_n: int, *, progress: Progress | None = None, resume: Gener
         if key[0] >= last - 1 and reach
     }
     for n in range(last - 1, max_n + 1):
-        for m in _shelf_edges(n):
-            certs = run_shelf(shelves, n, m, reach)
-            if n in reach:
+        # Complete the column's shelves, pushing nothing; its graphs are
+        # bridged together once its groups are reported.
+        column = {m: run_shelf(shelves, n, m, range(0)) for m in _shelf_edges(n)}
+        if n in reach:
+            for m, certs in column.items():
                 bucket = sorted(certs + direct.get((n, m), []))
                 if bucket:
                     groups[(n, m)] = bucket
                 if progress is not None:
                     progress(f"min3 shelf n={n} m={m}: {len(bucket)} graphs")
+        _push(shelves, n, column, reach)
     return GeneratedSet("min3", dict(sorted(groups.items())))
 
 
@@ -242,18 +329,23 @@ def generate_cubic(max_n: int, *, progress: Progress | None = None) -> Generated
     pair per orbit of its automorphism group is bridged, since the pairs of
     an orbit give isomorphic graphs.  A level is kept as its sorted
     certificates only, which are decoded when the next level is grown from
-    them.  Cycle sets are not needed here, so none are carried.  An odd
-    max_n, or one past GRAPH6_MAX_N, raises ValueError before any work.
+    them, split between processes by _fan_out.  Cycle sets are not needed
+    here, so none are carried.  An odd max_n, or one past GRAPH6_MAX_N,
+    raises ValueError before any work.
     """
     check_max_n("cubic", max_n)
     level = [certificate(wheel(3))]
     groups = {(4, 6): level}
+
+    def push(grown: Shelves, sources: list[str]) -> None:
+        for g in map(decode_graph6, sources):
+            sites = _orbit_representatives(g, (0, 2), automorphisms(g))
+            grown.setdefault((g.n + 2, 3 * g.n // 2 + 3), set()).update(certificate(bridge(g, *site)) for site in sites)
+
     for n in range(6, max_n + 1, 2):
-        grown: set[str] = set()
-        for g in map(decode_graph6, level):
-            for site in _orbit_representatives(g, (0, 2), automorphisms(g)):
-                grown.add(certificate(bridge(g, *site)))
-        level = groups[(n, 3 * n // 2)] = sorted(grown)
+        grown: Shelves = {}
+        _fan_out(push, grown, level)
+        level = groups[(n, 3 * n // 2)] = sorted(grown[(n, 3 * n // 2)])
         if progress is not None:
             progress(f"cubic n={n}: {len(level)} graphs")
     return GeneratedSet("cubic", groups)

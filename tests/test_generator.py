@@ -10,6 +10,7 @@ result) cover the plumbing the counts alone would not.
 from __future__ import annotations
 
 import gc
+import os
 import re
 import sys
 import weakref
@@ -51,6 +52,12 @@ OPS = ((1, 1), (0, 2), (3, 0))
 
 def _seed_entry():
     return derived(prism(), PRISM_CYCLES)
+
+
+def _one_process(monkeypatch) -> None:
+    """Bridge every source in this process, so that what a test records
+    there is the whole walk's work."""
+    monkeypatch.setattr(min3gen.generator, "_cpus", lambda: 1)
 
 
 def test_prism_cycle_table_matches_bruteforce():
@@ -183,6 +190,7 @@ def test_run_shelf_dedups_across_classes():
 def test_a_final_shelf_holds_its_classes_and_makes_no_sources(monkeypatch):
     # A shelf that feeds no shelf in reach holds the same classes, and none
     # of its graphs becomes a source.
+    _one_process(monkeypatch)
     shelves = collect_shelves(8)
     sourced = []
     real = min3gen.generator.source
@@ -202,6 +210,7 @@ def test_a_final_shelf_holds_its_classes_and_makes_no_sources(monkeypatch):
 def test_final_column_derives_no_cycle_sets(monkeypatch):
     # No column derives a cycle set: every shelf is a set of certificates,
     # and only the columns before max_n decode theirs into sources.
+    _one_process(monkeypatch)
     kinds = set()
     run_shelf = min3gen.generator.run_shelf
 
@@ -228,7 +237,9 @@ def test_final_column_derives_no_cycle_sets(monkeypatch):
 
 def _count_work(monkeypatch) -> dict[str, list]:
     """Record the arguments and result of every automorphism group, decode,
-    bridging, child test and certificate call the generator makes, by name."""
+    bridging, child test and certificate call the generator makes, by name,
+    all of them in this process."""
+    _one_process(monkeypatch)
     calls: dict[str, list] = {}
 
     def counting(name, fn):
@@ -271,10 +282,11 @@ def test_each_source_gets_its_automorphisms_once(monkeypatch):
     )
 
 
-def test_generate_min3_keeps_no_compiled_cycle_sets(monkeypatch):
+def test_no_source_outlives_its_shelf(monkeypatch):
     # The walk compiles no cycle set (see test_the_walk_carries_no_cycle_set),
     # and keeps no source past its shelf: each, with its graph and
     # generators, is gone once the shelf that made it has run.
+    _one_process(monkeypatch)
     made, late = [], []
     real = min3gen.generator.source
 
@@ -356,7 +368,9 @@ def test_generated_buckets_are_cert_sorted_and_distinct():
 
 
 def _sources(monkeypatch, run) -> list:
-    """The sources that generate_min3 makes in run(), in the order it makes them."""
+    """The sources that generate_min3 makes in run(), in the order it makes
+    them, all in this process."""
+    _one_process(monkeypatch)
     made = []
     real = min3gen.generator.source
     monkeypatch.setattr(min3gen.generator, "source", lambda g: made.append(real(g)) or made[-1])
@@ -414,6 +428,60 @@ def test_generation_is_deterministic():
 
     assert snapshot(generate_min3(7)) == snapshot(generate_min3(7))
     assert snapshot(generate_cubic(8)) == snapshot(generate_cubic(8))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="a second process is forked")
+def test_one_and_two_processes_give_equal_sets(monkeypatch):
+    # The worker bridges the odd-indexed sources of each column or level,
+    # and the shelves join as sets of certificates, so a run gives the same
+    # groups whichever number of processes it splits its sources between.
+    outputs8 = generate_min3(8)
+
+    def runs():
+        return generate_min3(9), generate_min3(9, resume=outputs8), generate_cubic(12)
+
+    monkeypatch.setattr(min3gen.generator, "_cpus", lambda: 1)
+    one = runs()
+    monkeypatch.setattr(min3gen.generator, "_cpus", lambda: 2)
+    assert runs() == one
+    # With two processes, this one makes only the even-indexed sources of
+    # each column: the prism alone, 2 of column 7's 3 and 8 of column 8's 16.
+    made = []
+    real = min3gen.generator.source
+    monkeypatch.setattr(min3gen.generator, "source", lambda g: made.append(g.n) or real(g))
+    assert generate_min3(9) == one[0]
+    assert sorted(made) == [6] + [7] * 2 + [8] * 8
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="a second process is forked")
+def test_a_failing_worker_fails_the_run_and_leaves_no_process(monkeypatch):
+    parent, certificate = os.getpid(), min3gen.generator.certificate
+
+    def failing_in_the_worker(g):
+        if os.getpid() != parent:
+            raise ValueError("a fault in the worker")
+        return certificate(g)
+
+    monkeypatch.setattr(min3gen.generator, "_cpus", lambda: 2)
+    monkeypatch.setattr(min3gen.generator, "certificate", failing_in_the_worker)
+    with pytest.raises(RuntimeError, match="exited with 1"):
+        generate_min3(9)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    # An interrupt in this process while the worker runs kills the worker.
+    monkeypatch.setattr(min3gen.generator, "certificate", certificate)
+    source = min3gen.generator.source
+
+    def interrupted_in_column_7(g):
+        if os.getpid() == parent and g.n == 7:
+            raise KeyboardInterrupt
+        return source(g)
+
+    monkeypatch.setattr(min3gen.generator, "source", interrupted_in_column_7)
+    with pytest.raises(KeyboardInterrupt):
+        generate_min3(9)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_progress_reporting():
