@@ -7,7 +7,8 @@ the two new vertices.  Every 3-connected cubic graph on n+2 vertices
 arises this way from one on n, so levels are complete by induction and
 certificates make them isomorph-free.  A level is kept as its
 certificates only, the graph6 lines of canonical labellings, and decoded
-to grow the next.
+to grow the next.  It is the min3 bookshelf walk run over the even vertex
+counts alone, where this two-edge bridging is the only one to feed a shelf.
 """
 
 import time

@@ -26,16 +26,17 @@ keep that method as the oracle of the child test.
 
 Wheels and K_{3,t}, the minimally 3-connected graphs no prism-rooted chain
 reaches, are built directly; each joins its group as its shelf completes.
-The cubic mode is separate and far simpler: starting from K4, it bridges
-one pair of distinct edges from each orbit of its source's automorphism
-group on edge pairs.
+The cubic mode is the same walk from K4 over the even vertex counts alone,
+so only the two-edge bridging, which adds two vertices, feeds a shelf:
+(n, 3n/2) is built from (n-2, 3n/2-3).  A cubic graph has no vertex of
+degree above 3, so every bridging is kept.
 
 A source's bridgings depend on that source alone, so where two CPUs are
-free both modes split a column's (or a cubic level's) sources between two
-processes: a forked worker bridges the odd-indexed ones while this process
-bridges the even-indexed ones, and the worker's shelves join these as sets
-of certificates.  A group is its sorted certificates, whichever process
-found them, so the outputs do not depend on the split.
+free the walk splits a column's sources between two processes: a forked
+worker bridges the odd-indexed ones while this process bridges the
+even-indexed ones, and the worker's shelves join these as sets of
+certificates.  A group is its sorted certificates, whichever process found
+them, so the outputs do not depend on the split.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
 from operator import or_
-from typing import Callable, TypeVar
+from typing import Callable, Iterable
 
 from .canonical import automorphisms, certificate
 from .graphs import DAWES_SHAPES, GRAPH6_MAX_N, Edge, Graph, bridge, complete_bipartite_3, edge, prism, wheel
@@ -59,7 +60,6 @@ Shelves = dict[tuple[int, int], set[str]]
 Permutation = tuple[int, ...]
 Shape = tuple[int, int]  # a set's (vertex count, edge count)
 Site = tuple[tuple[int, ...], tuple[Edge, ...]]  # a set's vertices and edges
-T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -155,17 +155,31 @@ def _cpus() -> int:
     return 1
 
 
-def _fan_out(push: Callable[[Shelves, list[T]], None], shelves: Shelves, sources: list[T]) -> None:
-    """push(shelves, sources), split between two processes when _cpus()
-    gives two and there are two sources or more.
+def _push(shelves: Shelves, n: int, column: dict[int, list[str]], reach: range) -> None:
+    """Bridge the graphs of column n, the certificates of its shelves by
+    edge count, into the shelves of reach they feed: each is decoded into a
+    source once, and bridgings bridges its sets of shapes (1, 1), (3, 0)
+    and (0, 2) from (n, m) into (n+1, m+2), (n+1, m+3) and (n+2, m+3).
 
-    This process pushes the even-indexed sources into shelves, and one
-    forked worker pushes the odd-indexed ones into shelves of its own,
-    which it sends back by marshal over a pipe and which join shelves as
-    sets of certificates.  A worker that raises or exits otherwise than
-    with 0 makes this raise RuntimeError; a raise here, an interrupt
-    included, kills the worker; and the worker is always reaped.
+    Where _cpus() gives two and there are two sources or more, this
+    process bridges the even-indexed sources, and one forked worker
+    bridges the odd-indexed ones into shelves of its own, which it sends
+    back by marshal over a pipe, one shelf at a time, each joining shelves
+    as a set of certificates as it is read.  A worker that raises or exits
+    otherwise than with 0 makes this raise RuntimeError; a raise here, an
+    interrupt included, kills the worker; and the worker is always reaped.
     """
+    feeds = [(shape, dn, dm) for shape, (dn, dm) in DAWES_SHAPES.items() if n + dn in reach]
+    if not feeds:
+        return
+    sources = [(m, cert) for m, certs in column.items() for cert in certs]
+
+    def push(into: Shelves, sources: list[tuple[int, str]]) -> None:
+        for m, cert in sources:
+            src = source(decode_graph6(cert))
+            for shape, dn, dm in feeds:
+                into.setdefault((n + dn, m + dm), set()).update(certificate(g2) for g2, _ in bridgings(src, shape))
+
     if len(sources) < 2 or _cpus() < 2:
         push(shelves, sources)
         return
@@ -178,7 +192,8 @@ def _fan_out(push: Callable[[Shelves, list[T]], None], shelves: Shelves, sources
             own: Shelves = {}
             push(own, sources[1::2])
             with open(write_end, "wb") as pipe:
-                pipe.write(marshal.dumps(own))
+                for item in own.items():
+                    marshal.dump(item, pipe)
             status = 0
         except BaseException:
             import traceback
@@ -191,7 +206,14 @@ def _fan_out(push: Callable[[Shelves, list[T]], None], shelves: Shelves, sources
     try:
         with open(read_end, "rb") as pipe:
             push(shelves, sources[::2])
-            payload = pipe.read()
+            # The shelves end at EOF, cut short only by a failed worker,
+            # whose exit code then fails the run.
+            while True:
+                try:
+                    key, certs = marshal.load(pipe)
+                except EOFError:
+                    break
+                shelves.setdefault(key, set()).update(certs)
     except BaseException:
         import signal  # only here, to keep it out of every run's start-up
 
@@ -201,29 +223,6 @@ def _fan_out(push: Callable[[Shelves, list[T]], None], shelves: Shelves, sources
         code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     if code != 0:
         raise RuntimeError(f"the worker bridging the odd-indexed sources exited with {code}")
-    for key, certs in marshal.loads(payload).items():
-        shelves.setdefault(key, set()).update(certs)
-
-
-def _push(shelves: Shelves, n: int, column: dict[int, list[str]], reach: range) -> None:
-    """Bridge each graph of column n, the certificates of its shelves by
-    edge count, into the shelves it feeds in reach, which gain the
-    certificates of the bridgings kept.
-
-    A graph is decoded from its certificate and becomes a source, once:
-    bridgings bridges its sets of shapes (1, 1), (3, 0) and (0, 2) from
-    (n, m) into (n+1, m+2), (n+1, m+3) and (n+2, m+3), those in reach.
-    """
-    feeds = [(shape, dn, dm) for shape, (dn, dm) in DAWES_SHAPES.items() if n + dn in reach]
-
-    def push(into: Shelves, sources: list[tuple[int, str]]) -> None:
-        for m, cert in sources:
-            src = source(decode_graph6(cert))
-            for shape, dn, dm in feeds:
-                into.setdefault((n + dn, m + dm), set()).update(certificate(g2) for g2, _ in bridgings(src, shape))
-
-    if feeds:
-        _fan_out(push, shelves, [(m, cert) for m, certs in column.items() for cert in certs])
 
 
 def run_shelf(shelves: Shelves, n: int, m: int, reach: range) -> list[str]:
@@ -271,23 +270,57 @@ def check_max_n(mode: str, max_n: int) -> None:
         raise ValueError(f"max_n must be even, from 4 to {GRAPH6_MAX_N}, the most vertices a certificate holds")
 
 
+def _walk(
+    start: GeneratedSet,
+    reach: range,
+    shelf_edges: Callable[[int], Iterable[int]],
+    direct: dict[tuple[int, int], list[str]],
+    progress: Progress | None,
+) -> GeneratedSet:
+    """start's groups up to the end of reach, and those of reach's columns.
+
+    The walk goes column by column from reach.start - 2 in reach's step,
+    its shelves filled first by start's certificates from that column on,
+    less the direct graphs, which no shelf holds.  run_shelf completes each
+    shelf (n, m) of a column, m in shelf_edges(n).  On a column of reach,
+    each, joined by its direct graphs, is a group of sorted certificates,
+    complete and reported to progress before _push bridges the column's
+    graphs into the shelves of reach they feed.
+    """
+    groups = {key: sorted(bucket) for key, bucket in start.groups.items() if key[0] < reach.stop}
+    shelves: Shelves = {
+        key: set(bucket).difference(direct.get(key, ()))
+        for key, bucket in groups.items()
+        if key[0] >= reach.start - 2 and reach
+    }
+    for n in range(reach.start - 2, reach.stop, reach.step):
+        # Complete the column's shelves, pushing nothing; _push bridges them all.
+        column = {m: run_shelf(shelves, n, m, range(0)) for m in shelf_edges(n)}
+        if n in reach:
+            for m, certs in column.items():
+                bucket = sorted(certs + direct.get((n, m), []))
+                if bucket:
+                    groups[(n, m)] = bucket
+                if progress is not None:
+                    shelf = f"min3 shelf n={n} m={m}" if start.mode == "min3" else f"cubic n={n}"
+                    progress(f"{shelf}: {len(bucket)} graphs")
+        _push(shelves, n, column, reach)
+    return GeneratedSet(start.mode, dict(sorted(groups.items())))
+
+
 def generate_min3(max_n: int, *, progress: Progress | None = None, resume: GeneratedSet | None = None) -> GeneratedSet:
     """All minimally 3-connected graphs with 6 to max_n vertices.
 
     Starts from the groups up to a last column, checked by _last_column:
     resume, the result of an earlier run such as io_validate.read_outputs
     gives, or else column 6, the prism, K_{3,3} and W_5.  When max_n is past
-    last, the certificates of the last two columns, less the wheels and
-    K_{3,t}, fill the first shelves, and the walk goes column by column from
-    column last - 1 to max_n: run_shelf completes each shelf of the column
-    (m from ceil(3n/2) to 3n-9), and then _push makes sources of the
-    column's graphs that feed the columns after last and bridges them all
-    at once; otherwise nothing is decoded.  Each shelf after last, joined
-    by the wheel or K_{3,t} of its (n, m), is a group of sorted
-    certificates, complete and reported to progress before its column's
-    graphs are bridged.  A resumed set that lacks a group of its columns,
-    holds another or holds an empty one raises CheckpointError, and a max_n
-    past GRAPH6_MAX_N raises ValueError before any work.
+    last, _walk builds the columns after last from the certificates of the
+    last two, less the wheels and K_{3,t}, column n's shelves holding m
+    from ceil(3n/2) to 3n-9; only the graphs that feed a column after last
+    are decoded.  Each group after last is joined by the wheel or K_{3,t} of
+    its (n, m).  A resumed set that lacks a group of its columns, holds
+    another or holds an empty one raises CheckpointError, and a max_n past
+    GRAPH6_MAX_N raises ValueError before any work.
     """
     check_max_n("min3", max_n)
     # The graphs no shelf holds, built directly.
@@ -297,55 +330,18 @@ def generate_min3(max_n: int, *, progress: Progress | None = None, resume: Gener
         direct.setdefault((n, 3 * n - 9), []).append(certificate(complete_bipartite_3(n - 3)))
     if resume is None:
         resume = GeneratedSet("min3", {(6, 9): [certificate(prism()), *direct[(6, 9)]], (6, 10): direct[(6, 10)]})
-    last = _last_column(resume)
-    groups = {key: sorted(bucket) for key, bucket in resume.groups.items() if key[0] <= max_n}
-    reach = range(last + 1, max_n + 1)
-    shelves: Shelves = {
-        key: set(bucket).difference(direct.get(key, ()))
-        for key, bucket in groups.items()
-        if key[0] >= last - 1 and reach
-    }
-    for n in range(last - 1, max_n + 1):
-        # Complete the column's shelves, pushing nothing; its graphs are
-        # bridged together once its groups are reported.
-        column = {m: run_shelf(shelves, n, m, range(0)) for m in _shelf_edges(n)}
-        if n in reach:
-            for m, certs in column.items():
-                bucket = sorted(certs + direct.get((n, m), []))
-                if bucket:
-                    groups[(n, m)] = bucket
-                if progress is not None:
-                    progress(f"min3 shelf n={n} m={m}: {len(bucket)} graphs")
-        _push(shelves, n, column, reach)
-    return GeneratedSet("min3", dict(sorted(groups.items())))
+    return _walk(resume, range(_last_column(resume) + 1, max_n + 1), _shelf_edges, direct, progress)
 
 
 def generate_cubic(max_n: int, *, progress: Progress | None = None) -> GeneratedSet:
     """All 3-connected cubic graphs with 4 to max_n (even) vertices.
 
-    Starting from K4, unordered pairs of distinct edges (adjacent pairs
-    included) are bridged, as sets of shape (0, 2): both edges are
-    subdivided and the two new vertices joined.  Of each source only one
-    pair per orbit of its automorphism group is bridged, since the pairs of
-    an orbit give isomorphic graphs.  A level is kept as its sorted
-    certificates only, which are decoded when the next level is grown from
-    them, split between processes by _fan_out.  Cycle sets are not needed
-    here, so none are carried.  An odd max_n, or one past GRAPH6_MAX_N,
-    raises ValueError before any work.
+    _walk from K4 over the even columns from 6 to max_n, each the one
+    shelf (n, 3n/2).  Only sets of two edges, shape (0, 2), add two
+    vertices, so they alone feed a column and are bridged, and a cubic
+    graph has no vertex of degree above 3, so every bridging is kept.  An
+    odd max_n, or one past GRAPH6_MAX_N, raises ValueError before any work.
     """
     check_max_n("cubic", max_n)
-    level = [certificate(wheel(3))]
-    groups = {(4, 6): level}
-
-    def push(grown: Shelves, sources: list[str]) -> None:
-        for g in map(decode_graph6, sources):
-            sites = _orbit_representatives(g, (0, 2), automorphisms(g))
-            grown.setdefault((g.n + 2, 3 * g.n // 2 + 3), set()).update(certificate(bridge(g, *site)) for site in sites)
-
-    for n in range(6, max_n + 1, 2):
-        grown: Shelves = {}
-        _fan_out(push, grown, level)
-        level = groups[(n, 3 * n // 2)] = sorted(grown[(n, 3 * n // 2)])
-        if progress is not None:
-            progress(f"cubic n={n}: {len(level)} graphs")
-    return GeneratedSet("cubic", groups)
+    k4 = GeneratedSet("cubic", {(4, 6): [certificate(wheel(3))]})
+    return _walk(k4, range(6, max_n + 1, 2), lambda n: (3 * n // 2,), {}, progress)

@@ -288,4 +288,4 @@ def test_10_determinism(tmp_path_factory):
         ok = ok and cli_main(argv + ["--out", str(second)]) == 0
         files = tree(first)
         ok = ok and files and files == tree(second)
-    _report(10, "single-threaded runs are byte-identical", ok)
+    _report(10, "repeated runs are byte-identical", ok)
