@@ -31,7 +31,8 @@ the least leaf's labelling to this one (best_order[k] -> order[k]), and at
 a collapsed twin cell, the transposition of its first member with each
 other member.  The search visits every branch but twin ones, so these
 permutations generate the whole automorphism group.  certificate records
-nothing.
+nothing; canonical(g) returns the certificate, the labelling and the
+generators of one search.
 
 are_isomorphic_bruteforce is the independent oracle: a direct backtracking
 search for an edge-preserving bijection, sharing nothing with the
@@ -106,11 +107,12 @@ def _refine(
     return cells
 
 
-def _layer_sizes(masks: tuple[int, ...], v: int) -> tuple[int, ...]:
-    """Sizes of the BFS layers around v: its degree first, then the number
-    of vertices at each further distance."""
+def _layer_sizes(masks: tuple[int, ...], start: int) -> tuple[int, ...]:
+    """Sizes of the BFS layers around the vertex set start, a bitmask: the
+    number of vertices at distance 1 from it, 2, and so on (for one vertex,
+    its degree first)."""
     sizes = []
-    seen = frontier = 1 << v
+    seen = frontier = start
     while True:
         reach = 0
         while frontier:
@@ -133,8 +135,9 @@ def _is_twin_cell(masks: tuple[int, ...], cell: list[int]) -> bool:
     return all(masks[v] | (1 << v) == closed0 for v in cell[1:])
 
 
-def _least_leaf(g: Graph, gens: list[tuple[int, ...]] | None) -> int:
-    """The least leaf triangle_bits of g's search tree (g.n >= 1).
+def _least_leaf(g: Graph, gens: list[tuple[int, ...]] | None) -> tuple[int, list[int]]:
+    """The least leaf triangle_bits of g's search tree (g.n >= 1), and the
+    leaf's labelling, new vertex k being old vertex order[k].
 
     When gens is a list, every automorphism the search meets is appended
     to it as a permutation p, vertex v mapping to p[v].
@@ -153,7 +156,7 @@ def _least_leaf(g: Graph, gens: list[tuple[int, ...]] | None) -> int:
         for s in [s for s in range(n) if ends[s] - s > 1]:
             groups: dict[tuple[int, ...], list[int]] = {}
             for v in order[s : ends[s]]:
-                groups.setdefault(_layer_sizes(masks, v), []).append(v)
+                groups.setdefault(_layer_sizes(masks, 1 << v), []).append(v)
             if len(groups) > 1:
                 starts = _split(order, ends, s, groups)
                 cells += len(starts) - 1
@@ -200,7 +203,7 @@ def _least_leaf(g: Graph, gens: list[tuple[int, ...]] | None) -> int:
             search(child, child_ends, _refine(masks, child, child_ends, [target], cells + 1))
 
     search(order, ends, cells)
-    return best
+    return best, best_order
 
 
 def certificate(g: Graph) -> str:
@@ -213,7 +216,17 @@ def certificate(g: Graph) -> str:
     """
     if g.n == 0:
         return graph6_line(0, 0)
-    return graph6_line(g.n, _least_leaf(g, None))
+    return graph6_line(g.n, _least_leaf(g, None)[0])
+
+
+def canonical(g: Graph) -> tuple[str, list[int], list[tuple[int, ...]]]:
+    """certificate(g), the canonical labelling it packs, new vertex k being
+    g's vertex order[k], and automorphisms(g), from one search."""
+    if g.n == 0:
+        return graph6_line(0, 0), [], []
+    gens: list[tuple[int, ...]] = []
+    bits, order = _least_leaf(g, gens)
+    return graph6_line(g.n, bits), order, list(dict.fromkeys(gens))
 
 
 def automorphisms(g: Graph) -> list[tuple[int, ...]]:
@@ -223,10 +236,7 @@ def automorphisms(g: Graph) -> list[tuple[int, ...]]:
     An empty list means the group is trivial.  This is certificate's
     search, recording as it goes (see the module docstring).
     """
-    gens: list[tuple[int, ...]] = []
-    if g.n:
-        _least_leaf(g, gens)
-    return list(dict.fromkeys(gens))
+    return canonical(g)[2]
 
 
 def are_isomorphic_bruteforce(g1: Graph, g2: Graph) -> bool:

@@ -1,0 +1,196 @@
+"""McKay's canonical construction path for the cubic walk.
+
+The cubic walk makes each 3-connected cubic graph on n + 2 vertices by
+bridging two edges ab and cd of one on n: new vertices x on ab and y on
+cd, joined by the edge xy (Dawes' D2).  Turned around, a reduction of a
+cubic graph deletes an edge xy and smooths x and y, and it is valid when
+the result is simple and 3-connected; every 3-connected cubic graph but
+K4 has one, and the new edge of a bridging always is one.
+
+canonical_certificate(g) keeps a bridging only when its new edge is g's
+canonical reduction up to Aut(g): the valid edge least by a cheap edge
+invariant, with the ties among those edges broken by g's canonical
+labelling (McKay, "Isomorph-free exhaustive generation", J. Algorithms 26,
+1998; Brinkmann, Goedgebeur and McKay, "Generation of cubic graphs",
+DMTCS 13, 2011).  The canonical reduction is chosen up to isomorphism, so
+it gives back one class of parent, and sites taken one per orbit of the
+parent's automorphisms give non-isomorphic (child, new edge) pairs; so
+every class is kept exactly once, from one orbit representative of one
+parent, and only the kept children are certified.
+
+The invariant is compared in stages, each computed only for the edges
+still tied with the new edge: the triangles and 4-cycles through the
+edge, then its 5-cycles, then the BFS layer sizes around the edge and
+around each end.  The first edge found with a smaller invariant that is a
+valid reduction rejects the child.
+"""
+
+from __future__ import annotations
+
+from .canonical import _layer_sizes, canonical, certificate
+from .graphs import Graph, edge
+
+Rows = tuple[int, ...]  # bitmask adjacency rows
+
+
+def _ends(mask: int) -> tuple[int, int]:
+    """The two vertices of a two-vertex mask, lower first."""
+    low = mask & -mask
+    return low.bit_length() - 1, (mask ^ low).bit_length() - 1
+
+
+def _send(out: list[int], inn: list[int], u: int, v: int) -> None:
+    """Send one unit of flow along the residual arc u->v of unit-capacity
+    edges: out[u] holds the heads of u's residual arcs, inn[v] the tails."""
+    if out[v] >> u & 1:  # no flow on uv yet: the arc u->v fills up
+        out[u] &= ~(1 << v)
+        inn[v] &= ~(1 << u)
+    else:  # it cancels flow v->u, which frees the arc v->u
+        out[v] |= 1 << u
+        inn[u] |= 1 << v
+
+
+def _reach(rows: list[int], start: int, within: int) -> int:
+    """The vertices of within that rows reach from start, start included."""
+    seen = frontier = 1 << start
+    while frontier:
+        nxt = 0
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            nxt |= rows[low.bit_length() - 1]
+        frontier = nxt & within & ~seen
+        seen |= frontier
+    return seen
+
+
+def reduction_is_valid(masks: Rows, x: int, y: int) -> bool:
+    """Deleting the edge xy of a 3-connected cubic graph, given by its
+    rows, and smoothing x and y leaves a simple 3-connected graph.
+
+    Simple: neither x's two other neighbours a, b nor y's two are adjacent.
+    (The pairs cannot be equal, as they would cut x and y off from the
+    rest; and on six vertices or more, the double edge an adjacent pair
+    leaves is also a 2-edge cut, which the flow would find more slowly.)
+    3-connected: for a simple cubic graph that is 3-edge-connected,
+    and a cut of fewer than three edges in the reduced graph is a 3-edge
+    cut of this one that holds xy and splits the other vertices W.  In the
+    graph less xy those are the minimum x-y cuts other than those around x
+    and around y, so after two units of x->y flow, each is x with a set T
+    of W that no residual arc leaves.  T holds a: else it holds b, and xb
+    and T's one cut edge would be a 2-edge cut of this graph.  So the
+    reduction is valid exactly when residual arcs within W reach all of W
+    from a.
+    """
+    nx, ny = masks[x] ^ 1 << y, masks[y] ^ 1 << x
+    a, b = _ends(nx)
+    c, d = _ends(ny)
+    if masks[a] >> b & 1 or masks[c] >> d & 1:
+        return False
+    out = list(masks)
+    out[x], out[y] = nx, ny
+    inn = out.copy()
+    for _ in range(2):
+        # A shortest augmenting path by BFS layers, then back from y.
+        layers, seen = [1 << x], 1 << x
+        while not layers[-1] >> y & 1:
+            f, nxt = layers[-1], 0
+            while f:
+                low = f & -f
+                f ^= low
+                nxt |= out[low.bit_length() - 1]
+            nxt &= ~seen
+            seen |= nxt
+            layers.append(nxt)
+        v = y
+        for layer in reversed(layers[:-1]):
+            u = layer & inn[v]
+            u = (u & -u).bit_length() - 1
+            _send(out, inn, u, v)
+            v = u
+    within = (1 << len(masks)) - 1 ^ (1 << x | 1 << y)
+    return _reach(out, a, within) == within
+
+
+def _short_cycles(masks: Rows, x: int, y: int) -> tuple[int, int]:
+    """The triangles and the 4-cycles through the edge xy."""
+    nx, ny = masks[x] ^ 1 << y, masks[y] ^ 1 << x
+    a, b = _ends(nx)
+    return (nx & ny).bit_count(), (masks[a] & ny).bit_count() + (masks[b] & ny).bit_count()
+
+
+def _five_cycles(masks: Rows, x: int, y: int) -> int:
+    """The 5-cycles x, a, c, b, y through the edge xy."""
+    ends = 1 << x | 1 << y
+    a1, a2 = _ends(masks[x] ^ 1 << y)
+    b1, b2 = _ends(masks[y] ^ 1 << x)
+    count = 0
+    for a in (a1, a2):
+        row = masks[a] & ~ends
+        for b in (b1, b2):
+            if a != b:
+                count += (row & masks[b]).bit_count()
+    return count
+
+
+def _edge_layers(masks: Rows, x: int, y: int) -> tuple[int, ...]:
+    """The BFS layer sizes around the edge xy."""
+    return _layer_sizes(masks, 1 << x | 1 << y)
+
+
+def _end_layers(masks: Rows, x: int, y: int) -> list[tuple[int, ...]]:
+    """The BFS layer sizes around each end of the edge xy, the lesser first."""
+    return sorted((_layer_sizes(masks, 1 << x), _layer_sizes(masks, 1 << y)))
+
+
+_STAGES = (_short_cycles, _five_cycles, _edge_layers, _end_layers)
+
+
+def canonical_certificate(g: Graph) -> str | None:
+    """g's certificate when its new edge, joining its last two vertices,
+    is its canonical reduction up to Aut(g); else None.
+
+    g is a bridging of two edges of a 3-connected cubic graph, so the new
+    edge is a valid reduction.  Another valid edge with a smaller invariant
+    rejects g.  Valid edges tied with the new edge in every stage are
+    ranked by their ends' places in g's canonical labelling, and g is kept
+    when the least lies in the new edge's orbit under g's automorphisms;
+    that labelling's search also gives the certificate.
+    """
+    n = g.n
+    masks = tuple(g.neighbor_mask(v) for v in range(n))
+    new = (n - 2, n - 1)
+    tied = []
+    for u in range(n - 2):
+        later = masks[u] >> u + 1 << u + 1
+        while later:
+            low = later & -later
+            later ^= low
+            tied.append((u, low.bit_length() - 1))
+    for stage in _STAGES:
+        own = stage(masks, *new)
+        ties = []
+        for e in tied:
+            value = stage(masks, *e)
+            if value == own:
+                ties.append(e)
+            elif value < own and reduction_is_valid(masks, *e):
+                return None
+        tied = ties
+    tied = [e for e in tied if reduction_is_valid(masks, *e)]
+    if not tied:
+        return certificate(g)
+    cert, order, gens = canonical(g)
+    place = [0] * n
+    for k, v in enumerate(order):
+        place[v] = k
+    least = min([new, *tied], key=lambda e: sorted((place[e[0]], place[e[1]])))
+    orbit, todo = {new}, [new]
+    while todo:
+        a, b = todo.pop()
+        for p in gens:
+            image = edge(p[a], p[b])
+            if image not in orbit:
+                orbit.add(image)
+                todo.append(image)
+    return cert if least in orbit else None

@@ -28,8 +28,10 @@ Wheels and K_{3,t}, the minimally 3-connected graphs no prism-rooted chain
 reaches, are built directly; each joins its group as its shelf completes.
 The cubic mode is the same walk from K4 over the even vertex counts alone,
 so only the two-edge bridging, which adds two vertices, feeds a shelf:
-(n, 3n/2) is built from (n-2, 3n/2-3).  A cubic graph has no vertex of
-degree above 3, so every bridging is kept.
+(n, 3n/2) is built from (n-2, 3n/2-3).  There the walk follows McKay's
+canonical construction path (see construction): a bridging is kept, and
+certified, only when its new edge is its canonical reduction, so each
+class is kept once and the others cost no certificate.
 
 A source's bridgings depend on that source alone, so where two CPUs are
 free the walk splits a column's sources between two processes: a forked
@@ -44,13 +46,13 @@ from __future__ import annotations
 import marshal
 import os
 import sys
-from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
 from operator import or_
 from typing import Callable, Iterable
 
 from .canonical import automorphisms, certificate
+from .construction import canonical_certificate
 from .graphs import DAWES_SHAPES, GRAPH6_MAX_N, Edge, Graph, bridge, complete_bipartite_3, edge, prism, wheel
 from .io_validate import CheckpointError, GeneratedSet, decode_graph6, high_edges_essential
 
@@ -62,14 +64,22 @@ Shape = tuple[int, int]  # a set's (vertex count, edge count)
 Site = tuple[tuple[int, ...], tuple[Edge, ...]]  # a set's vertices and edges
 
 
-@dataclass(frozen=True)
 class ShelfEntry:
     """A source that bridgings reads: a minimally 3-connected graph and
     generators of its automorphism group, each a permutation p that maps
-    vertex v to p[v]."""
+    vertex v to p[v].  Entries are equal when both parts are."""
 
-    graph: Graph
-    gens: list[Permutation]
+    def __init__(self, graph: Graph, gens: list[Permutation]):
+        self.graph = graph
+        self.gens = gens
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ShelfEntry):
+            return NotImplemented
+        return (self.graph, self.gens) == (other.graph, other.gens)
+
+    def __repr__(self) -> str:
+        return f"ShelfEntry(graph={self.graph!r}, gens={self.gens!r})"
 
 
 def _orbit_representatives(g: Graph, shape: Shape, gens: list[Permutation]) -> list[Site]:
@@ -155,11 +165,30 @@ def _cpus() -> int:
     return 1
 
 
-def _push(shelves: Shelves, n: int, column: dict[int, list[str]], reach: range) -> None:
+def _certified_children(src: ShelfEntry, shape: Shape) -> Iterable[str]:
+    """The certificates of src's bridgings of the shape that bridgings
+    keeps, isomorphs among them removed by the shelf's set."""
+    return (certificate(g) for g, _ in bridgings(src, shape))
+
+
+def _canonical_children(src: ShelfEntry, shape: Shape) -> Iterable[str]:
+    """The certificates of src's bridgings of the shape, (0, 2) in a cubic
+    graph, whose new edge is their canonical reduction."""
+    return filter(None, (canonical_certificate(g) for g, _ in bridgings(src, shape)))
+
+
+def _push(
+    shelves: Shelves,
+    n: int,
+    column: dict[int, list[str]],
+    reach: range,
+    children: Callable[[ShelfEntry, Shape], Iterable[str]] = _certified_children,
+) -> None:
     """Bridge the graphs of column n, the certificates of its shelves by
     edge count, into the shelves of reach they feed: each is decoded into a
     source once, and bridgings bridges its sets of shapes (1, 1), (3, 0)
     and (0, 2) from (n, m) into (n+1, m+2), (n+1, m+3) and (n+2, m+3).
+    children(src, shape) gives the certificates each adds to its shelf.
 
     Where _cpus() gives two and there are two sources or more, this
     process bridges the even-indexed sources, and one forked worker
@@ -178,7 +207,7 @@ def _push(shelves: Shelves, n: int, column: dict[int, list[str]], reach: range) 
         for m, cert in sources:
             src = source(decode_graph6(cert))
             for shape, dn, dm in feeds:
-                into.setdefault((n + dn, m + dm), set()).update(certificate(g2) for g2, _ in bridgings(src, shape))
+                into.setdefault((n + dn, m + dm), set()).update(children(src, shape))
 
     if len(sources) < 2 or _cpus() < 2:
         push(shelves, sources)
@@ -276,6 +305,7 @@ def _walk(
     shelf_edges: Callable[[int], Iterable[int]],
     direct: dict[tuple[int, int], list[str]],
     progress: Progress | None,
+    children: Callable[[ShelfEntry, Shape], Iterable[str]] = _certified_children,
 ) -> GeneratedSet:
     """start's groups up to the end of reach, and those of reach's columns.
 
@@ -304,7 +334,7 @@ def _walk(
                 if progress is not None:
                     shelf = f"min3 shelf n={n} m={m}" if start.mode == "min3" else f"cubic n={n}"
                     progress(f"{shelf}: {len(bucket)} graphs")
-        _push(shelves, n, column, reach)
+        _push(shelves, n, column, reach, children)
     return GeneratedSet(start.mode, dict(sorted(groups.items())))
 
 
@@ -338,10 +368,11 @@ def generate_cubic(max_n: int, *, progress: Progress | None = None) -> Generated
 
     _walk from K4 over the even columns from 6 to max_n, each the one
     shelf (n, 3n/2).  Only sets of two edges, shape (0, 2), add two
-    vertices, so they alone feed a column and are bridged, and a cubic
-    graph has no vertex of degree above 3, so every bridging is kept.  An
-    odd max_n, or one past GRAPH6_MAX_N, raises ValueError before any work.
+    vertices, so they alone feed a column and are bridged, and a bridging
+    is kept only when construction.canonical_certificate finds its new
+    edge to be its canonical reduction.  An odd max_n, or one past
+    GRAPH6_MAX_N, raises ValueError before any work.
     """
     check_max_n("cubic", max_n)
     k4 = GeneratedSet("cubic", {(4, 6): [certificate(wheel(3))]})
-    return _walk(k4, range(6, max_n + 1, 2), lambda n: (3 * n // 2,), {}, progress)
+    return _walk(k4, range(6, max_n + 1, 2), lambda n: (3 * n // 2,), {}, progress, _canonical_children)

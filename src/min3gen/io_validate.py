@@ -19,7 +19,6 @@ repeat stops a resume.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from pathlib import Path
 
 from .canonical import certificate
@@ -33,18 +32,27 @@ GRAPH6_BLANKS = " \t\r\n"
 _GROUP_FILES = {"min3": "min3_n{n}_m{m}.g6", "cubic": "cubic_n{n}.g6"}
 
 
-@dataclass
 class GeneratedSet:
     """Output of a generation run.
 
     groups maps (n, m) to the sorted certificates of its isomorphism
     classes.  A certificate is the graph6 line of its class's canonical
     labelling, so it is also the class's output line, and decode_graph6
-    turns it back into a graph.
+    turns it back into a graph.  Two sets are equal when their modes and
+    groups are.
     """
 
-    mode: str
-    groups: dict[tuple[int, int], list[str]]
+    def __init__(self, mode: str, groups: dict[tuple[int, int], list[str]]):
+        self.mode = mode
+        self.groups = groups
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GeneratedSet):
+            return NotImplemented
+        return (self.mode, self.groups) == (other.mode, other.groups)
+
+    def __repr__(self) -> str:
+        return f"GeneratedSet(mode={self.mode!r}, groups={self.groups!r})"
 
     def count(self, n: int | None = None) -> int:
         return sum(

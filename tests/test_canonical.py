@@ -106,7 +106,7 @@ def _heawood() -> Graph:
 
 def _layer_profiles(g: Graph) -> set[tuple[int, ...]]:
     masks = tuple(g.neighbor_mask(v) for v in g.vertices)
-    return {_layer_sizes(masks, v) for v in g.vertices}
+    return {_layer_sizes(masks, 1 << v) for v in g.vertices}
 
 
 def test_strongly_regular_twins_are_told_apart():

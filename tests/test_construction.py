@@ -1,0 +1,119 @@
+"""The canonical construction path of the cubic walk.
+
+Its reduction test is checked against the reduced graph rebuilt and run
+through the naive 3-connectivity oracle, and its walk against a walk that
+keeps every bridging and removes isomorphs by certificate alone.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+import min3gen.construction
+import min3gen.generator
+from min3gen import (
+    Graph,
+    add_edge,
+    bridgings,
+    certificate,
+    decode_graph6,
+    delete_edge,
+    delete_vertex,
+    generate_cubic,
+    is_3_connected,
+    source,
+    wheel,
+)
+from min3gen.construction import reduction_is_valid
+
+
+def _reduced(g: Graph, x: int, y: int) -> Graph | None:
+    """g less the edge xy, x and y smoothed, rebuilt edge by edge; None
+    when smoothing would make a loop or a second edge."""
+    (a, b), (c, d) = [[w for w in g.neighbors(v) if w != other] for v, other in ((x, y), (y, x))]
+    if {a, b} == {c, d} or g.has_edge(a, b) or g.has_edge(c, d):
+        return None
+    h = delete_edge(g, x, y)
+    for v, (p, q) in ((x, (a, b)), (y, (c, d))):
+        h = add_edge(delete_edge(delete_edge(h, v, p), v, q), p, q)
+    return delete_vertex(delete_vertex(h, max(x, y)), min(x, y))
+
+
+def test_reduction_validity_matches_the_oracle():
+    # Every edge of every 3-connected cubic graph with n <= 12; each graph
+    # but K4 has a valid reduction, so the walk reaches it.
+    tested = valid = 0
+    for bucket in generate_cubic(12).groups.values():
+        for cert in bucket:
+            g = decode_graph6(cert)
+            masks = tuple(g.neighbor_mask(v) for v in g.vertices)
+            verdicts = []
+            for x, y in g.edges():
+                reduced = _reduced(g, x, y)
+                verdicts.append(reduced is not None and is_3_connected(reduced))
+                assert reduction_is_valid(masks, x, y) == verdicts[-1], (cert, (x, y))
+            assert any(verdicts) == (g.n > 4), cert
+            tested, valid = tested + len(verdicts), valid + sum(verdicts)
+    assert (tested, valid) == (1308, 1027)
+
+
+def _dedupe_walk(max_n: int) -> tuple[dict[tuple[int, int], list[str]], int]:
+    """The cubic groups up to max_n from K4, each level every D2 bridging
+    of the last one's graphs, one per orbit, isomorphs removed by
+    certificate; and the number of certificates computed."""
+    level = {certificate(wheel(3))}
+    groups, certified = {(4, 6): sorted(level)}, 1
+    for n in range(6, max_n + 1, 2):
+        children = [g for c in level for g, _ in bridgings(source(decode_graph6(c)), (0, 2))]
+        level = {certificate(g) for g in children}
+        groups[(n, 3 * n // 2)], certified = sorted(level), certified + len(children)
+    return groups, certified
+
+
+def _count_searches(monkeypatch) -> tuple[dict[str, int], list[str]]:
+    """Count the certificate and labelling searches of the cubic walk,
+    all of them in this process, and record every child it keeps."""
+    monkeypatch.setattr(min3gen.generator, "_cpus", lambda: 1)
+    calls = {"certificate": 0, "canonical": 0}
+    for module, name in ((min3gen.generator, "certificate"), *((min3gen.construction, n) for n in calls)):
+        real = getattr(module, name)
+
+        def counted(g, real=real, name=name):
+            calls[name] += 1
+            return real(g)
+
+        monkeypatch.setattr(module, name, counted)
+    kept = []
+    real_child = min3gen.generator.canonical_certificate
+
+    def recorded(g):
+        cert = real_child(g)
+        if cert is not None:
+            kept.append(cert)
+        return cert
+
+    monkeypatch.setattr(min3gen.generator, "canonical_certificate", recorded)
+    return calls, kept
+
+
+def test_canonical_path_equals_the_dedupe_walk(monkeypatch):
+    dedupe, certified = _dedupe_walk(14)
+    calls, kept = _count_searches(monkeypatch)
+    assert generate_cubic(14).groups == dedupe
+    # Each class is kept once, from one bridging, and only kept children
+    # and ties are searched: K4's certificate, 163 children kept with no
+    # tie, and 328 labellings of tied children, against the dedupe walk's
+    # certificate for every child.
+    assert certified == 3972
+    assert sorted(kept) == sorted(c for (n, _), bucket in dedupe.items() if n > 4 for c in bucket)
+    assert len(kept) == len(set(kept)) == 418
+    assert calls == {"certificate": 1 + 163, "canonical": 328}
+
+
+@pytest.mark.slow
+def test_canonical_path_searches_a_quarter_of_the_dedupe_certificates(monkeypatch):
+    # The dedupe walk certified 47,193 children up to n = 16.
+    calls, kept = _count_searches(monkeypatch)
+    assert generate_cubic(16).count(16) == 2828
+    assert len(kept) == len(set(kept)) == 3246
+    assert sum(calls.values()) <= 47193 // 4

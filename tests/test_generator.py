@@ -576,7 +576,8 @@ def test_orbit_representatives_bridge_to_the_classes_of_all_edge_pairs():
         assert {certificate(bridge(g, (), pair)) for pair in reps} == {
             certificate(bridge(g, (), pair)) for pair in pairs
         }, cert
-        # The cubic walk bridges through bridgings, which keeps every one.
+        # The cubic walk bridges through bridgings, which keeps every one,
+        # and then keeps the children that construction finds canonical.
         assert [site for _, site in bridgings(source(g), (0, 2))] == [((), pair) for pair in reps], cert
         pruned += len(pairs) - len(reps)
     assert pruned > 0
