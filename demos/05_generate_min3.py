@@ -10,12 +10,12 @@ minimally 3-connected graph up to the requested vertex count, grouped by
 import time
 
 from min3gen import (
+    bridgings,
     certificate,
     complete_bipartite_3,
     decode_graph6,
     generate_min3,
     prism,
-    run_shelf,
     source,
     wheel,
 )
@@ -46,36 +46,35 @@ print("its line:", boundary[0], "decodes to", decode_graph6(boundary[0]))
 # Wheels always show up: W7 sits in the n=8, m=14 bucket.
 print("wheel(7) emitted at (8,14):", certificate(wheel(7)) in result.groups[(8, 14)])
 
-# run_shelf is one step of the walk.  Shelf (n, m) collects the graphs
-# that Dawes' bridging reaches from shelves (n-1, m-2), (n-1, m-3) and
-# (n-2, m-3), of sets of shape (1, 1), (3, 0) and (0, 2): a vertex and an
-# edge, three vertices, two edges.  That is every class of (n, m) except
-# the wheel and K_{3,t}, each kept once, as its certificate.  The walk
-# reaches a shelf after all three, so run_shelf returns its sorted
-# certificates, and each graph that feeds a column of reach is decoded
-# from its certificate and becomes a source once: source() gives it its
-# automorphism group generators, and bridgings(src, shape) bridges it at
-# one site per orbit, keeping each child whose edges between vertices of
-# degree 4 or more are essential.  Here columns 7 and 8 are in reach, and
-# column 7 is built from the prism seed.  generate_min3 completes every
+# One step of the walk.  Shelf (n, m) collects the graphs that Dawes'
+# bridging reaches from shelves (n-1, m-2), (n-1, m-3) and (n-2, m-3), of
+# sets of shape (1, 1), (3, 0) and (0, 2): a vertex and an edge, three
+# vertices, two edges.  That is every class of (n, m) except the wheel and
+# K_{3,t}, each kept once, as its certificate.  Each graph of a complete
+# shelf becomes a source once: source() gives it its automorphism group
+# generators, and bridgings(src, shape) bridges it at one site per orbit,
+# keeping each child whose edges between vertices of degree 4 or more are
+# essential.  The walk adds each child's certificate to its shelf, a set,
+# so isomorphic children are kept once.  generate_min3 completes every
 # shelf of a column first and then bridges the column's graphs at once,
 # split between two processes where two CPUs are free; the shelves are
 # sets of certificates, so the result is the same either way.
-shelves = {(6, 9): {certificate(prism())}}
-reach = range(7, 9)
-print("\nshelf (n=6, m=9):", run_shelf(shelves, 6, 9, reach))
-print("certificates bridged from it:", {key: len(found) for key, found in shelves.items()})
+seed = source(prism())
+print("\nthe prism made a source:", seed.graph)
+print("  automorphism generators:", seed.gens)
+shelves = {}
+for shape, key in (((1, 1), (7, 11)), ((3, 0), (7, 12)), ((0, 2), (8, 12))):
+    shelves[key] = {certificate(g) for g, _ in bridgings(seed, shape)}
+    print(f"  shape {shape} bridges it into shelf {key}: {len(shelves[key])} classes")
+print("shelf (n=7, m=11) as in result.groups[(7, 11)]:", sorted(shelves[(7, 11)]) == result.groups[(7, 11)])
+# The prism has no three pairwise non-adjacent vertices, and (7, 12) holds
+# only W6 and K_{3,4}, which are built directly.
+print("shelf (n=7, m=12) holds", len(shelves[(7, 12)]), "graphs; its group is W6 and K_{3,4}:",
+      result.groups[(7, 12)] == sorted([certificate(wheel(6)), certificate(complete_bipartite_3(4))]))
+# No shelf of column 7 feeds (8, 12), so the prism alone fills it.
+print("shelf (n=8, m=12) as in result.groups[(8, 12)]:", sorted(shelves[(8, 12)]) == result.groups[(8, 12)])
 cert = min(shelves[(7, 11)])
-entry = source(decode_graph6(cert))
-print("one graph of (n=7, m=11) made a source:", entry.graph)
-print("  automorphism generators:", entry.gens)
-print("  its certificate:", cert)
-certs = run_shelf(shelves, 7, 11, reach)
-print(f"shelf (n=7, m=11): {len(certs)} graphs, as in result.groups[(7, 11)]:", certs == result.groups[(7, 11)])
-print("shelf (n=7, m=12) holds", len(run_shelf(shelves, 7, 12, reach)), "graphs: only W6 and K_{3,4} have that size")
-# Column 8, the last in reach, feeds nothing: its shelves are sets of
-# certificates, as every shelf is, and none of them becomes a source.
-print("column 8 certificates:", sum(map(len, shelves.values())))
+print("one graph of (n=7, m=11), decoded from its certificate:", decode_graph6(cert))
 
 # A later run resumes from this one's outputs and walks only column 9.
 resumed = generate_min3(9, resume=result)

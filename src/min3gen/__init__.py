@@ -27,7 +27,6 @@ from .generator import (
     bridgings,
     generate_cubic,
     generate_min3,
-    run_shelf,
     source,
 )
 from .graphs import (
@@ -97,7 +96,6 @@ __all__ = [
     "is_minimally_3_connected",
     "prism",
     "read_outputs",
-    "run_shelf",
     "source",
     "split_vertex",
     "subdivide_edge",

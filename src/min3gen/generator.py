@@ -19,7 +19,10 @@ sites of an orbit give isomorphic graphs.  A bridging of a 3-connected
 graph is 3-connected, so it is kept exactly when
 io_validate.high_edges_essential holds of it; bridgings(src, shape)
 returns those of one shape, each with its site, the set's vertices and
-edges.  The walk carries no graph and no cycle set from shelf to shelf.
+edges.  A mode's one keep function maps each such child to the
+certificate it adds to its shelf, or to None: the min3 mode keeps every
+child by its certificate, isomorphs joined by the shelf's set.  The walk
+carries no graph and no cycle set from shelf to shelf.
 The paper decides a bridging on the source instead, by the
 3-compatibility of its set on the source's cycle set; compat and cycles
 keep that method as the oracle of the child test.
@@ -29,9 +32,10 @@ reaches, are built directly; each joins its group as its shelf completes.
 The cubic mode is the same walk from K4 over the even vertex counts alone,
 so only the two-edge bridging, which adds two vertices, feeds a shelf:
 (n, 3n/2) is built from (n-2, 3n/2-3).  There the walk follows McKay's
-canonical construction path (see construction): a bridging is kept, and
-certified, only when its new edge is its canonical reduction, so each
-class is kept once and the others cost no certificate.
+canonical construction path (see construction): its keep function,
+construction.canonical_certificate, certifies a bridging only when its new
+edge is its canonical reduction, so each class is kept once and the
+others cost no certificate.
 
 A source's bridgings depend on that source alone, so where two CPUs are
 free the walk splits a column's sources between two processes: a forked
@@ -165,30 +169,19 @@ def _cpus() -> int:
     return 1
 
 
-def _certified_children(src: ShelfEntry, shape: Shape) -> Iterable[str]:
-    """The certificates of src's bridgings of the shape that bridgings
-    keeps, isomorphs among them removed by the shelf's set."""
-    return (certificate(g) for g, _ in bridgings(src, shape))
-
-
-def _canonical_children(src: ShelfEntry, shape: Shape) -> Iterable[str]:
-    """The certificates of src's bridgings of the shape, (0, 2) in a cubic
-    graph, whose new edge is their canonical reduction."""
-    return filter(None, (canonical_certificate(g) for g, _ in bridgings(src, shape)))
-
-
 def _push(
     shelves: Shelves,
     n: int,
     column: dict[int, list[str]],
     reach: range,
-    children: Callable[[ShelfEntry, Shape], Iterable[str]] = _certified_children,
+    keep: Callable[[Graph], str | None],
 ) -> None:
     """Bridge the graphs of column n, the certificates of its shelves by
     edge count, into the shelves of reach they feed: each is decoded into a
     source once, and bridgings bridges its sets of shapes (1, 1), (3, 0)
     and (0, 2) from (n, m) into (n+1, m+2), (n+1, m+3) and (n+2, m+3).
-    children(src, shape) gives the certificates each adds to its shelf.
+    keep(child) gives the certificate that each bridging adds to its
+    shelf, or None for one the shelf does not take.
 
     Where _cpus() gives two and there are two sources or more, this
     process bridges the even-indexed sources, and one forked worker
@@ -207,7 +200,8 @@ def _push(
         for m, cert in sources:
             src = source(decode_graph6(cert))
             for shape, dn, dm in feeds:
-                into.setdefault((n + dn, m + dm), set()).update(children(src, shape))
+                kept = (keep(g) for g, _ in bridgings(src, shape))
+                into.setdefault((n + dn, m + dm), set()).update(c for c in kept if c is not None)
 
     if len(sources) < 2 or _cpus() < 2:
         push(shelves, sources)
@@ -254,27 +248,17 @@ def _push(
         raise RuntimeError(f"the worker bridging the odd-indexed sources exited with {code}")
 
 
-def run_shelf(shelves: Shelves, n: int, m: int, reach: range) -> list[str]:
-    """Complete shelf (n, m): return its sorted certificates, and push each
-    of its graphs that feeds a column of reach into the shelves it feeds,
-    as _push does.
-
-    The walk reaches (n, m) after (n-1, m-2), (n-1, m-3) and (n-2, m-3),
-    so every certificate for it has arrived.
-    """
-    certs = sorted(shelves.pop((n, m), ()))
-    _push(shelves, n, {m: certs}, reach)
-    return certs
-
-
 def _shelf_edges(n: int) -> range:
     return range((3 * n + 1) // 2, 3 * n - 8)
 
 
 def _last_column(resume: GeneratedSet) -> int:
-    """The last column of a resumed set, which must hold exactly the non-empty
-    (n, m) groups of a run up to it: every shelf's, each of which is non-empty
-    up to n = 12 at least, K_{3,n-3}'s (n, 3n - 9) among them, and the wheel's."""
+    """The last column of a resumed set, which must be of the min3 mode and
+    hold exactly the non-empty (n, m) groups of a run up to it: every
+    shelf's, each of which is non-empty up to n = 12 at least,
+    K_{3,n-3}'s (n, 3n - 9) among them, and the wheel's."""
+    if resume.mode != "min3":
+        raise CheckpointError(f"resumed set is of the {resume.mode} mode, not min3")
     last = max((n for n, _ in resume.groups), default=0)
     if last < 6:
         stray = f", only groups at (n, m) = {sorted(resume.groups)}" if resume.groups else ""
@@ -305,17 +289,19 @@ def _walk(
     shelf_edges: Callable[[int], Iterable[int]],
     direct: dict[tuple[int, int], list[str]],
     progress: Progress | None,
-    children: Callable[[ShelfEntry, Shape], Iterable[str]] = _certified_children,
+    keep: Callable[[Graph], str | None],
 ) -> GeneratedSet:
     """start's groups up to the end of reach, and those of reach's columns.
 
     The walk goes column by column from reach.start - 2 in reach's step,
     its shelves filled first by start's certificates from that column on,
-    less the direct graphs, which no shelf holds.  run_shelf completes each
-    shelf (n, m) of a column, m in shelf_edges(n).  On a column of reach,
-    each, joined by its direct graphs, is a group of sorted certificates,
-    complete and reported to progress before _push bridges the column's
-    graphs into the shelves of reach they feed.
+    less the direct graphs, which no shelf holds.  The walk reaches shelf
+    (n, m), m in shelf_edges(n), after (n-1, m-2), (n-1, m-3) and
+    (n-2, m-3), so every certificate for it has arrived, and its sorted
+    certificates are complete.  On a column of reach, each shelf, joined
+    by its direct graphs, is a group, reported to progress before _push
+    bridges the column's graphs into the shelves of reach they feed, each
+    child kept by keep.
     """
     groups = {key: sorted(bucket) for key, bucket in start.groups.items() if key[0] < reach.stop}
     shelves: Shelves = {
@@ -324,8 +310,7 @@ def _walk(
         if key[0] >= reach.start - 2 and reach
     }
     for n in range(reach.start - 2, reach.stop, reach.step):
-        # Complete the column's shelves, pushing nothing; _push bridges them all.
-        column = {m: run_shelf(shelves, n, m, range(0)) for m in shelf_edges(n)}
+        column = {m: sorted(shelves.pop((n, m), ())) for m in shelf_edges(n)}
         if n in reach:
             for m, certs in column.items():
                 bucket = sorted(certs + direct.get((n, m), []))
@@ -334,7 +319,7 @@ def _walk(
                 if progress is not None:
                     shelf = f"min3 shelf n={n} m={m}" if start.mode == "min3" else f"cubic n={n}"
                     progress(f"{shelf}: {len(bucket)} graphs")
-        _push(shelves, n, column, reach, children)
+        _push(shelves, n, column, reach, keep)
     return GeneratedSet(start.mode, dict(sorted(groups.items())))
 
 
@@ -346,11 +331,12 @@ def generate_min3(max_n: int, *, progress: Progress | None = None, resume: Gener
     gives, or else column 6, the prism, K_{3,3} and W_5.  When max_n is past
     last, _walk builds the columns after last from the certificates of the
     last two, less the wheels and K_{3,t}, column n's shelves holding m
-    from ceil(3n/2) to 3n-9; only the graphs that feed a column after last
-    are decoded.  Each group after last is joined by the wheel or K_{3,t} of
-    its (n, m).  A resumed set that lacks a group of its columns, holds
-    another or holds an empty one raises CheckpointError, and a max_n past
-    GRAPH6_MAX_N raises ValueError before any work.
+    from ceil(3n/2) to 3n-9, each bridging kept by its certificate; only
+    the graphs that feed a column after last are decoded.  Each group after
+    last is joined by the wheel or K_{3,t} of its (n, m).  A resumed set
+    of another mode, or one that lacks a group of its columns, holds
+    another or holds an empty one, raises CheckpointError, and a max_n
+    past GRAPH6_MAX_N raises ValueError before any work.
     """
     check_max_n("min3", max_n)
     # The graphs no shelf holds, built directly.
@@ -360,7 +346,7 @@ def generate_min3(max_n: int, *, progress: Progress | None = None, resume: Gener
         direct.setdefault((n, 3 * n - 9), []).append(certificate(complete_bipartite_3(n - 3)))
     if resume is None:
         resume = GeneratedSet("min3", {(6, 9): [certificate(prism()), *direct[(6, 9)]], (6, 10): direct[(6, 10)]})
-    return _walk(resume, range(_last_column(resume) + 1, max_n + 1), _shelf_edges, direct, progress)
+    return _walk(resume, range(_last_column(resume) + 1, max_n + 1), _shelf_edges, direct, progress, certificate)
 
 
 def generate_cubic(max_n: int, *, progress: Progress | None = None) -> GeneratedSet:
@@ -375,4 +361,4 @@ def generate_cubic(max_n: int, *, progress: Progress | None = None) -> Generated
     """
     check_max_n("cubic", max_n)
     k4 = GeneratedSet("cubic", {(4, 6): [certificate(wheel(3))]})
-    return _walk(k4, range(6, max_n + 1, 2), lambda n: (3 * n // 2,), {}, progress, _canonical_children)
+    return _walk(k4, range(6, max_n + 1, 2), lambda n: (3 * n // 2,), {}, progress, canonical_certificate)

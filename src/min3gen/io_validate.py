@@ -251,10 +251,11 @@ def read_outputs(out_dir: str | Path) -> GeneratedSet:
 
     counts.tsv must list every min3_n{n}_m{m}.g6 file of the directory,
     and only those, each with its line count.  Every line must be the
-    certificate of a minimally 3-connected graph of its file's (n, m), and
-    no line may repeat another, which with canonical lines means that no
-    class is listed twice.  Any defect, or a group file of the cubic mode,
-    raises CheckpointError naming the file and, where there is one, the line.
+    certificate of a minimally 3-connected graph of its file's (n, m), no
+    line may repeat another, which with canonical lines means that no class
+    is listed twice, and the lines must be in sorted order.  Any defect, or
+    a group file of the cubic mode, raises CheckpointError naming the file
+    and, where there is one, the line.
     """
     root = Path(out_dir)
     _require_mode(root, "min3")
@@ -314,6 +315,8 @@ def _read_group(path: Path, key: tuple[int, int], count: int) -> list[str]:
                 raise ValueError("line is not its own certificate")
         except ValueError as exc:
             raise CheckpointError(f"{path}:{lineno}: {exc}") from exc
+    if unsorted := next((i for i in range(1, len(lines)) if lines[i] < lines[i - 1]), None):
+        raise CheckpointError(f"{path}:{unsorted + 1}: graph {lines[unsorted]} sorts before line {unsorted}")
     return lines
 
 

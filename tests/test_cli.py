@@ -434,6 +434,19 @@ def test_resume_rejects_a_repeated_line(outputs9, tmp_path, capsys):
     assert f"{path}:5: graph {lines[3]} repeats line 4" in err
 
 
+def test_resume_rejects_a_group_file_out_of_order(outputs9, tmp_path, capsys):
+    # Every line is a canonical class of the file, once, but a group is its
+    # sorted certificates: resumed, the reversed lines would be a group
+    # that write_outputs never writes.
+    tree, lines = _edited(outputs9, tmp_path, "min3_n8_m13.g6")
+    path = tree / "min3_n8_m13.g6"
+    lines = lines[-2::-1]
+    path.write_text("\n".join(lines) + "\n")
+    rc, err = _resume9(tree, tmp_path, capsys)
+    assert rc == 3
+    assert f"{path}:2: graph {lines[1]} sorts before line 1" in err
+
+
 @pytest.mark.parametrize("edit", ["missing", "extra", "row", "group", "header", "empty"])
 def test_resume_rejects_files_that_counts_tsv_does_not_match(outputs9, edit, tmp_path, capsys):
     tree, rows = _edited(outputs9, tmp_path, "counts.tsv")

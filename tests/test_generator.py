@@ -35,7 +35,6 @@ from min3gen import (
     is_minimally_3_connected,
     prism,
     read_outputs,
-    run_shelf,
     source,
     wheel,
     write_outputs,
@@ -43,7 +42,7 @@ from min3gen import (
 from min3gen.canonical import automorphisms
 from min3gen.cli import main
 from min3gen.cycles import PRISM_CYCLES, enumerate_cycles_bruteforce
-from min3gen.generator import _orbit_representatives, _shelf_edges
+from min3gen.generator import _orbit_representatives, _push, _shelf_edges
 from min3gen.io_validate import CheckpointError, high_edges_essential
 
 # The shapes, (vertex count, edge count), of Dawes' D1, D2 and D3 sets.
@@ -159,24 +158,19 @@ def test_every_bridging_rule_matches_bruteforce_cycles(monkeypatch):
     assert sites == 2600
 
 
-def _seed_shelves():
-    return {(6, 9): {certificate(prism())}}
-
-
-def test_run_shelf_first_column():
-    shelves, reach = _seed_shelves(), range(7, 8)
-    assert run_shelf(shelves, 6, 9, reach) == [certificate(prism())]
+def test_push_first_column():
+    shelves = {}
+    _push(shelves, 6, {9: [certificate(prism())]}, range(7, 8), certificate)
     # The prism feeds (7, 11) by D1 and (7, 12) by D3; D2's (8, 12) lies
     # past reach.
     assert sorted(shelves) == [(7, 11), (7, 12)]
-    assert run_shelf(shelves, 7, 11, reach) == generate_min3(7).groups[(7, 11)]
+    assert sorted(shelves[(7, 11)]) == generate_min3(7).groups[(7, 11)]
     # The prism has no independent triple, and (7, 12) holds only the
     # wheel and K_{3,4}, which no shelf holds.
-    assert run_shelf(shelves, 7, 12, reach) == []
-    assert shelves == {}
+    assert shelves[(7, 12)] == set()
 
 
-def test_run_shelf_dedups_across_classes():
+def test_shelves_dedup_across_classes():
     # A class reached from several sources, sites or operations is kept
     # once: each shelf holds, each once, the classes of its group that are
     # neither the wheel nor K_{3,n-3}.
@@ -192,19 +186,29 @@ def test_a_final_shelf_holds_its_classes_and_makes_no_sources(monkeypatch):
     # of its graphs becomes a source.
     _one_process(monkeypatch)
     shelves = collect_shelves(8)
+    columns, pending = {}, {}
+    push = min3gen.generator._push
+
+    def recording(walked, n, column, reach, keep):
+        columns[n], pending[n] = column, walked
+        push(walked, n, column, reach, keep)
+
+    monkeypatch.setattr(min3gen.generator, "_push", recording)
     sourced = []
     real = min3gen.generator.source
     monkeypatch.setattr(min3gen.generator, "source", lambda g: sourced.append(g.n) or real(g))
-    pending = _seed_shelves()
+    generate_min3(8)
     checked = 0
     for n in (6, 7, 8):
-        for m in _shelf_edges(n):
-            certs = run_shelf(pending, n, m, range(7, 9))
+        assert sorted(columns[n]) == list(_shelf_edges(n))
+        for m, certs in columns[n].items():
             assert certs == [certificate(ent.graph) for ent in shelves[(n, m)]]
             checked += len(certs) if n == 8 else 0
     assert checked == 16
     assert sorted(set(sourced)) == [6, 7]
-    assert pending == {}
+    # Every shelf was taken off as its column came; what is left is the
+    # seed's (6, 10), which holds only W_5 and is no shelf, emptied.
+    assert pending[8] == {(6, 10): set()}
 
 
 def test_final_column_derives_no_cycle_sets(monkeypatch):
@@ -212,13 +216,13 @@ def test_final_column_derives_no_cycle_sets(monkeypatch):
     # and only the columns before max_n decode theirs into sources.
     _one_process(monkeypatch)
     kinds = set()
-    run_shelf = min3gen.generator.run_shelf
+    push = min3gen.generator._push
 
-    def inspecting(shelves, n, m, reach):
+    def inspecting(shelves, n, column, reach, keep):
+        push(shelves, n, column, reach, keep)
         kinds.update((type(shelf), type(cert)) for shelf in shelves.values() for cert in shelf)
-        return run_shelf(shelves, n, m, reach)
 
-    monkeypatch.setattr(min3gen.generator, "run_shelf", inspecting)
+    monkeypatch.setattr(min3gen.generator, "_push", inspecting)
     sourced = []
     real = min3gen.generator.source
     monkeypatch.setattr(min3gen.generator, "source", lambda g: sourced.append(g.n) or real(g))
@@ -533,6 +537,14 @@ def test_resume_rejects_a_set_missing_a_group():
     groups = {**generate_min3(8).groups, (8, 12): []}
     with pytest.raises(CheckpointError, match=re.escape("hold no graph at (n, m) = [(8, 12)]")):
         generate_min3(9, resume=GeneratedSet("min3", groups))
+
+
+def test_resume_rejects_a_set_of_another_mode():
+    # Resumed as min3, a cubic set's groups would come back under its mode,
+    # and write_outputs would write every n = 9 group to cubic_n9.g6.
+    groups = generate_min3(8).groups
+    with pytest.raises(CheckpointError, match=re.escape("resumed set is of the cubic mode, not min3")):
+        generate_min3(9, resume=GeneratedSet("cubic", groups))
 
 
 def test_resumed_sources_are_those_of_a_fresh_run(monkeypatch):
