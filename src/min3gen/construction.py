@@ -1,4 +1,5 @@
-"""McKay's canonical construction path for the cubic walk.
+"""McKay's canonical construction path for the cubic walk, and the min3
+walk's D1 filter.
 
 The cubic walk makes each 3-connected cubic graph on n + 2 vertices by
 bridging two edges ab and cd of one on n: new vertices x on ab and y on
@@ -23,12 +24,29 @@ still tied with the new edge: the triangles and 4-cycles through the
 edge, then its 5-cycles, then the BFS layer sizes around the edge and
 around each end.  The first edge found with a smaller invariant that is a
 valid reduction rejects the child.
+
+The min3 walk keeps its shelves as sets of certificates, and
+has_smaller_d1_reduction spares it the certificates of most bridgings
+that another bridging also reaches.  A D1 reduction of a minimally
+3-connected graph C deletes the edge cv at a degree-3 vertex c whose
+other neighbours a, b are non-adjacent, then smooths c into the edge ab.
+Reductions are ranked by kind, D1 below D2 and D3, then by deg v and the
+sorted degrees of a and b, then by the BFS layer sizes around {c, v}.
+A bridging is skipped when it has a D1 reduction less than its own that
+is proven valid, without a labelling and without the reduced graph's
+full validity test.  The graph of a proven reduction is a source of the
+walk, which bridges it back into C at the reduction's site.  So when C's
+least valid reduction is D1, the bridging that undoes it has no smaller
+proven one and is kept; when it is D2 or D3, C has no valid D1 reduction
+and no bridging of C is skipped.  Ties and unproven reductions leave
+isomorphs, which the shelf's set joins.
 """
 
 from __future__ import annotations
 
 from .canonical import _layer_sizes, canonical, certificate
-from .graphs import Graph, edge
+from .graphs import Graph, _bits, edge, mask_path
+from .io_validate import _separated
 
 Rows = tuple[int, ...]  # bitmask adjacency rows
 
@@ -194,3 +212,90 @@ def canonical_certificate(g: Graph) -> str | None:
                 orbit.add(image)
                 todo.append(image)
     return cert if least in orbit else None
+
+
+def _d1_reduction_is_proven(masks: Rows, c: int, v: int, a: int, b: int) -> bool:
+    """Deleting the edge cv of a minimally 3-connected graph C, given by its
+    rows, and smoothing c, of degree 3 with other neighbours a and b,
+    leaves a minimally 3-connected graph P: proven, though a False may
+    mean only unproven.  v has degree 4 or more, and a and b are not
+    adjacent.
+
+    P is 3-connected when no two vertices separate v from a or v from b in
+    it: P less two vertices is C less them, which is connected, less c and
+    with ab, so its pieces are at most v's and that of a and b.  Each of
+    P's edges but ab is essential, as the 2-separation of C less it, c
+    removed, is one of P less it.  So the proof is, for each of a and b
+    not adjacent to v, three internally disjoint paths from v, taken
+    greedily as shortest paths, and ab essential: an end of degree 3, or a
+    2-cut between a and b in P - ab.
+    """
+    rows = list(masks)
+    rows[c] = 0
+    rows[v] ^= 1 << c
+    rows[a] ^= 1 << c
+    rows[b] ^= 1 << c
+    if masks[a].bit_count() > 3 and masks[b].bit_count() > 3 and not _separated(rows, a, b, 0, 2):
+        return False
+    rows[a] |= 1 << b
+    rows[b] |= 1 << a
+    for end in (a, b):
+        if rows[v] >> end & 1:
+            continue
+        used = 0
+        for _ in range(3):
+            inner = mask_path(rows, v, end, used)
+            if inner < 0:
+                return False
+            used |= inner
+    return True
+
+
+def has_smaller_d1_reduction(g: Graph, own: int | None) -> bool:
+    """Whether g, a minimally 3-connected bridging, has a D1 reduction less
+    than its own that is proven valid: its reduced graph P is minimally
+    3-connected (_d1_reduction_is_proven), neither a wheel nor on the
+    K_{3,t} shelf m' = 3n' - 9, and so a source of the walk, as every
+    minimally 3-connected graph with n' >= 6 vertices but those is.
+
+    g's own reduction is D1 at the edge between its last vertex and own,
+    or, when own is None, a D2 or D3 one, which every D1 reduction is less
+    than.  This assumes each valid parent is on its shelf, as in a fresh
+    run or one resumed from a tree a run wrote.
+    """
+    n = g.n
+    masks = tuple(map(g.neighbor_mask, g.vertices))
+    deg = [row.bit_count() for row in masks]
+    m = sum(deg) // 2
+    if m == 3 * n - 10:  # every P lies on the K_{3,t} shelf
+        return False
+    # P has m - 2 edges; with 2(n - 2) of them, a vertex of degree n - 2
+    # makes it a wheel, and only v loses a degree.
+    hubs = sum(1 << w for w, d in enumerate(deg) if d == n - 2) if m == 2 * n - 2 else 0
+    if own is not None:
+        a, b = _ends(masks[n - 1] ^ 1 << own)
+        top = (deg[own], *sorted((deg[a], deg[b])))
+        top_layers = None
+    for c, row in enumerate(masks):
+        if deg[c] != 3:
+            continue
+        for v in _bits(row):
+            if deg[v] < 4:
+                continue
+            a, b = _ends(row ^ 1 << v)
+            if masks[a] >> b & 1:
+                continue
+            if m == 2 * n - 2 and (hubs & ~(1 << v) or deg[v] == n - 1):
+                continue
+            if own is not None:
+                key = (deg[v], *sorted((deg[a], deg[b])))
+                if key > top:
+                    continue
+                if key == top:
+                    if top_layers is None:
+                        top_layers = _layer_sizes(masks, 1 << n - 1 | 1 << own)
+                    if _layer_sizes(masks, 1 << c | 1 << v) >= top_layers:
+                        continue
+            if _d1_reduction_is_proven(masks, c, v, a, b):
+                return True
+    return False

@@ -19,10 +19,15 @@ sites of an orbit give isomorphic graphs.  A bridging of a 3-connected
 graph is 3-connected, so it is kept exactly when
 io_validate.high_edges_essential holds of it; bridgings(src, shape)
 returns those of one shape, each with its site, the set's vertices and
-edges.  A mode's one keep function maps each such child to the
-certificate it adds to its shelf, or to None: the min3 mode keeps every
-child by its certificate, isomorphs joined by the shelf's set.  The walk
-carries no graph and no cycle set from shelf to shelf.
+edges.  A mode's one keep function maps each such child, with its site,
+to the certificate it adds to its shelf, or to None.  The min3 mode skips
+a child with a D1 reduction proven valid and less than the one its site
+undoes (construction.has_smaller_d1_reduction), which spares most
+certificates, and keeps every other child by its certificate, the
+isomorphs left joined by the shelf's set.  That assumes every valid
+parent is on its shelf, as in a fresh run or one resumed from a tree a
+run wrote.  The walk carries no graph and no cycle set from shelf to
+shelf.
 The paper decides a bridging on the source instead, by the
 3-compatibility of its set on the source's cycle set; compat and cycles
 keep that method as the oracle of the child test.
@@ -56,7 +61,7 @@ from operator import or_
 from typing import Callable, Iterable
 
 from .canonical import automorphisms, certificate
-from .construction import canonical_certificate
+from .construction import canonical_certificate, has_smaller_d1_reduction
 from .graphs import DAWES_SHAPES, GRAPH6_MAX_N, Edge, Graph, bridge, complete_bipartite_3, edge, prism, wheel
 from .io_validate import CheckpointError, GeneratedSet, decode_graph6, high_edges_essential
 
@@ -66,6 +71,9 @@ Shelves = dict[tuple[int, int], set[str]]
 Permutation = tuple[int, ...]
 Shape = tuple[int, int]  # a set's (vertex count, edge count)
 Site = tuple[tuple[int, ...], tuple[Edge, ...]]  # a set's vertices and edges
+# A mode's keep function: the certificate a bridging, with its site, adds
+# to its shelf, or None.
+Keep = Callable[[Graph, Site], str | None]
 
 
 class ShelfEntry:
@@ -92,11 +100,11 @@ def _orbit_representatives(g: Graph, shape: Shape, gens: list[Permutation]) -> l
 
     A site of shape (nv, ne) is ne edges and nv vertices, in combinations
     of the edges outer and of the vertices inner, where no vertex is
-    adjacent to a member vertex or an end of a member edge.  Vertex v has
-    id v and edge i of g.edges() id n + i, and a site's key is the bitmask
-    of its members' ids, so its image's key under p is the sum of the bits
-    that p maps those ids to.  The sites of an orbit bridge to isomorphic
-    graphs.
+    adjacent to another member vertex or is an end of a member edge; it
+    may be adjacent to an end of a member edge.  Vertex v has id v and
+    edge i of g.edges() id n + i, and a site's key is the bitmask of its
+    members' ids, so its image's key under p is the sum of the bits that p
+    maps those ids to.  The sites of an orbit bridge to isomorphic graphs.
     """
     nv, ne = shape
     n, es = g.n, g.edges()
@@ -161,6 +169,16 @@ def source(g: Graph) -> ShelfEntry:
     return ShelfEntry(g, automorphisms(g))
 
 
+def _min3_keep(child: Graph, site: Site) -> str | None:
+    """The min3 keep function: child's certificate, or None when
+    construction.has_smaller_d1_reduction finds a D1 reduction of child
+    proven valid and less than the one its site undoes, D1 at the site's
+    vertex and child's last vertex, or D2 or D3."""
+    vertices, _ = site
+    own = vertices[0] if len(vertices) == 1 else None
+    return None if has_smaller_d1_reduction(child, own) else certificate(child)
+
+
 def _cpus() -> int:
     """The processes a column's sources are split between: two where this
     process can fork and may run on two CPUs or more, else one."""
@@ -174,13 +192,13 @@ def _push(
     n: int,
     column: dict[int, list[str]],
     reach: range,
-    keep: Callable[[Graph], str | None],
+    keep: Keep,
 ) -> None:
     """Bridge the graphs of column n, the certificates of its shelves by
     edge count, into the shelves of reach they feed: each is decoded into a
     source once, and bridgings bridges its sets of shapes (1, 1), (3, 0)
     and (0, 2) from (n, m) into (n+1, m+2), (n+1, m+3) and (n+2, m+3).
-    keep(child) gives the certificate that each bridging adds to its
+    keep(child, site) gives the certificate that each bridging adds to its
     shelf, or None for one the shelf does not take.
 
     Where _cpus() gives two and there are two sources or more, this
@@ -200,7 +218,7 @@ def _push(
         for m, cert in sources:
             src = source(decode_graph6(cert))
             for shape, dn, dm in feeds:
-                kept = (keep(g) for g, _ in bridgings(src, shape))
+                kept = (keep(g, site) for g, site in bridgings(src, shape))
                 into.setdefault((n + dn, m + dm), set()).update(c for c in kept if c is not None)
 
     if len(sources) < 2 or _cpus() < 2:
@@ -289,7 +307,7 @@ def _walk(
     shelf_edges: Callable[[int], Iterable[int]],
     direct: dict[tuple[int, int], list[str]],
     progress: Progress | None,
-    keep: Callable[[Graph], str | None],
+    keep: Keep,
 ) -> GeneratedSet:
     """start's groups up to the end of reach, and those of reach's columns.
 
@@ -331,7 +349,7 @@ def generate_min3(max_n: int, *, progress: Progress | None = None, resume: Gener
     gives, or else column 6, the prism, K_{3,3} and W_5.  When max_n is past
     last, _walk builds the columns after last from the certificates of the
     last two, less the wheels and K_{3,t}, column n's shelves holding m
-    from ceil(3n/2) to 3n-9, each bridging kept by its certificate; only
+    from ceil(3n/2) to 3n-9, each bridging kept by _min3_keep; only
     the graphs that feed a column after last are decoded.  Each group after
     last is joined by the wheel or K_{3,t} of its (n, m).  A resumed set
     of another mode, or one that lacks a group of its columns, holds
@@ -346,7 +364,7 @@ def generate_min3(max_n: int, *, progress: Progress | None = None, resume: Gener
         direct.setdefault((n, 3 * n - 9), []).append(certificate(complete_bipartite_3(n - 3)))
     if resume is None:
         resume = GeneratedSet("min3", {(6, 9): [certificate(prism()), *direct[(6, 9)]], (6, 10): direct[(6, 10)]})
-    return _walk(resume, range(_last_column(resume) + 1, max_n + 1), _shelf_edges, direct, progress, certificate)
+    return _walk(resume, range(_last_column(resume) + 1, max_n + 1), _shelf_edges, direct, progress, _min3_keep)
 
 
 def generate_cubic(max_n: int, *, progress: Progress | None = None) -> GeneratedSet:
@@ -361,4 +379,6 @@ def generate_cubic(max_n: int, *, progress: Progress | None = None) -> Generated
     """
     check_max_n("cubic", max_n)
     k4 = GeneratedSet("cubic", {(4, 6): [certificate(wheel(3))]})
-    return _walk(k4, range(6, max_n + 1, 2), lambda n: (3 * n // 2,), {}, progress, canonical_certificate)
+    return _walk(
+        k4, range(6, max_n + 1, 2), lambda n: (3 * n // 2,), {}, progress, lambda child, _: canonical_certificate(child)
+    )

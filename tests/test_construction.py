@@ -1,11 +1,14 @@
-"""The canonical construction path of the cubic walk.
+"""The canonical construction path of the cubic walk, and the min3 walk's
+filter of bridgings with a smaller D1 reduction proven valid.
 
-Its reduction test is checked against the reduced graph rebuilt and run
-through the naive 3-connectivity oracle, and its walk against a walk that
-keeps every bridging and removes isomorphs by certificate alone.
+Each reduction test is checked against the reduced graph rebuilt and run
+through a naive oracle, and each walk against a walk that keeps every
+bridging and removes isomorphs by certificate alone.
 """
 
 from __future__ import annotations
+
+import os
 
 import pytest
 
@@ -16,15 +19,20 @@ from min3gen import (
     add_edge,
     bridgings,
     certificate,
+    complete_bipartite_3,
     decode_graph6,
     delete_edge,
     delete_vertex,
     generate_cubic,
+    generate_min3,
     is_3_connected,
+    is_minimally_3_connected,
+    prism,
     source,
     wheel,
 )
 from min3gen.construction import reduction_is_valid
+from min3gen.graphs import DAWES_SHAPES
 
 
 def _reduced(g: Graph, x: int, y: int) -> Graph | None:
@@ -117,3 +125,79 @@ def test_canonical_path_searches_a_quarter_of_the_dedupe_certificates(monkeypatc
     assert generate_cubic(16).count(16) == 2828
     assert len(kept) == len(set(kept)) == 3246
     assert sum(calls.values()) <= 47193 // 4
+
+
+def _min3_dedupe_walk(max_n: int) -> dict[tuple[int, int], list[str]]:
+    """The min3 groups up to max_n from the prism: each shelf every
+    bridging, one per orbit, of the shelves that feed it, isomorphs
+    removed by certificate, and each group joined by its wheel or K_{3,t}."""
+    shelves = {(6, 9): {certificate(prism())}}
+    for n in range(7, max_n + 1):
+        for (k, m), certs in list(shelves.items()):
+            for shape, (dn, dm) in DAWES_SHAPES.items():
+                if k + dn == n:
+                    shelf = shelves.setdefault((n, m + dm), set())
+                    for cert in certs:
+                        shelf.update(certificate(g) for g, _ in bridgings(source(decode_graph6(cert)), shape))
+    for n in range(6, max_n + 1):
+        shelves.setdefault((n, 2 * (n - 1)), set()).add(certificate(wheel(n - 1)))
+        shelves.setdefault((n, 3 * n - 9), set()).add(certificate(complete_bipartite_3(n - 3)))
+    return {key: sorted(certs) for key, certs in shelves.items() if certs}
+
+
+@pytest.fixture(scope="module")
+def min3_dedupe10():
+    return _min3_dedupe_walk(10)
+
+
+@pytest.mark.parametrize(
+    "cpus", [1, pytest.param(2, marks=pytest.mark.skipif(not hasattr(os, "fork"), reason="a second process is forked"))]
+)
+def test_the_d1_filter_keeps_the_classes_of_the_dedupe_walk(monkeypatch, min3_dedupe10, cpus):
+    # Fresh and resumed, in one process or two, the filter loses no class.
+    monkeypatch.setattr(min3gen.generator, "_cpus", lambda: cpus)
+    assert generate_min3(10).groups == min3_dedupe10
+    assert generate_min3(10, resume=generate_min3(8)).groups == min3_dedupe10
+
+
+def test_every_d1_reduction_the_filter_proves_is_valid(monkeypatch, min3_dedupe10):
+    # Each proof, at n <= 10 and in this process, is of a reduced graph on
+    # the shelf it was proven for: minimally 3-connected, rebuilt edge by
+    # edge and run through the naive oracle, and no wheel or K_{3,t}.
+    monkeypatch.setattr(min3gen.generator, "_cpus", lambda: 1)
+    proofs = []
+    real = min3gen.construction._d1_reduction_is_proven
+
+    def recorded(masks, c, v, a, b):
+        proven = real(masks, c, v, a, b)
+        if proven:
+            proofs.append((masks, c, v))
+        return proven
+
+    monkeypatch.setattr(min3gen.construction, "_d1_reduction_is_proven", recorded)
+    generate_min3(10)
+    assert len(proofs) > 1000
+    reduced = {}
+    for masks, c, v in proofs:
+        n = len(masks)
+        g = Graph(n, [(u, w) for u in range(n) for w in range(u + 1, n) if masks[u] >> w & 1])
+        a, b = [w for w in g.neighbors(c) if w != v]
+        p = delete_vertex(add_edge(delete_edge(delete_edge(delete_edge(g, c, v), c, a), c, b), a, b), c)
+        assert (p.n, p.m) == (n - 1, g.m - 2)
+        reduced.setdefault(certificate(p), p)
+    for cert, p in reduced.items():
+        assert p.n >= 6, cert
+        assert cert not in (certificate(wheel(p.n - 1)), certificate(complete_bipartite_3(p.n - 3))), cert
+        assert is_minimally_3_connected(p), cert
+        assert cert in min3_dedupe10[(p.n, p.m)], cert
+
+
+@pytest.mark.slow
+def test_the_d1_filter_makes_a_quarter_of_the_dedupe_certificates(monkeypatch):
+    # The dedupe walk made 14,060 certificate searches up to n = 11.
+    monkeypatch.setattr(min3gen.generator, "_cpus", lambda: 1)
+    calls = []
+    real = min3gen.generator.certificate
+    monkeypatch.setattr(min3gen.generator, "certificate", lambda g: calls.append(g.n) or real(g))
+    assert generate_min3(11).count(11) == 1513
+    assert len(calls) <= 14060 // 4

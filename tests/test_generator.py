@@ -42,7 +42,7 @@ from min3gen import (
 from min3gen.canonical import automorphisms
 from min3gen.cli import main
 from min3gen.cycles import PRISM_CYCLES, enumerate_cycles_bruteforce
-from min3gen.generator import _orbit_representatives, _push, _shelf_edges
+from min3gen.generator import _min3_keep, _orbit_representatives, _push, _shelf_edges
 from min3gen.io_validate import CheckpointError, high_edges_essential
 
 # The shapes, (vertex count, edge count), of Dawes' D1, D2 and D3 sets.
@@ -160,7 +160,7 @@ def test_every_bridging_rule_matches_bruteforce_cycles(monkeypatch):
 
 def test_push_first_column():
     shelves = {}
-    _push(shelves, 6, {9: [certificate(prism())]}, range(7, 8), certificate)
+    _push(shelves, 6, {9: [certificate(prism())]}, range(7, 8), _min3_keep)
     # The prism feeds (7, 11) by D1 and (7, 12) by D3; D2's (8, 12) lies
     # past reach.
     assert sorted(shelves) == [(7, 11), (7, 12)]
@@ -265,12 +265,15 @@ def test_each_source_gets_its_automorphisms_once(monkeypatch):
     generate_min3(10)
     # The sources are the 75 entries of the shelves with n <= 9, each
     # decoded once; every site tried is bridged and tested on its child.
+    # Of the 2,009 children kept, only those with no smaller D1 reduction
+    # proven valid are certified, 482 of them, besides the prism and the
+    # ten wheels and K_{3,t}.
     certs = [certificate(g) for (g,), _ in calls["automorphisms"]]
     assert len(certs) == len(set(certs)) == 75
     counts = {name: len(args) for name, args in calls.items()}
     kept = sum(result for _, result in calls["high_edges_essential"])
     assert (counts, kept) == (
-        {"automorphisms": 75, "decode_graph6": 75, "bridge": 4526, "high_edges_essential": 4526, "certificate": 2020},
+        {"automorphisms": 75, "decode_graph6": 75, "bridge": 4526, "high_edges_essential": 4526, "certificate": 493},
         2009,
     )
     # Resuming n <= 9 to 10 makes sources of columns 8 and 9 only.
@@ -281,7 +284,7 @@ def test_each_source_gets_its_automorphisms_once(monkeypatch):
     counts = {name: len(args) for name, args in calls.items()}
     kept = sum(result for _, result in calls["high_edges_essential"])
     assert (counts, kept) == (
-        {"automorphisms": 71, "decode_graph6": 71, "bridge": 3899, "high_edges_essential": 3899, "certificate": 1725},
+        {"automorphisms": 71, "decode_graph6": 71, "bridge": 3899, "high_edges_essential": 3899, "certificate": 404},
         1715,
     )
 
