@@ -45,7 +45,7 @@ isomorphs, which the shelf's set joins.
 from __future__ import annotations
 
 from .canonical import _layer_sizes, canonical, certificate
-from .graphs import Graph, _bits, edge, mask_path
+from .graphs import Graph, _bits, edge, mask_path, mask_reach
 from .io_validate import _separated
 
 Rows = tuple[int, ...]  # bitmask adjacency rows
@@ -66,20 +66,6 @@ def _send(out: list[int], inn: list[int], u: int, v: int) -> None:
     else:  # it cancels flow v->u, which frees the arc v->u
         out[v] |= 1 << u
         inn[u] |= 1 << v
-
-
-def _reach(rows: list[int], start: int, within: int) -> int:
-    """The vertices of within that rows reach from start, start included."""
-    seen = frontier = 1 << start
-    while frontier:
-        nxt = 0
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            nxt |= rows[low.bit_length() - 1]
-        frontier = nxt & within & ~seen
-        seen |= frontier
-    return seen
 
 
 def reduction_is_valid(masks: Rows, x: int, y: int) -> bool:
@@ -127,7 +113,7 @@ def reduction_is_valid(masks: Rows, x: int, y: int) -> bool:
             _send(out, inn, u, v)
             v = u
     within = (1 << len(masks)) - 1 ^ (1 << x | 1 << y)
-    return _reach(out, a, within) == within
+    return mask_reach(out, a, within) == within
 
 
 def _short_cycles(masks: Rows, x: int, y: int) -> tuple[int, int]:

@@ -19,8 +19,12 @@ sites of an orbit give isomorphic graphs.  A bridging of a 3-connected
 graph is 3-connected, so it is kept exactly when
 io_validate.high_edges_essential holds of it; bridgings(src, shape)
 returns those of one shape, each with its site, the set's vertices and
-edges.  A mode's one keep function maps each such child, with its site,
-to the certificate it adds to its shelf, or to None.  The min3 mode skips
+edges.  It drops, before bridging them, the D1 and D3 sites where a
+fan, paths found once per source from a neighbour of degree 4 or more of
+a vertex of the site, proves an edge of the bridging inessential: nine in
+ten of the sites that fail the child test up to n = 11.  A mode's one
+keep function maps each kept child, with its site, to the certificate it
+adds to its shelf, or to None.  The min3 mode skips
 a child with a D1 reduction proven valid and less than the one its site
 undoes (construction.has_smaller_d1_reduction), which spares most
 certificates, and keeps every other child by its certificate, the
@@ -55,14 +59,27 @@ from __future__ import annotations
 import marshal
 import os
 import sys
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations
 from operator import or_
 from typing import Callable, Iterable
 
 from .canonical import automorphisms, certificate
 from .construction import canonical_certificate, has_smaller_d1_reduction
-from .graphs import DAWES_SHAPES, GRAPH6_MAX_N, Edge, Graph, bridge, complete_bipartite_3, edge, prism, wheel
+from .graphs import (
+    DAWES_SHAPES,
+    GRAPH6_MAX_N,
+    Edge,
+    Graph,
+    _bits,
+    bridge,
+    complete_bipartite_3,
+    edge,
+    mask_path,
+    mask_reach,
+    prism,
+    wheel,
+)
 from .io_validate import CheckpointError, GeneratedSet, decode_graph6, high_edges_essential
 
 Progress = Callable[[str], None]
@@ -148,6 +165,41 @@ def _orbit_representatives(g: Graph, shape: Shape, gens: list[Permutation]) -> l
     return [s for i, s in enumerate(sites) if find(i) == i]
 
 
+def _fan(rows: list[int], x: int, w1: int) -> int:
+    """The fan from x's neighbour w1 in the graph of rows less x: shortest
+    paths from w1 to x's other neighbours w2 and w3, taken in turn so that
+    they are internally disjoint, given as the vertices that w1 reaches off
+    both paths, w1 included; only w1 when a path is not found."""
+    w2, w3 = _bits(rows[x] ^ 1 << w1)
+    q2 = mask_path(rows, w1, w2, 1 << x | 1 << w3)
+    q3 = mask_path(rows, w1, w3, 1 << x | 1 << w2 | q2) if q2 >= 0 else -1
+    return mask_reach(rows, w1, ~(q2 | q3 | 1 << x | 1 << w2 | 1 << w3)) if q3 >= 0 else 1 << w1
+
+
+@lru_cache(maxsize=1)
+def _fans(g: Graph) -> list[int]:
+    """For each vertex x of g, its neighbours of degree 4 or more and, when
+    x has degree 3, the fans from them (_fan).  Cached for the last source,
+    whose shapes are bridged in turn."""
+    rows = [g.neighbor_mask(v) for v in g.vertices]
+    high = sum(1 << v for v, row in enumerate(rows) if row.bit_count() > 3)
+    fans = [row & high for row in rows]
+    for x, row in enumerate(rows):
+        if row.bit_count() == 3:
+            for w1 in _bits(row & high):
+                fans[x] |= _fan(rows, x, w1)
+    return fans
+
+
+def _fan_rejects(fans: list[int], site: Site) -> bool:
+    """Whether the fans of a D1 or D3 site's vertex x prove its bridging
+    not minimally 3-connected: they hold an end of its edge or another of
+    its vertices."""
+    vertices, edges = site
+    targets = sum(1 << v for v in vertices) | sum(1 << v for e in edges for v in e)
+    return any(fans[x] & targets for x in vertices)
+
+
 def bridgings(src: ShelfEntry, shape: Shape) -> list[tuple[Graph, Site]]:
     """Bridge the sets of the shape in src's graph, one per orbit, and keep
     each minimally 3-connected bridging, with its site: Dawes' D1 for
@@ -158,8 +210,29 @@ def bridgings(src: ShelfEntry, shape: Shape) -> list[tuple[Graph, Site]]:
     of the graph minus xy, which xy chords; the edge xy is then itself a
     chording xy-path, so the set is not 3-compatible and its bridging is
     not minimally 3-connected.
+
+    Nor are the D1 and D3 sites that _fan_rejects, as their bridgings are
+    not minimal either.  In the bridging C of such a site, a vertex x of
+    the site gains an edge to the new vertex c, and an edge xw whose ends
+    have degree 4 or more is not essential, because three internally
+    disjoint paths join x and w in C - xw:
+    - a D1 site whose edge ends at w, a neighbour of x of degree 4 or
+      more: x, c, w is a path, so a 2-cut between x and w in C - xw is c
+      and a vertex s, and then s and w would cut x off from w's other
+      neighbours in the source, which is 3-connected;
+    - a site holding x of degree 3, with a neighbour w = w1 of degree 4 or
+      more, and an end of the D1 edge or another vertex of the D3 site
+      that w1 reaches off its fan, the paths from w1 to x's other
+      neighbours w2 and w3 (_fan): x, w2 and x, w3 go on along the fan,
+      and x, c goes on to that vertex and within the reach to w1.
+    The others, and every D2 site, get the child test.
     """
-    children = ((bridge(src.graph, *site), site) for site in _orbit_representatives(src.graph, shape, src.gens))
+    g = src.graph
+    sites = _orbit_representatives(g, shape, src.gens)
+    if shape != (0, 2):
+        fans = _fans(g)
+        sites = [site for site in sites if not _fan_rejects(fans, site)]
+    children = ((bridge(g, *site), site) for site in sites)
     return [(child, site) for child, site in children if high_edges_essential(child)]
 
 

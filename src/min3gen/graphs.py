@@ -187,6 +187,21 @@ def mask_path(masks: list[int], start: int, target: int, forbidden: int) -> int:
     return inner
 
 
+def mask_reach(masks: list[int], start: int, within: int) -> int:
+    """The vertices of within, as a mask, that bitmask adjacency rows reach
+    from start through within, start included."""
+    seen = frontier = 1 << start
+    while frontier:
+        nxt = 0
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            nxt |= masks[low.bit_length() - 1]
+        frontier = nxt & within & ~seen
+        seen |= frontier
+    return seen
+
+
 def _require_vertex(g: Graph, v: int) -> None:
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} out of range for n={g.n}")

@@ -31,7 +31,7 @@ from min3gen import (
     source,
     wheel,
 )
-from min3gen.construction import reduction_is_valid
+from min3gen.construction import has_smaller_d1_reduction, reduction_is_valid
 from min3gen.graphs import DAWES_SHAPES
 
 
@@ -190,6 +190,13 @@ def test_every_d1_reduction_the_filter_proves_is_valid(monkeypatch, min3_dedupe1
         assert cert not in (certificate(wheel(p.n - 1)), certificate(complete_bipartite_3(p.n - 3))), cert
         assert is_minimally_3_connected(p), cert
         assert cert in min3_dedupe10[(p.n, p.m)], cert
+
+
+def test_no_wheel_has_a_smaller_d1_reduction_proven_valid():
+    # Each D1 reduction of W_k removes a spoke and gives W_{k-1}, no source
+    # of the walk; no walk child reaches this exclusion up to n = 10.
+    for k in range(5, 10):
+        assert has_smaller_d1_reduction(wheel(k), None) is False, k
 
 
 @pytest.mark.slow

@@ -10,6 +10,7 @@ result) cover the plumbing the counts alone would not.
 from __future__ import annotations
 
 import gc
+import hashlib
 import os
 import re
 import sys
@@ -21,6 +22,7 @@ import min3gen.generator
 from helpers import candidate_sets, collect_shelves, derived, materialize
 from min3gen import (
     GeneratedSet,
+    Graph,
     apply_bridge,
     bridge,
     bridgings,
@@ -42,7 +44,8 @@ from min3gen import (
 from min3gen.canonical import automorphisms
 from min3gen.cli import main
 from min3gen.cycles import PRISM_CYCLES, enumerate_cycles_bruteforce
-from min3gen.generator import _min3_keep, _orbit_representatives, _push, _shelf_edges
+from min3gen.generator import _fan, _fan_rejects, _fans, _min3_keep, _orbit_representatives, _push, _shelf_edges
+from min3gen.graphs import DAWES_SHAPES, mask_path
 from min3gen.io_validate import CheckpointError, high_edges_essential
 
 # The shapes, (vertex count, edge count), of Dawes' D1, D2 and D3 sets.
@@ -138,13 +141,84 @@ def test_every_gate_verdict_is_the_minimality_of_its_bridging(sources9):
     assert [is_minimally_3_connected(children[i]) for i in sample] == [verdicts[i] for i in sample]
 
 
+def _fan_verdicts(sources) -> tuple[int, int]:
+    """How many orbit representative sites of the sources, of the shapes
+    that feed a shelf up to n = 10, the fans reject, and how many bridge
+    to a graph the child test fails, each rejected site's among them; a
+    rejected child on which the definition-level oracle is run once in 20
+    must fail it as well."""
+    rejected = failing = 0
+    for ent in sources:
+        fans = _fans(ent.graph)
+        for shape in (shape for shape, (dn, _) in DAWES_SHAPES.items() if ent.graph.n + dn <= 10):
+            for site in _orbit_representatives(ent.graph, shape, ent.gens):
+                child = bridge(ent.graph, *site)
+                minimal = high_edges_essential(child)
+                failing += not minimal
+                if shape != (0, 2) and _fan_rejects(fans, site):
+                    assert not minimal, (ent.graph.edges(), site)
+                    rejected += 1
+                    assert rejected % 20 or not is_minimally_3_connected(child), (ent.graph.edges(), site)
+    return rejected, failing
+
+
+def test_every_site_the_fans_reject_bridges_to_a_non_minimal_graph(sources9, monkeypatch):
+    # bridgings drops the D1 and D3 sites the fans reject before bridging
+    # them, so each must be a site the child test would fail: at every
+    # orbit representative site of the sources with n <= 9, as the fixture
+    # and as the one-process walk to n = 10 label them.
+    assert _fan_verdicts(sources9) == (2260, 2517)
+    _one_process(monkeypatch)
+    walked = []
+    real = min3gen.generator.source
+    monkeypatch.setattr(min3gen.generator, "source", lambda g: walked.append(real(g)) or walked[-1])
+    generate_min3(10)
+    assert _fan_verdicts(walked) == (2280, 2517)
+
+
+def test_a_d1_edge_at_a_high_neighbour_bridges_to_a_non_minimal_graph():
+    # In W_5, rim vertex 0 has degree 3 and its neighbour 5, the hub,
+    # degree 5.  The first fan path from the hub, to rim vertex 1, is the
+    # spoke 5-1 itself, so the new vertex of the D1 site (0, 5-1) sits on
+    # it and on the third path 0-c-5, and the fan proves nothing there.
+    # The site is rejected all the same, as is every D1 site whose edge
+    # ends at a neighbour w of x of degree 4 or more: x-c-w is a path of
+    # the bridging less xw, so a 2-cut between x and w there is c and a
+    # vertex s; but then s and w would cut x off from w's other
+    # neighbours in the source, which is 3-connected.
+    w5 = wheel(5)
+    rows = [w5.neighbor_mask(v) for v in w5.vertices]
+    assert mask_path(rows, 5, 1, 1 << 0 | 1 << 4) == 0
+    site = ((0,), ((1, 5),))
+    assert _fan_rejects(_fans(w5), site)
+    assert not is_minimally_3_connected(bridge(w5, *site))
+    # Here the shortest path from x = 0's neighbour 1 to its neighbour 3 is
+    # 1-2-3, and 2 and 3 are all of 4's neighbours but x, so the second
+    # path is not found, and the fan from 1 is 1 alone.
+    greedy = Graph(
+        7, [(0, 1), (0, 3), (0, 4), (1, 2), (1, 5), (1, 6), (2, 3), (2, 4), (2, 6), (3, 4), (3, 5), (3, 6), (5, 6)]
+    )
+    assert is_3_connected(greedy)
+    assert _fan([greedy.neighbor_mask(v) for v in greedy.vertices], 0, 1) == 1 << 1
+    for g in (w5, wheel(6), complete_bipartite_3(4), greedy):
+        fans = _fans(g)
+        for x in g.vertices:
+            for a, b in g.edges():
+                high = [w for w in (a, b) if g.has_edge(x, w) and g.degree(w) > 3]
+                if x not in (a, b) and high:
+                    assert _fan_rejects(fans, ((x,), ((a, b),))), (g.edges(), x, a, b)
+                    assert not is_minimally_3_connected(bridge(g, (x,), ((a, b),))), (g.edges(), x, a, b)
+
+
 def test_every_bridging_rule_matches_bruteforce_cycles(monkeypatch):
-    # With a child test that passes everything, the walk up to n = 8 keeps
-    # every bridging, and reaches 42 graphs, all 3-connected, minimally or
-    # not.  At every site bridgings tries on each, one per orbit, apply_bridge
-    # on the site must give the bridged graph's cycles.
+    # With a child test that passes everything and no fan rejecting a site,
+    # the walk up to n = 8 keeps every bridging, and reaches 42 graphs, all
+    # 3-connected, minimally or not.  At every site bridgings tries on
+    # each, one per orbit, apply_bridge on the site must give the bridged
+    # graph's cycles.
     with monkeypatch.context() as patched:
         patched.setattr(min3gen.generator, "high_edges_essential", lambda g: True)
+        patched.setattr(min3gen.generator, "_fans", lambda g: [0] * g.n)
         graphs = [decode_graph6(c) for bucket in generate_min3(8).groups.values() for c in bucket]
     assert len(graphs) == 42
     sites = 0
@@ -264,8 +338,8 @@ def test_each_source_gets_its_automorphisms_once(monkeypatch):
     calls = _count_work(monkeypatch)
     generate_min3(10)
     # The sources are the 75 entries of the shelves with n <= 9, each
-    # decoded once; every site tried is bridged and tested on its child.
-    # Of the 2,009 children kept, only those with no smaller D1 reduction
+    # decoded once.  Every site the fans do not reject, 2,246 of 4,526, is
+    # bridged and tested on its child.  Of the 2,009 children kept, only those with no smaller D1 reduction
     # proven valid are certified, 482 of them, besides the prism and the
     # ten wheels and K_{3,t}.
     certs = [certificate(g) for (g,), _ in calls["automorphisms"]]
@@ -273,7 +347,7 @@ def test_each_source_gets_its_automorphisms_once(monkeypatch):
     counts = {name: len(args) for name, args in calls.items()}
     kept = sum(result for _, result in calls["high_edges_essential"])
     assert (counts, kept) == (
-        {"automorphisms": 75, "decode_graph6": 75, "bridge": 4526, "high_edges_essential": 4526, "certificate": 493},
+        {"automorphisms": 75, "decode_graph6": 75, "bridge": 2246, "high_edges_essential": 2246, "certificate": 493},
         2009,
     )
     # Resuming n <= 9 to 10 makes sources of columns 8 and 9 only.
@@ -284,7 +358,7 @@ def test_each_source_gets_its_automorphisms_once(monkeypatch):
     counts = {name: len(args) for name, args in calls.items()}
     kept = sum(result for _, result in calls["high_edges_essential"])
     assert (counts, kept) == (
-        {"automorphisms": 71, "decode_graph6": 71, "bridge": 3899, "high_edges_essential": 3899, "certificate": 404},
+        {"automorphisms": 71, "decode_graph6": 71, "bridge": 1923, "high_edges_essential": 1923, "certificate": 404},
         1715,
     )
 
@@ -427,6 +501,19 @@ def test_min3_cubic_shelves_hold_the_cubic_run(min3_run):
     keys = [(6, 9), (8, 12), (10, 15)]
     assert [len(min3[key]) for key in keys] == [2, 4, 14]
     assert [min3[key] for key in keys] == [cubic[key] for key in keys]
+
+
+def test_the_tree_to_n11_is_pinned(tmp_path):
+    # The outputs of generate_min3(11) as write_outputs writes them: the
+    # file count, and the sha256 of each file's name, a NUL byte and its
+    # bytes, in name order.  n = 10 and 11 are where the fans reject most
+    # sites, 19,311 of the 35,334 up to n = 11.
+    write_outputs(generate_min3(11), tmp_path)
+    paths = sorted(tmp_path.iterdir(), key=lambda p: p.name)
+    digest = hashlib.sha256()
+    for path in paths:
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    assert (len(paths), digest.hexdigest()) == (29, "2ff8ff717cca95b11de9fc6fd54133df916438839fc0bd8244cc45b9750c1a4b")
 
 
 def test_generation_is_deterministic():
