@@ -20,8 +20,7 @@ every class is kept exactly once, from one orbit representative of one
 parent, and only the kept children are certified.
 
 The invariant is compared in stages, each computed only for the edges
-still tied with the new edge: the triangles and 4-cycles through the
-edge, then its 5-cycles, then the BFS layer sizes around the edge and
+still tied with the new edge: the BFS layer sizes around the edge, then
 around each end.  The first edge found with a smaller invariant that is a
 valid reduction rejects the child.
 
@@ -116,27 +115,6 @@ def reduction_is_valid(masks: Rows, x: int, y: int) -> bool:
     return mask_reach(out, a, within) == within
 
 
-def _short_cycles(masks: Rows, x: int, y: int) -> tuple[int, int]:
-    """The triangles and the 4-cycles through the edge xy."""
-    nx, ny = masks[x] ^ 1 << y, masks[y] ^ 1 << x
-    a, b = _ends(nx)
-    return (nx & ny).bit_count(), (masks[a] & ny).bit_count() + (masks[b] & ny).bit_count()
-
-
-def _five_cycles(masks: Rows, x: int, y: int) -> int:
-    """The 5-cycles x, a, c, b, y through the edge xy."""
-    ends = 1 << x | 1 << y
-    a1, a2 = _ends(masks[x] ^ 1 << y)
-    b1, b2 = _ends(masks[y] ^ 1 << x)
-    count = 0
-    for a in (a1, a2):
-        row = masks[a] & ~ends
-        for b in (b1, b2):
-            if a != b:
-                count += (row & masks[b]).bit_count()
-    return count
-
-
 def _edge_layers(masks: Rows, x: int, y: int) -> tuple[int, ...]:
     """The BFS layer sizes around the edge xy."""
     return _layer_sizes(masks, 1 << x | 1 << y)
@@ -147,7 +125,7 @@ def _end_layers(masks: Rows, x: int, y: int) -> list[tuple[int, ...]]:
     return sorted((_layer_sizes(masks, 1 << x), _layer_sizes(masks, 1 << y)))
 
 
-_STAGES = (_short_cycles, _five_cycles, _edge_layers, _end_layers)
+_STAGES = (_edge_layers, _end_layers)
 
 
 def canonical_certificate(g: Graph) -> str | None:

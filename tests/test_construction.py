@@ -9,6 +9,7 @@ bridging and removes isomorphs by certificate alone.
 from __future__ import annotations
 
 import os
+import random
 
 import pytest
 
@@ -31,7 +32,7 @@ from min3gen import (
     source,
     wheel,
 )
-from min3gen.construction import has_smaller_d1_reduction, reduction_is_valid
+from min3gen.construction import canonical_certificate, has_smaller_d1_reduction, reduction_is_valid
 from min3gen.graphs import DAWES_SHAPES
 
 
@@ -109,13 +110,28 @@ def test_canonical_path_equals_the_dedupe_walk(monkeypatch):
     calls, kept = _count_searches(monkeypatch)
     assert generate_cubic(14).groups == dedupe
     # Each class is kept once, from one bridging, and only kept children
-    # and ties are searched: K4's certificate, 163 children kept with no
-    # tie, and 328 labellings of tied children, against the dedupe walk's
+    # and ties are searched: K4's certificate, 204 children kept with no
+    # tie, and 288 labellings of tied children, against the dedupe walk's
     # certificate for every child.
     assert certified == 3972
     assert sorted(kept) == sorted(c for (n, _), bucket in dedupe.items() if n > 4 for c in bucket)
     assert len(kept) == len(set(kept)) == 418
-    assert calls == {"certificate": 1 + 163, "canonical": 328}
+    assert calls == {"certificate": 1 + 204, "canonical": 288}
+
+
+def test_the_keep_decision_does_not_depend_on_labels():
+    # Every orbit-representative child of the n <= 10 classes, relabelled
+    # at random but with its new edge still joining its last two vertices,
+    # is kept or rejected as it is under its own labels.
+    rng = random.Random(89)
+    children = [g for bucket in generate_cubic(10).groups.values() for c in bucket
+                for g, _ in bridgings(source(decode_graph6(c)), (0, 2))]
+    assert len(children) == 411
+    for g in children:
+        n = g.n
+        perm = [*rng.sample(range(n - 2), n - 2), *rng.sample((n - 2, n - 1), 2)]
+        h = Graph(n, [(perm[u], perm[v]) for u, v in g.edges()])
+        assert canonical_certificate(h) == canonical_certificate(g), g.edges()
 
 
 @pytest.mark.slow

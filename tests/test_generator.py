@@ -503,17 +503,29 @@ def test_min3_cubic_shelves_hold_the_cubic_run(min3_run):
     assert [min3[key] for key in keys] == [cubic[key] for key in keys]
 
 
-def test_the_tree_to_n11_is_pinned(tmp_path):
-    # The outputs of generate_min3(11) as write_outputs writes them: the
-    # file count, and the sha256 of each file's name, a NUL byte and its
-    # bytes, in name order.  n = 10 and 11 are where the fans reject most
-    # sites, 19,311 of the 35,334 up to n = 11.
-    write_outputs(generate_min3(11), tmp_path)
-    paths = sorted(tmp_path.iterdir(), key=lambda p: p.name)
+def _tree_digest(result: GeneratedSet, out) -> tuple[int, str]:
+    """The outputs of result as write_outputs writes them: the file count,
+    and the sha256 of each file's name, a NUL byte and its bytes, in name
+    order."""
+    write_outputs(result, out)
+    paths = sorted(out.iterdir(), key=lambda p: p.name)
     digest = hashlib.sha256()
     for path in paths:
         digest.update(path.name.encode() + b"\0" + path.read_bytes())
-    assert (len(paths), digest.hexdigest()) == (29, "2ff8ff717cca95b11de9fc6fd54133df916438839fc0bd8244cc45b9750c1a4b")
+    return len(paths), digest.hexdigest()
+
+
+def test_the_tree_to_n11_is_pinned(tmp_path):
+    # n = 10 and 11 are where the fans reject most sites, 19,311 of the
+    # 35,334 up to n = 11.
+    assert _tree_digest(generate_min3(11), tmp_path) == (29, "2ff8ff717cca95b11de9fc6fd54133df916438839fc0bd8244cc45b9750c1a4b")
+
+
+def test_the_cubic_tree_to_n16_is_pinned(tmp_path):
+    # The golden digest stops at n = 14, and n = 16 is where the canonical
+    # path ranks most reductions: 47,806 validity tests up to n = 16,
+    # against 4,662 up to n = 14.
+    assert _tree_digest(generate_cubic(16), tmp_path) == (8, "072d76b3696edb8adfdb7565208b84c84f751c1282d3c8523006a4f3d70b6e1f")
 
 
 def test_generation_is_deterministic():
