@@ -142,13 +142,7 @@ def canonical_certificate(g: Graph) -> str | None:
     n = g.n
     masks = tuple(g.neighbor_mask(v) for v in range(n))
     new = (n - 2, n - 1)
-    tied = []
-    for u in range(n - 2):
-        later = masks[u] >> u + 1 << u + 1
-        while later:
-            low = later & -later
-            later ^= low
-            tied.append((u, low.bit_length() - 1))
+    tied = g.edges()[:-1]  # all but the new edge, the last
     for stage in _STAGES:
         own = stage(masks, *new)
         ties = []
@@ -236,10 +230,10 @@ def has_smaller_d1_reduction(g: Graph, own: int | None) -> bool:
     # P has m - 2 edges; with 2(n - 2) of them, a vertex of degree n - 2
     # makes it a wheel, and only v loses a degree.
     hubs = sum(1 << w for w, d in enumerate(deg) if d == n - 2) if m == 2 * n - 2 else 0
+    top, top_layers = (n,), None  # above every D1 key, as deg v < n
     if own is not None:
         a, b = _ends(masks[n - 1] ^ 1 << own)
         top = (deg[own], *sorted((deg[a], deg[b])))
-        top_layers = None
     for c, row in enumerate(masks):
         if deg[c] != 3:
             continue
@@ -251,15 +245,14 @@ def has_smaller_d1_reduction(g: Graph, own: int | None) -> bool:
                 continue
             if m == 2 * n - 2 and (hubs & ~(1 << v) or deg[v] == n - 1):
                 continue
-            if own is not None:
-                key = (deg[v], *sorted((deg[a], deg[b])))
-                if key > top:
+            key = (deg[v], *sorted((deg[a], deg[b])))
+            if key > top:
+                continue
+            if key == top:
+                if top_layers is None:
+                    top_layers = _layer_sizes(masks, 1 << n - 1 | 1 << own)
+                if _layer_sizes(masks, 1 << c | 1 << v) >= top_layers:
                     continue
-                if key == top:
-                    if top_layers is None:
-                        top_layers = _layer_sizes(masks, 1 << n - 1 | 1 << own)
-                    if _layer_sizes(masks, 1 << c | 1 << v) >= top_layers:
-                        continue
             if _d1_reduction_is_proven(masks, c, v, a, b):
                 return True
     return False

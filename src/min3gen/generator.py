@@ -113,15 +113,16 @@ class ShelfEntry:
 
 def _orbit_representatives(g: Graph, shape: Shape, gens: list[Permutation]) -> list[Site]:
     """The first site of each orbit of g's sets of the shape under the
-    group that gens generate, found by union-find over site indices.
+    group that gens generate.  The sites are taken in order, and one not
+    yet seen is the first of its orbit, which the generators then walk
+    from it until its sites are all seen.
 
     A site of shape (nv, ne) is ne edges and nv vertices, in combinations
     of the edges outer and of the vertices inner, where no vertex is
     adjacent to another member vertex or is an end of a member edge; it
     may be adjacent to an end of a member edge.  Vertex v has id v and
     edge i of g.edges() id n + i, and a site's key is the bitmask of its
-    members' ids, so its image's key under p is the sum of the bits that p
-    maps those ids to.  The sites of an orbit bridge to isomorphic graphs.
+    members' ids.  The sites of an orbit bridge to isomorphic graphs.
     """
     nv, ne = shape
     n, es = g.n, g.edges()
@@ -137,32 +138,27 @@ def _orbit_representatives(g: Graph, shape: Shape, gens: list[Permutation]) -> l
         vkey, clashes = sum(map(bit, vs)), reduce(or_, map(clash.__getitem__, vs), 0)
         if not clashes & vkey:
             vsets.append((vs, vkey, clashes))
-    # The sites, each site's member ids, and each site's index by its key.
-    sites, members, index = [], [], {}
+    # Each generator's image of every id, and that image's bit.
+    images = []
+    for p in gens:
+        q = (*p, *(eid[edge(p[a], p[b])] for a, b in es))
+        images.append((q.__getitem__, [1 << i for i in q].__getitem__))
+    reps, seen = [], set()
     for edges, ids in zip(combinations(es, ne), combinations(range(n, n + len(es)), ne)):
         ekey = sum(map(bit, ids))
         for vs, vkey, clashes in vsets:
-            if not clashes & ekey:
-                index[vkey | ekey] = len(sites)
-                sites.append((vs, edges))
-                members.append(vs + ids)
-    # A root is the least index of its set.
-    parent = list(range(len(sites)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
-    for p in gens:
-        image = ([1 << v for v in p] + [1 << eid[edge(p[a], p[b])] for a, b in es]).__getitem__
-        for i, site in enumerate(members):
-            j = index[sum(map(image, site))]
-            if j != i:
-                ra, rb = find(i), find(j)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
-    return [s for i, s in enumerate(sites) if find(i) == i]
+            if clashes & ekey or vkey | ekey in seen:
+                continue
+            reps.append((vs, edges))
+            seen.add(vkey | ekey)
+            orbit = [vs + ids]
+            for site in orbit:
+                for image, image_bit in images:
+                    key = sum(map(image_bit, site))
+                    if key not in seen:
+                        seen.add(key)
+                        orbit.append(tuple(map(image, site)))
+    return reps
 
 
 def _fan(rows: list[int], x: int, w1: int) -> int:

@@ -81,7 +81,11 @@ class Graph:
         """All edges as (u, v) with u < v, in increasing order."""
         out = []
         for u, mask in enumerate(self._adj):
-            out.extend((u, v) for v in _bits(mask >> (u + 1) << (u + 1)))
+            later = mask >> u + 1 << u + 1
+            while later:
+                low = later & -later
+                later ^= low
+                out.append((u, low.bit_length() - 1))
         return out
 
     def has_edge(self, u: int, v: int) -> bool:

@@ -11,12 +11,15 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import itertools
 import os
 import re
 import sys
 import weakref
 
+import networkx as nx
 import pytest
+from networkx.algorithms.isomorphism import GraphMatcher
 
 import min3gen.generator
 from helpers import candidate_sets, collect_shelves, derived, materialize
@@ -45,7 +48,7 @@ from min3gen.canonical import automorphisms
 from min3gen.cli import main
 from min3gen.cycles import PRISM_CYCLES, enumerate_cycles_bruteforce
 from min3gen.generator import _fan, _fan_rejects, _fans, _min3_keep, _orbit_representatives, _push, _shelf_edges
-from min3gen.graphs import DAWES_SHAPES, mask_path
+from min3gen.graphs import DAWES_SHAPES, edge, mask_path
 from min3gen.io_validate import CheckpointError, high_edges_essential
 
 # The shapes, (vertex count, edge count), of Dawes' D1, D2 and D3 sets.
@@ -114,6 +117,38 @@ def test_orbit_representatives_admit_the_classes_of_all_sites(sources9):
             assert {certificate(g) for g in got} == by_definition[shape], (shape, ent.graph.edges())
             tried += len(got)
     assert tried < admitted
+
+
+def _dawes_sites(g: Graph, shape):
+    """Every site of the shape in g, edge combinations outer and vertex
+    combinations inner: vertices neither adjacent to each other nor ends
+    of the edges."""
+    nv, ne = shape
+    for edges in itertools.combinations(g.edges(), ne):
+        ends = {v for e in edges for v in e}
+        for vs in itertools.combinations(g.vertices, nv):
+            if ends.isdisjoint(vs) and not any(g.has_edge(u, w) for u, w in itertools.combinations(vs, 2)):
+                yield vs, edges
+
+
+def test_orbit_representatives_are_the_first_site_of_each_orbit(sources9):
+    # Against brute force: all sites in enumeration order, and the full
+    # automorphism group from networkx rather than canonical.automorphisms.
+    cases = [(ent.graph, shape) for ent in sources9 for shape in OPS]
+    cubic = [decode_graph6(c) for bucket in generate_cubic(12).groups.values() for c in bucket]
+    cases += [(g, (0, 2)) for g in cubic]
+    reps = []
+    for g, shape in cases:
+        nxg = nx.Graph(g.edges())
+        group = list(GraphMatcher(nxg, nxg).isomorphisms_iter())
+        seen, first = set(), []
+        for vs, es in _dawes_sites(g, shape):
+            if (frozenset(vs), frozenset(es)) not in seen:
+                first.append((vs, es))
+                seen.update((frozenset(map(p.get, vs)), frozenset(edge(p[a], p[b]) for a, b in es)) for p in group)
+        assert _orbit_representatives(g, shape, automorphisms(g)) == first, (shape, g.edges())
+        reps.append(len(first))
+    assert (sum(reps[: 3 * len(sources9)]), sum(reps[3 * len(sources9) :])) == (7477, 3971)
 
 
 def test_every_gate_verdict_is_the_minimality_of_its_bridging(sources9):
