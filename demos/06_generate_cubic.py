@@ -10,17 +10,17 @@ labellings, and decoded to grow the next.  It is the min3 bookshelf walk
 run over the even vertex counts alone, where this two-edge bridging is the
 only one to feed a shelf.
 
-The walk is isomorph-free by McKay's canonical construction path: a child
-is kept only when its new edge is its canonical reduction, the valid edge
-to delete and smooth away that is least by a cheap invariant, ties broken
-by the canonical labelling.  So each class is kept exactly once, and only
-kept children (and ties) are certified.
+A child is skipped when another of its edges is a valid reduction, one
+to delete and smooth away, less than its new edge by a cheap invariant.
+Every other child is certified, and the level's set joins the isomorphs
+that ties leave.  A class's least valid reduction is the new edge of a
+bridging that is never skipped, so no class is lost.
 """
 
 import time
 
 from min3gen import bridgings, certificate, complete_bipartite_3, decode_graph6, generate_cubic, prism, source
-from min3gen.construction import canonical_certificate
+from min3gen.construction import has_smaller_d2_reduction
 
 start = time.perf_counter()
 result = generate_cubic(12, progress=print)
@@ -42,16 +42,12 @@ for cert in result.groups[(10, 15)][:3]:
     print("n=10 sample:", g.edges()[:6], "... degrees all 3:",
           all(g.degree(v) == 3 for v in g.vertices))
 
-# One source's children, one per orbit of its edge pairs: few are kept,
-# each a different class, and together the level's classes are each kept
-# by exactly one bridging of one source.
-parent = decode_graph6(result.groups[(10, 15)][0])
-children = [g for g, _ in bridgings(source(parent), (0, 2))]
-kept = [c for c in map(canonical_certificate, children) if c is not None]
-print(f"\none n=10 source: {len(children)} bridgings, {len(kept)} kept,",
-      "all distinct:", len(kept) == len(set(kept)))
-every = [c for cert in result.groups[(10, 15)]
-         for g, _ in bridgings(source(decode_graph6(cert)), (0, 2))
-         if (c := canonical_certificate(g)) is not None]
-print("n=12 from every n=10 source:", len(every), "kept, one per class:",
-      sorted(every) == result.groups[(12, 18)])
+# The children of every n=10 source, one per orbit of its edge pairs: most
+# are skipped, and the certificates of the rest are the n=12 level.
+children = [g for cert in result.groups[(10, 15)]
+            for g, _ in bridgings(source(decode_graph6(cert)), (0, 2))]
+unskipped = [g for g in children if not has_smaller_d2_reduction(g)]
+kept = {certificate(g) for g in unskipped}
+print(f"\nn=12 from every n=10 source: {len(children)} bridgings,",
+      f"{len(unskipped)} kept, {len(kept)} classes, the level:",
+      sorted(kept) == result.groups[(12, 18)])

@@ -31,8 +31,7 @@ the least leaf's labelling to this one (best_order[k] -> order[k]), and at
 a collapsed twin cell, the transposition of its first member with each
 other member.  The search visits every branch but twin ones, so these
 permutations generate the whole automorphism group.  certificate records
-nothing; canonical(g) returns the certificate, the labelling and the
-generators of one search.
+nothing.
 
 are_isomorphic_bruteforce is the independent oracle: a direct backtracking
 search for an edge-preserving bijection, sharing nothing with the
@@ -135,9 +134,8 @@ def _is_twin_cell(masks: tuple[int, ...], cell: list[int]) -> bool:
     return all(masks[v] | (1 << v) == closed0 for v in cell[1:])
 
 
-def _least_leaf(g: Graph, gens: list[tuple[int, ...]] | None) -> tuple[int, list[int]]:
-    """The least leaf triangle_bits of g's search tree (g.n >= 1), and the
-    leaf's labelling, new vertex k being old vertex order[k].
+def _least_leaf(g: Graph, gens: list[tuple[int, ...]] | None) -> int:
+    """The least leaf triangle_bits of g's search tree (g.n >= 1).
 
     When gens is a list, every automorphism the search meets is appended
     to it as a permutation p, vertex v mapping to p[v].
@@ -203,7 +201,7 @@ def _least_leaf(g: Graph, gens: list[tuple[int, ...]] | None) -> tuple[int, list
             search(child, child_ends, _refine(masks, child, child_ends, [target], cells + 1))
 
     search(order, ends, cells)
-    return best, best_order
+    return best
 
 
 def certificate(g: Graph) -> str:
@@ -216,17 +214,7 @@ def certificate(g: Graph) -> str:
     """
     if g.n == 0:
         return graph6_line(0, 0)
-    return graph6_line(g.n, _least_leaf(g, None)[0])
-
-
-def canonical(g: Graph) -> tuple[str, list[int], list[tuple[int, ...]]]:
-    """certificate(g), the canonical labelling it packs, new vertex k being
-    g's vertex order[k], and automorphisms(g), from one search."""
-    if g.n == 0:
-        return graph6_line(0, 0), [], []
-    gens: list[tuple[int, ...]] = []
-    bits, order = _least_leaf(g, gens)
-    return graph6_line(g.n, bits), order, list(dict.fromkeys(gens))
+    return graph6_line(g.n, _least_leaf(g, None))
 
 
 def automorphisms(g: Graph) -> list[tuple[int, ...]]:
@@ -236,7 +224,10 @@ def automorphisms(g: Graph) -> list[tuple[int, ...]]:
     An empty list means the group is trivial.  This is certificate's
     search, recording as it goes (see the module docstring).
     """
-    return canonical(g)[2]
+    gens: list[tuple[int, ...]] = []
+    if g.n:
+        _least_leaf(g, gens)
+    return list(dict.fromkeys(gens))
 
 
 def are_isomorphic_bruteforce(g1: Graph, g2: Graph) -> bool:

@@ -1,5 +1,10 @@
-"""McKay's canonical construction path for the cubic walk, and the min3
-walk's D1 filter.
+"""The filters that spare the walks most certificates: a bridging is
+skipped when it has a reduction less than the one it undoes that is
+shown to be valid, and every other bridging is certified, the isomorphs
+left joined by the shelf's set.  A class's least valid reduction gives
+back a graph of an earlier shelf, and the bridging that undoes it, taken
+at a site of that graph up to its automorphisms, has no smaller one, so
+no class is lost.
 
 The cubic walk makes each 3-connected cubic graph on n + 2 vertices by
 bridging two edges ab and cd of one on n: new vertices x on ab and y on
@@ -7,44 +12,25 @@ cd, joined by the edge xy (Dawes' D2).  Turned around, a reduction of a
 cubic graph deletes an edge xy and smooths x and y, and it is valid when
 the result is simple and 3-connected; every 3-connected cubic graph but
 K4 has one, and the new edge of a bridging always is one.
+has_smaller_d2_reduction ranks reductions by an edge invariant, as in
+McKay's canonical construction path (J. Algorithms 26, 1998), compared
+in stages: the BFS layer sizes around the edge, then around each end.
 
-canonical_certificate(g) keeps a bridging only when its new edge is g's
-canonical reduction up to Aut(g): the valid edge least by a cheap edge
-invariant, with the ties among those edges broken by g's canonical
-labelling (McKay, "Isomorph-free exhaustive generation", J. Algorithms 26,
-1998; Brinkmann, Goedgebeur and McKay, "Generation of cubic graphs",
-DMTCS 13, 2011).  The canonical reduction is chosen up to isomorphism, so
-it gives back one class of parent, and sites taken one per orbit of the
-parent's automorphisms give non-isomorphic (child, new edge) pairs; so
-every class is kept exactly once, from one orbit representative of one
-parent, and only the kept children are certified.
-
-The invariant is compared in stages, each computed only for the edges
-still tied with the new edge: the BFS layer sizes around the edge, then
-around each end.  The first edge found with a smaller invariant that is a
-valid reduction rejects the child.
-
-The min3 walk keeps its shelves as sets of certificates, and
-has_smaller_d1_reduction spares it the certificates of most bridgings
-that another bridging also reaches.  A D1 reduction of a minimally
-3-connected graph C deletes the edge cv at a degree-3 vertex c whose
-other neighbours a, b are non-adjacent, then smooths c into the edge ab.
-Reductions are ranked by kind, D1 below D2 and D3, then by deg v and the
-sorted degrees of a and b, then by the BFS layer sizes around {c, v}.
-A bridging is skipped when it has a D1 reduction less than its own that
-is proven valid, without a labelling and without the reduced graph's
-full validity test.  The graph of a proven reduction is a source of the
-walk, which bridges it back into C at the reduction's site.  So when C's
-least valid reduction is D1, the bridging that undoes it has no smaller
-proven one and is kept; when it is D2 or D3, C has no valid D1 reduction
-and no bridging of C is skipped.  Ties and unproven reductions leave
-isomorphs, which the shelf's set joins.
+A D1 reduction of a minimally 3-connected graph C deletes the edge cv at
+a degree-3 vertex c whose other neighbours a, b are non-adjacent, then
+smooths c into the edge ab.  has_smaller_d1_reduction ranks reductions by
+kind, D1 below D2 and D3, then by deg v and the sorted degrees of a and
+b, then by the BFS layer sizes around {c, v}.  It counts a D1 reduction
+only when it proves it valid, without the reduced graph's full validity
+test, and the graph of a proven reduction is a source of the walk.  When
+C's least valid reduction is D2 or D3, C has no valid D1 reduction and no
+bridging of C is skipped.
 """
 
 from __future__ import annotations
 
-from .canonical import _layer_sizes, canonical, certificate
-from .graphs import Graph, _bits, edge, mask_path, mask_reach
+from .canonical import _layer_sizes
+from .graphs import Graph, _bits, mask_path, mask_reach
 from .io_validate import _separated
 
 Rows = tuple[int, ...]  # bitmask adjacency rows
@@ -128,16 +114,11 @@ def _end_layers(masks: Rows, x: int, y: int) -> list[tuple[int, ...]]:
 _STAGES = (_edge_layers, _end_layers)
 
 
-def canonical_certificate(g: Graph) -> str | None:
-    """g's certificate when its new edge, joining its last two vertices,
-    is its canonical reduction up to Aut(g); else None.
-
-    g is a bridging of two edges of a 3-connected cubic graph, so the new
-    edge is a valid reduction.  Another valid edge with a smaller invariant
-    rejects g.  Valid edges tied with the new edge in every stage are
-    ranked by their ends' places in g's canonical labelling, and g is kept
-    when the least lies in the new edge's orbit under g's automorphisms;
-    that labelling's search also gives the certificate.
+def has_smaller_d2_reduction(g: Graph) -> bool:
+    """Whether g, a bridging whose new edge joins its last two vertices,
+    has a valid reduction at another edge whose invariant is less than the
+    new edge's, the stages compared in turn: the first of them that
+    differs decides, each computed only for the edges still tied.
     """
     n = g.n
     masks = tuple(g.neighbor_mask(v) for v in range(n))
@@ -151,25 +132,9 @@ def canonical_certificate(g: Graph) -> str | None:
             if value == own:
                 ties.append(e)
             elif value < own and reduction_is_valid(masks, *e):
-                return None
+                return True
         tied = ties
-    tied = [e for e in tied if reduction_is_valid(masks, *e)]
-    if not tied:
-        return certificate(g)
-    cert, order, gens = canonical(g)
-    place = [0] * n
-    for k, v in enumerate(order):
-        place[v] = k
-    least = min([new, *tied], key=lambda e: sorted((place[e[0]], place[e[1]])))
-    orbit, todo = {new}, [new]
-    while todo:
-        a, b = todo.pop()
-        for p in gens:
-            image = edge(p[a], p[b])
-            if image not in orbit:
-                orbit.add(image)
-                todo.append(image)
-    return cert if least in orbit else None
+    return False
 
 
 def _d1_reduction_is_proven(masks: Rows, c: int, v: int, a: int, b: int) -> bool:

@@ -22,15 +22,11 @@ returns those of one shape, each with its site, the set's vertices and
 edges.  It drops, before bridging them, the D1 and D3 sites where a
 fan, paths found once per source from a neighbour of degree 4 or more of
 a vertex of the site, proves an edge of the bridging inessential: nine in
-ten of the sites that fail the child test up to n = 11.  A mode's one
-keep function maps each kept child, with its site, to the certificate it
-adds to its shelf, or to None.  The min3 mode skips
-a child with a D1 reduction proven valid and less than the one its site
-undoes (construction.has_smaller_d1_reduction), which spares most
-certificates, and keeps every other child by its certificate, the
-isomorphs left joined by the shelf's set.  That assumes every valid
-parent is on its shelf, as in a fresh run or one resumed from a tree a
-run wrote.  The walk carries no graph and no cycle set from shelf to
+ten of the sites that fail the child test up to n = 11.  Each mode has
+one skip function: a child it skips, one with a smaller reduction shown
+valid (see construction), costs no certificate, and every other child
+adds its certificate to its shelf, the isomorphs left joined by the
+shelf's set.  The walk carries no graph and no cycle set from shelf to
 shelf.
 The paper decides a bridging on the source instead, by the
 3-compatibility of its set on the source's cycle set; compat and cycles
@@ -40,11 +36,7 @@ Wheels and K_{3,t}, the minimally 3-connected graphs no prism-rooted chain
 reaches, are built directly; each joins its group as its shelf completes.
 The cubic mode is the same walk from K4 over the even vertex counts alone,
 so only the two-edge bridging, which adds two vertices, feeds a shelf:
-(n, 3n/2) is built from (n-2, 3n/2-3).  There the walk follows McKay's
-canonical construction path (see construction): its keep function,
-construction.canonical_certificate, certifies a bridging only when its new
-edge is its canonical reduction, so each class is kept once and the
-others cost no certificate.
+(n, 3n/2) is built from (n-2, 3n/2-3).
 
 A source's bridgings depend on that source alone, so where two CPUs are
 free the walk splits a column's sources between two processes: a forked
@@ -65,7 +57,7 @@ from operator import or_
 from typing import Callable, Iterable
 
 from .canonical import automorphisms, certificate
-from .construction import canonical_certificate, has_smaller_d1_reduction
+from .construction import has_smaller_d1_reduction, has_smaller_d2_reduction
 from .graphs import (
     DAWES_SHAPES,
     GRAPH6_MAX_N,
@@ -88,9 +80,9 @@ Shelves = dict[tuple[int, int], set[str]]
 Permutation = tuple[int, ...]
 Shape = tuple[int, int]  # a set's (vertex count, edge count)
 Site = tuple[tuple[int, ...], tuple[Edge, ...]]  # a set's vertices and edges
-# A mode's keep function: the certificate a bridging, with its site, adds
-# to its shelf, or None.
-Keep = Callable[[Graph, Site], str | None]
+# A mode's skip function: whether a bridging, with its site, adds nothing
+# to its shelf.
+Skip = Callable[[Graph, Site], bool]
 
 
 class ShelfEntry:
@@ -238,14 +230,12 @@ def source(g: Graph) -> ShelfEntry:
     return ShelfEntry(g, automorphisms(g))
 
 
-def _min3_keep(child: Graph, site: Site) -> str | None:
-    """The min3 keep function: child's certificate, or None when
-    construction.has_smaller_d1_reduction finds a D1 reduction of child
-    proven valid and less than the one its site undoes, D1 at the site's
-    vertex and child's last vertex, or D2 or D3."""
+def _min3_skip(child: Graph, site: Site) -> bool:
+    """Whether child has a D1 reduction proven valid and less than the one
+    its site undoes: D1 at the site's vertex and child's last vertex, or
+    D2 or D3."""
     vertices, _ = site
-    own = vertices[0] if len(vertices) == 1 else None
-    return None if has_smaller_d1_reduction(child, own) else certificate(child)
+    return has_smaller_d1_reduction(child, vertices[0] if len(vertices) == 1 else None)
 
 
 def _cpus() -> int:
@@ -261,14 +251,13 @@ def _push(
     n: int,
     column: dict[int, list[str]],
     reach: range,
-    keep: Keep,
+    skip: Skip,
 ) -> None:
     """Bridge the graphs of column n, the certificates of its shelves by
     edge count, into the shelves of reach they feed: each is decoded into a
     source once, and bridgings bridges its sets of shapes (1, 1), (3, 0)
-    and (0, 2) from (n, m) into (n+1, m+2), (n+1, m+3) and (n+2, m+3).
-    keep(child, site) gives the certificate that each bridging adds to its
-    shelf, or None for one the shelf does not take.
+    and (0, 2) from (n, m) into (n+1, m+2), (n+1, m+3) and (n+2, m+3),
+    each adding its certificate unless skip(child, site).
 
     Where _cpus() gives two and there are two sources or more, this
     process bridges the even-indexed sources, and one forked worker
@@ -287,8 +276,8 @@ def _push(
         for m, cert in sources:
             src = source(decode_graph6(cert))
             for shape, dn, dm in feeds:
-                kept = (keep(g, site) for g, site in bridgings(src, shape))
-                into.setdefault((n + dn, m + dm), set()).update(c for c in kept if c is not None)
+                kept = (certificate(g) for g, site in bridgings(src, shape) if not skip(g, site))
+                into.setdefault((n + dn, m + dm), set()).update(kept)
 
     if len(sources) < 2 or _cpus() < 2:
         push(shelves, sources)
@@ -376,7 +365,7 @@ def _walk(
     shelf_edges: Callable[[int], Iterable[int]],
     direct: dict[tuple[int, int], list[str]],
     progress: Progress | None,
-    keep: Keep,
+    skip: Skip,
 ) -> GeneratedSet:
     """start's groups up to the end of reach, and those of reach's columns.
 
@@ -387,8 +376,8 @@ def _walk(
     (n-2, m-3), so every certificate for it has arrived, and its sorted
     certificates are complete.  On a column of reach, each shelf, joined
     by its direct graphs, is a group, reported to progress before _push
-    bridges the column's graphs into the shelves of reach they feed, each
-    child kept by keep.
+    bridges the column's graphs into the shelves of reach they feed, less
+    the children that skip rejects.
     """
     groups = {key: sorted(bucket) for key, bucket in start.groups.items() if key[0] < reach.stop}
     shelves: Shelves = {
@@ -406,7 +395,7 @@ def _walk(
                 if progress is not None:
                     shelf = f"min3 shelf n={n} m={m}" if start.mode == "min3" else f"cubic n={n}"
                     progress(f"{shelf}: {len(bucket)} graphs")
-        _push(shelves, n, column, reach, keep)
+        _push(shelves, n, column, reach, skip)
     return GeneratedSet(start.mode, dict(sorted(groups.items())))
 
 
@@ -418,7 +407,7 @@ def generate_min3(max_n: int, *, progress: Progress | None = None, resume: Gener
     gives, or else column 6, the prism, K_{3,3} and W_5.  When max_n is past
     last, _walk builds the columns after last from the certificates of the
     last two, less the wheels and K_{3,t}, column n's shelves holding m
-    from ceil(3n/2) to 3n-9, each bridging kept by _min3_keep; only
+    from ceil(3n/2) to 3n-9, each bridging skipped by _min3_skip; only
     the graphs that feed a column after last are decoded.  Each group after
     last is joined by the wheel or K_{3,t} of its (n, m).  A resumed set
     of another mode, or one that lacks a group of its columns, holds
@@ -433,7 +422,7 @@ def generate_min3(max_n: int, *, progress: Progress | None = None, resume: Gener
         direct.setdefault((n, 3 * n - 9), []).append(certificate(complete_bipartite_3(n - 3)))
     if resume is None:
         resume = GeneratedSet("min3", {(6, 9): [certificate(prism()), *direct[(6, 9)]], (6, 10): direct[(6, 10)]})
-    return _walk(resume, range(_last_column(resume) + 1, max_n + 1), _shelf_edges, direct, progress, _min3_keep)
+    return _walk(resume, range(_last_column(resume) + 1, max_n + 1), _shelf_edges, direct, progress, _min3_skip)
 
 
 def generate_cubic(max_n: int, *, progress: Progress | None = None) -> GeneratedSet:
@@ -441,13 +430,17 @@ def generate_cubic(max_n: int, *, progress: Progress | None = None) -> Generated
 
     _walk from K4 over the even columns from 6 to max_n, each the one
     shelf (n, 3n/2).  Only sets of two edges, shape (0, 2), add two
-    vertices, so they alone feed a column and are bridged, and a bridging
-    is kept only when construction.canonical_certificate finds its new
-    edge to be its canonical reduction.  An odd max_n, or one past
+    vertices, so they alone feed a column and are bridged, each skipped
+    by construction.has_smaller_d2_reduction.  An odd max_n, or one past
     GRAPH6_MAX_N, raises ValueError before any work.
     """
     check_max_n("cubic", max_n)
     k4 = GeneratedSet("cubic", {(4, 6): [certificate(wheel(3))]})
     return _walk(
-        k4, range(6, max_n + 1, 2), lambda n: (3 * n // 2,), {}, progress, lambda child, _: canonical_certificate(child)
+        k4,
+        range(6, max_n + 1, 2),
+        lambda n: (3 * n // 2,),
+        {},
+        progress,
+        lambda child, _: has_smaller_d2_reduction(child),
     )

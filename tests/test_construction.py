@@ -1,5 +1,5 @@
-"""The canonical construction path of the cubic walk, and the min3 walk's
-filter of bridgings with a smaller D1 reduction proven valid.
+"""The filters of the cubic and min3 walks that skip a bridging with a
+smaller reduction shown to be valid.
 
 Each reduction test is checked against the reduced graph rebuilt and run
 through a naive oracle, and each walk against a walk that keeps every
@@ -32,7 +32,13 @@ from min3gen import (
     source,
     wheel,
 )
-from min3gen.construction import canonical_certificate, has_smaller_d1_reduction, reduction_is_valid
+from min3gen.construction import (
+    _edge_layers,
+    _end_layers,
+    has_smaller_d1_reduction,
+    has_smaller_d2_reduction,
+    reduction_is_valid,
+)
 from min3gen.graphs import DAWES_SHAPES
 
 
@@ -79,44 +85,30 @@ def _dedupe_walk(max_n: int) -> tuple[dict[tuple[int, int], list[str]], int]:
     return groups, certified
 
 
-def _count_searches(monkeypatch) -> tuple[dict[str, int], list[str]]:
-    """Count the certificate and labelling searches of the cubic walk,
-    all of them in this process, and record every child it keeps."""
+def _count_searches(monkeypatch) -> list[str]:
+    """Record every certificate the cubic walk searches for, all of them
+    in this process: K4's first, then one per child it keeps."""
     monkeypatch.setattr(min3gen.generator, "_cpus", lambda: 1)
-    calls = {"certificate": 0, "canonical": 0}
-    for module, name in ((min3gen.generator, "certificate"), *((min3gen.construction, n) for n in calls)):
-        real = getattr(module, name)
-
-        def counted(g, real=real, name=name):
-            calls[name] += 1
-            return real(g)
-
-        monkeypatch.setattr(module, name, counted)
-    kept = []
-    real_child = min3gen.generator.canonical_certificate
-
-    def recorded(g):
-        cert = real_child(g)
-        if cert is not None:
-            kept.append(cert)
-        return cert
-
-    monkeypatch.setattr(min3gen.generator, "canonical_certificate", recorded)
-    return calls, kept
+    certs = []
+    real = min3gen.generator.certificate
+    monkeypatch.setattr(min3gen.generator, "certificate", lambda g: certs.append(real(g)) or certs[-1])
+    return certs
 
 
 def test_canonical_path_equals_the_dedupe_walk(monkeypatch):
     dedupe, certified = _dedupe_walk(14)
-    calls, kept = _count_searches(monkeypatch)
+    certs = _count_searches(monkeypatch)
     assert generate_cubic(14).groups == dedupe
-    # Each class is kept once, from one bridging, and only kept children
-    # and ties are searched: K4's certificate, 204 children kept with no
-    # tie, and 288 labellings of tied children, against the dedupe walk's
-    # certificate for every child.
+    # Only the children that no smaller valid reduction skips are
+    # certified: K4 and 492 children, ties among them, against the dedupe
+    # walk's certificate for every child.  The shelves' sets join the
+    # isomorphs that ties leave.
     assert certified == 3972
-    assert sorted(kept) == sorted(c for (n, _), bucket in dedupe.items() if n > 4 for c in bucket)
-    assert len(kept) == len(set(kept)) == 418
-    assert calls == {"certificate": 1 + 204, "canonical": 288}
+    assert len(certs) == 1 + 492
+    kept = certs[1:]
+    assert len(kept) == 492
+    assert set(kept) == {c for (n, _), bucket in dedupe.items() if n > 4 for c in bucket}
+    assert len(set(kept)) == 418
 
 
 def test_the_keep_decision_does_not_depend_on_labels():
@@ -131,16 +123,40 @@ def test_the_keep_decision_does_not_depend_on_labels():
         n = g.n
         perm = [*rng.sample(range(n - 2), n - 2), *rng.sample((n - 2, n - 1), 2)]
         h = Graph(n, [(perm[u], perm[v]) for u, v in g.edges()])
-        assert canonical_certificate(h) == canonical_certificate(g), g.edges()
+        assert has_smaller_d2_reduction(h) == has_smaller_d2_reduction(g), g.edges()
+
+
+def test_the_d2_skip_is_a_smaller_valid_reduction():
+    # Each orbit-representative child of the n <= 10 classes is skipped
+    # exactly when an edge other than its new one has a smaller key, the
+    # stages' values of every edge computed up front and compared as
+    # tuples, and is valid by the rebuilt-graph oracle.
+    children = [g for bucket in generate_cubic(10).groups.values() for c in bucket
+                for g, _ in bridgings(source(decode_graph6(c)), (0, 2))]
+    assert len(children) == 411
+    skipped = 0
+    for g in children:
+        masks = tuple(g.neighbor_mask(v) for v in g.vertices)
+        keys = {e: (_edge_layers(masks, *e), _end_layers(masks, *e)) for e in g.edges()}
+        new = (g.n - 2, g.n - 1)
+        smaller = any(
+            keys[e] < keys[new] and (r := _reduced(g, *e)) is not None and is_3_connected(r)
+            for e in keys if e != new
+        )
+        assert has_smaller_d2_reduction(g) == smaller, g.edges()
+        skipped += smaller
+    assert skipped == 320
 
 
 @pytest.mark.slow
 def test_canonical_path_searches_a_quarter_of_the_dedupe_certificates(monkeypatch):
     # The dedupe walk certified 47,193 children up to n = 16.
-    calls, kept = _count_searches(monkeypatch)
+    certs = _count_searches(monkeypatch)
     assert generate_cubic(16).count(16) == 2828
-    assert len(kept) == len(set(kept)) == 3246
-    assert sum(calls.values()) <= 47193 // 4
+    kept = certs[1:]
+    assert len(set(kept)) == 3246
+    assert len(kept) == 3673
+    assert len(certs) <= 47193 // 4
 
 
 def _min3_dedupe_walk(max_n: int) -> dict[tuple[int, int], list[str]]:

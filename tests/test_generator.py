@@ -47,7 +47,7 @@ from min3gen import (
 from min3gen.canonical import automorphisms
 from min3gen.cli import main
 from min3gen.cycles import PRISM_CYCLES, enumerate_cycles_bruteforce
-from min3gen.generator import _fan, _fan_rejects, _fans, _min3_keep, _orbit_representatives, _push, _shelf_edges
+from min3gen.generator import _fan, _fan_rejects, _fans, _min3_skip, _orbit_representatives, _push, _shelf_edges
 from min3gen.graphs import DAWES_SHAPES, edge, mask_path
 from min3gen.io_validate import CheckpointError, high_edges_essential
 
@@ -269,7 +269,7 @@ def test_every_bridging_rule_matches_bruteforce_cycles(monkeypatch):
 
 def test_push_first_column():
     shelves = {}
-    _push(shelves, 6, {9: [certificate(prism())]}, range(7, 8), _min3_keep)
+    _push(shelves, 6, {9: [certificate(prism())]}, range(7, 8), _min3_skip)
     # The prism feeds (7, 11) by D1 and (7, 12) by D3; D2's (8, 12) lies
     # past reach.
     assert sorted(shelves) == [(7, 11), (7, 12)]
@@ -726,7 +726,7 @@ def test_orbit_representatives_bridge_to_the_classes_of_all_edge_pairs():
             certificate(bridge(g, (), pair)) for pair in pairs
         }, cert
         # The cubic walk bridges through bridgings, which keeps every one,
-        # and then keeps the children that construction finds canonical.
+        # and then certifies the children that construction does not skip.
         assert [site for _, site in bridgings(source(g), (0, 2))] == [((), pair) for pair in reps], cert
         pruned += len(pairs) - len(reps)
     assert pruned > 0
